@@ -41,16 +41,21 @@ EXIT_NUMERICAL = 3
 # file I/O
 
 
-def _fmt(x) -> str:
-    """repr of the underlying Python float: shortest exact round trip."""
-    return repr(float(x))
+def _write_csv(path: str, header: str, blocks) -> None:
+    """Write ``header``, then each block of rows as it comes.
+
+    Cells are Python ints, floats or "" (empty); str of a Python float is
+    its repr, the shortest text that reads back to the same float.
+    """
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for rows in blocks:
+            fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def write_field_csv(path: str, field: VectorField) -> None:
-    with open(path, "w") as fh:
-        fh.write("s,v1,v2,v3\n")
-        for s, row in zip(field.grid.nodes(), field.values):
-            fh.write(",".join(map(_fmt, (s, row[0], row[1], row[2]))) + "\n")
+    rows = np.column_stack([field.grid.nodes(), field.values]).tolist()
+    _write_csv(path, "s,v1,v2,v3", [rows])
 
 
 def read_field_csv(path: str, kind: str = "half") -> VectorField:
@@ -59,8 +64,12 @@ def read_field_csv(path: str, kind: str = "half") -> VectorField:
         raise ValueError(f"{path}: expected columns s,v1,v2,v3")
     s = data[:, 0]
     h = s[1] - s[0]
-    if np.max(np.abs(np.diff(s) - h)) > 1e-9 * max(1.0, abs(h)):
+    tol = 1e-9 * max(1.0, abs(h))
+    if np.max(np.abs(np.diff(s) - h)) > tol:
         raise ValueError(f"{path}: grid must be uniform")
+    # half-line and periodic data start at s = 0; whole-line data span [-L, L]
+    if abs(s[0] + s[-1] if kind == "whole" else s[0]) > tol:
+        raise ValueError(f"{path}: s runs {s[0]:g}..{s[-1]:g}, not a {kind} grid")
     if kind == "half":
         grid = Grid.half_line(s[-1], len(s))
     elif kind == "whole":
@@ -71,32 +80,26 @@ def read_field_csv(path: str, kind: str = "half") -> VectorField:
 
 
 def write_snapshots_csv(path: str, series, curves=None) -> None:
-    cols = "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
-    with open(path, "w") as fh:
-        fh.write(cols + "\n")
-        nodes = series.grid.nodes()
+    header = "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
+    nodes = series.grid.nodes()
+
+    def blocks():
         for m, (t, snap) in enumerate(zip(series.times, series.snapshots)):
-            for i, s in enumerate(nodes):
-                v = snap.values[i]
-                line = ",".join(map(_fmt, (t, s, v[0], v[1], v[2])))
-                if curves is not None:
-                    x = curves[m].positions[i]
-                    line += "," + ",".join(map(_fmt, x))
-                fh.write(line + "\n")
+            cols = [np.full(len(nodes), t), nodes, snap.values]
+            if curves is not None:
+                cols.append(curves[m].positions)
+            yield np.column_stack(cols).tolist()
+
+    _write_csv(path, header, blocks())
 
 
 def write_telemetry_csv(path: str, telemetry) -> None:
     keys = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in telemetry:
-            fh.write(
-                ",".join(
-                    (str(row[k]) if k == "step" else _fmt(row[k])) if k in row else ""
-                    for k in keys
-                )
-                + "\n"
-            )
+    rows = [
+        [row["step"]] + [float(row[k]) if k in row else "" for k in keys[1:]]
+        for row in telemetry
+    ]
+    _write_csv(path, ",".join(keys), [rows])
 
 
 def parse_config(path: str) -> dict:
@@ -159,39 +162,43 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
+#: simulate config keys read into SimConfig: key -> (field, parser)
+_SIM_KEYS = {
+    "time.t_final": ("t_final", float),
+    "time.dt": ("dt", float),
+    "scheme": ("scheme", str),
+    "tolerances.boundary": ("tol_boundary", float),
+    "tolerances.compat": ("compat_tol", float),
+    "tolerances.farfield": ("farfield_tol", float),
+    "tolerances.fixed_point": ("fp_tol", float),
+    "output.snapshot_every": ("snapshot_every", int),
+    "output.monitor_every": ("monitor_every", int),
+    "check.order": ("check_order", int),
+    "check.strict": ("strict", lambda v: v.lower() in ("1", "true", "yes", "on")),
+}
+
+#: simulate config keys read by cmd_simulate itself
+_RUN_KEYS = ("grid.kind", "grid.L", "grid.n", "data.family", "output.dir")
+
+
 def _build_cfg(conf: dict) -> SimConfig:
-    kw = {}
-    if "time.t_final" in conf:
-        kw["t_final"] = float(conf["time.t_final"])
-    if "time.dt" in conf:
-        kw["dt"] = float(conf["time.dt"])
-    if "scheme" in conf:
-        kw["scheme"] = conf["scheme"]
-    for ckey, akey in [
-        ("tolerances.norm", "tol_norm"),
-        ("tolerances.boundary", "tol_boundary"),
-        ("tolerances.compat", "compat_tol"),
-        ("tolerances.farfield", "farfield_tol"),
-        ("tolerances.fixed_point", "fp_tol"),
-    ]:
-        if ckey in conf:
-            kw[akey] = float(conf[ckey])
-    for ckey, akey in [
-        ("output.snapshot_every", "snapshot_every"),
-        ("output.monitor_every", "monitor_every"),
-        ("check.order", "check_order"),
-    ]:
-        if ckey in conf:
-            kw[akey] = int(conf[ckey])
-    if "check.strict" in conf:
-        kw["strict"] = conf["check.strict"].lower() in ("1", "true", "yes", "on")
-    return SimConfig(**kw)
+    unknown = sorted(set(conf) - set(_SIM_KEYS) - set(_RUN_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(unknown)}; "
+            f"accepted: {', '.join(sorted([*_SIM_KEYS, *_RUN_KEYS]))}"
+        )
+    return SimConfig(
+        **{field: parse(conf[key]) for key, (field, parse) in _SIM_KEYS.items() if key in conf}
+    )
 
 
 def cmd_simulate(args) -> int:
     conf = parse_config(args.config)
     cfg = _build_cfg(conf)
     kind = conf.get("grid.kind", "half")
+    if kind not in ("half", "periodic"):
+        raise ValueError(f"grid.kind must be half or periodic, got {kind!r}")
     length = float(conf.get("grid.L", 20.0))
     n = int(conf.get("grid.n", 512))
     fam = parse_family_spec(conf["data.family"])
@@ -200,24 +207,17 @@ def cmd_simulate(args) -> int:
     os.makedirs(outdir, exist_ok=True)
 
     if kind == "half":
-        grid = Grid.half_line(length, n)
-        v0 = fam.sample(grid)
+        v0 = fam.sample(Grid.half_line(length, n))
         run, wall = harness.timed(solve_half_space, v0, cfg, fam.sampler())
         series = run.half
-        curves = None
-        if args.reconstruct:
-            curves = reconstruct_positions(integrate_tangent(v0), series)
-        summary = harness.invariant_suite(run, curves, cfg, wall_seconds=wall)
-    elif kind == "periodic":
-        grid = Grid.periodic(length, n)
-        v0 = fam.sample(grid)
-        series, wall = harness.timed(solve_whole_line, v0, cfg)
-        curves = None
-        if args.reconstruct:
-            curves = reconstruct_positions(integrate_tangent(v0), series)
-        summary = _periodic_summary(series, curves, cfg, wall)
     else:
-        raise ValueError(f"grid.kind must be half or periodic, got {kind!r}")
+        v0 = fam.sample(Grid.periodic(length, n))
+        run, wall = harness.timed(solve_whole_line, v0, cfg)
+        series = run
+    curves = None
+    if args.reconstruct:
+        curves = reconstruct_positions(integrate_tangent(v0), series)
+    summary = harness.invariant_suite(run, curves, cfg, wall_seconds=wall)
 
     write_snapshots_csv(os.path.join(outdir, "snapshots.csv"), series, curves)
     write_telemetry_csv(os.path.join(outdir, "telemetry.csv"), series.telemetry)
@@ -227,27 +227,6 @@ def cmd_simulate(args) -> int:
     for name, ok in summary.verdicts.items():
         print(f"invariant {name}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if summary.passed else EXIT_NUMERICAL
-
-
-def _periodic_summary(series, curves, cfg, wall) -> harness.RunSummary:
-    maxima = {"norm_dev": harness._track(series.telemetry, "norm_dev")}
-    tol_norm = 1e-12 if cfg.scheme == "rk4_project" else 1e-10
-    g = series.grid
-    return harness.RunSummary(
-        config={
-            "grid": {"kind": g.kind, "s_min": g.s_min, "s_max": g.s_max, "n": g.n},
-            "t_final": cfg.t_final,
-            "dt": cfg.resolve_dt(g.h),
-            "scheme": cfg.scheme,
-            "renormalize_every": cfg.renormalize_every,
-            "snapshot_every": cfg.snapshot_every,
-            "monitor_every": cfg.monitor_every,
-        },
-        maxima=maxima,
-        tolerances={"norm_dev": tol_norm},
-        verdicts={"norm_dev": maxima["norm_dev"]["max"] <= tol_norm},
-        wall_seconds=wall,
-    )
 
 
 def cmd_oracle(args) -> int:

@@ -166,6 +166,17 @@ class HelixFamily(TangentFamily):
     def tangent(self, s):
         return self.derivative(s, 0)
 
+    def exact(self, s, t):
+        """Solution of v_t = v x v_ss at time t: the wave rotates at w = c k^2."""
+        s = np.asarray(s, dtype=float)
+        a, c, k = self.params["a"], self.params["c"], self.params["k"]
+        phase = k * s - c * k * k * t
+        out = np.empty((s.size, 3))
+        out[:, 0] = a * np.cos(phase)
+        out[:, 1] = a * np.sin(phase)
+        out[:, 2] = c
+        return out
+
     def derivative(self, s, k_order):
         s = np.asarray(s, dtype=float)
         a, c, k = self.params["a"], self.params["c"], self.params["k"]

@@ -20,7 +20,7 @@ emerges from the reflection symmetry, which is monitored, not enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -60,10 +60,8 @@ class SimConfig:
     t_final: float = 1.0
     dt: float | None = None  # None -> DEFAULT_DT_FACTOR * h^2
     scheme: str = RK4_PROJECT
-    renormalize_every: int = 1
     snapshot_every: int = 50
     monitor_every: int = 50
-    tol_norm: float = 1e-9
     tol_boundary: float = 1e-10
     fp_tol: float = 1e-14
     fp_max_iter: int = 50
@@ -111,10 +109,13 @@ class TimeSeries:
 
 @dataclass
 class HalfSpaceRun:
-    """Result of a half-space solve: gate report plus both trajectories."""
+    """Result of a half-space solve: gate report plus the s >= 0 trajectory.
+
+    ``half.telemetry`` rows are measured on the whole-line state, so they
+    carry the symmetry and boundary residuals.
+    """
 
     report: CompatibilityReport
-    whole: TimeSeries
     half: TimeSeries
 
 
@@ -203,7 +204,7 @@ def solve_whole_line(
     for k in range(1, nsteps + 1):
         dt_k = dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt
         u = step(u, dt_k, cfg)
-        if cfg.scheme == RK4_PROJECT and k % cfg.renormalize_every == 0:
+        if cfg.scheme == RK4_PROJECT:
             u = normalize_field(u)
         t = k * dt if k < nsteps else cfg.t_final
         if k % cfg.monitor_every == 0 or k == nsteps:
@@ -240,13 +241,10 @@ def solve_half_space(
             f"outer-window mean |v0 - e3| = {far:.3g} exceeds {cfg.farfield_tol:g}"
         )
     whole = solve_whole_line(extend(v0), cfg, progress=progress)
-    half = TimeSeries(grid=v0.grid)
-    for t, snap in zip(whole.times, whole.snapshots):
-        half.record(t, restrict(snap))
-    half.telemetry = [dict(row) for row in whole.telemetry]
-    return HalfSpaceRun(report=report, whole=whole, half=half)
-
-
-def config_with(cfg: SimConfig, **kw) -> SimConfig:
-    """Functional update helper (SimConfig is frozen)."""
-    return replace(cfg, **kw)
+    half = TimeSeries(
+        grid=v0.grid,
+        times=whole.times,
+        snapshots=[restrict(snap) for snap in whole.snapshots],
+        telemetry=whole.telemetry,
+    )
+    return HalfSpaceRun(report=report, half=half)

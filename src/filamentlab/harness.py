@@ -25,6 +25,7 @@ from .errors import UnknownOracle
 from .evolve import (
     HalfSpaceRun,
     SimConfig,
+    TimeSeries,
     solve_half_space,
     solve_whole_line,
 )
@@ -154,17 +155,7 @@ def helix_solution_error(
     grid = Grid.periodic(2.0 * np.pi, n)
     cfg = SimConfig(t_final=t_final, scheme=scheme)
     series = solve_whole_line(fam.sample(grid), cfg)
-    s = grid.nodes()
-    w = c * k * k
-    exact = np.stack(
-        [
-            a * np.cos(k * s - w * t_final),
-            a * np.sin(k * s - w * t_final),
-            np.full(n, c),
-        ],
-        axis=1,
-    )
-    diff = series.final().values - exact
+    diff = series.final().values - fam.exact(grid.nodes(), t_final)
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
 
 
@@ -252,81 +243,71 @@ class RunSummary:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _track(rows, key):
+def _track(pairs):
+    """{max, step} over (step, value) pairs; the last step holding the max wins."""
     best, step = 0.0, 0
-    for row in rows:
-        val = row.get(key)
-        if val is not None and val >= best:
-            best, step = val, row["step"]
+    for k, val in pairs:
+        if val >= best:
+            best, step = val, k
     return {"max": best, "step": step}
 
 
 def invariant_suite(
-    run: HalfSpaceRun,
+    run: HalfSpaceRun | TimeSeries,
     curves=None,
     cfg: SimConfig | None = None,
     wall_seconds: float = 0.0,
 ) -> RunSummary:
-    """Stamp every cross-module invariant of a half-space run."""
+    """Stamp the invariants of a run: a HalfSpaceRun or a periodic TimeSeries.
+
+    Every run gets the norm check; a half-space run also gets the wall
+    checks (symmetry, boundary trace and, given curves, the endpoint
+    height and arclength) and its compatibility report.
+    """
     cfg = cfg or SimConfig()
-    h = run.half.grid.h
-    tol_norm = 1e-12 if cfg.scheme == "rk4_project" else 1e-10
-    tolerances = {
-        "norm_dev": tol_norm,
-        "symmetry": 1e-12,
-        "boundary": cfg.tol_boundary,
-        "endpoint_height": 1e-8,
-        "arclength_dev": 5.0 * h * h,
-    }
-    rows = run.whole.telemetry
-    maxima = {
-        "norm_dev": _track(rows, "norm_dev"),
-        "symmetry": _track(rows, "symmetry"),
-        "boundary": _track(rows, "boundary"),
-    }
-    if curves is not None:
-        hmax, harg = 0.0, 0
-        amax, aarg = 0.0, 0
-        for i, curve in enumerate(curves):
-            eh = abs(endpoint_height(curve))
-            ad = arclength_deviation(curve)
-            if eh >= hmax:
-                hmax, harg = eh, i
-            if ad >= amax:
-                amax, aarg = ad, i
-        maxima["endpoint_height"] = {"max": hmax, "step": harg}
-        maxima["arclength_dev"] = {"max": amax, "step": aarg}
-    verdicts = {
-        name: maxima[name]["max"] <= tolerances[name]
-        for name in maxima
-        if name in tolerances
-    }
+    half = isinstance(run, HalfSpaceRun)
+    series = run.half if half else run
+    g = series.grid
+    tolerances = {"norm_dev": 1e-12 if cfg.scheme == "rk4_project" else 1e-10}
+    rows = series.telemetry
+    maxima = {"norm_dev": _track((row["step"], row["norm_dev"]) for row in rows)}
+    if half:
+        tolerances.update(
+            symmetry=1e-12,
+            boundary=cfg.tol_boundary,
+            endpoint_height=1e-8,
+            arclength_dev=5.0 * g.h * g.h,
+        )
+        for name in ("symmetry", "boundary"):
+            maxima[name] = _track((row["step"], row[name]) for row in rows)
+        if curves is not None:
+            # per-curve maxima; "step" is the snapshot index here
+            maxima["endpoint_height"] = _track(
+                enumerate(abs(endpoint_height(curve)) for curve in curves)
+            )
+            maxima["arclength_dev"] = _track(
+                enumerate(arclength_deviation(curve) for curve in curves)
+            )
+    verdicts = {name: maxima[name]["max"] <= tolerances[name] for name in maxima}
     root_cause = ""
     if not verdicts.get("boundary", True) and not run.report.passed:
         root_cause = (
             f"compatibility orders {run.report.failed_orders()} violated; "
             "boundary trace cannot converge"
         )
-    config_echo = {
-        "grid": {
-            "kind": run.half.grid.kind,
-            "s_min": run.half.grid.s_min,
-            "s_max": run.half.grid.s_max,
-            "n": run.half.grid.n,
-        },
-        "t_final": cfg.t_final,
-        "dt": cfg.resolve_dt(run.whole.grid.h),
-        "scheme": cfg.scheme,
-        "renormalize_every": cfg.renormalize_every,
-        "snapshot_every": cfg.snapshot_every,
-        "monitor_every": cfg.monitor_every,
-    }
     return RunSummary(
-        config=config_echo,
+        config={
+            "grid": {"kind": g.kind, "s_min": g.s_min, "s_max": g.s_max, "n": g.n},
+            "t_final": cfg.t_final,
+            "dt": cfg.resolve_dt(g.h),
+            "scheme": cfg.scheme,
+            "snapshot_every": cfg.snapshot_every,
+            "monitor_every": cfg.monitor_every,
+        },
         maxima=maxima,
         tolerances=tolerances,
         verdicts=verdicts,
-        compat=run.report.to_dict(),
+        compat=run.report.to_dict() if half else {},
         root_cause=root_cause,
         wall_seconds=wall_seconds,
     )

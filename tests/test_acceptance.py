@@ -58,17 +58,7 @@ def helix_levels():
     for n in levels:
         grid = Grid.periodic(2.0 * np.pi, n)
         series = solve_whole_line(fam.sample(grid), SimConfig(t_final=t_final))
-        s = grid.nodes()
-        w = c * k * k
-        exact = np.stack(
-            [
-                a * np.cos(k * s - w * t_final),
-                a * np.sin(k * s - w * t_final),
-                np.full(n, c),
-            ],
-            axis=1,
-        )
-        diff = series.final().values - exact
+        diff = series.final().values - fam.exact(grid.nodes(), t_final)
         hs.append(grid.h)
         sol_errors.append(float(np.max(np.sqrt(np.sum(diff * diff, axis=1)))))
         nls_residuals.append(series_nls_residual(series))
@@ -77,7 +67,7 @@ def helix_levels():
 
 def test_criterion_1_unit_norm(rk4_run):
     run, _, summary = rk4_run
-    worst = max(row["norm_dev"] for row in run.whole.telemetry)
+    worst = max(row["norm_dev"] for row in run.half.telemetry)
     ok = worst <= 1e-12 and summary.wall_seconds < 30.0
     _report(1, ok, f"max norm dev {worst:.3e}, wall {summary.wall_seconds:.1f}s")
     assert worst <= 1e-12
@@ -96,7 +86,7 @@ def test_criterion_2_boundary_condition(rk4_run):
 
 def test_criterion_3_T_symmetry(rk4_run):
     run, _, _ = rk4_run
-    worst = max(row["symmetry"] for row in run.whole.telemetry)
+    worst = max(row["symmetry"] for row in run.half.telemetry)
     ok = worst <= 1e-12
     _report(3, ok, f"max symmetry residual {worst:.3e}")
     assert worst <= 1e-12
@@ -207,8 +197,8 @@ def test_criterion_10_hasimoto_cross_check(helix_levels):
 
 def test_criterion_11_scheme_independence(midpoint_run):
     run, curves, summary = midpoint_run
-    norm = max(row["norm_dev"] for row in run.whole.telemetry)
-    sym = max(row["symmetry"] for row in run.whole.telemetry)
+    norm = max(row["norm_dev"] for row in run.half.telemetry)
+    sym = max(row["symmetry"] for row in run.half.telemetry)
     bnd1 = max(abs(float(s.values[0, 0])) for s in run.half.snapshots)
     bnd2 = max(abs(float(s.values[0, 1])) for s in run.half.snapshots)
     bnd3 = max(abs(float(s.values[0, 2]) - 1.0) for s in run.half.snapshots)

@@ -15,6 +15,7 @@ from filamentlab.cli import (
     write_field_csv,
 )
 from filamentlab.compat import get_family
+from filamentlab.evolve import SimConfig, solve_half_space
 from filamentlab.geometry import Grid
 
 
@@ -29,6 +30,14 @@ scheme = rk4_project
 check.order = 1
 output.snapshot_every = 50
 output.monitor_every = 50
+"""
+
+PERIODIC_CONFIG = """\
+grid.kind = periodic
+grid.L = 6.283185307179586
+grid.n = 64
+data.family = helix:a=0.6,c=0.8,k=2.0
+time.t_final = 0.05
 """
 
 
@@ -89,6 +98,35 @@ class TestFieldCsv:
         with pytest.raises(ValueError):
             read_field_csv(str(path))
 
+    @staticmethod
+    def _shifted_csv(tmp_path):
+        """planar_odd data sampled on [5, 15] instead of [0, 10]."""
+        v0 = get_family("planar_odd", a=0.5).sample(Grid.half_line(10.0, 64))
+        path = tmp_path / "shifted.csv"
+        rows = np.column_stack([v0.grid.nodes() + 5.0, v0.values])
+        np.savetxt(path, rows, delimiter=",", header="s,v1,v2,v3", comments="")
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["half", "periodic"])
+    def test_grid_not_starting_at_zero_rejected(self, tmp_path, kind):
+        with pytest.raises(ValueError, match=f"not a {kind} grid"):
+            read_field_csv(self._shifted_csv(tmp_path), kind)
+
+    def test_check_rejects_shifted_csv(self, tmp_path, capsys):
+        path = self._shifted_csv(tmp_path)
+        rc = main(["check", "--input", path, "--order", "0", "--strict"])
+        assert rc == EXIT_USAGE
+        assert "s runs 5..15" in capsys.readouterr().err
+
+    def test_asymmetric_whole_grid_rejected(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        assert main(["extend", "--family", "planar_odd:a=0.5", "--n", "65", "-L", "10",
+                     "--out", str(path)]) == EXIT_OK
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the s = L row
+        with pytest.raises(ValueError, match="not a whole grid"):
+            read_field_csv(str(path), "whole")
+
 
 class TestExtend:
     def test_writes_extended_field(self, tmp_path, capsys):
@@ -138,6 +176,55 @@ class TestSimulate:
         # every tangent sample is unit length after repr round trip
         norms = np.sqrt(np.sum(data[:, 2:5] ** 2, axis=1))
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+        # and reads back as exactly the values the solver produced
+        fam = get_family("planar_odd", a=0.5)
+        v0 = fam.sample(Grid.half_line(20.0, 129))
+        run = solve_half_space(v0, SimConfig(t_final=0.05, check_order=1), fam.sampler())
+        assert np.array_equal(data[:, 0], np.repeat(run.half.times, 129))
+        assert np.array_equal(data[:, 1], np.tile(v0.grid.nodes(), len(run.half.times)))
+        assert np.array_equal(data[:, 2:5], np.concatenate([u.values for u in run.half.snapshots]))
+
+    def test_periodic_run(self, tmp_path):
+        cfg = self._write_config(tmp_path, PERIODIC_CONFIG)
+        blobs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["simulate", str(cfg), "--reconstruct", "--out", str(out)]) == EXIT_OK
+            blobs.append((out / "summary.json").read_bytes())
+        assert blobs[0] == blobs[1]
+        summary = json.loads(blobs[0])
+        assert summary["verdicts"] == {"norm_dev": True}
+        assert summary["compat"] == {}
+        assert summary["config"]["grid"]["kind"] == "periodic"
+        lines = (tmp_path / "a" / "telemetry.csv").read_text().splitlines()
+        assert lines[0] == "step,time,norm_dev,energy,symmetry,boundary"
+        assert len(lines) > 1
+        assert all(line.endswith(",,") for line in lines[1:])
+
+    @pytest.mark.parametrize("key", ["time.tfinal", "tolerances.norm"])
+    def test_unknown_config_key_exit_one(self, tmp_path, capsys, key):
+        cfg = self._write_config(tmp_path, SIM_CONFIG + f"{key} = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_documented_key_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FILAMENTLAB_OUTDIR", raising=False)
+        out = tmp_path / "from_config"
+        extra = (
+            "time.dt = 0.002\n"
+            "tolerances.boundary = 1e-10\n"
+            "tolerances.compat = 1e-6\n"
+            "tolerances.farfield = 1e-3\n"
+            "tolerances.fixed_point = 1e-14\n"
+            "check.strict = true\n"
+            f"output.dir = {out}\n"
+        )
+        cfg = self._write_config(tmp_path, SIM_CONFIG + extra)
+        assert main(["simulate", str(cfg)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["dt"] == 0.002
 
     def test_incompatible_family_exit_two(self, tmp_path):
         cfg = self._write_config(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from filamentlab.compat import (
+    HelixFamily,
     builtin_initial_data,
     check_A,
     check_compat,
@@ -59,6 +60,23 @@ class TestFamilies:
     def test_helix_needs_unit_amplitude(self):
         with pytest.raises(ValueError):
             get_family("helix", a=0.5, c=0.5)
+
+    def test_helix_exact_starts_at_tangent(self):
+        s = np.random.default_rng(29).uniform(-5.0, 5.0, size=64)
+        fam = HelixFamily(0.6, 0.8, 2.0)
+        assert fam.exact(s, 0.0).tobytes() == fam.tangent(s).tobytes()
+
+    def test_helix_exact_solves_the_flow(self):
+        # centred time difference of exact vs v x v_ss at t = 0: error O(dt^2)
+        s = np.random.default_rng(31).uniform(-5.0, 5.0, size=64)
+        fam = HelixFamily(0.6, 0.8, 2.0)
+        flow = np.cross(fam.exact(s, 0.0), fam.derivative(s, 2))
+        errs = []
+        for dt in (1e-2, 5e-3):
+            v_t = (fam.exact(s, dt) - fam.exact(s, -dt)) / (2.0 * dt)
+            errs.append(float(np.max(np.abs(v_t - flow))))
+        assert errs[0] < 1e-3
+        assert 3.9 <= errs[0] / errs[1] <= 4.1
 
     def test_ring_period(self):
         fam = get_family("ring", r=2.5)

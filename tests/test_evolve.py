@@ -14,7 +14,6 @@ from filamentlab.errors import (
 from filamentlab.evolve import (
     SimConfig,
     bending_energy,
-    config_with,
     farfield_deviation,
     rhs,
     solve_half_space,
@@ -23,6 +22,7 @@ from filamentlab.evolve import (
     step,
 )
 from filamentlab.geometry import E3, Grid, VectorField
+from filamentlab.reflect import extend, restrict
 
 
 def _constant_e3(grid):
@@ -67,8 +67,6 @@ class TestRhs:
 
     def test_edges_clamped_on_whole_grid(self):
         fam = get_family("planar_odd", a=0.5)
-        from filamentlab.reflect import extend
-
         ext = extend(fam.sample(Grid.half_line(10.0, 65)))
         out = rhs(ext).values
         assert np.array_equal(out[0], [0.0, 0.0, 0.0])
@@ -93,11 +91,6 @@ class TestConfig:
     def test_bad_t_final(self):
         with pytest.raises(ValueError):
             SimConfig(t_final=0.0)
-
-    def test_config_with(self):
-        cfg = config_with(SimConfig(), t_final=2.0)
-        assert cfg.t_final == 2.0
-        assert cfg.scheme == "rk4_project"
 
 
 class TestStep:
@@ -134,12 +127,7 @@ class TestWholeLine:
         fam = HelixFamily(a, c, k)
         g = Grid.periodic(2.0 * np.pi, 128)
         series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.1))
-        s = g.nodes()
-        w = c * k * k
-        exact = np.stack(
-            [a * np.cos(k * s - w * 0.1), a * np.sin(k * s - w * 0.1), np.full(128, c)],
-            axis=1,
-        )
+        exact = fam.exact(g.nodes(), 0.1)
         assert np.max(np.abs(series.final().values - exact)) < 5e-3
 
     def test_rk4_norm_exact_to_roundoff(self):
@@ -188,7 +176,7 @@ class TestHalfSpace:
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sampler())
-        for row in run.whole.telemetry:
+        for row in run.half.telemetry:
             assert row["symmetry"] == 0.0
             assert row["boundary"] == 0.0
 
@@ -202,10 +190,15 @@ class TestHalfSpace:
     def test_snapshot_grids_and_times_match(self):
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
-        run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sampler())
+        cfg = SimConfig(t_final=0.05)
+        run = solve_half_space(v0, cfg, resampler=fam.sampler())
+        whole = solve_whole_line(extend(v0), cfg)
         assert run.half.grid == v0.grid
-        assert run.half.times == run.whole.times
-        assert run.whole.grid.n == 2 * v0.grid.n - 1
+        assert run.half.times == whole.times
+        assert run.half.telemetry == whole.telemetry
+        for half_snap, whole_snap in zip(run.half.snapshots, whole.snapshots, strict=True):
+            assert half_snap.grid == v0.grid
+            assert np.array_equal(half_snap.values, restrict(whole_snap).values)
 
     def test_incompatible_data_rejected(self):
         fam = get_family("planar_bad", a=0.5)
