@@ -6,19 +6,11 @@ there, restrict back, and reconstruct the filament curve -- with every
 provable property of the construction monitored as a runtime invariant.
 """
 
-from .compat import (
-    CompatibilityReport,
-    builtin_initial_data,
-    check_A,
-    check_compat,
-    check_D,
-    get_family,
-)
+from .compat import CompatibilityReport, check_compat, get_family
 from .evolve import SimConfig, TimeSeries, solve_half_space, solve_whole_line
 from .geometry import (
     E3,
     Grid,
-    ScalarField,
     VectorField,
     cross,
     deriv,
@@ -36,15 +28,11 @@ __all__ = [
     "E3",
     "FilamentCurve",
     "Grid",
-    "ScalarField",
     "SimConfig",
     "TimeSeries",
     "VectorField",
     "apply_T",
     "bar",
-    "builtin_initial_data",
-    "check_A",
-    "check_D",
     "check_compat",
     "cross",
     "deriv",

@@ -129,7 +129,7 @@ def _input_field(args, kind="half"):
             grid = Grid.periodic(args.length, args.n)
         else:
             grid = Grid.half_line(args.length, args.n)
-        return fam.sample(grid), fam.sampler()
+        return fam.sample(grid), fam.sample
     if getattr(args, "input", None):
         return read_field_csv(args.input, kind), None
     raise ValueError("provide --family or --input")
@@ -208,7 +208,7 @@ def cmd_simulate(args) -> int:
 
     if kind == "half":
         v0 = fam.sample(Grid.half_line(length, n))
-        run, wall = harness.timed(solve_half_space, v0, cfg, fam.sampler())
+        run, wall = harness.timed(solve_half_space, v0, cfg, fam.sample)
         series = run.half
     else:
         v0 = fam.sample(Grid.periodic(length, n))

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotUnitField, OrderTooHigh, UnknownFamily
+from .errors import GridMismatch, NotUnitField, OrderTooHigh, UnknownFamily
 from .geometry import E3, K_MAX, Grid, VectorField, cross, one_sided_deriv_at_zero
 
 #: Residual contraction required by the two-grid cross-check (order-2
@@ -58,10 +58,12 @@ class TangentFamily:
         raise NotImplementedError
 
     def sample(self, grid: Grid) -> VectorField:
+        if grid.kind not in self.kinds:
+            raise GridMismatch(
+                f"family {self.name!r} is defined on {'/'.join(self.kinds)} grids, "
+                f"not on a {grid.kind} grid"
+            )
         return VectorField(grid, self.tangent(grid.nodes()))
-
-    def sampler(self) -> Callable[[Grid], VectorField]:
-        return self.sample
 
     def label(self) -> str:
         if not self.params:
@@ -235,11 +237,6 @@ def get_family(name: str, **params) -> TangentFamily:
     return maker(**params)
 
 
-def builtin_initial_data(name: str, grid: Grid, **params) -> VectorField:
-    """Sample a named closed-form family on the requested grid."""
-    return get_family(name, **params).sample(grid)
-
-
 def parse_family_spec(spec: str) -> TangentFamily:
     """Parse "name" or "name:key=val,key=val" into a family."""
     name, _, rest = spec.partition(":")
@@ -373,22 +370,4 @@ def check_compat(
         else:
             report.d_residuals[(j, l)] = rc
         report.d_pass[(j, l)] = _verdict(tol, rc, rf)
-    return report
-
-
-def check_A(v0, n, tol=1e-6, resampler=None) -> CompatibilityReport:
-    """Compatibility conditions only (the gate); diagnostics left empty."""
-    report = check_compat(v0, n, tol, resampler)
-    report.d_residuals.clear()
-    report.d_pass.clear()
-    report.d_residuals_coarse.clear()
-    return report
-
-
-def check_D(v0, n, tol=1e-6, resampler=None) -> CompatibilityReport:
-    """Odd inner-product diagnostics only; not an independent gate."""
-    report = check_compat(v0, n, tol, resampler)
-    report.a_residuals.clear()
-    report.a_pass.clear()
-    report.a_residuals_coarse.clear()
     return report

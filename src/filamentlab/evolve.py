@@ -71,8 +71,13 @@ class SimConfig:
     strict: bool = True
 
     def __post_init__(self):
-        if self.t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
+            raise ValueError(f"t_final must be a finite number above 0, got {self.t_final!r}")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be a finite number above 0, got {self.dt!r}")
+        for name in ("snapshot_every", "monitor_every", "fp_max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.scheme not in (RK4_PROJECT, MIDPOINT_FIXEDPOINT):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -119,36 +124,35 @@ class HalfSpaceRun:
     half: TimeSeries
 
 
-def rhs(u: VectorField) -> VectorField:
-    """Discrete v x v_ss; Dirichlet clamp zeroes truncation-edge updates."""
-    out = cross(u.values, deriv(u, 2).values)
+def rhs(u: VectorField) -> np.ndarray:
+    """Discrete v x v_ss, an (n, 3) array; Dirichlet clamp zeroes truncation-edge updates."""
+    out = cross(u.values, deriv(u.values, u.grid, 2))
     if u.grid.kind != "periodic":
         out[0] = 0.0
     if u.grid.kind == "whole":
         out[-1] = 0.0
-    return VectorField(u.grid, out)
+    return out
 
 
 def _step_rk4(u: VectorField, dt: float) -> VectorField:
-    v = u.values
-    k1 = rhs(u).values
-    k2 = rhs(VectorField(u.grid, v + (0.5 * dt) * k1)).values
-    k3 = rhs(VectorField(u.grid, v + (0.5 * dt) * k2)).values
-    k4 = rhs(VectorField(u.grid, v + dt * k3)).values
+    grid, v = u.grid, u.values
+    k1 = rhs(u)
+    k2 = rhs(VectorField(grid, v + (0.5 * dt) * k1))
+    k3 = rhs(VectorField(grid, v + (0.5 * dt) * k2))
+    k4 = rhs(VectorField(grid, v + dt * k3))
     incr = (k1 + k4) + 2.0 * (k2 + k3)
-    return VectorField(u.grid, v + (dt / 6.0) * incr)
+    return VectorField(grid, v + (dt / 6.0) * incr)
 
 
 def _step_midpoint(u: VectorField, dt: float, tol: float, max_iter: int) -> VectorField:
-    v = u.values
-    new = v + dt * rhs(u).values
+    grid, v = u.grid, u.values
+    new = v + dt * rhs(u)
     for _ in range(max_iter):
-        mid = VectorField(u.grid, 0.5 * (v + new))
-        cand = v + dt * rhs(mid).values
+        cand = v + dt * rhs(VectorField(grid, 0.5 * (v + new)))
         inc = float(np.max(np.abs(cand - new)))
         new = cand
         if inc <= tol:
-            return VectorField(u.grid, new)
+            return VectorField(grid, new)
     raise FixedPointDiverged(
         f"midpoint iteration stalled above tol={tol:g} after {max_iter} iters"
     )
@@ -166,7 +170,7 @@ def step(u: VectorField, dt: float, cfg: SimConfig) -> VectorField:
 
 def bending_energy(u: VectorField) -> float:
     """Trapezoid value of the integral of |u_s|^2 ds (diagnostic)."""
-    us = deriv(u, 1).values
+    us = deriv(u.values, u.grid, 1)
     dens = np.sum(us * us, axis=1)
     if u.grid.kind == "periodic":
         return float(np.sum(dens) * u.grid.h)

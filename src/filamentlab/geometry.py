@@ -1,7 +1,7 @@
 """Grids, sampled fields, and finite-difference calculus.
 
 Everything else in the package is built on the pieces here: uniform 1-D
-grids (half-line, symmetric whole-line, periodic), vector/scalar sample
+grids (half-line, symmetric whole-line, periodic), sampled vector
 fields, second-order difference operators, and one-sided boundary
 stencils generated with the Fornberg recursion.
 
@@ -103,14 +103,14 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.cross(a, b)
 
 
-class _Field:
-    """Common checks for sampled fields; subclasses fix the value shape."""
+class VectorField:
+    """Samples of an R^3-valued map on a grid, shape (n, 3)."""
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values)
-        if values.shape != self._expected_shape(grid):
+        if values.shape != (grid.n, 3):
             raise GridMismatch(
                 f"values shape {values.shape} does not match grid (n={grid.n})"
             )
@@ -122,14 +122,6 @@ class _Field:
     def __len__(self) -> int:
         return self.grid.n
 
-
-class VectorField(_Field):
-    """Samples of an R^3-valued map on a grid, shape (n, 3)."""
-
-    @staticmethod
-    def _expected_shape(grid: Grid):
-        return (grid.n, 3)
-
     def norms(self) -> np.ndarray:
         return np.sqrt(np.sum(self.values * self.values, axis=1))
 
@@ -138,15 +130,7 @@ class VectorField(_Field):
         return float(np.max(np.abs(self.norms() - 1.0)))
 
 
-class ScalarField(_Field):
-    """Samples of a real-valued map on a grid, shape (n,)."""
-
-    @staticmethod
-    def _expected_shape(grid: Grid):
-        return (grid.n,)
-
-
-def deriv_samples(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
+def deriv(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     """Second-order finite difference of raw samples (any trailing shape).
 
     Interior: central stencils.  Non-periodic edges: one-sided stencils of
@@ -174,11 +158,6 @@ def deriv_samples(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
     return out
-
-
-def deriv(field, order: int):
-    """Finite-difference derivative of a field; returns the same field type."""
-    return type(field)(field.grid, deriv_samples(field.values, field.grid, order))
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:

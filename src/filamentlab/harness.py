@@ -101,7 +101,7 @@ def stationary_line_error(n=128, length=10.0, t_final=0.1) -> dict:
     grid = Grid.half_line(length, n)
     fam = get_family("straight")
     cfg = SimConfig(t_final=t_final, check_order=1)
-    run = solve_half_space(fam.sample(grid), cfg, resampler=fam.sampler())
+    run = solve_half_space(fam.sample(grid), cfg, resampler=fam.sample)
     worst = 0.0
     for snap in run.half.snapshots:
         worst = max(worst, float(np.max(np.abs(snap.values - E3))))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridMismatch, InsufficientSnapshots, MaskFragmented
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, deriv, deriv_samples
+from .geometry import Grid, VectorField, cross, deriv
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +67,8 @@ class HasimotoField:
 
 def frenet(v: VectorField, eps_kappa: float = EPS_KAPPA) -> FrenetData:
     """Curvature and torsion of the curve whose unit tangent is v."""
-    vs = deriv(v, 1).values
-    vss = deriv(v, 2).values
+    vs = deriv(v.values, v.grid, 1)
+    vss = deriv(v.values, v.grid, 2)
     kappa = np.sqrt(np.sum(vs * vs, axis=1))
     mask = kappa >= eps_kappa
     tau = np.zeros_like(kappa)
@@ -123,7 +123,7 @@ def gauge_rate(f: FrenetData) -> float:
     i0 = int(idx[0]) if f.grid.kind != "periodic" else 0
     if not f.mask[i0]:
         i0 = int(idx[0])
-    kss = deriv_samples(f.kappa, f.grid, 2)
+    kss = deriv(f.kappa, f.grid, 2)
     k0 = f.kappa[i0]
     return float(-((kss[i0] - k0 * f.tau[i0] ** 2) / k0 + 0.5 * k0 * k0))
 
@@ -132,7 +132,7 @@ def _psi_ss(hf: HasimotoField) -> np.ndarray:
     """Second s-derivative of psi; periodic wrap twisted by wrap_phase."""
     grid, psi = hf.grid, hf.psi
     if grid.kind != "periodic":
-        return deriv_samples(psi, grid, 2)
+        return deriv(psi, grid, 2)
     twist = np.exp(1j * hf.wrap_phase)
     up = np.empty_like(psi)
     up[:-1] = psi[1:]

@@ -47,7 +47,7 @@ def integrate_tangent(
 
 def flow_velocity(v: VectorField) -> np.ndarray:
     """Pointwise v x v_s, the curve velocity induced by the tangent field."""
-    return cross(v.values, deriv(v, 1).values)
+    return cross(v.values, deriv(v.values, v.grid, 1))
 
 
 def reconstruct_positions(x0: FilamentCurve, series: TimeSeries) -> list:
@@ -75,7 +75,7 @@ def tangent_consistency_residual(curve: FilamentCurve, v: VectorField) -> float:
     """max-norm of d(positions)/ds - v; discretization-level on valid data."""
     if curve.grid != v.grid:
         raise GridMismatch("curve and field grids differ")
-    xs = deriv(VectorField(curve.grid, curve.positions), 1).values
+    xs = deriv(curve.positions, curve.grid, 1)
     diff = xs - v.values
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
 

@@ -32,7 +32,7 @@ def _planar_run(scheme: str):
     fam = get_family("planar_odd", a=0.5)
     v0 = fam.sample(Grid.half_line(20.0, 512))
     cfg = SimConfig(t_final=1.0, scheme=scheme, check_order=2)
-    run, wall = timed(solve_half_space, v0, cfg, fam.sampler())
+    run, wall = timed(solve_half_space, v0, cfg, fam.sample)
     curves = reconstruct_positions(integrate_tangent(v0), run.half)
     summary = invariant_suite(run, curves, cfg, wall_seconds=wall)
     return run, curves, summary

@@ -179,7 +179,7 @@ class TestSimulate:
         # and reads back as exactly the values the solver produced
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
-        run = solve_half_space(v0, SimConfig(t_final=0.05, check_order=1), fam.sampler())
+        run = solve_half_space(v0, SimConfig(t_final=0.05, check_order=1), fam.sample)
         assert np.array_equal(data[:, 0], np.repeat(run.half.times, 129))
         assert np.array_equal(data[:, 1], np.tile(v0.grid.nodes(), len(run.half.times)))
         assert np.array_equal(data[:, 2:5], np.concatenate([u.values for u in run.half.snapshots]))
@@ -243,6 +243,34 @@ class TestSimulate:
     def test_missing_config_exit_one(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("time.dt", "-0.001", "dt"),
+            ("time.dt", "0", "dt"),
+            ("time.dt", "nan", "dt"),
+            ("time.t_final", "inf", "t_final"),
+            ("output.snapshot_every", "0", "snapshot_every"),
+            ("output.monitor_every", "0", "monitor_every"),
+        ],
+    )
+    def test_bad_time_setting_exit_one(self, tmp_path, capsys, key, value, field):
+        cfg = self._write_config(tmp_path, SIM_CONFIG + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_family_on_grid_kind_it_does_not_declare_exit_one(self, tmp_path, capsys):
+        # planar_odd has a jump at the wrap point of a periodic grid
+        cfg = self._write_config(
+            tmp_path, PERIODIC_CONFIG.replace("helix:a=0.6,c=0.8,k=2.0", "planar_odd:a=0.5")
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "planar_odd" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 class TestOtherCommands:
     def test_oracle_stationary(self, capsys):
@@ -266,6 +294,10 @@ class TestOtherCommands:
         blob = json.loads(capsys.readouterr().out)
         assert blob["kappa_mean"] == pytest.approx(1.2, abs=2e-2)
         assert blob["tau_mean"] == pytest.approx(1.6, abs=2e-2)
+
+    def test_diagnose_half_line_family_exit_one(self, capsys):
+        assert main(["diagnose", "--family", "planar_odd", "--n", "64"]) == EXIT_USAGE
+        assert "planar_odd" in capsys.readouterr().err
 
 
 def test_parse_config(tmp_path):

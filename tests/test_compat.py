@@ -5,16 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from filamentlab.compat import (
-    HelixFamily,
-    builtin_initial_data,
-    check_A,
-    check_compat,
-    check_D,
-    get_family,
-    parse_family_spec,
-)
-from filamentlab.errors import NotUnitField, OrderTooHigh, UnknownFamily
+from filamentlab.compat import HelixFamily, check_compat, get_family, parse_family_spec
+from filamentlab.errors import GridMismatch, NotUnitField, OrderTooHigh, UnknownFamily
 from filamentlab.geometry import Grid, VectorField
 from filamentlab.reflect import extend, restrict
 
@@ -94,11 +86,24 @@ class TestFamilies:
         with pytest.raises(UnknownFamily):
             parse_family_spec("planar_odd:a")
 
-    def test_builtin_initial_data_shape(self):
+    def test_sample_shape(self):
         g = Grid.half_line(10.0, 33)
-        v0 = builtin_initial_data("planar_odd", g, a=0.5)
+        v0 = get_family("planar_odd", a=0.5).sample(g)
         assert v0.values.shape == (33, 3)
         assert v0.grid == g
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("ring", Grid.half_line(10.0, 33)),
+            ("planar_odd", Grid.periodic(10.0, 32)),
+            ("helix", Grid.half_line(10.0, 33)),
+        ],
+    )
+    def test_sample_rejects_grid_kind_outside_family_kinds(self, name, grid):
+        fam = get_family(name)
+        with pytest.raises(GridMismatch, match=f"{name}.*{grid.kind}"):
+            fam.sample(grid)
 
     def test_label_round_trip(self):
         fam = get_family("helix")
@@ -110,7 +115,7 @@ class TestCheckCompat:
     def test_straight_passes_exactly(self):
         g = Grid.half_line(10.0, 65)
         fam = get_family("straight")
-        report = check_compat(fam.sample(g), 2, resampler=fam.sampler())
+        report = check_compat(fam.sample(g), 2, resampler=fam.sample)
         assert report.passed
         assert all(r == 0.0 for r in report.a_residuals)
         assert report.norm_residual == 0.0
@@ -128,7 +133,7 @@ class TestCheckCompat:
     def test_planar_odd_passes_to_order_two(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 2, resampler=fam.sampler())
+        report = check_compat(fam.sample(g), 2, resampler=fam.sample)
         assert report.refined
         assert report.passed
         assert report.failed_orders() == []
@@ -136,7 +141,7 @@ class TestCheckCompat:
     def test_planar_bad_fails_order_one(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sampler())
+        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
         assert not report.passed
         assert 1 in report.failed_orders()
         assert 0 not in report.failed_orders()
@@ -146,7 +151,7 @@ class TestCheckCompat:
     def test_planar_bad_residual_does_not_contract(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sampler())
+        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
         coarse = report.a_residuals_coarse[1]
         fine = report.a_residuals[1]
         assert fine > 0.8 * coarse  # converging to a nonzero constant
@@ -154,7 +159,7 @@ class TestCheckCompat:
     def test_planar_odd_residual_contracts(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 2, resampler=fam.sampler())
+        report = check_compat(fam.sample(g), 2, resampler=fam.sample)
         for rc, rf in zip(report.a_residuals_coarse[1:], report.a_residuals[1:]):
             assert rf <= 0.35 * rc or rf <= report.tol
 
@@ -162,7 +167,7 @@ class TestCheckCompat:
         # |v0| = 1 holds identically, yet v' . v'' (0) = alpha' alpha'' = a * 2
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sampler())
+        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
         assert report.d_residuals[(1, 2)] == pytest.approx(1.0, rel=0.05)
         assert not report.d_pass[(1, 2)]
 
@@ -209,15 +214,6 @@ class TestCheckCompat:
 
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 129)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sampler())
+        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert json.loads(blob)["passed"] is True
-
-
-def test_check_A_and_check_D_split_the_report():
-    fam = get_family("planar_odd", a=0.5)
-    g = Grid.half_line(20.0, 129)
-    a = check_A(fam.sample(g), 1, resampler=fam.sampler())
-    d = check_D(fam.sample(g), 1, resampler=fam.sampler())
-    assert a.a_residuals and not a.d_residuals
-    assert d.d_residuals and not d.a_residuals

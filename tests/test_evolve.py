@@ -1,5 +1,7 @@
 """Time stepping, invariants of the discrete flow, and the half-space solve."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def _constant_e3(grid):
 class TestRhs:
     def test_straight_is_fixed_point(self):
         g = Grid.periodic(2.0 * np.pi, 64)
-        assert np.array_equal(rhs(_constant_e3(g)).values, np.zeros((64, 3)))
+        assert np.array_equal(rhs(_constant_e3(g)), np.zeros((64, 3)))
 
     def test_helix_closed_form(self):
         # v x v_ss for (a cos ks, a sin ks, c) is c k^2 a (sin ks, -cos ks, 0)
@@ -40,7 +42,7 @@ class TestRhs:
         g = Grid.periodic(2.0 * np.pi, 256)
         s = g.nodes()
         fam = HelixFamily(a, c, k)
-        got = rhs(fam.sample(g)).values
+        got = rhs(fam.sample(g))
         expect = np.stack(
             [c * k * k * a * np.sin(k * s), -c * k * k * a * np.cos(k * s), 0.0 * s],
             axis=1,
@@ -62,13 +64,13 @@ class TestRhs:
                 ],
                 axis=1,
             )
-            errs.append(np.max(np.abs(rhs(fam.sample(g)).values - expect)))
+            errs.append(np.max(np.abs(rhs(fam.sample(g)) - expect)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_edges_clamped_on_whole_grid(self):
         fam = get_family("planar_odd", a=0.5)
         ext = extend(fam.sample(Grid.half_line(10.0, 65)))
-        out = rhs(ext).values
+        out = rhs(ext)
         assert np.array_equal(out[0], [0.0, 0.0, 0.0])
         assert np.array_equal(out[-1], [0.0, 0.0, 0.0])
 
@@ -92,6 +94,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(t_final=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", -0.001),
+            ("dt", 0.0),
+            ("dt", math.nan),
+            ("dt", math.inf),
+            ("t_final", math.inf),
+            ("t_final", math.nan),
+            ("snapshot_every", 0),
+            ("monitor_every", 0),
+            ("fp_max_iter", 0),
+        ],
+    )
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SimConfig(**{field: value})
+
 
 class TestStep:
     def test_straight_is_stationary(self):
@@ -99,6 +119,20 @@ class TestStep:
         u = _constant_e3(g)
         out = step(u, 1e-4, SimConfig())
         assert np.array_equal(out.values, u.values)
+
+    def test_rk4_step_builds_four_fields(self, monkeypatch):
+        # three stage inputs and the result; the stages themselves stay arrays
+        u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
+        built = []
+        init = VectorField.__init__
+
+        def counting_init(self, grid, values):
+            built.append(grid)
+            init(self, grid, values)
+
+        monkeypatch.setattr(VectorField, "__init__", counting_init)
+        step(u, 1e-4, SimConfig())
+        assert len(built) == 4
 
     def test_step_rejects_big_dt(self):
         g = Grid.periodic(2.0 * np.pi, 64)
@@ -175,7 +209,7 @@ class TestHalfSpace:
     def test_planar_odd_symmetry_and_boundary_exact(self):
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
-        run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sampler())
+        run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
         for row in run.half.telemetry:
             assert row["symmetry"] == 0.0
             assert row["boundary"] == 0.0
@@ -183,7 +217,7 @@ class TestHalfSpace:
     def test_boundary_value_bitwise_e3(self):
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
-        run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sampler())
+        run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
         for snap in run.half.snapshots:
             assert np.array_equal(snap.values[0], E3)
 
@@ -191,7 +225,7 @@ class TestHalfSpace:
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.05)
-        run = solve_half_space(v0, cfg, resampler=fam.sampler())
+        run = solve_half_space(v0, cfg, resampler=fam.sample)
         whole = solve_whole_line(extend(v0), cfg)
         assert run.half.grid == v0.grid
         assert run.half.times == whole.times
@@ -204,13 +238,13 @@ class TestHalfSpace:
         fam = get_family("planar_bad", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         with pytest.raises(CompatibilityRejected):
-            solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sampler())
+            solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
 
     def test_non_strict_lets_incompatible_data_run(self):
         fam = get_family("planar_bad", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.01, strict=False)
-        run = solve_half_space(v0, cfg, resampler=fam.sampler())
+        run = solve_half_space(v0, cfg, resampler=fam.sample)
         assert not run.report.passed
         assert len(run.half.snapshots) >= 2
 
@@ -220,7 +254,7 @@ class TestHalfSpace:
         v0 = fam.sample(Grid.half_line(2.0, 33))
         assert farfield_deviation(v0) > 1e-3
         with pytest.raises(FarFieldViolation):
-            solve_half_space(v0, SimConfig(t_final=0.01), resampler=fam.sampler())
+            solve_half_space(v0, SimConfig(t_final=0.01), resampler=fam.sample)
 
 
 def test_bending_energy_helix_value():

@@ -102,7 +102,7 @@ class TestInvariantSuite:
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.05, scheme=scheme)
-        run, wall = timed(solve_half_space, v0, cfg, fam.sampler())
+        run, wall = timed(solve_half_space, v0, cfg, fam.sample)
         curves = reconstruct_positions(integrate_tangent(v0), run.half)
         return invariant_suite(run, curves, cfg, wall_seconds=wall), run
 
@@ -142,7 +142,7 @@ class TestInvariantSuite:
         fam = get_family("planar_bad", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.2, strict=False, tol_boundary=1e-10)
-        run, wall = timed(solve_half_space, v0, cfg, fam.sampler())
+        run, wall = timed(solve_half_space, v0, cfg, fam.sample)
         summary = invariant_suite(run, None, cfg, wall)
         if not summary.verdicts["boundary"]:
             assert "compatibility" in summary.root_cause

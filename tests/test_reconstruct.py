@@ -56,7 +56,7 @@ def test_flow_velocity_ring_is_wall_parallel_translation():
 def test_straight_run_curve_is_static():
     fam = get_family("straight")
     g = Grid.half_line(10.0, 65)
-    run = solve_half_space(fam.sample(g), SimConfig(t_final=0.05), resampler=fam.sampler())
+    run = solve_half_space(fam.sample(g), SimConfig(t_final=0.05), resampler=fam.sample)
     curves = reconstruct_positions(integrate_tangent(fam.sample(g)), run.half)
     assert len(curves) == len(run.half.times)
     for c in curves:
