@@ -1,9 +1,10 @@
 """Numerical laboratory for vortex filament motion in the half space.
 
-Workflow: check boundary compatibility of half-line tangent data, extend
-it to the whole line by reflection, evolve the Schroedinger-map flow
-there, restrict back, and reconstruct the filament curve -- with every
-provable property of the construction monitored as a runtime invariant.
+Workflow: check boundary compatibility of half-line tangent data, evolve
+the Schroedinger-map flow on s >= 0 with the wall closed by the mirror
+ghost node of the reflected whole-line solution, and reconstruct the
+filament curve -- with every provable property of the construction,
+measured on the whole-line extension, monitored as a runtime invariant.
 """
 
 from .compat import CompatibilityReport, check_compat, get_family

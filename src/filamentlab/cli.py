@@ -202,16 +202,15 @@ def cmd_simulate(args) -> int:
     length = float(conf.get("grid.L", 20.0))
     n = int(conf.get("grid.n", 512))
     fam = parse_family_spec(conf["data.family"])
+    v0 = fam.sample(Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n))
 
     outdir = args.out or os.environ.get("FILAMENTLAB_OUTDIR") or conf.get("output.dir", ".")
     os.makedirs(outdir, exist_ok=True)
 
     if kind == "half":
-        v0 = fam.sample(Grid.half_line(length, n))
         run, wall = harness.timed(solve_half_space, v0, cfg, fam.sample)
         series = run.half
     else:
-        v0 = fam.sample(Grid.periodic(length, n))
         run, wall = harness.timed(solve_whole_line, v0, cfg)
         series = run
     curves = None

@@ -261,6 +261,27 @@ class TestSimulate:
         assert f"{field} must" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            ("tolerances.farfield", "nan", "farfield_tol"),
+            ("tolerances.boundary", "inf", "tol_boundary"),
+            ("tolerances.compat", "0", "compat_tol"),
+            ("tolerances.fixed_point", "-1e-14", "fp_tol"),
+        ],
+    )
+    def test_bad_tolerance_exit_one(self, tmp_path, capsys, key, value, field):
+        # on [0, 2] planar_odd has not decayed to e3 (exit 2 at the default
+        # far-field tolerance); a nan tolerance once switched that gate off
+        short = SIM_CONFIG.replace("grid.L = 20.0", "grid.L = 2.0").replace(
+            "grid.n = 129", "grid.n = 33"
+        )
+        cfg = self._write_config(tmp_path, short + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"{field} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_family_on_grid_kind_it_does_not_declare_exit_one(self, tmp_path, capsys):
         # planar_odd has a jump at the wrap point of a periodic grid
         cfg = self._write_config(
@@ -269,7 +290,7 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "planar_odd" in capsys.readouterr().err
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
 
 class TestOtherCommands:

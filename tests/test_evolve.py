@@ -1,5 +1,6 @@
 """Time stepping, invariants of the discrete flow, and the half-space solve."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from filamentlab.errors import (
     StabilityViolated,
 )
 from filamentlab.evolve import (
+    MIDPOINT_FIXEDPOINT,
+    RK4_PROJECT,
     SimConfig,
     bending_energy,
     farfield_deviation,
@@ -106,6 +109,11 @@ class TestConfig:
             ("snapshot_every", 0),
             ("monitor_every", 0),
             ("fp_max_iter", 0),
+            *[
+                (tol, value)
+                for tol in ("tol_boundary", "fp_tol", "compat_tol", "farfield_tol")
+                for value in (math.nan, math.inf, 0.0, -1e-6)
+            ],
         ],
     )
     def test_bad_value_rejected(self, field, value):
@@ -222,17 +230,25 @@ class TestHalfSpace:
             assert np.array_equal(snap.values[0], E3)
 
     def test_snapshot_grids_and_times_match(self):
-        fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
-        cfg = SimConfig(t_final=0.05)
-        run = solve_half_space(v0, cfg, resampler=fam.sample)
-        whole = solve_whole_line(extend(v0), cfg)
-        assert run.half.grid == v0.grid
-        assert run.half.times == whole.times
-        assert run.half.telemetry == whole.telemetry
-        for half_snap, whole_snap in zip(run.half.snapshots, whole.snapshots, strict=True):
-            assert half_snap.grid == v0.grid
-            assert np.array_equal(half_snap.values, restrict(whole_snap).values)
+        # the ghost-node solve is the whole-line solve of the extension,
+        # restricted to s >= 0, bit for bit; compatible or not, either scheme
+        for name, scheme in itertools.product(
+            ("planar_odd", "planar_bad"), (RK4_PROJECT, MIDPOINT_FIXEDPOINT)
+        ):
+            fam = get_family(name, a=0.5)
+            v0 = fam.sample(Grid.half_line(20.0, 129))
+            cfg = SimConfig(
+                t_final=0.05, scheme=scheme, strict=False, snapshot_every=5, monitor_every=7
+            )
+            run = solve_half_space(v0, cfg, resampler=fam.sample)
+            whole = solve_whole_line(extend(v0), cfg)
+            assert run.half.grid == v0.grid
+            assert run.half.times == whole.times
+            assert run.half.telemetry == whole.telemetry
+            assert len(run.half.telemetry) > 3
+            for half_snap, whole_snap in zip(run.half.snapshots, whole.snapshots, strict=True):
+                assert half_snap.grid == v0.grid
+                assert np.array_equal(half_snap.values, restrict(whole_snap).values)
 
     def test_incompatible_data_rejected(self):
         fam = get_family("planar_bad", a=0.5)

@@ -87,4 +87,4 @@ def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
         "cli.write_telemetry",
     ):
         assert calls.get(span, 0) > 0, f"{span} never called through its wrapped name"
-    assert calls["reflect.restrict"] == tracer.counters["snapshots"]
+    assert calls["reflect.restrict"] == calls["evolve.telemetry"]

@@ -3,17 +3,22 @@
 T maps a whole-line field w to (T w)(s) = -bar(w(-s)).  The half-space
 scheme relies on the discrete flow commuting with T bit for bit; these
 tests check that over random finite fields, not only over the builtin
-families (which are T-fixed after extension).
+families (which are T-fixed after extension).  The half-line stepper
+relies on more: its ghost-closed ``rhs`` is the whole-line ``rhs`` of the
+extension, restricted, and a wrong ghost must show in the telemetry.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from filamentlab import evolve, reflect
+from filamentlab.compat import get_family
 from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, rhs, step
-from filamentlab.geometry import Grid, VectorField, deriv
-from filamentlab.reflect import apply_T
+from filamentlab.geometry import Grid, VectorField, cross, deriv
+from filamentlab.harness import invariant_suite
+from filamentlab.reflect import apply_T, extend
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -69,3 +74,46 @@ def test_deriv_commutes_with_mirror(n, kind, trailing, order, data):
     v = data.draw(arrays(np.float64, (grid.n, *trailing), elements=_unit_interval))
     sign = -1.0 if order == 1 else 1.0
     assert np.array_equal(deriv(mirror(v), grid, order), sign * mirror(deriv(v, grid, order)))
+
+
+# finite components from subnormal to 1e150, so products neither overflow nor all round alike
+_mixed_magnitude = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([(), (1,), (7,), (40,)]), st.data())
+def test_cross_is_np_cross_bitwise(lead, data):
+    a = data.draw(arrays(np.float64, (*lead, 3), elements=_mixed_magnitude))
+    b = data.draw(arrays(np.float64, (*lead, 3), elements=_mixed_magnitude))
+    got, want = cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # the sign of zero included
+
+
+@st.composite
+def unit_half_line_fields(draw):
+    """A half-line grid of 8..40 nodes and a field of unit vectors."""
+    n = draw(st.integers(8, 40))
+    length = draw(st.sampled_from([1.0, 5.0, 20.0]))
+    raw = draw(arrays(np.float64, (n, 3), elements=_unit_interval))
+    norms = np.sqrt(np.sum(raw * raw, axis=1))
+    assume(np.all(norms > 1e-3))
+    return VectorField(Grid.half_line(length, n), raw / norms[:, None])
+
+
+@PROPERTY_SETTINGS
+@given(unit_half_line_fields())
+def test_ghost_rhs_is_restricted_whole_line_rhs(u):
+    whole = rhs(extend(u))
+    assert rhs(u).tobytes() == whole[u.grid.n - 1 :].tobytes()
+
+
+def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
+    # mutation: close s = 0 with bar(v(h)) instead of -bar(v(h))
+    monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
+    fam = get_family("planar_odd", a=0.5)
+    v0 = fam.sample(Grid.half_line(20.0, 65))
+    cfg = SimConfig(t_final=0.05, monitor_every=5)
+    run = evolve.solve_half_space(v0, cfg, resampler=fam.sample)
+    assert all(row["symmetry"] > 0.0 for row in run.half.telemetry)
+    assert invariant_suite(run, cfg=cfg).verdicts["symmetry"] is False
