@@ -204,9 +204,6 @@ def cmd_simulate(args) -> int:
     fam = parse_family_spec(conf["data.family"])
     v0 = fam.sample(Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n))
 
-    outdir = args.out or os.environ.get("FILAMENTLAB_OUTDIR") or conf.get("output.dir", ".")
-    os.makedirs(outdir, exist_ok=True)
-
     if kind == "half":
         run, wall = harness.timed(solve_half_space, v0, cfg, fam.sample)
         series = run.half
@@ -218,6 +215,9 @@ def cmd_simulate(args) -> int:
         curves = reconstruct_positions(integrate_tangent(v0), series)
     summary = harness.invariant_suite(run, curves, cfg, wall_seconds=wall)
 
+    # only now: a run rejected above (exit 1 or 2) leaves no directory behind
+    outdir = args.out or os.environ.get("FILAMENTLAB_OUTDIR") or conf.get("output.dir", ".")
+    os.makedirs(outdir, exist_ok=True)
     write_snapshots_csv(os.path.join(outdir, "snapshots.csv"), series, curves)
     write_telemetry_csv(os.path.join(outdir, "telemetry.csv"), series.telemetry)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:

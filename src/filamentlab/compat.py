@@ -16,6 +16,7 @@ stencil's order; a genuine violation converges to a nonzero constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -92,67 +93,50 @@ class StraightFamily(TangentFamily):
 
 
 class _PlanarFamily(TangentFamily):
-    """v0 = (sin a(s), 0, cos a(s)) for a symbolic angle profile a(s).
+    """v0 = (sin alpha, 0, cos alpha) with alpha(s) = (c1 s + c2 s^2) exp(-s^2).
 
-    Exact derivatives come from sympy, lambdified lazily per order.
+    ``derivative(s, k)`` is k! times the k-th Taylor coefficient at each
+    node s: exp(-(s + e)^2) from E' = q' E, times the quadratic gives the
+    angle's series, and S' = alpha' C, C' = -alpha' S give sin and cos of
+    it.  k = 0 evaluates the closed form in the operation order of the
+    symbolic definition's lambdified code, so samples keep its bits.
     """
 
     kinds = ("half", "whole")
 
-    def __init__(self, name, params, alpha_expr, sym):
+    def __init__(self, name, params, c1, c2):
         super().__init__(name, params)
-        self._s = sym
-        self._exprs = None
-        self._alpha = alpha_expr
-        self._lams: dict = {}
-
-    def _component_exprs(self):
-        if self._exprs is None:
-            import sympy as sp
-
-            self._exprs = (sp.sin(self._alpha), sp.Integer(0), sp.cos(self._alpha))
-        return self._exprs
+        self.c1, self.c2 = float(c1), float(c2)
 
     def _lam(self, k: int):
-        if k not in self._lams:
-            import sympy as sp
+        """s -> the k-th derivative at the nodes s, an (n, 3) array."""
+        c1, c2 = self.c1, self.c2
 
-            lams = []
-            for e in self._component_exprs():
-                de = sp.diff(e, self._s, k) if k else e
-                lams.append(sp.lambdify(self._s, de, "numpy"))
-            self._lams[k] = lams
-        return self._lams[k]
+        def lam(s):
+            gauss = np.exp(-s**2)
+            if k == 0:
+                # no "+ 0 s^2" term: it would turn a -0.0 angle into +0.0
+                alpha = (c1 * s + c2 * s**2 if c2 else c1 * s) * gauss
+                return np.stack([np.sin(alpha), np.zeros_like(s), np.cos(alpha)], axis=-1)
+            e = [gauss, -2.0 * s * gauss]
+            for j in range(2, k + 1):
+                e.append((-2.0 * s * e[j - 1] - 2.0 * e[j - 2]) / j)
+            poly = (c1 * s + c2 * s**2, c1 + 2.0 * c2 * s, c2)
+            alpha = [sum(poly[i] * e[j - i] for i in range(min(j, 2) + 1)) for j in range(k + 1)]
+            sin, cos = [np.sin(alpha[0])], [np.cos(alpha[0])]
+            for j in range(1, k + 1):
+                sin.append(sum(i * alpha[i] * cos[j - i] for i in range(1, j + 1)) / j)
+                cos.append(-sum(i * alpha[i] * sin[j - i] for i in range(1, j + 1)) / j)
+            scale = math.factorial(k)
+            return np.stack([scale * sin[k], np.zeros_like(s), scale * cos[k]], axis=-1)
+
+        return lam
 
     def tangent(self, s):
         return self.derivative(s, 0)
 
     def derivative(self, s, k):
-        s = np.asarray(s, dtype=float)
-        cols = []
-        for lam in self._lam(k):
-            col = np.asarray(lam(s), dtype=float)
-            if col.shape != s.shape:
-                col = np.full(s.shape, float(col))
-            cols.append(col)
-        return np.stack(cols, axis=1)
-
-
-def _planar_odd(a: float) -> TangentFamily:
-    import sympy as sp
-
-    s = sp.Symbol("s", real=True)
-    return _PlanarFamily("planar_odd", {"a": a}, a * s * sp.exp(-(s**2)), s)
-
-
-def _planar_bad(a: float) -> TangentFamily:
-    # the s^2 term breaks the order-1 condition at the wall on purpose
-    import sympy as sp
-
-    s = sp.Symbol("s", real=True)
-    return _PlanarFamily(
-        "planar_bad", {"a": a}, (a * s + s**2) * sp.exp(-(s**2)), s
-    )
+        return self._lam(k)(np.asarray(s, dtype=float))
 
 
 class HelixFamily(TangentFamily):
@@ -220,8 +204,9 @@ class RingFamily(TangentFamily):
 
 _FAMILIES = {
     "straight": lambda **p: StraightFamily(),
-    "planar_odd": lambda a=0.5, **p: _planar_odd(a),
-    "planar_bad": lambda a=0.5, **p: _planar_bad(a),
+    "planar_odd": lambda a=0.5, **p: _PlanarFamily("planar_odd", {"a": a}, a, 0.0),
+    # the s^2 term breaks the order-1 condition at the wall on purpose
+    "planar_bad": lambda a=0.5, **p: _PlanarFamily("planar_bad", {"a": a}, a, 1.0),
     "helix": lambda a=0.6, c=0.8, k=2.0, **p: HelixFamily(a, c, k),
     "ring": lambda r=1.0, **p: RingFamily(r),
 }

@@ -233,6 +233,24 @@ class TestSimulate:
         rc = main(["simulate", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == EXIT_COMPAT
 
+    @pytest.mark.parametrize(
+        "edits, reason",
+        [
+            ({"planar_odd:a=0.5": "planar_bad:a=0.5", "grid.n = 129": "grid.n = 512"}, "orders"),
+            ({"grid.L = 20.0": "grid.L = 2.0", "grid.n = 129": "grid.n = 33"}, "outer-window"),
+        ],
+        ids=["compatibility", "farfield"],
+    )
+    def test_rejected_run_leaves_no_output_directory(self, tmp_path, capsys, edits, reason):
+        text = SIM_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = self._write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_COMPAT
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
         envdir = tmp_path / "envout"

@@ -1,10 +1,18 @@
 """Compatibility conditions, diagnostics, and the builtin families."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import filamentlab
 from filamentlab.compat import HelixFamily, check_compat, get_family, parse_family_spec
 from filamentlab.errors import GridMismatch, NotUnitField, OrderTooHigh, UnknownFamily
 from filamentlab.geometry import Grid, VectorField
@@ -21,7 +29,7 @@ class TestFamilies:
             assert np.allclose(np.sum(v * v, axis=1), 1.0, atol=1e-12), name
 
     def test_symbolic_derivatives_match_finite_difference(self):
-        # sympy derivative vs. centered difference of the closed form
+        # analytic derivative vs. centered difference of the closed form
         rng = np.random.default_rng(17)
         s = rng.uniform(0.2, 2.0, size=12)
         eps = 1e-5
@@ -104,6 +112,17 @@ class TestFamilies:
         fam = get_family(name)
         with pytest.raises(GridMismatch, match=f"{name}.*{grid.kind}"):
             fam.sample(grid)
+
+    @pytest.mark.parametrize("name, c2", [("planar_odd", 0.0), ("planar_bad", 1.0)])
+    def test_planar_parameter_used_exactly(self, name, c2):
+        # a has 16 significant digits; a 15-digit rounding of it changes the samples
+        a = 1.0 / 3.0
+        grid = Grid.half_line(20.0, 512)
+        s = grid.nodes()
+        alpha = (a * s + c2 * s**2) * np.exp(-(s**2))
+        v = get_family(name, a=a).sample(grid).values
+        assert v[:, 0].tobytes() == np.sin(alpha).tobytes()
+        assert v[:, 2].tobytes() == np.cos(alpha).tobytes()
 
     def test_label_round_trip(self):
         fam = get_family("helix")
@@ -217,3 +236,60 @@ class TestCheckCompat:
         report = check_compat(fam.sample(g), 1, resampler=fam.sample)
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert json.loads(blob)["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the planar families against their symbolic definition
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_derivative(name: str, k: int):
+    """Lambdified d^k/ds^k of (sin alpha, cos alpha) as a function of (s, a)."""
+    import sympy as sp
+
+    s, a = sp.symbols("s a", real=True)
+    poly = a * s if name == "planar_odd" else a * s + s**2
+    alpha = poly * sp.exp(-(s**2))
+    return [sp.lambdify((s, a), sp.diff(e, s, k), "numpy") for e in (sp.sin(alpha), sp.cos(alpha))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["planar_odd", "planar_bad"]),
+    st.integers(100_000, 2_000_000).map(lambda m: m / 1e6),
+    arrays(np.float64, st.integers(1, 32), elements=st.floats(-4.0, 4.0)),
+    st.integers(0, 8),
+)
+def test_planar_derivatives_match_sympy(name, a, s, k):
+    # k = 0 bit for bit; k >= 1 relative to the size of d^k v on [-4, 4]: where
+    # d^k v is small, both float evaluations carry rounding from terms as large
+    # as its peak (pointwise relative gaps reach 7e-12 at k = 8)
+    pytest.importorskip("sympy")
+    got = get_family(name, a=a).derivative(s, k)
+    assert not got[:, 1].any()
+    for column, ref_fn in zip((0, 2), _sympy_derivative(name, k)):
+        ref = ref_fn(s, a)
+        if k == 0:
+            assert got[:, column].tobytes() == ref.tobytes()
+        else:
+            size = np.max(np.abs(ref_fn(np.linspace(-4.0, 4.0, 801), a)))
+            assert np.max(np.abs(got[:, column] - ref)) <= 1e-13 * max(1.0, size)
+
+
+def test_cold_start_does_not_import_sympy():
+    code = (
+        "import sys\n"
+        "import filamentlab\n"
+        "grid = filamentlab.Grid.half_line(20.0, 129)\n"
+        "for name in ('planar_odd', 'planar_bad'):\n"
+        "    fam = filamentlab.get_family(name, a=0.5)\n"
+        "    filamentlab.check_compat(fam.sample(grid), 2, resampler=fam.sample)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')[:5])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(filamentlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
