@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -44,18 +45,28 @@ EXIT_NUMERICAL = 3
 def _write_csv(path: str, header: str, blocks) -> None:
     """Write ``header``, then each block of rows as it comes.
 
-    Cells are Python ints, floats or "" (empty); str of a Python float is
-    its repr, the shortest text that reads back to the same float.
+    A block is a list of columns of cell text; a constant column may be an
+    ``itertools.repeat``.
     """
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for rows in blocks:
-            fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+        for columns in blocks:
+            lines = "\n".join(map(",".join, zip(*columns)))
+            if lines:
+                fh.write(lines + "\n")
+
+
+def _columns(values: np.ndarray) -> list:
+    """Cell text of each column of a 1-D or (n, k) float array, as iterators.
+
+    str of a Python float is its repr, the shortest text that reads back
+    to the same float.
+    """
+    return [map(str, col) for col in np.atleast_2d(values.T).tolist()]
 
 
 def write_field_csv(path: str, field: VectorField) -> None:
-    rows = np.column_stack([field.grid.nodes(), field.values]).tolist()
-    _write_csv(path, "s,v1,v2,v3", [rows])
+    _write_csv(path, "s,v1,v2,v3", [_columns(field.grid.nodes()) + _columns(field.values)])
 
 
 def read_field_csv(path: str, kind: str = "half") -> VectorField:
@@ -81,25 +92,24 @@ def read_field_csv(path: str, kind: str = "half") -> VectorField:
 
 def write_snapshots_csv(path: str, series, curves=None) -> None:
     header = "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
-    nodes = series.grid.nodes()
+    s_column = [list(col) for col in _columns(series.grid.nodes())]  # formatted once
 
     def blocks():
         for m, (t, snap) in enumerate(zip(series.times, series.snapshots)):
-            cols = [np.full(len(nodes), t), nodes, snap.values]
+            columns = [repeat(str(float(t))), *s_column, *_columns(snap.values)]
             if curves is not None:
-                cols.append(curves[m].positions)
-            yield np.column_stack(cols).tolist()
+                columns += _columns(curves[m].positions)
+            yield columns
 
     _write_csv(path, header, blocks())
 
 
 def write_telemetry_csv(path: str, telemetry) -> None:
     keys = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
-    rows = [
-        [row["step"]] + [float(row[k]) if k in row else "" for k in keys[1:]]
-        for row in telemetry
+    columns = [[str(row["step"]) for row in telemetry]] + [
+        [str(float(row[k])) if k in row else "" for row in telemetry] for k in keys[1:]
     ]
-    _write_csv(path, ",".join(keys), [rows])
+    _write_csv(path, ",".join(keys), [columns])
 
 
 def parse_config(path: str) -> dict:
@@ -225,6 +235,11 @@ def cmd_simulate(args) -> int:
     print(f"run finished in {summary.wall_seconds:.2f} s; outputs in {outdir}")
     for name, ok in summary.verdicts.items():
         print(f"invariant {name}: {'pass' if ok else 'FAIL'}")
+    drift = summary.energy_drift
+    print(
+        f"energy drift {drift['max']:.3e}: {'within' if drift['passed'] else 'above'} "
+        f"{drift['tolerance']:g} (reported, not gating)"
+    )
     return EXIT_OK if summary.passed else EXIT_NUMERICAL
 
 

@@ -66,12 +66,6 @@ class TangentFamily:
             )
         return VectorField(grid, self.tangent(grid.nodes()))
 
-    def label(self) -> str:
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
-        return f"{self.name}:{inner}"
-
 
 class StraightFamily(TangentFamily):
     """v0 = e3 everywhere: the straight filament normal to the wall."""

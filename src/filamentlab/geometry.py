@@ -132,9 +132,6 @@ class VectorField:
         self.grid = grid
         self.values = values
 
-    def __len__(self) -> int:
-        return self.grid.n
-
     def norms(self) -> np.ndarray:
         return np.sqrt(np.sum(self.values * self.values, axis=1))
 

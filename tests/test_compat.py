@@ -124,11 +124,6 @@ class TestFamilies:
         assert v[:, 0].tobytes() == np.sin(alpha).tobytes()
         assert v[:, 2].tobytes() == np.cos(alpha).tobytes()
 
-    def test_label_round_trip(self):
-        fam = get_family("helix")
-        again = parse_family_spec(fam.label())
-        assert again.params == fam.params
-
 
 class TestCheckCompat:
     def test_straight_passes_exactly(self):

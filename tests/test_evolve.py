@@ -17,7 +17,9 @@ from filamentlab.errors import (
 from filamentlab.evolve import (
     MIDPOINT_FIXEDPOINT,
     RK4_PROJECT,
+    STABILITY_FACTOR,
     SimConfig,
+    _step_rk4,
     bending_energy,
     farfield_deviation,
     rhs,
@@ -26,7 +28,8 @@ from filamentlab.evolve import (
     stability_cap,
     step,
 )
-from filamentlab.geometry import E3, Grid, VectorField
+from filamentlab.geometry import E3, Grid, VectorField, normalize_field
+from filamentlab.harness import ENERGY_DRIFT_TOL
 from filamentlab.reflect import extend, restrict
 
 
@@ -81,13 +84,27 @@ class TestRhs:
 class TestConfig:
     def test_default_dt(self):
         cfg = SimConfig()
-        assert cfg.resolve_dt(0.1) == pytest.approx(1e-3)
+        assert cfg.resolve_dt(0.1) == pytest.approx(5e-3)
 
     def test_stability_guard(self):
         cfg = SimConfig(dt=0.5)
         with pytest.raises(StabilityViolated):
             cfg.resolve_dt(0.1)
-        assert stability_cap(0.1) == pytest.approx(0.28 * 0.01)
+        assert stability_cap(0.1) == pytest.approx(0.65 * 0.01)
+
+    def test_sampling_resolves_as_simulated_time(self):
+        # unset: every 5 h^2 of simulated time; set: a count of steps
+        assert SimConfig().resolve_every(0.1) == (10, 10)
+        assert SimConfig(scheme=MIDPOINT_FIXEDPOINT).resolve_every(0.1) == (20, 20)
+        assert SimConfig(dt=0.002).resolve_every(0.1) == (25, 25)
+        assert SimConfig(snapshot_every=7).resolve_every(0.1) == (7, 10)
+        g = Grid.periodic(2.0 * np.pi, 64)
+        times = [
+            solve_whole_line(HelixFamily().sample(g), SimConfig(t_final=0.2, scheme=scheme)).times
+            for scheme in (RK4_PROJECT, MIDPOINT_FIXEDPOINT)
+        ]
+        assert len(times[0]) > 3
+        assert times[0] == pytest.approx(times[1], rel=1e-12)
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
@@ -238,7 +255,12 @@ class TestHalfSpace:
             fam = get_family(name, a=0.5)
             v0 = fam.sample(Grid.half_line(20.0, 129))
             cfg = SimConfig(
-                t_final=0.05, scheme=scheme, strict=False, snapshot_every=5, monitor_every=7
+                t_final=0.05,
+                dt=0.1 * v0.grid.h**2,  # enough steps for > 3 rows at this step cadence
+                scheme=scheme,
+                strict=False,
+                snapshot_every=5,
+                monitor_every=7,
             )
             run = solve_half_space(v0, cfg, resampler=fam.sample)
             whole = solve_whole_line(extend(v0), cfg)
@@ -280,3 +302,20 @@ def test_bending_energy_helix_value():
     assert bending_energy(fam.sample(g)) == pytest.approx(
         1.44 * 2.0 * np.pi, rel=1e-3
     )
+
+
+@pytest.mark.parametrize("factor, stable", [(0.70, True), (0.72, False)])
+def test_rk4_energy_holds_below_its_stability_limit_only(factor, stable):
+    # linearised about e3 the spectrum reaches 4/h^2 i and RK4 holds to
+    # |lambda dt| = 2 sqrt(2): dt <= 0.707 h^2.  Step past the cap on purpose.
+    assert STABILITY_FACTOR[RK4_PROJECT] < factor
+    u = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, 512))
+    dt = factor * u.grid.h**2
+    e0 = bending_energy(u)
+    for _ in range(math.ceil(1.0 / dt)):
+        u = normalize_field(_step_rk4(u, dt))
+    drift = abs(bending_energy(u) - e0) / e0
+    if stable:
+        assert drift < ENERGY_DRIFT_TOL
+    else:
+        assert drift > 1.0

@@ -6,7 +6,12 @@ tests check that over random finite fields, not only over the builtin
 families (which are T-fixed after extension).  The half-line stepper
 relies on more: its ghost-closed ``rhs`` is the whole-line ``rhs`` of the
 extension, restricted, and a wrong ghost must show in the telemetry.
+Two round trips must be exact too: a field CSV written and read back, and
+the restriction of an extension.
 """
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -14,11 +19,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from filamentlab import evolve, reflect
+from filamentlab.cli import read_field_csv, write_field_csv
 from filamentlab.compat import get_family
 from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, rhs, step
 from filamentlab.geometry import Grid, VectorField, cross, deriv
 from filamentlab.harness import invariant_suite
-from filamentlab.reflect import apply_T, extend
+from filamentlab.reflect import apply_T, extend, restrict
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -43,7 +49,7 @@ def test_rhs_commutes_with_T(u):
 @PROPERTY_SETTINGS
 @given(whole_line_fields(), st.sampled_from([RK4_PROJECT, MIDPOINT_FIXEDPOINT]))
 def test_step_commutes_with_T(u, scheme):
-    # dt well below the explicit cap 0.28 h^2, where the fixed point contracts
+    # dt well below either scheme's cap, where the fixed point contracts
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=scheme)
     assert np.array_equal(step(apply_T(u), dt, cfg).values, apply_T(step(u, dt, cfg)).values)
@@ -117,3 +123,41 @@ def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     run = evolve.solve_half_space(v0, cfg, resampler=fam.sample)
     assert all(row["symmetry"] > 0.0 for row in run.half.telemetry)
     assert invariant_suite(run, cfg=cfg).verdicts["symmetry"] is False
+    assert invariant_suite(run, cfg=cfg).energy_drift["passed"] is False
+
+
+@st.composite
+def fields_of_any_kind(draw):
+    """A half, whole or periodic grid of 8..41 nodes and any finite field on it."""
+    kind = draw(st.sampled_from(["half", "whole", "periodic"]))
+    n = draw(st.integers(8, 40))
+    length = draw(st.sampled_from([1.0, 5.0, 20.0, 2.0 * np.pi]))
+    if kind == "half":
+        grid = Grid.half_line(length, n)
+    elif kind == "whole":
+        grid = Grid.whole_line(length, n | 1)
+    else:
+        grid = Grid.periodic(length, n)
+    return VectorField(grid, draw(arrays(np.float64, (grid.n, 3), elements=_mixed_magnitude)))
+
+
+@PROPERTY_SETTINGS
+@given(fields_of_any_kind())
+def test_field_csv_round_trip_is_bitwise(u):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        write_field_csv(path, u)
+        back = read_field_csv(path, u.grid.kind)
+    assert (back.grid.kind, back.grid.n) == (u.grid.kind, u.grid.n)
+    assert np.allclose(back.grid.nodes(), u.grid.nodes(), rtol=0.0, atol=1e-12 * u.grid.s_max)
+    assert back.values.tobytes() == u.values.tobytes()  # the sign of zero included
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(8, 40), st.sampled_from([1.0, 5.0, 20.0]), st.data())
+def test_restrict_of_extend_is_identity(n, length, data):
+    grid = Grid.half_line(length, n)
+    u = VectorField(grid, data.draw(arrays(np.float64, (n, 3), elements=_mixed_magnitude)))
+    back = restrict(extend(u))
+    assert back.grid == grid
+    assert back.values.tobytes() == u.values.tobytes()
