@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -42,31 +41,44 @@ EXIT_NUMERICAL = 3
 # file I/O
 
 
-def _write_csv(path: str, header: str, blocks) -> None:
-    """Write ``header``, then each block of rows as it comes.
-
-    A block is a list of columns of cell text; a constant column may be an
-    ``itertools.repeat``.
-    """
+def _write_csv(path: str, header: str, pieces) -> None:
+    """Write ``header`` and its newline, then each piece of text as it comes."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for columns in blocks:
-            lines = "\n".join(map(",".join, zip(*columns)))
-            if lines:
-                fh.write(lines + "\n")
+        fh.writelines(pieces)
 
 
-def _columns(values: np.ndarray) -> list:
-    """Cell text of each column of a 1-D or (n, k) float array, as iterators.
+def _cells(values: np.ndarray, previous=None) -> tuple:
+    """(bits, cells): the cell text of an (n, k) float64 array, as an object array.
 
-    str of a Python float is its repr, the shortest text that reads back
-    to the same float.
+    str of a Python float is its repr, the shortest text that reads back to
+    the same float.  Formatting dominates the cost of writing, so given the
+    ``(bits, cells)`` of the previous array of a series, a cell keeps its
+    text wherever its bits are unchanged and only the changed cells go
+    through str; ``cells`` is updated in place.  The bits decide, not
+    ``==``: 0.0 == -0.0, yet their text differs.
     """
-    return [map(str, col) for col in np.atleast_2d(values.T).tolist()]
+    bits = values.view(np.uint64)
+    if previous is None:
+        cells = np.empty(values.shape, dtype=object)
+        changed = np.ones(values.shape, dtype=bool)
+    else:
+        old_bits, cells = previous
+        changed = bits != old_bits
+    for j in range(values.shape[1]):  # a column at a time: less new text alive at once
+        rows = changed[:, j]
+        cells[rows, j] = list(map(str, values[rows, j].tolist()))
+    return bits, cells
+
+
+def _lines(cells: np.ndarray, prefix: str = "") -> tuple:
+    """Pieces of the CSV text of the rows of ``cells``, each line led by ``prefix``."""
+    return prefix, ("\n" + prefix).join(map(",".join, cells.tolist())), "\n"
 
 
 def write_field_csv(path: str, field: VectorField) -> None:
-    _write_csv(path, "s,v1,v2,v3", [_columns(field.grid.nodes()) + _columns(field.values)])
+    _, cells = _cells(np.column_stack((field.grid.nodes(), field.values)))
+    _write_csv(path, "s,v1,v2,v3", _lines(cells))
 
 
 def read_field_csv(path: str, kind: str = "half") -> VectorField:
@@ -92,24 +104,29 @@ def read_field_csv(path: str, kind: str = "half") -> VectorField:
 
 def write_snapshots_csv(path: str, series, curves=None) -> None:
     header = "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
-    s_column = [list(col) for col in _columns(series.grid.nodes())]  # formatted once
+    s = series.grid.nodes()[:, None]
 
-    def blocks():
+    def pieces():
+        # the s cells keep their bits, so s is formatted once per run; t once per block
+        state = None
         for m, (t, snap) in enumerate(zip(series.times, series.snapshots)):
-            columns = [repeat(str(float(t))), *s_column, *_columns(snap.values)]
-            if curves is not None:
-                columns += _columns(curves[m].positions)
-            yield columns
+            parts = (s, snap.values) if curves is None else (s, snap.values, curves[m].positions)
+            state = _cells(np.hstack(parts), state)
+            yield from _lines(state[1], str(float(t)) + ",")
 
-    _write_csv(path, header, blocks())
+    _write_csv(path, header, pieces())
 
 
 def write_telemetry_csv(path: str, telemetry) -> None:
     keys = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
-    columns = [[str(row["step"]) for row in telemetry]] + [
-        [str(float(row[k])) if k in row else "" for row in telemetry] for k in keys[1:]
-    ]
-    _write_csv(path, ",".join(keys), [columns])
+    table = np.array([[row.get(k, np.nan) for k in keys[1:]] for row in telemetry], dtype=float)
+    _, cells = _cells(table.reshape(-1, len(keys) - 1))
+    # a key a row lacks (symmetry, boundary off the half line) is an empty cell
+    missing = np.array([[k not in row for k in keys[1:]] for row in telemetry], dtype=bool)
+    cells[missing.reshape(cells.shape)] = ""
+    steps = [str(row["step"]) for row in telemetry]
+    lines = [",".join([step, *text]) + "\n" for step, text in zip(steps, cells.tolist())]
+    _write_csv(path, ",".join(keys), lines)
 
 
 def parse_config(path: str) -> dict:
@@ -172,6 +189,15 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
+def _flag(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+
+
 #: simulate config keys read into SimConfig: key -> (field, parser)
 _SIM_KEYS = {
     "time.t_final": ("t_final", float),
@@ -184,7 +210,7 @@ _SIM_KEYS = {
     "output.snapshot_every": ("snapshot_every", int),
     "output.monitor_every": ("monitor_every", int),
     "check.order": ("check_order", int),
-    "check.strict": ("strict", lambda v: v.lower() in ("1", "true", "yes", "on")),
+    "check.strict": ("strict", _flag),
 }
 
 #: simulate config keys read by cmd_simulate itself
@@ -198,9 +224,14 @@ def _build_cfg(conf: dict) -> SimConfig:
             f"unknown config key(s) {', '.join(unknown)}; "
             f"accepted: {', '.join(sorted([*_SIM_KEYS, *_RUN_KEYS]))}"
         )
-    return SimConfig(
-        **{field: parse(conf[key]) for key, (field, parse) in _SIM_KEYS.items() if key in conf}
-    )
+    fields = {}
+    for key, (field, parse) in _SIM_KEYS.items():
+        if key in conf:
+            try:
+                fields[field] = parse(conf[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key}: {exc}") from None
+    return SimConfig(**fields)
 
 
 def cmd_simulate(args) -> int:

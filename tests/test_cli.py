@@ -63,6 +63,15 @@ class TestCheck:
     def test_missing_input_exit_one(self):
         assert main(["check"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_negative_order_exit_one(self, capsys, strict):
+        # order -1 checks nothing, so it once passed even incompatible data
+        argv = ["check", "--family", "planar_bad:a=0.5", "--n", "257", "--order", "-1"]
+        assert main(argv + strict) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "order must be at least 0" in captured.err
+        assert "compatibility passed" not in captured.out
+
     def test_report_json_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(
@@ -225,6 +234,34 @@ class TestSimulate:
         assert main(["simulate", str(cfg)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["dt"] == 0.002
+
+    @pytest.mark.parametrize("value", ["treu", "2", "enabled", "y"])
+    def test_misspelt_strict_exit_one(self, tmp_path, capsys, value):
+        # a misspelling once read as false and let incompatible data run
+        bad = SIM_CONFIG.replace("planar_odd:a=0.5", "planar_bad:a=0.5")
+        cfg = self._write_config(tmp_path, bad + f"check.strict = {value}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "check.strict" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value, rc",
+        [("TRUE", EXIT_COMPAT), ("On", EXIT_COMPAT), ("1", EXIT_COMPAT),
+         ("False", EXIT_OK), ("OFF", EXIT_OK), ("no", EXIT_OK), ("0", EXIT_OK)],
+    )
+    def test_strict_spellings(self, tmp_path, value, rc):
+        bad = SIM_CONFIG.replace("planar_odd:a=0.5", "planar_bad:a=0.5")
+        cfg = self._write_config(tmp_path, bad + f"check.strict = {value}\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == rc
+
+    def test_negative_check_order_exit_one(self, tmp_path, capsys):
+        bad = SIM_CONFIG.replace("planar_odd:a=0.5", "planar_bad:a=0.5")
+        cfg = self._write_config(tmp_path, bad.replace("check.order = 1", "check.order = -1"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert "order must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_incompatible_family_exit_two(self, tmp_path):
         cfg = self._write_config(

@@ -7,11 +7,14 @@ families (which are T-fixed after extension).  The half-line stepper
 relies on more: its ghost-closed ``rhs`` is the whole-line ``rhs`` of the
 extension, restricted, and a wrong ghost must show in the telemetry.
 Two round trips must be exact too: a field CSV written and read back, and
-the restriction of an extension.
+the restriction of an extension.  The fast paths must not move a bit: the
+snapshot writer against a naive per-row repr, and the norm kernels against
+numpy's sum.
 """
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -19,11 +22,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from filamentlab import evolve, reflect
-from filamentlab.cli import read_field_csv, write_field_csv
+from filamentlab.cli import (
+    read_field_csv,
+    write_field_csv,
+    write_snapshots_csv,
+    write_telemetry_csv,
+)
 from filamentlab.compat import get_family
-from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, rhs, step
-from filamentlab.geometry import Grid, VectorField, cross, deriv
+from filamentlab.errors import DegenerateVector
+from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, rhs, step
+from filamentlab.geometry import Grid, VectorField, cross, deriv, normalize_field
 from filamentlab.harness import invariant_suite
+from filamentlab.reconstruct import FilamentCurve
 from filamentlab.reflect import apply_T, extend, restrict
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -161,3 +171,114 @@ def test_restrict_of_extend_is_identity(n, length, data):
     back = restrict(extend(u))
     assert back.grid == grid
     assert back.values.tobytes() == u.values.tobytes()
+
+
+# every finite double, with the cells a reuse rule could get wrong drawn often
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_awkward = st.sampled_from(
+    [
+        0.0, -0.0,  # equal, yet "0.0" and "-0.0"
+        5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,  # subnormal and smallest normal
+        1e300, -1e300, 1.7976931348623157e308,
+    ]
+)
+_cell = st.one_of(_awkward, _finite)
+
+
+@st.composite
+def snapshot_series(draw):
+    """(series, curves or None) of 1..6 blocks on a half grid of 8..16 nodes.
+
+    Each block after the first keeps, negates or redraws each cell of the
+    one before, so cells repeat across blocks and zeros flip sign.
+    """
+    n = draw(st.integers(8, 16))
+    blocks = draw(st.integers(1, 6))
+    k = draw(st.sampled_from([3, 6]))
+    tables = [draw(arrays(np.float64, (n, k), elements=_cell))]
+    for _ in range(blocks - 1):
+        action = draw(arrays(np.int8, (n, k), elements=st.integers(0, 2)))
+        fresh = draw(arrays(np.float64, (n, k), elements=_cell))
+        prev = tables[-1]
+        tables.append(np.where(action == 0, prev, np.where(action == 1, -prev, fresh)))
+    times = sorted(draw(st.lists(_finite, min_size=blocks, max_size=blocks, unique=True)))
+    grid = Grid.half_line(draw(st.sampled_from([1.0, 20.0, 1e300])), n)
+    series = TimeSeries(grid, times, [VectorField(grid, t[:, :3].copy()) for t in tables])
+    curves = [FilamentCurve(grid, t[:, 3:].copy()) for t in tables] if k == 6 else None
+    return series, curves
+
+
+def _naive_snapshots_csv(series, curves) -> str:
+    lines = ["t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")]
+    s = series.grid.nodes().tolist()
+    for m, (t, snap) in enumerate(zip(series.times, series.snapshots)):
+        for i in range(series.grid.n):
+            row = [float(t), s[i], *snap.values[i].tolist()]
+            if curves is not None:
+                row += curves[m].positions[i].tolist()
+            lines.append(",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(snapshot_series())
+def test_snapshots_csv_is_naive_repr_bytewise(series_and_curves):
+    series, curves = series_and_curves
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshots.csv"
+        write_snapshots_csv(str(path), series, curves)
+        assert path.read_bytes() == _naive_snapshots_csv(series, curves).encode()
+
+
+_TELEMETRY_KEYS = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(
+        st.fixed_dictionaries(
+            {"step": st.integers(0, 10**6), "time": _cell, "norm_dev": _cell, "energy": _cell},
+            optional={"symmetry": _cell, "boundary": _cell},
+        ),
+        max_size=8,
+    )
+)
+def test_telemetry_csv_is_naive_str_bytewise(rows):
+    lines = [_TELEMETRY_KEYS]
+    for row in rows:
+        cells = [repr(row[k]) if k in row else "" for k in _TELEMETRY_KEYS[1:]]
+        lines.append([str(row["step"]), *cells])
+    want = "".join(",".join(line) + "\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "telemetry.csv"
+        write_telemetry_csv(str(path), rows)
+        assert path.read_text() == want
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(8, 64), st.data())
+def test_norms_are_numpy_sum_bitwise(n, data):
+    v = data.draw(arrays(np.float64, (n, 3), elements=st.one_of(_mixed_magnitude, _cell)))
+    with np.errstate(over="ignore"):  # squares above 1.3e154 are inf both ways
+        got = VectorField(Grid.half_line(1.0, n), v).norms()
+        want = np.sqrt(np.sum(v * v, axis=1))
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(8, 40), st.data())
+def test_normalize_raises_exactly_below_min_norm(n, data):
+    v = data.draw(arrays(np.float64, (n, 3), elements=st.floats(-2.0, 2.0)))
+    norms = np.sqrt(np.sum(v * v, axis=1))
+    # a threshold equal to some norm probes the boundary itself
+    thresholds = st.floats(1e-3, 2.0)
+    if np.any(norms >= 1e-3):
+        thresholds |= st.sampled_from(norms[norms >= 1e-3].tolist())
+    min_norm = data.draw(thresholds)
+    try:
+        out = normalize_field(VectorField(Grid.half_line(1.0, n), v), min_norm)
+    except DegenerateVector:
+        assert np.any(norms < min_norm)
+    else:
+        assert not np.any(norms < min_norm)
+        assert out.values.tobytes() == (v / norms[:, None]).tobytes()
