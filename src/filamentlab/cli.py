@@ -217,6 +217,16 @@ _SIM_KEYS = {
 _RUN_KEYS = ("grid.kind", "grid.L", "grid.n", "data.family", "output.dir")
 
 
+def _read_key(conf: dict, key: str, parse, default=None):
+    """``parse(conf[key])``, or ``default`` when the key is absent; an error names the key."""
+    if key not in conf:
+        return default
+    try:
+        return parse(conf[key])
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
 def _build_cfg(conf: dict) -> SimConfig:
     unknown = sorted(set(conf) - set(_SIM_KEYS) - set(_RUN_KEYS))
     if unknown:
@@ -224,13 +234,11 @@ def _build_cfg(conf: dict) -> SimConfig:
             f"unknown config key(s) {', '.join(unknown)}; "
             f"accepted: {', '.join(sorted([*_SIM_KEYS, *_RUN_KEYS]))}"
         )
-    fields = {}
-    for key, (field, parse) in _SIM_KEYS.items():
-        if key in conf:
-            try:
-                fields[field] = parse(conf[key])
-            except ValueError as exc:
-                raise ValueError(f"config key {key}: {exc}") from None
+    fields = {
+        field: _read_key(conf, key, parse)
+        for key, (field, parse) in _SIM_KEYS.items()
+        if key in conf
+    }
     return SimConfig(**fields)
 
 
@@ -240,8 +248,8 @@ def cmd_simulate(args) -> int:
     kind = conf.get("grid.kind", "half")
     if kind not in ("half", "periodic"):
         raise ValueError(f"grid.kind must be half or periodic, got {kind!r}")
-    length = float(conf.get("grid.L", 20.0))
-    n = int(conf.get("grid.n", 512))
+    length = _read_key(conf, "grid.L", float, 20.0)
+    n = _read_key(conf, "grid.n", int, 512)
     fam = parse_family_spec(conf["data.family"])
     v0 = fam.sample(Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n))
 

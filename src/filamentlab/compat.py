@@ -321,6 +321,8 @@ def check_compat(
     """
     if n < 0:
         raise ValueError(f"compatibility order must be at least 0, got {n}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"compatibility tolerance must be a finite number above 0, got {tol!r}")
     if 2 * n > K_MAX:
         raise OrderTooHigh(f"order {n} needs derivative {2 * n} > k_max={K_MAX}")
     norm_residual = v0.unit_deviation()

@@ -7,9 +7,18 @@ Two schemes:
     back to the unit sphere.  Default; norm exact to roundoff.
 
 ``midpoint_fixedpoint``
-    Implicit midpoint solved by fixed-point iteration.  Conserves every
+    Implicit midpoint solved by fixed-point iteration on the midpoint
+    value, m <- v + (dt/2) f(m), then v + dt f(m).  Conserves every
     sample norm without projection because the update is orthogonal to
-    the midpoint value.
+    the midpoint value.  Within a solve a step starts the iteration from
+    the linear extrapolation 2 f_1 - f_2 of the converged slopes f(m) of
+    the last two steps, in place of the Euler slope f(v), and so saves
+    the ``rhs`` call of the Euler start and, on smooth data, iterations.
+    Linearised about e3, the top mode turns by theta = 4 dt/h^2 per step,
+    and the extrapolation scales a mode's start error by |1 - e^{-i
+    theta}|^2, which is at most 1 exactly when theta <= pi/3, that is
+    dt <= (pi/12) h^2.  Above that bound, and on the first two steps, the
+    start is f(v).
 
 The half-space solve gates the data through the compatibility check and
 evolves the s >= 0 nodes only.  The node at s = -h of the reflected
@@ -64,9 +73,15 @@ MIDPOINT_FIXEDPOINT = "midpoint_fixedpoint"
 STABILITY_FACTOR = {RK4_PROJECT: 0.65, MIDPOINT_FIXEDPOINT: 0.4}
 
 #: Default dt/h^2 per scheme.  The spatial error dominates at any stable dt
-#: (RK4's planar_odd error is the same to 6 digits from 0.1 to 0.7 h^2); the
-#: midpoint fixed point takes about 6 rhs calls per step at 0.25 h^2.
+#: (RK4's planar_odd error is the same to 6 digits from 0.1 to 0.7 h^2).  The
+#: midpoint default stays below SLOPE_START_FACTOR, so its steps start from
+#: the extrapolated slope: on planar_odd, n = 512 that takes 4.6 rhs calls per
+#: step to t = 0.25 and 4.8 to t = 1, against 5.75 from the Euler start.
 DEFAULT_DT_FACTOR = {RK4_PROJECT: 0.5, MIDPOINT_FIXEDPOINT: 0.25}
+
+#: Largest dt/h^2 at which a midpoint step starts from the extrapolated slope
+#: 2 f_1 - f_2 (see the module docstring): theta = 4 dt/h^2 <= pi/3.
+SLOPE_START_FACTOR = math.pi / 12.0
 
 #: Default simulated time between snapshots and between telemetry rows, in
 #: units of h^2: 50 steps of the earlier default dt of 0.1 h^2.
@@ -133,6 +148,7 @@ class TimeSeries:
     times: list = dc_field(default_factory=list)
     snapshots: list = dc_field(default_factory=list)
     telemetry: list = dc_field(default_factory=list)  # dict rows
+    solver: dict = dc_field(default_factory=dict)  # counts of the steps' work
 
     def record(self, t: float, u: VectorField):
         if self.times and t <= self.times[-1]:
@@ -189,28 +205,72 @@ def _step_rk4(u: VectorField, dt: float) -> VectorField:
     return VectorField(grid, v + (dt / 6.0) * incr)
 
 
-def _step_midpoint(u: VectorField, dt: float, tol: float, max_iter: int) -> VectorField:
+@dataclass
+class MidpointHistory:
+    """What the midpoint steps of one solve carry from step to step.
+
+    ``slopes`` holds the converged slopes f(m) of the last two steps, oldest
+    first; ``rhs_calls`` and ``iters`` (one entry per step) count the work.
+    """
+
+    slopes: list = dc_field(default_factory=list)
+    rhs_calls: int = 0
+    iters: list = dc_field(default_factory=list)
+
+    def counts(self) -> dict:
+        return {
+            "steps": len(self.iters),
+            "rhs_calls": self.rhs_calls,
+            "fp_iters_max": max(self.iters, default=0),
+            "fp_iters_total": sum(self.iters),
+        }
+
+
+def _step_midpoint(
+    u: VectorField, dt: float, tol: float, max_iter: int, history: MidpointHistory | None = None
+) -> VectorField:
     grid, v = u.grid, u.values
-    new = v + dt * rhs(u)
-    for _ in range(max_iter):
-        cand = v + dt * rhs(VectorField(grid, 0.5 * (v + new)))
-        inc = float(np.max(np.abs(cand - new)))
-        new = cand
+    half = 0.5 * dt
+    extrapolate = (
+        history is not None
+        and len(history.slopes) == 2
+        and dt <= SLOPE_START_FACTOR * grid.h * grid.h
+    )
+    if extrapolate:
+        f = 2.0 * history.slopes[1] - history.slopes[0]
+    else:
+        f = rhs(u)
+    m = v + half * f
+    for it in range(1, max_iter + 1):
+        f = rhs(VectorField(grid, m))
+        cand = v + half * f
+        inc = 2.0 * float(np.max(np.abs(cand - m)))  # bounds the change of v + dt f
+        m = cand
         if inc <= tol:
-            return VectorField(grid, new)
+            if history is not None:
+                history.slopes = [*history.slopes[-1:], f]
+                history.rhs_calls += it if extrapolate else it + 1
+                history.iters.append(it)
+            return VectorField(grid, v + dt * f)
     raise FixedPointDiverged(
         f"midpoint iteration stalled above tol={tol:g} after {max_iter} iters"
     )
 
 
-def step(u: VectorField, dt: float, cfg: SimConfig) -> VectorField:
-    """One time step under the configured scheme (no projection here)."""
+def step(
+    u: VectorField, dt: float, cfg: SimConfig, history: MidpointHistory | None = None
+) -> VectorField:
+    """One time step under the configured scheme (no projection here).
+
+    A midpoint step given the ``history`` of the steps before it starts from
+    their extrapolated slope where that is allowed, and records its own.
+    """
     cap = stability_cap(u.grid.h, cfg.scheme)
     if dt > cap:
         raise StabilityViolated(f"dt={dt:g} above cap {cap:g}")
     if cfg.scheme == RK4_PROJECT:
         return _step_rk4(u, dt)
-    return _step_midpoint(u, dt, cfg.fp_tol, cfg.fp_max_iter)
+    return _step_midpoint(u, dt, cfg.fp_tol, cfg.fp_max_iter, history)
 
 
 def bending_energy(u: VectorField) -> float:
@@ -268,12 +328,13 @@ def solve_whole_line(
     snapshot_every, monitor_every = cfg.resolve_every(grid.h)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
     series = TimeSeries(grid=grid)
+    history = MidpointHistory() if cfg.scheme == MIDPOINT_FIXEDPOINT else None
     u = u0
     series.record(0.0, u)
     series.telemetry.append(_telemetry_row(0, 0.0, u))
     for k in range(1, nsteps + 1):
         dt_k = dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt
-        u = step(u, dt_k, cfg)
+        u = step(u, dt_k, cfg, history)
         if cfg.scheme == RK4_PROJECT:
             u = normalize_field(u)
         t = k * dt if k < nsteps else cfg.t_final
@@ -283,6 +344,11 @@ def solve_whole_line(
             series.record(t, u)
         if progress is not None:
             progress(k, nsteps)
+    # an RK4 step always takes four rhs calls, so RK4 counts nothing per step
+    if history is None:
+        series.solver = {"steps": nsteps, "rhs_calls": 4 * nsteps}
+    else:
+        series.solver = history.counts()
     return series
 
 

@@ -209,7 +209,7 @@ def extension_jump_study(
 
 #: Tolerance of the energy_drift verdict, the relative drift of the conserved
 #: energy E (``evolve.bending_energy``) over a run.  On planar_odd at n = 512,
-#: t = 1, RK4 with projection drifts 1.3e-11 at 0.7 h^2 and midpoint 2e-14,
+#: t = 1, RK4 with projection drifts 1.3e-11 at 0.7 h^2 and midpoint 7e-16,
 #: while RK4 past its stability limit (0.72 h^2) drifts 1e4 and a wrong wall
 #: closure 0.8.  The verdict is reported, not folded into ``passed``: RK4 also
 #: damps grid-scale modes, so under-resolved data drifts more (planar_odd at
@@ -232,6 +232,7 @@ class RunSummary:
     compat: dict = dc_field(default_factory=dict)
     root_cause: str = ""
     energy_drift: dict = dc_field(default_factory=dict)  # max, step, tolerance, passed
+    solver: dict = dc_field(default_factory=dict)  # TimeSeries.solver
     wall_seconds: float = 0.0
 
     @property
@@ -247,6 +248,7 @@ class RunSummary:
             "compat": self.compat,
             "root_cause": self.root_cause,
             "energy_drift": self.energy_drift,
+            "solver": self.solver,
             "passed": self.passed,
         }
 
@@ -335,6 +337,7 @@ def invariant_suite(
         compat=run.report.to_dict() if half else {},
         root_cause=root_cause,
         energy_drift=energy_drift(rows),
+        solver=series.solver,
         wall_seconds=wall_seconds,
     )
 

@@ -72,6 +72,16 @@ class TestCheck:
         assert "order must be at least 0" in captured.err
         assert "compatibility passed" not in captured.out
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_bad_tolerance_exit_one(self, capsys, tol):
+        # an infinite tolerance once passed incompatible data, and nan left
+        # the two-grid rule alone to decide
+        argv = ["check", "--family", "planar_bad:a=0.5", "--order", "1", "--tol", tol, "--strict"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "tolerance must be a finite number above 0" in captured.err
+        assert "compatibility passed" not in captured.out
+
     def test_report_json_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(
@@ -336,6 +346,27 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert f"{field} must" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("grid.n", "12x"), ("grid.L", "2o")])
+    def test_bad_grid_value_names_its_key(self, tmp_path, capsys, key, value):
+        text = "".join(
+            f"{key} = {value}\n" if line.startswith(key + " ") else line + "\n"
+            for line in SIM_CONFIG.splitlines()
+        )
+        cfg = self._write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"config key {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [SIM_CONFIG, PERIODIC_CONFIG], ids=["half", "periodic"])
+    def test_rk4_summary_counts_four_rhs_calls_per_step(self, tmp_path, config):
+        cfg = self._write_config(tmp_path, config)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        solver = json.loads((tmp_path / "out" / "summary.json").read_text())["solver"]
+        assert set(solver) == {"steps", "rhs_calls"}
+        assert solver["steps"] > 0
+        assert solver["rhs_calls"] == 4 * solver["steps"]
 
     def test_family_on_grid_kind_it_does_not_declare_exit_one(self, tmp_path, capsys):
         # planar_odd has a jump at the wrap point of a periodic grid

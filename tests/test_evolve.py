@@ -14,10 +14,13 @@ from filamentlab.errors import (
     NotUnitField,
     StabilityViolated,
 )
+from filamentlab import evolve
 from filamentlab.evolve import (
     MIDPOINT_FIXEDPOINT,
     RK4_PROJECT,
+    SLOPE_START_FACTOR,
     STABILITY_FACTOR,
+    MidpointHistory,
     SimConfig,
     _step_rk4,
     bending_energy,
@@ -178,6 +181,84 @@ class TestStep:
         cfg = SimConfig(scheme="midpoint_fixedpoint")
         out = step(u, 1e-4, cfg)
         assert out.unit_deviation() < 1e-13
+
+
+class TestMidpointStart:
+    """A midpoint step starts from 2 f_1 - f_2 only at dt <= (pi/12) h^2."""
+
+    def _after_two_steps(self, factor):
+        u = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, 129))
+        dt = factor * u.grid.h**2
+        cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT, dt=dt)
+        history = MidpointHistory()
+        for _ in range(2):
+            u = step(u, dt, cfg, history)
+        assert history.rhs_calls == sum(history.iters) + 2  # both started from rhs(u)
+        return u, dt, cfg, history
+
+    def test_extrapolated_start_below_the_bound(self):
+        u, dt, cfg, history = self._after_two_steps(0.25)
+        assert dt <= SLOPE_START_FACTOR * u.grid.h**2
+        calls = history.rhs_calls
+        step(u, dt, cfg, history)
+        assert history.rhs_calls - calls == history.iters[-1]
+
+    def test_above_the_bound_a_step_is_the_rhs_started_one(self):
+        u, dt, cfg, history = self._after_two_steps(0.3)
+        assert dt > SLOPE_START_FACTOR * u.grid.h**2
+        calls = history.rhs_calls
+        got = step(u, dt, cfg, history)
+        assert got.values.tobytes() == step(u, dt, cfg).values.tobytes()
+        assert history.rhs_calls - calls == history.iters[-1] + 1
+
+
+@pytest.fixture(scope="module")
+def acceptance_u0():
+    """planar_odd on the half line, n = 512: with t = 0.25, the benchmark's run."""
+    return get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, 512))
+
+
+@pytest.mark.parametrize("scheme", [RK4_PROJECT, MIDPOINT_FIXEDPOINT])
+def test_solver_counts_are_the_rhs_calls_made_in_steps(acceptance_u0, monkeypatch, scheme):
+    cfg = SimConfig(t_final=0.25, scheme=scheme)
+    calls, in_step = [0], [False]
+
+    def counting_rhs(u, _rhs=evolve.rhs):
+        calls[0] += in_step[0]
+        return _rhs(u)
+
+    def flagging_step(*args, _step=evolve.step):
+        in_step[0] = True
+        try:
+            return _step(*args)
+        finally:
+            in_step[0] = False
+
+    monkeypatch.setattr(evolve, "rhs", counting_rhs)
+    monkeypatch.setattr(evolve, "step", flagging_step)
+    solver = solve_whole_line(acceptance_u0, cfg).solver
+    assert solver["steps"] == math.ceil(cfg.t_final / cfg.resolve_dt(acceptance_u0.grid.h))
+    assert solver["rhs_calls"] == calls[0]
+    if scheme == RK4_PROJECT:
+        assert set(solver) == {"steps", "rhs_calls"}
+        assert solver["rhs_calls"] == 4 * solver["steps"]
+    else:
+        assert solver["rhs_calls"] / solver["steps"] <= 5.0  # 5.75 from the Euler start
+        # only the first two steps, with no history yet, started from rhs(u)
+        assert solver["rhs_calls"] == solver["fp_iters_total"] + 2
+        assert 1 <= solver["fp_iters_max"] <= cfg.fp_max_iter
+
+
+def test_extrapolated_start_keeps_the_solve(acceptance_u0):
+    # the start only moves where the iteration stops within fp_tol
+    cfg = SimConfig(t_final=0.25, scheme=MIDPOINT_FIXEDPOINT)
+    dt = cfg.resolve_dt(acceptance_u0.grid.h)
+    nsteps = math.ceil(cfg.t_final / dt - 1e-12)
+    u = acceptance_u0
+    for k in range(1, nsteps + 1):
+        u = step(u, dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt, cfg)
+    final = solve_whole_line(acceptance_u0, cfg).final()
+    assert np.max(np.abs(final.values - u.values)) <= 1e-12
 
 
 class TestWholeLine:

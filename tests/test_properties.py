@@ -1,5 +1,8 @@
 """Property tests: the reflection T commutes exactly with rhs, one step and deriv.
 
+One step means either start of the midpoint iteration too: the Euler slope
+and the slope extrapolated from two earlier steps.
+
 T maps a whole-line field w to (T w)(s) = -bar(w(-s)).  The half-space
 scheme relies on the discrete flow commuting with T bit for bit; these
 tests check that over random finite fields, not only over the builtin
@@ -63,6 +66,27 @@ def test_step_commutes_with_T(u, scheme):
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=scheme)
     assert np.array_equal(step(apply_T(u), dt, cfg).values, apply_T(step(u, dt, cfg)).values)
+
+
+@PROPERTY_SETTINGS
+@given(whole_line_fields(), st.data())
+def test_slope_started_midpoint_step_commutes_with_T(u, data):
+    # the start 2 f_1 - f_2 from the slopes of two earlier steps, here the
+    # rhs of two other fields; T maps a slope as it maps a state
+    shape = (u.grid.n, 3)
+    slopes = [
+        rhs(VectorField(u.grid, data.draw(arrays(np.float64, shape, elements=_unit_interval))))
+        for _ in range(2)
+    ]
+    plain = evolve.MidpointHistory(slopes)
+    mirrored = evolve.MidpointHistory([apply_T(VectorField(u.grid, f)).values for f in slopes])
+    dt = 0.02 * u.grid.h**2
+    cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT)
+    got = step(apply_T(u), dt, cfg, mirrored).values
+    assert np.array_equal(got, apply_T(step(u, dt, cfg, plain)).values)
+    assert plain.rhs_calls == plain.iters[-1]  # no rhs(u): the step started from the slopes
+    assert (plain.rhs_calls, plain.iters) == (mirrored.rhs_calls, mirrored.iters)
+    assert np.array_equal(mirrored.slopes[-1], apply_T(VectorField(u.grid, plain.slopes[-1])).values)
 
 
 @PROPERTY_SETTINGS
