@@ -254,15 +254,13 @@ def cmd_simulate(args) -> int:
     v0 = fam.sample(Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n))
 
     if kind == "half":
-        run, wall = harness.timed(solve_half_space, v0, cfg, fam.sample)
-        series = run.half
+        series, wall = harness.timed(solve_half_space, v0, cfg, fam.sample)
     else:
-        run, wall = harness.timed(solve_whole_line, v0, cfg)
-        series = run
+        series, wall = harness.timed(solve_whole_line, v0, cfg)
     curves = None
     if args.reconstruct:
         curves = reconstruct_positions(integrate_tangent(v0), series)
-    summary = harness.invariant_suite(run, curves, cfg, wall_seconds=wall)
+    summary = harness.invariant_suite(series, curves, wall_seconds=wall)
 
     # only now: a run rejected above (exit 1 or 2) leaves no directory behind
     outdir = args.out or os.environ.get("FILAMENTLAB_OUTDIR") or conf.get("output.dir", ".")
@@ -284,9 +282,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_oracle(args) -> int:
     kw = {}
-    if args.n:
+    if args.n is not None:
         kw["n"] = args.n
-    if args.t_final:
+    if args.t_final is not None:
         kw["t_final"] = args.t_final
     result = harness.oracle_error(args.name, **kw)
     print(json.dumps(result, indent=2, sort_keys=True))

@@ -142,13 +142,22 @@ def stability_cap(h: float, scheme: str = RK4_PROJECT) -> float:
 
 @dataclass
 class TimeSeries:
-    """Recorded trajectory: snapshots plus per-monitor telemetry rows."""
+    """Recorded trajectory: snapshots plus per-monitor telemetry rows.
+
+    ``cfg`` is the SimConfig that produced it and ``report`` the
+    CompatibilityReport that gated it (None for a run with no gate).  A
+    half-line run's telemetry rows are measured on the extension of each
+    monitored state, so they carry the whole-line symmetry and boundary
+    residuals.
+    """
 
     grid: Grid
     times: list = dc_field(default_factory=list)
     snapshots: list = dc_field(default_factory=list)
     telemetry: list = dc_field(default_factory=list)  # dict rows
     solver: dict = dc_field(default_factory=dict)  # counts of the steps' work
+    cfg: SimConfig | None = None
+    report: CompatibilityReport | None = None
 
     def record(self, t: float, u: VectorField):
         if self.times and t <= self.times[-1]:
@@ -158,19 +167,6 @@ class TimeSeries:
 
     def final(self) -> VectorField:
         return self.snapshots[-1]
-
-
-@dataclass
-class HalfSpaceRun:
-    """Result of a half-space solve: gate report plus the s >= 0 trajectory.
-
-    ``half`` is the ghost-node trajectory itself.  Its telemetry rows are
-    measured on the extension of each monitored state, so they carry the
-    whole-line symmetry and boundary residuals.
-    """
-
-    report: CompatibilityReport
-    half: TimeSeries
 
 
 def rhs(u: VectorField) -> np.ndarray:
@@ -327,7 +323,7 @@ def solve_whole_line(
     dt = cfg.resolve_dt(grid.h)
     snapshot_every, monitor_every = cfg.resolve_every(grid.h)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
-    series = TimeSeries(grid=grid)
+    series = TimeSeries(grid=grid, cfg=cfg)
     history = MidpointHistory() if cfg.scheme == MIDPOINT_FIXEDPOINT else None
     u = u0
     series.record(0.0, u)
@@ -352,9 +348,9 @@ def solve_whole_line(
     return series
 
 
-def farfield_deviation(v0: VectorField, window: float = 0.1) -> float:
-    """Mean |v0 - e3| over the outer ``window`` fraction of the grid."""
-    m = max(2, int(window * v0.grid.n))
+def farfield_deviation(v0: VectorField) -> float:
+    """Mean |v0 - e3| over the outer tenth of the grid."""
+    m = max(2, int(0.1 * v0.grid.n))
     tail = v0.values[-m:] - E3
     return float(np.mean(np.sqrt(np.sum(tail * tail, axis=1))))
 
@@ -364,8 +360,11 @@ def solve_half_space(
     cfg: SimConfig,
     resampler=None,
     progress=None,
-) -> HalfSpaceRun:
-    """Gate the data, then evolve the s >= 0 nodes with the mirror ghost."""
+) -> TimeSeries:
+    """Gate the data, then evolve the s >= 0 nodes with the mirror ghost.
+
+    The result is the ``solve_whole_line`` series with the gate's ``report``.
+    """
     report = check_compat(v0, cfg.check_order, cfg.compat_tol, resampler)
     if cfg.strict and not report.passed:
         raise CompatibilityRejected(
@@ -376,5 +375,6 @@ def solve_half_space(
         raise FarFieldViolation(
             f"outer-window mean |v0 - e3| = {far:.3g} exceeds {cfg.farfield_tol:g}"
         )
-    half = solve_whole_line(v0, cfg, progress=progress)
-    return HalfSpaceRun(report=report, half=half)
+    series = solve_whole_line(v0, cfg, progress=progress)
+    series.report = report
+    return series

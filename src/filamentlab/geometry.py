@@ -7,7 +7,8 @@ stencils generated with the Fornberg recursion.
 
 The interior second-difference is deliberately evaluated as
 ``(left + right) - 2*center`` (``second_difference``, shared by
-``deriv`` and ``evolve.rhs``) so that reflecting a field through s = 0
+``deriv``, ``evolve.rhs`` and the twisted periodic psi_ss of
+``hasimoto``) so that reflecting a field through s = 0
 commutes with the operator *bitwise* (negation commutes exactly with
 IEEE rounding).  The reflection-symmetry invariants downstream depend
 on this.
@@ -172,8 +173,6 @@ def deriv(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
         if order == 1:
             return (padded[2:] - padded[:-2]) / (2.0 * h)
         return second_difference(padded) / (h * h)
-    if grid.n < 4:
-        raise GridTooSmall("edge stencils need at least 4 nodes")
     out = np.empty_like(v)
     if order == 1:
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
@@ -224,7 +223,6 @@ def one_sided_deriv_at_zero(
     k: int,
     side: str = "+",
     points: int | None = None,
-    k_max: int = K_MAX,
 ) -> np.ndarray:
     """One-sided estimate of the k-th s-derivative trace at s = 0.
 
@@ -232,8 +230,8 @@ def one_sided_deriv_at_zero(
     formal accuracy 2).  ``side`` is "+" (s >= 0) or "-" (s <= 0); the
     latter needs a whole-line grid.  k = 0 returns the node value itself.
     """
-    if k < 0 or k > k_max:
-        raise OrderTooHigh(f"derivative order {k} exceeds k_max={k_max}")
+    if k < 0 or k > K_MAX:
+        raise OrderTooHigh(f"derivative order {k} exceeds k_max={K_MAX}")
     grid = field.grid
     i0 = grid.center
     if k == 0:

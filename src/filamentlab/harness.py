@@ -22,13 +22,7 @@ import numpy as np
 
 from .compat import HelixFamily, RingFamily, get_family
 from .errors import UnknownOracle
-from .evolve import (
-    HalfSpaceRun,
-    SimConfig,
-    TimeSeries,
-    solve_half_space,
-    solve_whole_line,
-)
+from .evolve import RK4_PROJECT, SimConfig, TimeSeries, solve_half_space, solve_whole_line
 from .geometry import E3, Grid
 from .hasimoto import series_nls_residual
 from .reconstruct import (
@@ -56,14 +50,19 @@ def fit_order(hs, errors) -> float:
 # oracles
 
 
-def helix_dispersion_error(
-    a=0.6, c=0.8, k=2.0, n=256, t_final=0.5, scheme="rk4_project"
-) -> dict:
-    """Measured rotation rate of the helix against w = c k^2."""
+def _helix_run(n, t_final, scheme, a, c, k) -> tuple:
+    """(family, grid, series) of a helix run on one period of n nodes."""
     fam = HelixFamily(a, c, k)
     grid = Grid.periodic(2.0 * np.pi, n)
-    cfg = SimConfig(t_final=t_final, scheme=scheme)
-    series = solve_whole_line(fam.sample(grid), cfg)
+    series = solve_whole_line(fam.sample(grid), SimConfig(t_final=t_final, scheme=scheme))
+    return fam, grid, series
+
+
+def helix_dispersion_error(
+    a=0.6, c=0.8, k=2.0, n=256, t_final=0.5, scheme=RK4_PROJECT
+) -> dict:
+    """Measured rotation rate of the helix against w = c k^2."""
+    _, _, series = _helix_run(n, t_final, scheme, a, c, k)
     phases = np.unwrap(
         [math.atan2(s.values[0, 1], s.values[0, 0]) for s in series.snapshots]
     )
@@ -103,7 +102,7 @@ def stationary_line_error(n=128, length=10.0, t_final=0.1) -> dict:
     cfg = SimConfig(t_final=t_final, check_order=1)
     run = solve_half_space(fam.sample(grid), cfg, resampler=fam.sample)
     worst = 0.0
-    for snap in run.half.snapshots:
+    for snap in run.snapshots:
         worst = max(worst, float(np.max(np.abs(snap.values - E3))))
     return {"max_deviation": worst, "relative_error": worst}
 
@@ -137,32 +136,20 @@ class ConvergenceResult:
     errors: list
     order: float
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "levels": list(self.levels),
-            "h": list(self.hs),
-            "errors": list(self.errors),
-            "order": self.order if math.isfinite(self.order) else "exact",
-        }
-
 
 def helix_solution_error(
-    n: int, a=0.6, c=0.8, k=2.0, t_final=0.5, scheme="rk4_project"
+    n: int, a=0.6, c=0.8, k=2.0, t_final=0.5, scheme=RK4_PROJECT
 ) -> float:
     """max-norm error at t_final against the exact rotating wave."""
-    fam = HelixFamily(a, c, k)
-    grid = Grid.periodic(2.0 * np.pi, n)
-    cfg = SimConfig(t_final=t_final, scheme=scheme)
-    series = solve_whole_line(fam.sample(grid), cfg)
+    fam, grid, series = _helix_run(n, t_final, scheme, a, c, k)
     diff = series.final().values - fam.exact(grid.nodes(), t_final)
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
 
 
 def convergence_study(case: str, levels, **kw) -> ConvergenceResult:
     """Run ``case`` at each node count in ``levels`` (dt follows h^2)."""
-    if len(levels) < 3:
-        raise ValueError("need at least 3 levels for an order fit")
+    if len(set(levels)) < 3:
+        raise ValueError(f"need at least 3 distinct levels for an order fit, got {list(levels)}")
     if case == "helix":
         hs = [2.0 * np.pi / n for n in levels]
         errors = [helix_solution_error(n, **kw) for n in levels]
@@ -180,10 +167,7 @@ def convergence_study(case: str, levels, **kw) -> ConvergenceResult:
 
 def helix_nls_residual(n: int, a=0.6, c=0.8, k=2.0, t_final=0.5) -> float:
     """Gauge-corrected cubic-Schroedinger residual of a helix run."""
-    fam = HelixFamily(a, c, k)
-    grid = Grid.periodic(2.0 * np.pi, n)
-    cfg = SimConfig(t_final=t_final)
-    series = solve_whole_line(fam.sample(grid), cfg)
+    _, _, series = _helix_run(n, t_final, RK4_PROJECT, a, c, k)
     return series_nls_residual(series)
 
 
@@ -277,27 +261,19 @@ def energy_drift(rows) -> dict:
     return out
 
 
-def invariant_suite(
-    run: HalfSpaceRun | TimeSeries,
-    curves=None,
-    cfg: SimConfig | None = None,
-    wall_seconds: float = 0.0,
-) -> RunSummary:
-    """Stamp the invariants of a run: a HalfSpaceRun or a periodic TimeSeries.
+def invariant_suite(series: TimeSeries, curves=None, wall_seconds: float = 0.0) -> RunSummary:
+    """Stamp the invariants of a run, read against the config that produced it.
 
-    Every run gets the norm check and the energy drift verdict; a
-    half-space run also gets the wall checks (symmetry, boundary trace
-    and, given curves, the endpoint height and arclength) and its
-    compatibility report.
+    Every run gets the norm check and the energy drift verdict; a gated
+    (half-space) run, one whose ``report`` is set, also gets the wall checks
+    (symmetry, boundary trace and, given curves, the endpoint height and
+    arclength) and its compatibility report.
     """
-    cfg = cfg or SimConfig()
-    half = isinstance(run, HalfSpaceRun)
-    series = run.half if half else run
-    g = series.grid
-    tolerances = {"norm_dev": 1e-12 if cfg.scheme == "rk4_project" else 1e-10}
+    cfg, report, g = series.cfg, series.report, series.grid
+    tolerances = {"norm_dev": 1e-12 if cfg.scheme == RK4_PROJECT else 1e-10}
     rows = series.telemetry
     maxima = {"norm_dev": _track((row["step"], row["norm_dev"]) for row in rows)}
-    if half:
+    if report is not None:
         tolerances.update(
             symmetry=1e-12,
             boundary=cfg.tol_boundary,
@@ -317,9 +293,9 @@ def invariant_suite(
     verdicts = {name: maxima[name]["max"] <= tolerances[name] for name in maxima}
     snapshot_every, monitor_every = cfg.resolve_every(g.h)
     root_cause = ""
-    if not verdicts.get("boundary", True) and not run.report.passed:
+    if not verdicts.get("boundary", True) and not report.passed:
         root_cause = (
-            f"compatibility orders {run.report.failed_orders()} violated; "
+            f"compatibility orders {report.failed_orders()} violated; "
             "boundary trace cannot converge"
         )
     return RunSummary(
@@ -334,7 +310,7 @@ def invariant_suite(
         maxima=maxima,
         tolerances=tolerances,
         verdicts=verdicts,
-        compat=run.report.to_dict() if half else {},
+        compat=report.to_dict() if report is not None else {},
         root_cause=root_cause,
         energy_drift=energy_drift(rows),
         solver=series.solver,

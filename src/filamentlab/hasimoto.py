@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridMismatch, InsufficientSnapshots, MaskFragmented
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, deriv
+from .geometry import Grid, VectorField, cross, deriv, second_difference
 
 logger = logging.getLogger(__name__)
 
@@ -65,12 +65,12 @@ class HasimotoField:
     wrap_phase: float = 0.0
 
 
-def frenet(v: VectorField, eps_kappa: float = EPS_KAPPA) -> FrenetData:
+def frenet(v: VectorField) -> FrenetData:
     """Curvature and torsion of the curve whose unit tangent is v."""
     vs = deriv(v.values, v.grid, 1)
     vss = deriv(v.values, v.grid, 2)
     kappa = np.sqrt(np.sum(vs * vs, axis=1))
-    mask = kappa >= eps_kappa
+    mask = kappa >= EPS_KAPPA
     tau = np.zeros_like(kappa)
     num = np.sum(cross(v.values, vs) * vss, axis=1)
     tau[mask] = num[mask] / (kappa[mask] ** 2)
@@ -120,9 +120,7 @@ def gauge_rate(f: FrenetData) -> float:
     idx = np.flatnonzero(f.mask)
     if idx.size == 0:
         return 0.0
-    i0 = int(idx[0]) if f.grid.kind != "periodic" else 0
-    if not f.mask[i0]:
-        i0 = int(idx[0])
+    i0 = int(idx[0])
     kss = deriv(f.kappa, f.grid, 2)
     k0 = f.kappa[i0]
     return float(-((kss[i0] - k0 * f.tau[i0] ** 2) / k0 + 0.5 * k0 * k0))
@@ -134,13 +132,8 @@ def _psi_ss(hf: HasimotoField) -> np.ndarray:
     if grid.kind != "periodic":
         return deriv(psi, grid, 2)
     twist = np.exp(1j * hf.wrap_phase)
-    up = np.empty_like(psi)
-    up[:-1] = psi[1:]
-    up[-1] = psi[0] * twist
-    dn = np.empty_like(psi)
-    dn[1:] = psi[:-1]
-    dn[0] = psi[-1] / twist
-    return ((dn + up) - 2.0 * psi) / (grid.h * grid.h)
+    padded = np.concatenate((psi[-1:] / twist, psi, psi[:1] * twist))
+    return second_difference(padded) / (grid.h * grid.h)
 
 
 def nls_residual(
@@ -189,11 +182,11 @@ def nls_residual(
     return worst
 
 
-def series_nls_residual(series: TimeSeries, eps_kappa: float = EPS_KAPPA) -> float:
+def series_nls_residual(series: TimeSeries) -> float:
     """Convenience wrapper: Frenet + transform + residual for a trajectory."""
     psis, rates = [], []
     for snap in series.snapshots:
-        f = frenet(snap, eps_kappa)
+        f = frenet(snap)
         psis.append(hasimoto_psi(f))
         rates.append(gauge_rate(f))
     return nls_residual(psis, series.times, rates)

@@ -33,8 +33,8 @@ def _planar_run(scheme: str):
     v0 = fam.sample(Grid.half_line(20.0, 512))
     cfg = SimConfig(t_final=1.0, scheme=scheme, check_order=2)
     run, wall = timed(solve_half_space, v0, cfg, fam.sample)
-    curves = reconstruct_positions(integrate_tangent(v0), run.half)
-    summary = invariant_suite(run, curves, cfg, wall_seconds=wall)
+    curves = reconstruct_positions(integrate_tangent(v0), run)
+    summary = invariant_suite(run, curves, wall_seconds=wall)
     return run, curves, summary
 
 
@@ -67,7 +67,7 @@ def helix_levels():
 
 def test_criterion_1_unit_norm(rk4_run):
     run, _, summary = rk4_run
-    worst = max(row["norm_dev"] for row in run.half.telemetry)
+    worst = max(row["norm_dev"] for row in run.telemetry)
     ok = worst <= 1e-12 and summary.wall_seconds < 30.0
     _report(1, ok, f"max norm dev {worst:.3e}, wall {summary.wall_seconds:.1f}s")
     assert worst <= 1e-12
@@ -76,9 +76,9 @@ def test_criterion_1_unit_norm(rk4_run):
 
 def test_criterion_2_boundary_condition(rk4_run):
     run, _, _ = rk4_run
-    w1 = max(abs(float(s.values[0, 0])) for s in run.half.snapshots)
-    w2 = max(abs(float(s.values[0, 1])) for s in run.half.snapshots)
-    w3 = max(abs(float(s.values[0, 2]) - 1.0) for s in run.half.snapshots)
+    w1 = max(abs(float(s.values[0, 0])) for s in run.snapshots)
+    w2 = max(abs(float(s.values[0, 1])) for s in run.snapshots)
+    w3 = max(abs(float(s.values[0, 2]) - 1.0) for s in run.snapshots)
     ok = max(w1, w2, w3) <= 1e-10
     _report(2, ok, f"|v1|,|v2|,|v3-1| at wall = {w1:.1e},{w2:.1e},{w3:.1e}")
     assert w1 <= 1e-10 and w2 <= 1e-10 and w3 <= 1e-10
@@ -86,7 +86,7 @@ def test_criterion_2_boundary_condition(rk4_run):
 
 def test_criterion_3_T_symmetry(rk4_run):
     run, _, _ = rk4_run
-    worst = max(row["symmetry"] for row in run.half.telemetry)
+    worst = max(row["symmetry"] for row in run.telemetry)
     ok = worst <= 1e-12
     _report(3, ok, f"max symmetry residual {worst:.3e}")
     assert worst <= 1e-12
@@ -197,11 +197,11 @@ def test_criterion_10_hasimoto_cross_check(helix_levels):
 
 def test_criterion_11_scheme_independence(midpoint_run):
     run, curves, summary = midpoint_run
-    norm = max(row["norm_dev"] for row in run.half.telemetry)
-    sym = max(row["symmetry"] for row in run.half.telemetry)
-    bnd1 = max(abs(float(s.values[0, 0])) for s in run.half.snapshots)
-    bnd2 = max(abs(float(s.values[0, 1])) for s in run.half.snapshots)
-    bnd3 = max(abs(float(s.values[0, 2]) - 1.0) for s in run.half.snapshots)
+    norm = max(row["norm_dev"] for row in run.telemetry)
+    sym = max(row["symmetry"] for row in run.telemetry)
+    bnd1 = max(abs(float(s.values[0, 0])) for s in run.snapshots)
+    bnd2 = max(abs(float(s.values[0, 1])) for s in run.snapshots)
+    bnd3 = max(abs(float(s.values[0, 2]) - 1.0) for s in run.snapshots)
     endpoint = max(abs(endpoint_height(c)) for c in curves)
     ok = (
         norm <= 1e-10

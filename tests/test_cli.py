@@ -82,6 +82,14 @@ class TestCheck:
         assert "tolerance must be a finite number above 0" in captured.err
         assert "compatibility passed" not in captured.out
 
+    def test_misspelt_family_parameter_exit_one(self, capsys):
+        # the misspelt A was once dropped and the run took a = 0.5 and passed
+        rc = main(["check", "--family", "planar_odd:A=5", "--order", "1", "--strict"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "'planar_odd' has no parameter A; accepted: a" in captured.err
+        assert "compatibility passed" not in captured.out
+
     def test_report_json_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(
@@ -199,9 +207,9 @@ class TestSimulate:
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         run = solve_half_space(v0, SimConfig(t_final=0.05, check_order=1), fam.sample)
-        assert np.array_equal(data[:, 0], np.repeat(run.half.times, 129))
-        assert np.array_equal(data[:, 1], np.tile(v0.grid.nodes(), len(run.half.times)))
-        assert np.array_equal(data[:, 2:5], np.concatenate([u.values for u in run.half.snapshots]))
+        assert np.array_equal(data[:, 0], np.repeat(run.times, 129))
+        assert np.array_equal(data[:, 1], np.tile(v0.grid.nodes(), len(run.times)))
+        assert np.array_equal(data[:, 2:5], np.concatenate([u.values for u in run.snapshots]))
 
     def test_periodic_run(self, tmp_path):
         cfg = self._write_config(tmp_path, PERIODIC_CONFIG)
@@ -395,6 +403,23 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "fitted order" in out
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--n", "need at least 8 nodes, got 0"), ("--t-final", "t_final must be a finite")],
+    )
+    def test_oracle_zero_setting_exit_one(self, capsys, flag, message):
+        # 0 once read as "not given", so the oracle ran its default instead
+        assert main(["oracle", "stationary_line", flag, "0"]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", ["32,32,32", "32,64,32"])
+    def test_convergence_repeated_levels_exit_one(self, capsys, levels):
+        # three copies of one level once printed a fitted order and exited 0
+        assert main(["convergence", "helix", "--levels", levels]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "at least 3 distinct levels" in captured.err
+        assert "fitted order" not in captured.out
+
     def test_diagnose_helix(self, capsys):
         rc = main(["diagnose", "--family", "helix", "--n", "96", "--t-final", "0.05"])
         assert rc == EXIT_OK
@@ -405,6 +430,14 @@ class TestOtherCommands:
     def test_diagnose_half_line_family_exit_one(self, capsys):
         assert main(["diagnose", "--family", "planar_odd", "--n", "64"]) == EXIT_USAGE
         assert "planar_odd" in capsys.readouterr().err
+
+    def test_diagnose_misspelt_family_parameter_exit_one(self, capsys):
+        # kk was once dropped and the helix sampled with k = 2
+        argv = ["diagnose", "--family", "helix:a=0.6,c=0.8,kk=7", "--n", "64"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "'helix' has no parameter kk; accepted: a, c, k" in captured.err
+        assert captured.out == ""
 
 
 def test_parse_config(tmp_path):

@@ -86,6 +86,21 @@ class TestFamilies:
         with pytest.raises(UnknownFamily):
             get_family("trefoil")
 
+    @pytest.mark.parametrize(
+        "name, params, bad, accepted",
+        [
+            ("planar_odd", {"A": 5.0}, "A", "a"),
+            ("planar_bad", {"a": 0.5, "c2": 0.0}, "c2", "a"),
+            ("helix", {"kk": 7.0}, "kk", "a, c, k"),
+            ("ring", {"radius": 2.0}, "radius", "r"),
+            ("straight", {"a": 1.0}, "a", "none"),
+        ],
+    )
+    def test_unknown_parameter_rejected(self, name, params, bad, accepted):
+        # a misspelt parameter was once dropped and the default sampled
+        with pytest.raises(UnknownFamily, match=f"no parameter {bad}; accepted: {accepted}$"):
+            get_family(name, **params)
+
     def test_parse_family_spec(self):
         fam = parse_family_spec("planar_odd:a=0.25")
         assert fam.name == "planar_odd"
@@ -279,6 +294,22 @@ def test_planar_derivatives_match_sympy(name, a, s, k):
         else:
             size = np.max(np.abs(ref_fn(np.linspace(-4.0, 4.0, 801), a)))
             assert np.max(np.abs(got[:, column] - ref)) <= 1e-13 * max(1.0, size)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("a", [0.5, 1.3])
+@pytest.mark.parametrize("name", ["planar_odd", "planar_bad"])
+def test_planar_derivatives_match_sympy_on_a_fixed_grid(name, a, k):
+    # every order on 801 nodes across [-4, 4], at the tolerance of the test
+    # above: an error in one order shows on every run, not only on the draws
+    # that reach where that order is large
+    pytest.importorskip("sympy")
+    s = np.linspace(-4.0, 4.0, 801)
+    got = get_family(name, a=a).derivative(s, k)
+    for column, ref_fn in zip((0, 2), _sympy_derivative(name, k)):
+        ref = ref_fn(s, a)
+        size = np.max(np.abs(ref))
+        assert np.max(np.abs(got[:, column] - ref)) <= 1e-13 * max(1.0, size)
 
 
 def test_cold_start_does_not_import_sympy():

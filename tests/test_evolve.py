@@ -316,7 +316,7 @@ class TestHalfSpace:
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
-        for row in run.half.telemetry:
+        for row in run.telemetry:
             assert row["symmetry"] == 0.0
             assert row["boundary"] == 0.0
 
@@ -324,7 +324,7 @@ class TestHalfSpace:
         fam = get_family("planar_odd", a=0.5)
         v0 = fam.sample(Grid.half_line(20.0, 129))
         run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
-        for snap in run.half.snapshots:
+        for snap in run.snapshots:
             assert np.array_equal(snap.values[0], E3)
 
     def test_snapshot_grids_and_times_match(self):
@@ -345,11 +345,11 @@ class TestHalfSpace:
             )
             run = solve_half_space(v0, cfg, resampler=fam.sample)
             whole = solve_whole_line(extend(v0), cfg)
-            assert run.half.grid == v0.grid
-            assert run.half.times == whole.times
-            assert run.half.telemetry == whole.telemetry
-            assert len(run.half.telemetry) > 3
-            for half_snap, whole_snap in zip(run.half.snapshots, whole.snapshots, strict=True):
+            assert run.grid == v0.grid
+            assert run.times == whole.times
+            assert run.telemetry == whole.telemetry
+            assert len(run.telemetry) > 3
+            for half_snap, whole_snap in zip(run.snapshots, whole.snapshots, strict=True):
                 assert half_snap.grid == v0.grid
                 assert np.array_equal(half_snap.values, restrict(whole_snap).values)
 
@@ -365,7 +365,7 @@ class TestHalfSpace:
         cfg = SimConfig(t_final=0.01, strict=False)
         run = solve_half_space(v0, cfg, resampler=fam.sample)
         assert not run.report.passed
-        assert len(run.half.snapshots) >= 2
+        assert len(run.snapshots) >= 2
 
     def test_farfield_gate(self):
         # on a short interval the planar profile has not decayed at s = L

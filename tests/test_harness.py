@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from filamentlab.compat import get_family
+from filamentlab.compat import HelixFamily, get_family
 from filamentlab.errors import UnknownOracle
-from filamentlab.evolve import SimConfig, solve_half_space
+from filamentlab.evolve import SimConfig, solve_half_space, solve_whole_line
 from filamentlab.geometry import Grid
 from filamentlab.harness import (
     convergence_study,
@@ -80,14 +80,6 @@ class TestConvergence:
         e2 = helix_solution_error(96, t_final=0.1)
         assert e2 < 0.35 * e1
 
-    def test_result_dict_serializes(self):
-        import json
-
-        result = convergence_study("helix", [32, 48, 64], t_final=0.1)
-        blob = json.loads(json.dumps(result.to_dict()))
-        assert blob["case"] == "helix"
-        assert len(blob["errors"]) == 3
-
 
 def test_extension_jump_study_separates_families():
     good = extension_jump_study(get_family("planar_odd", a=0.5), [129, 257, 513])
@@ -103,8 +95,8 @@ class TestInvariantSuite:
         v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.05, scheme=scheme)
         run, wall = timed(solve_half_space, v0, cfg, fam.sample)
-        curves = reconstruct_positions(integrate_tangent(v0), run.half)
-        return invariant_suite(run, curves, cfg, wall_seconds=wall), run
+        curves = reconstruct_positions(integrate_tangent(v0), run)
+        return invariant_suite(run, curves, wall_seconds=wall), run
 
     def test_all_verdicts_pass(self):
         summary, _ = self._run()
@@ -143,7 +135,38 @@ class TestInvariantSuite:
         v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.2, strict=False, tol_boundary=1e-10)
         run, wall = timed(solve_half_space, v0, cfg, fam.sample)
-        summary = invariant_suite(run, None, cfg, wall)
+        summary = invariant_suite(run, None, wall)
         if not summary.verdicts["boundary"]:
             assert "compatibility" in summary.root_cause
         assert not summary.compat["passed"]
+
+
+class TestRunRecord:
+    """The series carries its config and gate report; the summary reads them."""
+
+    def test_half_space_summary_reads_the_runs_config(self):
+        fam = get_family("planar_odd", a=0.5)
+        v0 = fam.sample(Grid.half_line(20.0, 129))
+        cfg = SimConfig(t_final=0.05, scheme="midpoint_fixedpoint", tol_boundary=1e-30)
+        run = solve_half_space(v0, cfg, fam.sample)
+        assert run.cfg is cfg
+        summary = invariant_suite(run)  # no config passed
+        assert summary.config["scheme"] == "midpoint_fixedpoint"
+        assert summary.config["dt"] == 0.25 * v0.grid.h**2
+        assert summary.tolerances["norm_dev"] == 1e-10
+        assert summary.tolerances["boundary"] == 1e-30
+        assert summary.verdicts["boundary"]  # the boundary trace is exactly e3
+        assert summary.solver == run.solver
+        assert summary.solver["fp_iters_total"] > 0
+        assert summary.compat == run.report.to_dict()
+
+    def test_periodic_series_gets_no_wall_checks(self):
+        v0 = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
+        series = solve_whole_line(v0, SimConfig(t_final=0.05))
+        assert series.report is None
+        curves = reconstruct_positions(integrate_tangent(v0), series)
+        summary = invariant_suite(series, curves)
+        assert summary.compat == {}
+        assert set(summary.verdicts) == set(summary.tolerances) == {"norm_dev"}
+        assert summary.root_cause == ""
+        assert summary.config["scheme"] == "rk4_project"

@@ -155,9 +155,9 @@ def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     v0 = fam.sample(Grid.half_line(20.0, 65))
     cfg = SimConfig(t_final=0.05, monitor_every=5)
     run = evolve.solve_half_space(v0, cfg, resampler=fam.sample)
-    assert all(row["symmetry"] > 0.0 for row in run.half.telemetry)
-    assert invariant_suite(run, cfg=cfg).verdicts["symmetry"] is False
-    assert invariant_suite(run, cfg=cfg).energy_drift["passed"] is False
+    assert all(row["symmetry"] > 0.0 for row in run.telemetry)
+    assert invariant_suite(run).verdicts["symmetry"] is False
+    assert invariant_suite(run).energy_drift["passed"] is False
 
 
 @st.composite

@@ -57,8 +57,8 @@ def test_straight_run_curve_is_static():
     fam = get_family("straight")
     g = Grid.half_line(10.0, 65)
     run = solve_half_space(fam.sample(g), SimConfig(t_final=0.05), resampler=fam.sample)
-    curves = reconstruct_positions(integrate_tangent(fam.sample(g)), run.half)
-    assert len(curves) == len(run.half.times)
+    curves = reconstruct_positions(integrate_tangent(fam.sample(g)), run)
+    assert len(curves) == len(run.times)
     for c in curves:
         assert np.array_equal(c.positions, curves[0].positions)
         assert endpoint_height(c) == 0.0
