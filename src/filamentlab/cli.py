@@ -148,17 +148,13 @@ def parse_config(path: str) -> dict:
 # commands
 
 
-def _input_field(args, kind="half"):
-    """(field, resampler_or_None) from --family or --input."""
+def _input_field(args):
+    """(half-line field, resampler_or_None) from --family or --input."""
     if getattr(args, "family", None):
         fam = parse_family_spec(args.family)
-        if kind == "periodic":
-            grid = Grid.periodic(args.length, args.n)
-        else:
-            grid = Grid.half_line(args.length, args.n)
-        return fam.sample(grid), fam.sample
+        return fam.sample(Grid.half_line(args.length, args.n)), fam.sample
     if getattr(args, "input", None):
-        return read_field_csv(args.input, kind), None
+        return read_field_csv(args.input), None
     raise ValueError("provide --family or --input")
 
 
@@ -336,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_data_args(sp, default_L=20.0, default_n=512):
+    def add_data_args(sp):
         sp.add_argument("--family", help="builtin family, e.g. planar_odd:a=0.5")
         sp.add_argument("--input", help="sampled-data CSV (s,v1,v2,v3)")
-        sp.add_argument("--length", "-L", type=float, default=default_L)
-        sp.add_argument("--n", type=int, default=default_n)
+        sp.add_argument("--length", "-L", type=float, default=20.0)
+        sp.add_argument("--n", type=int, default=512)
 
     sp = sub.add_parser("check", help="compatibility conditions at s = 0")
     add_data_args(sp)

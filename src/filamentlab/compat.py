@@ -164,6 +164,8 @@ class RingFamily(TangentFamily):
     kinds = ("periodic",)
 
     def __init__(self, r=1.0):
+        if not r > 0.0:
+            raise ValueError(f"family 'ring' parameter r must be above 0, got {r!r}")
         super().__init__("ring", {"r": r})
 
     def period(self) -> float:
@@ -206,6 +208,9 @@ def get_family(name: str, **params) -> TangentFamily:
             f"family {name!r} has no parameter {', '.join(unknown)}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"family {name!r} parameter {key} must be finite, got {value!r}")
     return maker(**params)
 
 
@@ -232,8 +237,8 @@ class CompatibilityReport:
 
     ``a_residuals[k]`` is |v0(0) - e3| for k = 0 and |v0(0) x d^{2k}v0(0)|
     for k >= 1.  ``d_residuals[(j, l)]`` holds |d^j v0 . d^l v0|(0) for
-    odd j + l.  When the two-grid cross-check ran, ``*_coarse`` carry the
-    residuals at spacing 2h and ``refined`` is True.
+    odd j + l.  When the two-grid cross-check ran, ``a_residuals_coarse``
+    carries the a residuals at spacing 2h and ``refined`` is True.
     """
 
     max_order: int
@@ -245,7 +250,6 @@ class CompatibilityReport:
     norm_residual: float = 0.0
     refined: bool = False
     a_residuals_coarse: list = dc_field(default_factory=list)
-    d_residuals_coarse: dict = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -325,5 +329,4 @@ def check_compat(
         norm_residual=norm_residual,
         refined=resampler is not None,
         a_residuals_coarse=a_coarse,
-        d_residuals_coarse=d_coarse,
     )

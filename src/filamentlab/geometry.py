@@ -28,6 +28,10 @@ E3 = np.array([0.0, 0.0, 1.0])
 #: Highest boundary-trace derivative order supported by the stencil table.
 K_MAX = 4
 
+#: Smallest sample norm ``normalize_field`` rescales; a unit field after a
+#: stable step never gets near it, so a norm below it means blowup.
+MIN_NORM = 0.5
+
 HALF = "half"
 WHOLE = "whole"
 PERIODIC = "periodic"
@@ -185,11 +189,11 @@ def deriv(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     return out
 
 
-def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 on nodes x.
+def fd_weights(x: np.ndarray, m: int) -> np.ndarray:
+    """Finite-difference weights for the m-th derivative at 0 on nodes x.
 
     Fornberg's recursion (Math. Comp. 51, 1988).  Returns w with
-    sum_j w[j] f(x[j]) ~ f^(m)(x0).
+    sum_j w[j] f(x[j]) ~ f^(m)(0).
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -198,12 +202,12 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
     w = np.zeros((m + 1, n))
     w[0, 0] = 1.0
     c1 = 1.0
-    c4 = x[0] - x0
+    c4 = x[0]
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - x0
+        c4 = x[i]
         for j in range(i):
             c3 = x[i] - x[j]
             c2 *= c3
@@ -247,19 +251,18 @@ def one_sided_deriv_at_zero(
             raise GridTooSmall(f"stencil of {p} nodes does not fit left of 0")
     else:
         raise ValueError("side must be '+' or '-'")
-    w = fd_weights(offsets * grid.h, 0.0, k)
+    w = fd_weights(offsets * grid.h, k)
     return w @ field.values[i0 + offsets]
 
 
-def normalize_field(field: VectorField, min_norm: float = 0.5) -> VectorField:
+def normalize_field(field: VectorField) -> VectorField:
     """Rescale every sample to the unit sphere.  Idempotent.
 
-    Raises DegenerateVector if any sample norm falls below ``min_norm``
-    (a guard against blowup; unit fields never get near it).
+    Raises DegenerateVector if any sample norm falls below MIN_NORM.
     """
     norms = field.norms()
-    if norms.min() < min_norm:
+    if norms.min() < MIN_NORM:
         raise DegenerateVector(
-            f"sample norm {norms.min():.3g} below {min_norm}; refusing to rescale"
+            f"sample norm {norms.min():.3g} below {MIN_NORM}; refusing to rescale"
         )
     return VectorField(field.grid, field.values / norms[:, None])

@@ -49,25 +49,27 @@ def fit_order(hs, errors) -> float:
 # ---------------------------------------------------------------------------
 # oracles
 
+#: Length of the half-line grids of the stationary line and the jump study.
+HALF_LENGTH = 10.0
 
-def _helix_run(n, t_final, scheme, a, c, k) -> tuple:
-    """(family, grid, series) of a helix run on one period of n nodes."""
-    fam = HelixFamily(a, c, k)
+
+def _helix_run(n, t_final) -> tuple:
+    """(family, grid, series) of an RK4 run of ``HelixFamily()`` on one period of n nodes."""
+    fam = HelixFamily()
     grid = Grid.periodic(2.0 * np.pi, n)
-    series = solve_whole_line(fam.sample(grid), SimConfig(t_final=t_final, scheme=scheme))
+    series = solve_whole_line(fam.sample(grid), SimConfig(t_final=t_final))
     return fam, grid, series
 
 
-def helix_dispersion_error(
-    a=0.6, c=0.8, k=2.0, n=256, t_final=0.5, scheme=RK4_PROJECT
-) -> dict:
+def helix_dispersion_error(n=256, t_final=0.5) -> dict:
     """Measured rotation rate of the helix against w = c k^2."""
-    _, _, series = _helix_run(n, t_final, scheme, a, c, k)
+    fam, _, series = _helix_run(n, t_final)
     phases = np.unwrap(
         [math.atan2(s.values[0, 1], s.values[0, 0]) for s in series.snapshots]
     )
     slope = np.polyfit(series.times, phases, 1)[0]
     measured = -float(slope)
+    c, k = fam.params["c"], fam.params["k"]
     exact = c * k * k
     return {
         "omega_measured": measured,
@@ -76,13 +78,12 @@ def helix_dispersion_error(
     }
 
 
-def ring_translation_error(r=0.5, n=256, t_final=0.5, scheme="rk4_project") -> dict:
+def ring_translation_error(r=0.5, n=256, t_final=0.5) -> dict:
     """Rigid displacement of the reconstructed circle against (0, 0, t/r)."""
     fam = RingFamily(r)
     grid = Grid.periodic(fam.period(), n)
     v0 = fam.sample(grid)
-    cfg = SimConfig(t_final=t_final, scheme=scheme)
-    series = solve_whole_line(v0, cfg)
+    series = solve_whole_line(v0, SimConfig(t_final=t_final))
     curves = reconstruct_positions(integrate_tangent(v0), series)
     disp = np.mean(curves[-1].positions - curves[0].positions, axis=0)
     expected = np.array([0.0, 0.0, t_final / r])
@@ -95,9 +96,9 @@ def ring_translation_error(r=0.5, n=256, t_final=0.5, scheme="rk4_project") -> d
     }
 
 
-def stationary_line_error(n=128, length=10.0, t_final=0.1) -> dict:
+def stationary_line_error(n=128, t_final=0.1) -> dict:
     """Deviation of the straight-filament run from e3 (zero to roundoff)."""
-    grid = Grid.half_line(length, n)
+    grid = Grid.half_line(HALF_LENGTH, n)
     fam = get_family("straight")
     cfg = SimConfig(t_final=t_final, check_order=1)
     run = solve_half_space(fam.sample(grid), cfg, resampler=fam.sample)
@@ -137,52 +138,47 @@ class ConvergenceResult:
     order: float
 
 
-def helix_solution_error(
-    n: int, a=0.6, c=0.8, k=2.0, t_final=0.5, scheme=RK4_PROJECT
-) -> float:
+def helix_solution_error(n: int, t_final=0.5) -> float:
     """max-norm error at t_final against the exact rotating wave."""
-    fam, grid, series = _helix_run(n, t_final, scheme, a, c, k)
+    fam, grid, series = _helix_run(n, t_final)
     diff = series.final().values - fam.exact(grid.nodes(), t_final)
     return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
 
 
-def convergence_study(case: str, levels, **kw) -> ConvergenceResult:
+def convergence_study(case: str, levels) -> ConvergenceResult:
     """Run ``case`` at each node count in ``levels`` (dt follows h^2)."""
     if len(set(levels)) < 3:
         raise ValueError(f"need at least 3 distinct levels for an order fit, got {list(levels)}")
     if case == "helix":
         hs = [2.0 * np.pi / n for n in levels]
-        errors = [helix_solution_error(n, **kw) for n in levels]
+        errors = [helix_solution_error(n) for n in levels]
     elif case == "stationary":
-        length = kw.pop("length", 10.0)
-        hs = [length / (n - 1) for n in levels]
-        errors = [stationary_line_error(n, length, **kw)["max_deviation"] for n in levels]
+        hs = [HALF_LENGTH / (n - 1) for n in levels]
+        errors = [stationary_line_error(n)["max_deviation"] for n in levels]
     elif case == "nls":
         hs = [2.0 * np.pi / n for n in levels]
-        errors = [helix_nls_residual(n, **kw) for n in levels]
+        errors = [helix_nls_residual(n) for n in levels]
     else:
         raise UnknownOracle(f"unknown convergence case {case!r}")
     return ConvergenceResult(case, list(levels), hs, errors, fit_order(hs, errors))
 
 
-def helix_nls_residual(n: int, a=0.6, c=0.8, k=2.0, t_final=0.5) -> float:
+def helix_nls_residual(n: int, t_final=0.5) -> float:
     """Gauge-corrected cubic-Schroedinger residual of a helix run."""
-    _, _, series = _helix_run(n, t_final, RK4_PROJECT, a, c, k)
+    _, _, series = _helix_run(n, t_final)
     return series_nls_residual(series)
 
 
-def extension_jump_study(
-    family, levels, ks=(1, 2, 3), length: float = 10.0
-) -> dict:
+def extension_jump_study(family, levels) -> dict:
     """Jump residuals of the reflection extension across resolutions.
 
-    Returns {k: ConvergenceResult}.  Compatible data shows order ~2;
-    incompatible data converges to the true jump (order ~0).
+    Returns {k: ConvergenceResult} for k = 1, 2, 3.  Compatible data shows
+    order ~2; incompatible data converges to the true jump (order ~0).
     """
     out = {}
-    hs = [length / (n - 1) for n in levels]
-    exts = [extend(family.sample(Grid.half_line(length, n))) for n in levels]
-    for k in ks:
+    hs = [HALF_LENGTH / (n - 1) for n in levels]
+    exts = [extend(family.sample(Grid.half_line(HALF_LENGTH, n))) for n in levels]
+    for k in (1, 2, 3):
         errors = [derivative_jump_residual(ext, k) for ext in exts]
         out[k] = ConvergenceResult(f"jump_k{k}", list(levels), hs, errors, fit_order(hs, errors))
     return out

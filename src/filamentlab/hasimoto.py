@@ -136,16 +136,12 @@ def _psi_ss(hf: HasimotoField) -> np.ndarray:
     return second_difference(padded) / (grid.h * grid.h)
 
 
-def nls_residual(
-    psis: list,
-    times: list,
-    rates: list | None = None,
-) -> float:
+def nls_residual(psis: list, times: list, rates: list) -> float:
     """Max residual of the cubic Schroedinger identity over the run.
 
     Time derivative by centered differences across consecutive snapshot
-    triples; needs at least three.  ``rates`` carries R(t) per snapshot
-    (zeros if omitted).  Edge nodes of non-periodic grids are excluded.
+    triples; needs at least three.  ``rates`` carries R(t) per snapshot.
+    The two edge nodes at each end of a non-periodic grid are excluded.
     """
     if len(psis) < 3:
         raise InsufficientSnapshots("need >= 3 snapshots for a centered psi_t")
@@ -153,20 +149,14 @@ def nls_residual(
     for p in psis:
         if p.grid != grid:
             raise GridMismatch("snapshots live on different grids")
-    if rates is None:
-        rates = [0.0] * len(psis)
     worst = 0.0
     any_masked = False
     for m in range(1, len(psis) - 1):
         mask = psis[m - 1].mask & psis[m].mask & psis[m + 1].mask
-        if grid.kind == "periodic":
-            # the psi_ss stencil must not read zeroed-out neighbors
-            mask = mask & np.roll(mask, 1) & np.roll(mask, -1)
-        else:
-            eroded = mask.copy()
-            eroded[1:] &= mask[:-1]
-            eroded[:-1] &= mask[1:]
-            mask = eroded
+        # the psi_ss stencil must not read zeroed-out neighbors; a roll wraps
+        # only into the end nodes, which a non-periodic grid drops anyway
+        mask = mask & np.roll(mask, 1) & np.roll(mask, -1)
+        if grid.kind != "periodic":
             mask[:2] = False
             mask[-2:] = False
         if not np.any(mask):

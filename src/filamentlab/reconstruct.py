@@ -37,12 +37,13 @@ def _cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def integrate_tangent(
-    v0: VectorField, origin=(0.0, 0.0, 0.0), time: float = 0.0
-) -> FilamentCurve:
-    """Antiderivative of the tangent field, anchored at the first node."""
-    pos = _cumtrapz(v0.values, v0.grid.h) + np.asarray(origin, dtype=float)
-    return FilamentCurve(v0.grid, pos, time)
+def integrate_tangent(v0: VectorField) -> FilamentCurve:
+    """Antiderivative of the tangent field at t = 0, anchored at the origin.
+
+    The ``+ 0.0`` turns a -0.0 partial sum into 0.0, so the written
+    positions keep the sign of zero they have always had.
+    """
+    return FilamentCurve(v0.grid, _cumtrapz(v0.values, v0.grid.h) + 0.0)
 
 
 def flow_velocity(v: VectorField) -> np.ndarray:

@@ -376,6 +376,23 @@ class TestSimulate:
         assert solver["steps"] > 0
         assert solver["rhs_calls"] == 4 * solver["steps"]
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("ring:r=0", "parameter r must be above 0"),
+            ("ring:r=-1", "parameter r must be above 0"),
+            ("ring:r=nan", "parameter r must be finite"),
+            ("helix:a=nan,c=0.8", "parameter a must be finite"),
+        ],
+    )
+    def test_bad_family_parameter_exit_one(self, tmp_path, capsys, spec, message):
+        # ring:r=0 once raised ZeroDivisionError out of main, and r=-1 ran
+        text = f"grid.kind = periodic\ngrid.L = 6.0\ngrid.n = 64\ndata.family = {spec}\n"
+        cfg, out = self._write_config(tmp_path, text), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"error: family '{spec.partition(':')[0]}' {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_family_on_grid_kind_it_does_not_declare_exit_one(self, tmp_path, capsys):
         # planar_odd has a jump at the wrap point of a periodic grid
         cfg = self._write_config(
@@ -430,6 +447,19 @@ class TestOtherCommands:
     def test_diagnose_half_line_family_exit_one(self, capsys):
         assert main(["diagnose", "--family", "planar_odd", "--n", "64"]) == EXIT_USAGE
         assert "planar_odd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--family", "planar_odd:a=inf"], "'planar_odd' parameter a must be finite"),
+            (["diagnose", "--family", "ring:r=0"], "'ring' parameter r must be above 0"),
+        ],
+    )
+    def test_bad_family_parameter_exit_one(self, capsys, argv, message):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"error: family {message}" in captured.err
+        assert captured.out == ""
 
     def test_diagnose_misspelt_family_parameter_exit_one(self, capsys):
         # kk was once dropped and the helix sampled with k = 2

@@ -101,6 +101,21 @@ class TestFamilies:
         with pytest.raises(UnknownFamily, match=f"no parameter {bad}; accepted: {accepted}$"):
             get_family(name, **params)
 
+    @pytest.mark.parametrize(
+        "name, params, bad",
+        [
+            ("ring", {"r": 0.0}, "r must be above 0"),
+            ("ring", {"r": -1.0}, "r must be above 0"),
+            ("ring", {"r": math.nan}, "r must be finite"),
+            ("helix", {"a": math.nan, "c": 0.8}, "a must be finite"),
+            ("planar_odd", {"a": math.inf}, "a must be finite"),
+        ],
+    )
+    def test_bad_parameter_value_rejected(self, name, params, bad):
+        # ring:r=0 once died in derivative on 1/r, and r=-1 ran
+        with pytest.raises(ValueError, match=f"^family '{name}' parameter {bad}, got"):
+            get_family(name, **params)
+
     def test_parse_family_spec(self):
         fam = parse_family_spec("planar_odd:a=0.25")
         assert fam.name == "planar_odd"

@@ -128,7 +128,6 @@ class TestConfig:
             ("t_final", math.nan),
             ("snapshot_every", 0),
             ("monitor_every", 0),
-            ("fp_max_iter", 0),
             *[
                 (tol, value)
                 for tol in ("tol_boundary", "fp_tol", "compat_tol", "farfield_tol")
@@ -167,10 +166,11 @@ class TestStep:
         with pytest.raises(StabilityViolated):
             step(_constant_e3(g), 1.0, SimConfig())
 
-    def test_midpoint_diverges_with_one_iteration(self):
+    def test_midpoint_diverges_with_one_iteration(self, monkeypatch):
+        monkeypatch.setattr(evolve, "FP_MAX_ITER", 1)
         g = Grid.periodic(2.0 * np.pi, 64)
         fam = HelixFamily()
-        cfg = SimConfig(scheme="midpoint_fixedpoint", fp_tol=1e-16, fp_max_iter=1)
+        cfg = SimConfig(scheme="midpoint_fixedpoint", fp_tol=1e-16)
         with pytest.raises(FixedPointDiverged):
             step(fam.sample(g), 1e-4, cfg)
 
@@ -246,7 +246,7 @@ def test_solver_counts_are_the_rhs_calls_made_in_steps(acceptance_u0, monkeypatc
         assert solver["rhs_calls"] / solver["steps"] <= 5.0  # 5.75 from the Euler start
         # only the first two steps, with no history yet, started from rhs(u)
         assert solver["rhs_calls"] == solver["fp_iters_total"] + 2
-        assert 1 <= solver["fp_iters_max"] <= cfg.fp_max_iter
+        assert 1 <= solver["fp_iters_max"] <= evolve.FP_MAX_ITER
 
 
 def test_extrapolated_start_keeps_the_solve(acceptance_u0):

@@ -115,9 +115,9 @@ def test_deriv_edges_second_order():
 
 
 def test_fd_weights_central_stencil():
-    w = fd_weights(np.array([-1.0, 0.0, 1.0]), 0.0, 2)
+    w = fd_weights(np.array([-1.0, 0.0, 1.0]), 2)
     assert np.allclose(w, [1.0, -2.0, 1.0])
-    w = fd_weights(np.array([-1.0, 0.0, 1.0]), 0.0, 1)
+    w = fd_weights(np.array([-1.0, 0.0, 1.0]), 1)
     assert np.allclose(w, [-0.5, 0.0, 0.5])
 
 

@@ -71,7 +71,7 @@ class TestConvergence:
             convergence_study("soliton", [32, 64, 128])
 
     def test_helix_second_order_small(self):
-        result = convergence_study("helix", [32, 48, 64], t_final=0.1)
+        result = convergence_study("helix", [32, 48, 64])
         assert 1.7 <= result.order <= 2.6
         assert result.errors[0] > result.errors[-1]
 

@@ -9,6 +9,7 @@ from filamentlab.evolve import SimConfig, solve_whole_line
 from filamentlab.geometry import Grid
 from filamentlab.hasimoto import (
     FrenetData,
+    HasimotoField,
     frenet,
     gauge_rate,
     hasimoto_psi,
@@ -125,7 +126,7 @@ class TestNlsResidual:
         g = Grid.periodic(2.0 * np.pi, 64)
         hf = hasimoto_psi(frenet(fam.sample(g)))
         with pytest.raises(InsufficientSnapshots):
-            nls_residual([hf, hf], [0.0, 0.1])
+            nls_residual([hf, hf], [0.0, 0.1], [0.0, 0.0])
 
     def test_global_phase_invariance(self):
         # multiplying every snapshot by the same unit phase changes nothing
@@ -153,13 +154,34 @@ class TestNlsResidual:
         assert vals[0] < 0.1
         assert vals[1] < 0.35 * vals[0]
 
+    def test_half_line_skips_end_nodes_and_masked_neighbours(self):
+        # psi_t at a node reads only that node of the last snapshot, so a
+        # large value planted there shows exactly where the residual looks
+        g = Grid.half_line(1.0, 32)
+        times = [0.0, 0.01, 0.02]
+        mask = np.ones(32, dtype=bool)
+        mask[15] = False
+
+        def residual(planted):
+            psis = []
+            for t in times:
+                psi = np.exp(1j * (g.nodes() - t))
+                if t == times[-1]:
+                    psi[planted] = 1e6
+                psis.append(HasimotoField(g, psi, mask))
+            return nls_residual(psis, times, [0.0] * len(times))
+
+        base = residual([])
+        assert residual([0, 1, 14, 16, 30, 31]) == base
+        assert residual([2]) > 1e6  # node 2 is read
+
     def test_gauge_term_is_essential(self):
         # dropping the rates leaves an O(1) remainder on the helix
         fam = HelixFamily()
         g = Grid.periodic(2.0 * np.pi, 128)
         series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.05))
         psis = [hasimoto_psi(frenet(s)) for s in series.snapshots]
-        without = nls_residual(psis, series.times, None)
+        without = nls_residual(psis, series.times, [0.0] * len(psis))
         assert without > 1.0
 
     def test_straight_run_residual_zero(self, caplog):

@@ -9,10 +9,10 @@ tests check that over random finite fields, not only over the builtin
 families (which are T-fixed after extension).  The half-line stepper
 relies on more: its ghost-closed ``rhs`` is the whole-line ``rhs`` of the
 extension, restricted, and a wrong ghost must show in the telemetry.
-Two round trips must be exact too: a field CSV written and read back, and
-the restriction of an extension.  The fast paths must not move a bit: the
-snapshot writer against a naive per-row repr, and the norm kernels against
-numpy's sum.
+Three round trips must be exact too: a field CSV written and read back, a
+SimConfig written as a config file and read back, and the restriction of
+an extension.  The fast paths must not move a bit: the snapshot writer
+against a naive per-row repr, and the norm kernels against numpy's sum.
 """
 
 import os
@@ -26,6 +26,9 @@ from hypothesis.extra.numpy import arrays
 
 from filamentlab import evolve, reflect
 from filamentlab.cli import (
+    _SIM_KEYS,
+    _build_cfg,
+    parse_config,
     read_field_csv,
     write_field_csv,
     write_snapshots_csv,
@@ -34,7 +37,7 @@ from filamentlab.cli import (
 from filamentlab.compat import get_family
 from filamentlab.errors import DegenerateVector
 from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, rhs, step
-from filamentlab.geometry import Grid, VectorField, cross, deriv, normalize_field
+from filamentlab.geometry import MIN_NORM, Grid, VectorField, cross, deriv, normalize_field
 from filamentlab.harness import invariant_suite
 from filamentlab.reconstruct import FilamentCurve
 from filamentlab.reflect import apply_T, extend, restrict
@@ -187,6 +190,52 @@ def test_field_csv_round_trip_is_bitwise(u):
     assert back.values.tobytes() == u.values.tobytes()  # the sign of zero included
 
 
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_every = st.none() | st.integers(1, 10**9)
+
+
+@st.composite
+def strict_spellings(draw, strict):
+    """An accepted spelling of ``check.strict = strict``, in any case."""
+    words = ["1", "true", "yes", "on"] if strict else ["0", "false", "no", "off"]
+    word = draw(st.sampled_from(words))
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(ch.upper() if up else ch for ch, up in zip(word, upper))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.builds(
+        SimConfig,
+        t_final=_positive,
+        dt=st.none() | _positive,
+        scheme=st.sampled_from([RK4_PROJECT, MIDPOINT_FIXEDPOINT]),
+        snapshot_every=_every,
+        monitor_every=_every,
+        tol_boundary=_positive,
+        fp_tol=_positive,
+        check_order=st.integers(0, 2),
+        compat_tol=_positive,
+        farfield_tol=_positive,
+        strict=st.booleans(),
+    ),
+    st.data(),
+)
+def test_config_round_trip(cfg, data):
+    # every key a set field maps to, floats by repr; an unset field is an absent key
+    lines = []
+    for key, (field, _) in _SIM_KEYS.items():
+        value = getattr(cfg, field)
+        if key == "check.strict":
+            lines.append(f"{key} = {data.draw(strict_spellings(value))}")
+        elif value is not None:
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        Path(path).write_text("\n".join(lines) + "\n")
+        assert _build_cfg(parse_config(path)) == cfg
+
+
 @PROPERTY_SETTINGS
 @given(st.integers(8, 40), st.sampled_from([1.0, 5.0, 20.0]), st.data())
 def test_restrict_of_extend_is_identity(n, length, data):
@@ -293,16 +342,17 @@ def test_norms_are_numpy_sum_bitwise(n, data):
 @given(st.integers(8, 40), st.data())
 def test_normalize_raises_exactly_below_min_norm(n, data):
     v = data.draw(arrays(np.float64, (n, 3), elements=st.floats(-2.0, 2.0)))
+    # rows of norm MIN_NORM or one ulp off it probe the boundary itself
+    edge = [MIN_NORM, np.nextafter(MIN_NORM, 0.0), np.nextafter(MIN_NORM, 1.0)]
+    row = st.tuples(st.integers(0, n - 1), st.integers(0, 2), st.sampled_from(edge))
+    for i, axis, radius in data.draw(st.lists(row, max_size=3)):
+        v[i] = 0.0
+        v[i, axis] = data.draw(st.sampled_from([radius, -radius]))
     norms = np.sqrt(np.sum(v * v, axis=1))
-    # a threshold equal to some norm probes the boundary itself
-    thresholds = st.floats(1e-3, 2.0)
-    if np.any(norms >= 1e-3):
-        thresholds |= st.sampled_from(norms[norms >= 1e-3].tolist())
-    min_norm = data.draw(thresholds)
     try:
-        out = normalize_field(VectorField(Grid.half_line(1.0, n), v), min_norm)
+        out = normalize_field(VectorField(Grid.half_line(1.0, n), v))
     except DegenerateVector:
-        assert np.any(norms < min_norm)
+        assert np.any(norms < MIN_NORM)
     else:
-        assert not np.any(norms < min_norm)
+        assert not np.any(norms < MIN_NORM)
         assert out.values.tobytes() == (v / norms[:, None]).tobytes()

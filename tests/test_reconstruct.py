@@ -27,17 +27,10 @@ def test_integrate_tangent_straight_line():
     assert endpoint_height(curve) == 0.0
 
 
-def test_integrate_tangent_origin_offset():
-    g = Grid.half_line(1.0, 11)
-    v0 = VectorField(g, np.tile(E3, (11, 1)))
-    curve = integrate_tangent(v0, origin=(1.0, 2.0, 0.0))
-    assert np.allclose(curve.positions[0], [1.0, 2.0, 0.0])
-
-
 def test_integrate_tangent_circle():
     fam = RingFamily(1.0)
     g = Grid.periodic(fam.period(), 256)
-    curve = integrate_tangent(fam.sample(g), origin=(0.0, 0.0, 0.0))
+    curve = integrate_tangent(fam.sample(g))
     s = g.nodes()
     # antiderivative of (-sin s, cos s, 0) from 0 is (cos s - 1, sin s, 0)
     expect = np.stack([np.cos(s) - 1.0, np.sin(s), 0.0 * s], axis=1)
