@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
@@ -50,6 +50,10 @@ class TangentFamily:
     kinds = ("half", "whole", "periodic")
 
     def __init__(self, name: str, params: dict):
+        """Checks the rule all families share; subclasses call it before their own."""
+        for key, value in params.items():
+            if not math.isfinite(value):
+                raise ValueError(f"family {name!r} parameter {key} must be finite, got {value!r}")
         self.name = name
         self.params = dict(params)
 
@@ -131,9 +135,9 @@ class HelixFamily(TangentFamily):
     kinds = ("periodic", "whole")
 
     def __init__(self, a=0.6, c=0.8, k=2.0):
+        super().__init__("helix", {"a": a, "c": c, "k": k})
         if abs(a * a + c * c - 1.0) > 1e-12:
             raise ValueError("helix needs a^2 + c^2 = 1")
-        super().__init__("helix", {"a": a, "c": c, "k": k})
 
     def exact(self, s, t):
         """Solution of v_t = v x v_ss at time t: the wave rotates at w = c k^2."""
@@ -164,9 +168,9 @@ class RingFamily(TangentFamily):
     kinds = ("periodic",)
 
     def __init__(self, r=1.0):
+        super().__init__("ring", {"r": r})
         if not r > 0.0:
             raise ValueError(f"family 'ring' parameter r must be above 0, got {r!r}")
-        super().__init__("ring", {"r": r})
 
     def period(self) -> float:
         return 2.0 * np.pi * self.params["r"]
@@ -208,9 +212,6 @@ def get_family(name: str, **params) -> TangentFamily:
             f"family {name!r} has no parameter {', '.join(unknown)}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
-    for key, value in params.items():
-        if not math.isfinite(value):
-            raise ValueError(f"family {name!r} parameter {key} must be finite, got {value!r}")
     return maker(**params)
 
 
@@ -248,29 +249,24 @@ class CompatibilityReport:
     d_residuals: dict = dc_field(default_factory=dict)
     d_pass: dict = dc_field(default_factory=dict)
     norm_residual: float = 0.0
-    refined: bool = False
     a_residuals_coarse: list = dc_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
         return all(self.a_pass)
 
+    @property
+    def refined(self) -> bool:
+        return bool(self.a_residuals_coarse)
+
     def failed_orders(self) -> list:
         return [k for k, ok in enumerate(self.a_pass) if not ok]
 
     def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "tol": self.tol,
-            "norm_residual": self.norm_residual,
-            "refined": self.refined,
-            "a_residuals": list(self.a_residuals),
-            "a_pass": list(self.a_pass),
-            "a_residuals_coarse": list(self.a_residuals_coarse),
-            "d_residuals": {f"{j},{l}": r for (j, l), r in self.d_residuals.items()},
-            "d_pass": {f"{j},{l}": ok for (j, l), ok in self.d_pass.items()},
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        for name in ("d_residuals", "d_pass"):
+            out[name] = {f"{j},{l}": value for (j, l), value in out[name].items()}
+        return {**out, "refined": self.refined, "passed": self.passed}
 
 
 def _residuals(v0: VectorField, n: int) -> tuple:
@@ -327,6 +323,5 @@ def check_compat(
         d_residuals=d,
         d_pass={pair: _passes(r, tol, d_coarse.get(pair)) for pair, r in d.items()},
         norm_residual=norm_residual,
-        refined=resampler is not None,
         a_residuals_coarse=a_coarse,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -131,7 +131,6 @@ def oracle_error(name: str, **kw) -> dict:
 
 @dataclass
 class ConvergenceResult:
-    case: str
     levels: list
     hs: list
     errors: list
@@ -160,7 +159,7 @@ def convergence_study(case: str, levels) -> ConvergenceResult:
         errors = [helix_nls_residual(n) for n in levels]
     else:
         raise UnknownOracle(f"unknown convergence case {case!r}")
-    return ConvergenceResult(case, list(levels), hs, errors, fit_order(hs, errors))
+    return ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))
 
 
 def helix_nls_residual(n: int, t_final=0.5) -> float:
@@ -180,7 +179,7 @@ def extension_jump_study(family, levels) -> dict:
     exts = [extend(family.sample(Grid.half_line(HALF_LENGTH, n))) for n in levels]
     for k in (1, 2, 3):
         errors = [derivative_jump_residual(ext, k) for ext in exts]
-        out[k] = ConvergenceResult(f"jump_k{k}", list(levels), hs, errors, fit_order(hs, errors))
+        out[k] = ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))
     return out
 
 
@@ -220,17 +219,9 @@ class RunSummary:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "maxima": self.maxima,
-            "tolerances": self.tolerances,
-            "verdicts": self.verdicts,
-            "compat": self.compat,
-            "root_cause": self.root_cause,
-            "energy_drift": self.energy_drift,
-            "solver": self.solver,
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        del out["wall_seconds"]
+        return {**out, "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -23,7 +23,6 @@ class FilamentCurve:
 
     grid: Grid
     positions: np.ndarray  # (n, 3)
-    time: float = 0.0
 
     def __post_init__(self):
         if self.positions.shape != (self.grid.n, 3):
@@ -52,17 +51,17 @@ def flow_velocity(v: VectorField) -> np.ndarray:
 
 
 def reconstruct_positions(x0: FilamentCurve, series: TimeSeries) -> list:
-    """FilamentCurve at every recorded time, by trapezoid in t."""
+    """The curve at each recorded time ``series.times[m]``, by trapezoid in t."""
     if series.grid != x0.grid:
         raise GridMismatch("curve and series grids differ")
-    curves = [FilamentCurve(x0.grid, np.array(x0.positions, copy=True), series.times[0])]
+    curves = [FilamentCurve(x0.grid, np.array(x0.positions, copy=True))]
     accum = np.zeros_like(x0.positions)
     w_prev = flow_velocity(series.snapshots[0])
     for m in range(1, len(series.times)):
         w = flow_velocity(series.snapshots[m])
         dt = series.times[m] - series.times[m - 1]
         accum = accum + 0.5 * dt * (w_prev + w)
-        curves.append(FilamentCurve(x0.grid, x0.positions + accum, series.times[m]))
+        curves.append(FilamentCurve(x0.grid, x0.positions + accum))
         w_prev = w
     return curves
 
@@ -70,15 +69,6 @@ def reconstruct_positions(x0: FilamentCurve, series: TimeSeries) -> list:
 def endpoint_height(curve: FilamentCurve) -> float:
     """Wall-normal coordinate of the first node; stays ~0 on valid runs."""
     return float(curve.positions[0, 2])
-
-
-def tangent_consistency_residual(curve: FilamentCurve, v: VectorField) -> float:
-    """max-norm of d(positions)/ds - v; discretization-level on valid data."""
-    if curve.grid != v.grid:
-        raise GridMismatch("curve and field grids differ")
-    xs = deriv(curve.positions, curve.grid, 1)
-    diff = xs - v.values
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
 
 
 def arclength_deviation(curve: FilamentCurve) -> float:

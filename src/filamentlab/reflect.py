@@ -68,12 +68,9 @@ def derivative_jump_residual(ext: VectorField, k: int) -> float:
     the truncation error exactly for odd/even-symmetric extensions and
     report roundoff instead of the O(h^2) signal a smooth extension
     should show; the length asymmetry keeps the signal alive while a
-    genuine jump still dominates at O(1).
+    genuine jump still dominates at O(1).  At k = 0 both sides are the
+    node value at s = 0, so the residual is 0.
     """
-    if k == 0:
-        right = one_sided_deriv_at_zero(ext, 0, "+")
-        left = one_sided_deriv_at_zero(ext, 0, "-")
-    else:
-        right = one_sided_deriv_at_zero(ext, k, "+", points=k + 2)
-        left = one_sided_deriv_at_zero(ext, k, "-", points=k + 4)
+    right = one_sided_deriv_at_zero(ext, k, "+", points=k + 2)
+    left = one_sided_deriv_at_zero(ext, k, "-", points=k + 4)
     return float(np.linalg.norm(right - left))

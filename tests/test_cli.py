@@ -470,6 +470,61 @@ class TestOtherCommands:
         assert captured.out == ""
 
 
+HELIX = "helix:a=0.6,c=0.8,k=2.0"
+
+#: Every exit-1 input of the README's list: a simulate config text, or a
+#: command line in which {nonuniform} and {shifted} name CSV files.
+EXIT_ONE_INPUTS = {
+    "unknown-key": SIM_CONFIG + "time.tfinal = 0.01\n",
+    "dt-nan": SIM_CONFIG + "time.dt = nan\n",
+    "dt-zero": SIM_CONFIG + "time.dt = 0\n",
+    "t_final-inf": SIM_CONFIG + "time.t_final = inf\n",
+    "snapshot_every-zero": SIM_CONFIG + "output.snapshot_every = 0\n",
+    "monitor_every-zero": SIM_CONFIG + "output.monitor_every = 0\n",
+    "family-off-its-grid-kind": PERIODIC_CONFIG.replace(HELIX, "planar_odd:a=0.5"),
+    "diagnose-half-line-family": ["diagnose", "--family", "planar_odd", "--n", "64"],
+    "csv-not-uniform": ["check", "--input", "{nonuniform}"],
+    "csv-not-at-zero": ["check", "--input", "{shifted}"],
+    "strict-misspelt": SIM_CONFIG + "check.strict = treu\n",
+    "check-order-negative": ["check", "--family", "planar_odd:a=0.5", "--order", "-1"],
+    "config-order-negative-half": SIM_CONFIG.replace("check.order = 1", "check.order = -1"),
+    # a periodic run checks no compatibility, so order -1 once ran and exited 0
+    "config-order-negative-periodic": PERIODIC_CONFIG + "check.order = -1\n",
+    "check-tol-inf": ["check", "--family", "planar_bad:a=0.5", "--tol", "inf"],
+    "check-tol-nan": ["check", "--family", "planar_bad:a=0.5", "--tol", "nan"],
+    "config-tol-nan": SIM_CONFIG + "tolerances.compat = nan\n",
+    "grid-n-unparsable": SIM_CONFIG.replace("grid.n = 129", "grid.n = 12x"),
+    "family-param-unknown": ["check", "--family", "planar_odd:A=5"],
+    "family-param-unknown-helix": ["diagnose", "--family", "helix:kk=7", "--n", "64"],
+    "family-param-nan": PERIODIC_CONFIG.replace(HELIX, "helix:a=nan"),
+    "family-param-inf": ["check", "--family", "planar_odd:a=inf"],
+    "ring-r-zero": PERIODIC_CONFIG.replace(HELIX, "ring:r=0"),
+    "ring-r-negative": ["diagnose", "--family", "ring:r=-1"],
+    "oracle-n-zero": ["oracle", "stationary_line", "--n", "0"],
+    "oracle-t_final-zero": ["oracle", "stationary_line", "--t-final", "0"],
+    "convergence-repeated-levels": ["convergence", "helix", "--levels", "32,32,32"],
+}
+
+
+@pytest.mark.parametrize("given", EXIT_ONE_INPUTS.values(), ids=EXIT_ONE_INPUTS.keys())
+def test_every_documented_exit_one_input(tmp_path, capsys, given):
+    files = {
+        "nonuniform": "s,v1,v2,v3\n0.0,0,0,1\n1.0,0,0,1\n3.0,0,0,1\n",
+        "shifted": "s,v1,v2,v3\n5.0,0,0,1\n6.0,0,0,1\n7.0,0,0,1\n",
+        "config": given if isinstance(given, str) else "",
+    }
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    if isinstance(given, str):
+        argv = ["simulate", str(paths["config"]), "--out", str(tmp_path / "out")]
+    else:
+        argv = [arg.format(**paths) for arg in given]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_config(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("a = 1 # trailing\n\n# full comment\nb.c = two words\n")

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import filamentlab
-from filamentlab.compat import HelixFamily, check_compat, get_family, parse_family_spec
+from filamentlab.compat import (
+    HelixFamily,
+    RingFamily,
+    check_compat,
+    get_family,
+    parse_family_spec,
+)
 from filamentlab.errors import GridMismatch, NotUnitField, OrderTooHigh, UnknownFamily
 from filamentlab.geometry import Grid, VectorField
 from filamentlab.reflect import extend, restrict
@@ -115,6 +121,20 @@ class TestFamilies:
         # ring:r=0 once died in derivative on 1/r, and r=-1 ran
         with pytest.raises(ValueError, match=f"^family '{name}' parameter {bad}, got"):
             get_family(name, **params)
+
+    @pytest.mark.parametrize(
+        "make, name, key",
+        [
+            (lambda: HelixFamily(a=math.nan), "helix", "a"),
+            (lambda: HelixFamily(k=math.inf), "helix", "k"),
+            (lambda: RingFamily(r=math.inf), "ring", "r"),
+        ],
+        ids=["helix-a-nan", "helix-k-inf", "ring-r-inf"],
+    )
+    def test_direct_construction_obeys_the_parameter_rule(self, make, name, key):
+        # the finiteness rule once lived in get_family only
+        with pytest.raises(ValueError, match=f"^family '{name}' parameter {key} must be finite"):
+            make()
 
     def test_parse_family_spec(self):
         fam = parse_family_spec("planar_odd:a=0.25")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from filamentlab.cli import EXIT_OK, main
 from filamentlab.compat import HelixFamily, get_family
 from filamentlab.errors import (
     CompatibilityRejected,
@@ -28,7 +29,6 @@ from filamentlab.evolve import (
     rhs,
     solve_half_space,
     solve_whole_line,
-    stability_cap,
     step,
 )
 from filamentlab.geometry import E3, Grid, VectorField, normalize_field
@@ -93,7 +93,11 @@ class TestConfig:
         cfg = SimConfig(dt=0.5)
         with pytest.raises(StabilityViolated):
             cfg.resolve_dt(0.1)
-        assert stability_cap(0.1) == pytest.approx(0.65 * 0.01)
+        cap = STABILITY_FACTOR[RK4_PROJECT] * 0.1 * 0.1
+        assert cap == pytest.approx(0.65 * 0.01)
+        assert SimConfig(dt=cap).resolve_dt(0.1) == cap
+        with pytest.raises(StabilityViolated):
+            SimConfig(dt=math.nextafter(cap, 1.0)).resolve_dt(0.1)
 
     def test_sampling_resolves_as_simulated_time(self):
         # unset: every 5 h^2 of simulated time; set: a count of steps
@@ -128,6 +132,7 @@ class TestConfig:
             ("t_final", math.nan),
             ("snapshot_every", 0),
             ("monitor_every", 0),
+            ("check_order", -1),
             *[
                 (tol, value)
                 for tol in ("tol_boundary", "fp_tol", "compat_tol", "farfield_tol")
@@ -161,10 +166,20 @@ class TestStep:
         step(u, 1e-4, SimConfig())
         assert len(built) == 4
 
-    def test_step_rejects_big_dt(self):
-        g = Grid.periodic(2.0 * np.pi, 64)
-        with pytest.raises(StabilityViolated):
-            step(_constant_e3(g), 1.0, SimConfig())
+    def test_run_at_the_cap_is_not_rechecked_per_step(self, tmp_path, capsys):
+        # resolve_dt is the one guard: a run at dt = cap whose last step comes
+        # out 5e-13 above dt by rounding once exited 3 on a per-step check
+        h = 20.0 / 64
+        dt = STABILITY_FACTOR[RK4_PROJECT] * h * h
+        assert dt == 0.0634765625
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "grid.kind = half\ngrid.L = 20.0\ngrid.n = 65\n"
+            "data.family = planar_odd:a=0.5\n"
+            f"time.dt = {dt!r}\ntime.t_final = {(10 + 5e-13) * dt!r}\n"
+        )
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert "numerical failure" not in capsys.readouterr().err
 
     def test_midpoint_diverges_with_one_iteration(self, monkeypatch):
         monkeypatch.setattr(evolve, "FP_MAX_ITER", 1)

@@ -14,7 +14,6 @@ from filamentlab.reconstruct import (
     flow_velocity,
     integrate_tangent,
     reconstruct_positions,
-    tangent_consistency_residual,
 )
 
 
@@ -65,14 +64,6 @@ def test_ring_curve_translates_along_axis():
     curves = reconstruct_positions(integrate_tangent(v0), series)
     disp = np.mean(curves[-1].positions - curves[0].positions, axis=0)
     assert np.allclose(disp, [0.0, 0.0, 0.2], atol=5e-3)
-
-
-def test_tangent_consistency_at_initial_time():
-    fam = get_family("planar_odd", a=0.5)
-    g = Grid.half_line(20.0, 257)
-    v0 = fam.sample(g)
-    curve = integrate_tangent(v0)
-    assert tangent_consistency_residual(curve, v0) < 5.0 * g.h**2
 
 
 def test_arclength_deviation_second_order():
