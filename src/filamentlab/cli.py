@@ -24,6 +24,7 @@ from .errors import (
     FilamentError,
     FixedPointDiverged,
     StabilityViolated,
+    UnknownFamily,
 )
 from .evolve import SimConfig, solve_half_space, solve_whole_line
 from .geometry import Grid, VectorField
@@ -150,12 +151,10 @@ def parse_config(path: str) -> dict:
 
 def _input_field(args):
     """(half-line field, resampler_or_None) from --family or --input."""
-    if getattr(args, "family", None):
+    if args.family is not None:
         fam = parse_family_spec(args.family)
         return fam.sample(Grid.half_line(args.length, args.n)), fam.sample
-    if getattr(args, "input", None):
-        return read_field_csv(args.input), None
-    raise ValueError("provide --family or --input")
+    return read_field_csv(args.input), None
 
 
 def cmd_check(args) -> int:
@@ -246,7 +245,12 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"grid.kind must be half or periodic, got {kind!r}")
     length = _read_key(conf, "grid.L", float, 20.0)
     n = _read_key(conf, "grid.n", int, 512)
-    fam = parse_family_spec(conf["data.family"])
+    if "data.family" not in conf:
+        raise ValueError("config key data.family is missing; it names the initial data")
+    try:
+        fam = parse_family_spec(conf["data.family"])
+    except UnknownFamily as exc:
+        raise UnknownFamily(f"config key data.family: {exc}") from None
     v0 = fam.sample(Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n))
 
     if kind == "half":
@@ -325,16 +329,24 @@ def cmd_diagnose(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 through ``main``, not 2, the compatibility-rejection code."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="filamentlab",
         description="Half-space vortex filament laboratory",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_data_args(sp):
-        sp.add_argument("--family", help="builtin family, e.g. planar_odd:a=0.5")
-        sp.add_argument("--input", help="sampled-data CSV (s,v1,v2,v3)")
+        data = sp.add_mutually_exclusive_group(required=True)
+        data.add_argument("--family", help="builtin family, e.g. planar_odd:a=0.5")
+        data.add_argument("--input", help="sampled-data CSV (s,v1,v2,v3)")
         sp.add_argument("--length", "-L", type=float, default=20.0)
         sp.add_argument("--n", type=int, default=512)
 
@@ -379,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CompatibilityRejected, FarFieldViolation) as exc:
         print(f"rejected: {exc}", file=sys.stderr)

@@ -217,15 +217,18 @@ def get_family(name: str, **params) -> TangentFamily:
 
 def parse_family_spec(spec: str) -> TangentFamily:
     """Parse "name" or "name:key=val,key=val" into a family."""
-    name, _, rest = spec.partition(":")
+    name, _, rest = (part.strip() for part in spec.partition(":"))
     params = {}
     if rest:
         for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise UnknownFamily(f"bad family parameter {item!r} in {spec!r}")
-            params[key.strip()] = float(val)
-    return get_family(name.strip(), **params)
+            key, _, val = (part.strip() for part in item.partition("="))
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise UnknownFamily(
+                    f"family {name!r} parameter {key} must be a number, got {val!r}"
+                ) from None
+    return get_family(name, **params)
 
 
 # ---------------------------------------------------------------------------

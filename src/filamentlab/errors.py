@@ -30,7 +30,7 @@ class GridMismatch(FilamentError):
 
 
 class UnknownFamily(FilamentError):
-    """Unrecognized builtin initial-data family name."""
+    """A family spec that names no builtin family, or a parameter it cannot take."""
 
 
 class UnknownOracle(FilamentError):

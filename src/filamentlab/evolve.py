@@ -58,6 +58,7 @@ from .geometry import (
     cross,
     deriv,  # noqa: F401 -- unused here; perfbench/layers.py wraps evolve.deriv
     normalize_field,
+    row_norms,
     second_difference,
 )
 from .reflect import _NEGBAR, extend, restrict, symmetry_residual
@@ -122,7 +123,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if self.check_order < 0:
             raise ValueError(f"check_order must be at least 0, got {self.check_order!r}")
-        if self.scheme not in (RK4_PROJECT, MIDPOINT_FIXEDPOINT):
+        if self.scheme not in STABILITY_FACTOR:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def resolve_dt(self, h: float) -> float:
@@ -193,49 +194,37 @@ def rhs(u: VectorField) -> np.ndarray:
     return out
 
 
-def _step_rk4(u: VectorField, dt: float) -> VectorField:
-    grid, v = u.grid, u.values
-    k1 = rhs(u)
-    k2 = rhs(VectorField(grid, v + (0.5 * dt) * k1))
-    k3 = rhs(VectorField(grid, v + (0.5 * dt) * k2))
-    k4 = rhs(VectorField(grid, v + dt * k3))
-    incr = (k1 + k4) + 2.0 * (k2 + k3)
-    return VectorField(grid, v + (dt / 6.0) * incr)
-
-
 @dataclass
-class MidpointHistory:
-    """What the midpoint steps of one solve carry from step to step.
+class StepLog:
+    """What the steps of one solve carry from step to step, and the work they did.
 
-    ``slopes`` holds the converged slopes f(m) of the last two steps, oldest
-    first; ``rhs_calls`` and ``iters`` (one entry per step) count the work.
+    ``slopes``: the converged midpoint slopes f(m) of the last two steps, oldest
+    first; a fresh log has none.  ``rhs_calls`` counts either scheme's ``rhs``
+    calls, ``iters`` the fixed-point iterations of each midpoint step.
     """
 
     slopes: list = dc_field(default_factory=list)
     rhs_calls: int = 0
     iters: list = dc_field(default_factory=list)
 
-    def counts(self) -> dict:
-        return {
-            "steps": len(self.iters),
-            "rhs_calls": self.rhs_calls,
-            "fp_iters_max": max(self.iters, default=0),
-            "fp_iters_total": sum(self.iters),
-        }
+
+def _step_rk4(u: VectorField, dt: float, log: StepLog) -> VectorField:
+    grid, v = u.grid, u.values
+    k1 = rhs(u)
+    k2 = rhs(VectorField(grid, v + (0.5 * dt) * k1))
+    k3 = rhs(VectorField(grid, v + (0.5 * dt) * k2))
+    k4 = rhs(VectorField(grid, v + dt * k3))
+    log.rhs_calls += 4
+    incr = (k1 + k4) + 2.0 * (k2 + k3)
+    return VectorField(grid, v + (dt / 6.0) * incr)
 
 
-def _step_midpoint(
-    u: VectorField, dt: float, tol: float, history: MidpointHistory | None = None
-) -> VectorField:
+def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> VectorField:
     grid, v = u.grid, u.values
     half = 0.5 * dt
-    extrapolate = (
-        history is not None
-        and len(history.slopes) == 2
-        and dt <= SLOPE_START_FACTOR * grid.h * grid.h
-    )
+    extrapolate = len(log.slopes) == 2 and dt <= SLOPE_START_FACTOR * grid.h * grid.h
     if extrapolate:
-        f = 2.0 * history.slopes[1] - history.slopes[0]
+        f = 2.0 * log.slopes[1] - log.slopes[0]
     else:
         f = rhs(u)
     m = v + half * f
@@ -245,27 +234,20 @@ def _step_midpoint(
         inc = 2.0 * float(np.max(np.abs(cand - m)))  # bounds the change of v + dt f
         m = cand
         if inc <= tol:
-            if history is not None:
-                history.slopes = [*history.slopes[-1:], f]
-                history.rhs_calls += it if extrapolate else it + 1
-                history.iters.append(it)
+            log.slopes = [*log.slopes[-1:], f]
+            log.rhs_calls += it if extrapolate else it + 1
+            log.iters.append(it)
             return VectorField(grid, v + dt * f)
     raise FixedPointDiverged(
         f"midpoint iteration stalled above tol={tol:g} after {FP_MAX_ITER} iters"
     )
 
 
-def step(
-    u: VectorField, dt: float, cfg: SimConfig, history: MidpointHistory | None = None
-) -> VectorField:
-    """One time step under the configured scheme (no projection here).
-
-    A midpoint step given the ``history`` of the steps before it starts from
-    their extrapolated slope where that is allowed, and records its own.
-    """
+def step(u: VectorField, dt: float, cfg: SimConfig, log: StepLog) -> VectorField:
+    """One time step under the configured scheme (no projection here), logged in ``log``."""
     if cfg.scheme == RK4_PROJECT:
-        return _step_rk4(u, dt)
-    return _step_midpoint(u, dt, cfg.fp_tol, history)
+        return _step_rk4(u, dt, log)
+    return _step_midpoint(u, dt, cfg.fp_tol, log)
 
 
 def bending_energy(u: VectorField) -> float:
@@ -299,8 +281,7 @@ def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
         row["symmetry"] = symmetry_residual(w)
         if half:
             gap = rhs(u) - restrict(VectorField(w.grid, rhs(w))).values
-            gap_norm = float(np.max(np.sqrt(np.sum(gap * gap, axis=1))))
-            row["symmetry"] = max(row["symmetry"], gap_norm)
+            row["symmetry"] = max(row["symmetry"], float(np.max(row_norms(gap))))
         row["boundary"] = float(np.linalg.norm(w.values[w.grid.center] - E3))
     return row
 
@@ -323,13 +304,13 @@ def solve_whole_line(
     snapshot_every, monitor_every = cfg.resolve_every(grid.h)
     nsteps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
     series = TimeSeries(grid=grid, cfg=cfg)
-    history = MidpointHistory() if cfg.scheme == MIDPOINT_FIXEDPOINT else None
+    log = StepLog()
     u = u0
     series.record(0.0, u)
     series.telemetry.append(_telemetry_row(0, 0.0, u))
     for k in range(1, nsteps + 1):
         dt_k = dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt
-        u = step(u, dt_k, cfg, history)
+        u = step(u, dt_k, cfg, log)
         if cfg.scheme == RK4_PROJECT:
             u = normalize_field(u)
         t = k * dt if k < nsteps else cfg.t_final
@@ -339,19 +320,16 @@ def solve_whole_line(
             series.record(t, u)
         if progress is not None:
             progress(k, nsteps)
-    # an RK4 step always takes four rhs calls, so RK4 counts nothing per step
-    if history is None:
-        series.solver = {"steps": nsteps, "rhs_calls": 4 * nsteps}
-    else:
-        series.solver = history.counts()
+    series.solver = {"steps": nsteps, "rhs_calls": log.rhs_calls}
+    if log.iters:
+        series.solver.update(fp_iters_max=max(log.iters), fp_iters_total=sum(log.iters))
     return series
 
 
 def farfield_deviation(v0: VectorField) -> float:
     """Mean |v0 - e3| over the outer tenth of the grid."""
     m = max(2, int(0.1 * v0.grid.n))
-    tail = v0.values[-m:] - E3
-    return float(np.mean(np.sqrt(np.sum(tail * tail, axis=1))))
+    return float(np.mean(row_norms(v0.values[-m:] - E3)))
 
 
 def solve_half_space(

@@ -121,6 +121,16 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """|a_i| of an (n, 3) array, bit for bit ``np.sqrt(np.sum(a * a, axis=1))``.
+
+    The three squares are added in the order that sum takes, first two
+    first, at a third of its per-call cost.
+    """
+    w = a * a
+    return np.sqrt((w[:, 0] + w[:, 1]) + w[:, 2])
+
+
 class VectorField:
     """Samples of an R^3-valued map on a grid, shape (n, 3)."""
 
@@ -138,13 +148,8 @@ class VectorField:
         self.values = values
 
     def norms(self) -> np.ndarray:
-        """|v_i|, bit for bit ``np.sqrt(np.sum(v * v, axis=1))``.
-
-        The three squares are added in the order that sum takes, first two
-        first, at a third of its per-call cost.
-        """
-        w = self.values * self.values
-        return np.sqrt((w[:, 0] + w[:, 1]) + w[:, 2])
+        """|v_i|; see ``row_norms``."""
+        return row_norms(self.values)
 
     def unit_deviation(self) -> float:
         """max_i | |v_i| - 1 |."""

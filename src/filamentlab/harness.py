@@ -23,7 +23,7 @@ import numpy as np
 from .compat import HelixFamily, RingFamily, get_family
 from .errors import UnknownOracle
 from .evolve import RK4_PROJECT, SimConfig, TimeSeries, solve_half_space, solve_whole_line
-from .geometry import E3, Grid
+from .geometry import E3, Grid, row_norms
 from .hasimoto import series_nls_residual
 from .reconstruct import (
     arclength_deviation,
@@ -141,7 +141,7 @@ def helix_solution_error(n: int, t_final=0.5) -> float:
     """max-norm error at t_final against the exact rotating wave."""
     fam, grid, series = _helix_run(n, t_final)
     diff = series.final().values - fam.exact(grid.nodes(), t_final)
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
+    return float(np.max(row_norms(diff)))
 
 
 def convergence_study(case: str, levels) -> ConvergenceResult:

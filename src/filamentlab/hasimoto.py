@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridMismatch, InsufficientSnapshots, MaskFragmented
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, deriv, second_difference
+from .geometry import Grid, VectorField, cross, deriv, row_norms, second_difference
 
 logger = logging.getLogger(__name__)
 
@@ -69,7 +69,7 @@ def frenet(v: VectorField) -> FrenetData:
     """Curvature and torsion of the curve whose unit tangent is v."""
     vs = deriv(v.values, v.grid, 1)
     vss = deriv(v.values, v.grid, 2)
-    kappa = np.sqrt(np.sum(vs * vs, axis=1))
+    kappa = row_norms(vs)
     mask = kappa >= EPS_KAPPA
     tau = np.zeros_like(kappa)
     num = np.sum(cross(v.values, vs) * vss, axis=1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, deriv
+from .geometry import Grid, VectorField, cross, deriv, row_norms
 
 
 @dataclass
@@ -74,5 +74,5 @@ def endpoint_height(curve: FilamentCurve) -> float:
 def arclength_deviation(curve: FilamentCurve) -> float:
     """max_i | |x_{i+1} - x_i| / h - 1 |."""
     seg = np.diff(curve.positions, axis=0)
-    lens = np.sqrt(np.sum(seg * seg, axis=1))
+    lens = row_norms(seg)
     return float(np.max(np.abs(lens / curve.grid.h - 1.0)))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridNotSymmetric
-from .geometry import Grid, VectorField, one_sided_deriv_at_zero
+from .geometry import Grid, VectorField, one_sided_deriv_at_zero, row_norms
 
 _BAR = np.array([1.0, 1.0, -1.0])
 _NEGBAR = np.array([-1.0, -1.0, 1.0])
@@ -57,7 +57,7 @@ def restrict(whole: VectorField) -> VectorField:
 def symmetry_residual(u: VectorField) -> float:
     """max-norm of T u - u; zero for fields obtained from extend()."""
     diff = apply_T(u).values - u.values
-    return float(np.max(np.sqrt(np.sum(diff * diff, axis=1))))
+    return float(np.max(row_norms(diff)))
 
 
 def derivative_jump_residual(ext: VectorField, k: int) -> float:

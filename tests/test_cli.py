@@ -90,6 +90,13 @@ class TestCheck:
         assert "'planar_odd' has no parameter A; accepted: a" in captured.err
         assert "compatibility passed" not in captured.out
 
+    def test_help_exits_zero(self, capsys):
+        # usage errors return exit 1 from main (see EXIT_ONE_INPUTS); --help still exits 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--family" in capsys.readouterr().out
+
     def test_report_json_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(
@@ -393,6 +400,25 @@ class TestSimulate:
         assert f"error: family '{spec.partition(':')[0]}' {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "family_line, message",
+        [
+            (
+                "data.family = planar_odd:a=abc\n",
+                "config key data.family: family 'planar_odd' parameter a must be a number, "
+                "got 'abc'",
+            ),
+            ("", "config key data.family is missing"),
+        ],
+        ids=["unparsable", "missing"],
+    )
+    def test_data_family_error_names_the_key(self, tmp_path, capsys, family_line, message):
+        text = SIM_CONFIG.replace("data.family = planar_odd:a=0.5\n", family_line)
+        cfg, out = self._write_config(tmp_path, text), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_family_on_grid_kind_it_does_not_declare_exit_one(self, tmp_path, capsys):
         # planar_odd has a jump at the wrap point of a periodic grid
         cfg = self._write_config(
@@ -453,6 +479,10 @@ class TestOtherCommands:
         [
             (["check", "--family", "planar_odd:a=inf"], "'planar_odd' parameter a must be finite"),
             (["diagnose", "--family", "ring:r=0"], "'ring' parameter r must be above 0"),
+            (
+                ["check", "--family", "planar_odd:a=1x"],
+                "'planar_odd' parameter a must be a number, got '1x'",
+            ),
         ],
     )
     def test_bad_family_parameter_exit_one(self, capsys, argv, message):
@@ -503,6 +533,15 @@ EXIT_ONE_INPUTS = {
     "oracle-n-zero": ["oracle", "stationary_line", "--n", "0"],
     "oracle-t_final-zero": ["oracle", "stationary_line", "--t-final", "0"],
     "convergence-repeated-levels": ["convergence", "helix", "--levels", "32,32,32"],
+    "usage-simulate-without-config": ["simulate"],
+    "usage-order-not-an-integer": ["check", "--order", "x", "--family", "planar_odd"],
+    "usage-unknown-command": ["bogus"],
+    # --input was once ignored beside --family, so this check passed
+    "usage-family-and-input": ["check", "--family", "planar_odd:a=0.5", "--input", "{shifted}"],
+    "usage-family-and-input-extend": ["extend", "--family", "planar_odd", "--input", "{shifted}"],
+    "data-family-missing": SIM_CONFIG.replace("data.family = planar_odd:a=0.5\n", ""),
+    "data-family-param-unparsable": SIM_CONFIG.replace("a=0.5", "a=abc"),
+    "check-family-param-unparsable": ["check", "--family", "planar_odd:a=1x"],
 }
 
 

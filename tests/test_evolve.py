@@ -21,8 +21,8 @@ from filamentlab.evolve import (
     RK4_PROJECT,
     SLOPE_START_FACTOR,
     STABILITY_FACTOR,
-    MidpointHistory,
     SimConfig,
+    StepLog,
     _step_rk4,
     bending_energy,
     farfield_deviation,
@@ -149,7 +149,7 @@ class TestStep:
     def test_straight_is_stationary(self):
         g = Grid.periodic(2.0 * np.pi, 64)
         u = _constant_e3(g)
-        out = step(u, 1e-4, SimConfig())
+        out = step(u, 1e-4, SimConfig(), StepLog())
         assert np.array_equal(out.values, u.values)
 
     def test_rk4_step_builds_four_fields(self, monkeypatch):
@@ -163,7 +163,7 @@ class TestStep:
             init(self, grid, values)
 
         monkeypatch.setattr(VectorField, "__init__", counting_init)
-        step(u, 1e-4, SimConfig())
+        step(u, 1e-4, SimConfig(), StepLog())
         assert len(built) == 4
 
     def test_run_at_the_cap_is_not_rechecked_per_step(self, tmp_path, capsys):
@@ -187,14 +187,14 @@ class TestStep:
         fam = HelixFamily()
         cfg = SimConfig(scheme="midpoint_fixedpoint", fp_tol=1e-16)
         with pytest.raises(FixedPointDiverged):
-            step(fam.sample(g), 1e-4, cfg)
+            step(fam.sample(g), 1e-4, cfg, StepLog())
 
     def test_midpoint_conserves_norm_per_step(self):
         g = Grid.periodic(2.0 * np.pi, 64)
         fam = HelixFamily()
         u = fam.sample(g)
         cfg = SimConfig(scheme="midpoint_fixedpoint")
-        out = step(u, 1e-4, cfg)
+        out = step(u, 1e-4, cfg, StepLog())
         assert out.unit_deviation() < 1e-13
 
 
@@ -205,7 +205,7 @@ class TestMidpointStart:
         u = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, 129))
         dt = factor * u.grid.h**2
         cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT, dt=dt)
-        history = MidpointHistory()
+        history = StepLog()
         for _ in range(2):
             u = step(u, dt, cfg, history)
         assert history.rhs_calls == sum(history.iters) + 2  # both started from rhs(u)
@@ -223,7 +223,7 @@ class TestMidpointStart:
         assert dt > SLOPE_START_FACTOR * u.grid.h**2
         calls = history.rhs_calls
         got = step(u, dt, cfg, history)
-        assert got.values.tobytes() == step(u, dt, cfg).values.tobytes()
+        assert got.values.tobytes() == step(u, dt, cfg, StepLog()).values.tobytes()
         assert history.rhs_calls - calls == history.iters[-1] + 1
 
 
@@ -271,7 +271,7 @@ def test_extrapolated_start_keeps_the_solve(acceptance_u0):
     nsteps = math.ceil(cfg.t_final / dt - 1e-12)
     u = acceptance_u0
     for k in range(1, nsteps + 1):
-        u = step(u, dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt, cfg)
+        u = step(u, dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt, cfg, StepLog())
     final = solve_whole_line(acceptance_u0, cfg).final()
     assert np.max(np.abs(final.values - u.values)) <= 1e-12
 
@@ -409,7 +409,7 @@ def test_rk4_energy_holds_below_its_stability_limit_only(factor, stable):
     dt = factor * u.grid.h**2
     e0 = bending_energy(u)
     for _ in range(math.ceil(1.0 / dt)):
-        u = normalize_field(_step_rk4(u, dt))
+        u = normalize_field(_step_rk4(u, dt, StepLog()))
     drift = abs(bending_energy(u) - e0) / e0
     if stable:
         assert drift < ENERGY_DRIFT_TOL

@@ -8,8 +8,11 @@ catches it in the regular suite.
 
 import importlib.util
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from filamentlab.cli import EXIT_OK, main
 
@@ -52,19 +55,27 @@ def test_every_wrapped_name_exists_and_is_restored():
         assert not hasattr(current, "__wrapped__"), f"{owner.__name__}.{attr} still wrapped"
 
 
-def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
+def _traced_simulate(tmp_path, config: str, *flags):
+    """Run ``simulate`` of ``config`` under the benchmark's tracer; (exit code, tracer)."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "grid.kind = half\ngrid.L = 20.0\ngrid.n = 65\n"
-        "data.family = planar_odd:a=0.5\ntime.t_final = 0.02\n"
-    )
+    cfg.write_text(config)
     tracer = tracing.Tracer()
     layers.instrument(tracer)
     try:
         with redirect_stdout(io.StringIO()):
-            rc = main(["simulate", str(cfg), "--reconstruct", "--out", str(tmp_path / "out")])
+            rc = main(["simulate", str(cfg), *flags, "--out", str(tmp_path / "out")])
     finally:
         tracer.restore()
+    return rc, tracer
+
+
+def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
+    rc, tracer = _traced_simulate(
+        tmp_path,
+        "grid.kind = half\ngrid.L = 20.0\ngrid.n = 65\n"
+        "data.family = planar_odd:a=0.5\ntime.t_final = 0.02\n",
+        "--reconstruct",
+    )
     assert rc == EXIT_OK
     calls = tracer.totals()[0]
     for span in (
@@ -88,3 +99,23 @@ def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
     ):
         assert calls.get(span, 0) > 0, f"{span} never called through its wrapped name"
     assert calls["reflect.restrict"] == calls["evolve.telemetry"]
+
+
+@pytest.mark.parametrize("scheme", ["rk4_project", "midpoint_fixedpoint"])
+def test_run_counts_agree_with_the_tracer(tmp_path, scheme):
+    # the solver block of summary.json against the calls the tracer sees; each
+    # half-line telemetry row adds rhs(u) on n nodes and rhs(extend(u)) on 2n - 1
+    n = 65
+    rc, tracer = _traced_simulate(
+        tmp_path,
+        f"grid.kind = half\ngrid.L = 20.0\ngrid.n = {n}\n"
+        f"data.family = planar_odd:a=0.5\ntime.t_final = 0.3\nscheme = {scheme}\n",
+    )
+    assert rc == EXIT_OK
+    solver = json.loads((tmp_path / "out" / "summary.json").read_text())["solver"]
+    calls = tracer.totals()[0]
+    rows = calls["evolve.telemetry"]
+    assert calls["evolve.step"] == solver["steps"]
+    assert calls["evolve.rhs"] == solver["rhs_calls"] + 2 * rows
+    node_evals = n * (calls["evolve.rhs"] - rows) + (2 * n - 1) * rows
+    assert tracer.counters["rhs_node_evals"] == node_evals

@@ -37,7 +37,15 @@ from filamentlab.cli import (
 from filamentlab.compat import get_family
 from filamentlab.errors import DegenerateVector
 from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, rhs, step
-from filamentlab.geometry import MIN_NORM, Grid, VectorField, cross, deriv, normalize_field
+from filamentlab.geometry import (
+    MIN_NORM,
+    Grid,
+    VectorField,
+    cross,
+    deriv,
+    normalize_field,
+    row_norms,
+)
 from filamentlab.harness import invariant_suite
 from filamentlab.reconstruct import FilamentCurve
 from filamentlab.reflect import apply_T, extend, restrict
@@ -68,7 +76,8 @@ def test_step_commutes_with_T(u, scheme):
     # dt well below either scheme's cap, where the fixed point contracts
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=scheme)
-    assert np.array_equal(step(apply_T(u), dt, cfg).values, apply_T(step(u, dt, cfg)).values)
+    got = step(apply_T(u), dt, cfg, evolve.StepLog()).values
+    assert np.array_equal(got, apply_T(step(u, dt, cfg, evolve.StepLog())).values)
 
 
 @PROPERTY_SETTINGS
@@ -81,8 +90,8 @@ def test_slope_started_midpoint_step_commutes_with_T(u, data):
         rhs(VectorField(u.grid, data.draw(arrays(np.float64, shape, elements=_unit_interval))))
         for _ in range(2)
     ]
-    plain = evolve.MidpointHistory(slopes)
-    mirrored = evolve.MidpointHistory([apply_T(VectorField(u.grid, f)).values for f in slopes])
+    plain = evolve.StepLog(slopes)
+    mirrored = evolve.StepLog([apply_T(VectorField(u.grid, f)).values for f in slopes])
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT)
     got = step(apply_T(u), dt, cfg, mirrored).values
@@ -335,6 +344,7 @@ def test_norms_are_numpy_sum_bitwise(n, data):
     with np.errstate(over="ignore"):  # squares above 1.3e154 are inf both ways
         got = VectorField(Grid.half_line(1.0, n), v).norms()
         want = np.sqrt(np.sum(v * v, axis=1))
+        assert row_norms(v).tobytes() == want.tobytes()
     assert got.tobytes() == want.tobytes()
 
 
