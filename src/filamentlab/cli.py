@@ -275,7 +275,8 @@ def cmd_simulate(args) -> int:
     drift = summary.energy_drift
     print(
         f"energy drift {drift['max']:.3e}: {'within' if drift['passed'] else 'above'} "
-        f"{drift['tolerance']:g} (reported, not gating)"
+        f"{drift['tolerance']:g} "
+        f"({'gating' if summary.energy_gated else 'reported, not gating'})"
     )
     return EXIT_OK if summary.passed else EXIT_NUMERICAL
 
@@ -291,9 +292,18 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _levels(text: str) -> list:
+    """``--levels``: comma-separated node counts."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated node counts, got {text!r}"
+        ) from None
+
+
 def cmd_convergence(args) -> int:
-    levels = [int(x) for x in args.levels.split(",")]
-    result = harness.convergence_study(args.case, levels)
+    result = harness.convergence_study(args.case, args.levels)
     print(f"{'n':>6} {'h':>12} {'error':>14}")
     for n, h, e in zip(result.levels, result.hs, result.errors):
         print(f"{n:>6} {h:>12.6f} {e:>14.6e}")
@@ -377,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("convergence", help="grid refinement study")
     sp.add_argument("case", help="helix | stationary | nls")
-    sp.add_argument("--levels", default="64,128,256")
+    sp.add_argument("--levels", type=_levels, default="64,128,256")
     sp.set_defaults(fn=cmd_convergence)
 
     sp = sub.add_parser("diagnose", help="curvature/torsion/NLS diagnostics")

@@ -7,6 +7,7 @@ import pytest
 
 from filamentlab.cli import (
     EXIT_COMPAT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -383,6 +384,18 @@ class TestSimulate:
         assert solver["steps"] > 0
         assert solver["rhs_calls"] == 4 * solver["steps"]
 
+    def test_numerical_failure_names_its_step(self, tmp_path, capsys):
+        # no fixed-point increment falls below 1e-300, so the first step stalls
+        text = PERIODIC_CONFIG.replace("t_final = 0.05", "t_final = 0.01") + (
+            "scheme = midpoint_fixedpoint\ntolerances.fixed_point = 1e-300\n"
+        )
+        cfg = self._write_config(tmp_path, text)
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: midpoint iteration stalled")
+        assert "after 50 iters at step 1 of 5, t = 0\n" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -463,6 +476,15 @@ class TestOtherCommands:
         assert "at least 3 distinct levels" in captured.err
         assert "fitted order" not in captured.out
 
+    @pytest.mark.parametrize("levels", ["32,64,x", "32,,64", "32.0,64,128"])
+    def test_convergence_unparsable_level_names_the_flag(self, capsys, levels):
+        # int('x') once surfaced as "invalid literal for int() with base 10"
+        assert main(["convergence", "helix", "--levels", levels]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "argument --levels: expected comma-separated node counts" in captured.err
+        assert captured.out == ""
+
     def test_diagnose_helix(self, capsys):
         rc = main(["diagnose", "--family", "helix", "--n", "96", "--t-final", "0.05"])
         assert rc == EXIT_OK
@@ -533,6 +555,7 @@ EXIT_ONE_INPUTS = {
     "oracle-n-zero": ["oracle", "stationary_line", "--n", "0"],
     "oracle-t_final-zero": ["oracle", "stationary_line", "--t-final", "0"],
     "convergence-repeated-levels": ["convergence", "helix", "--levels", "32,32,32"],
+    "convergence-level-unparsable": ["convergence", "helix", "--levels", "32,64,x"],
     "usage-simulate-without-config": ["simulate"],
     "usage-order-not-an-integer": ["check", "--order", "x", "--family", "planar_odd"],
     "usage-unknown-command": ["bogus"],

@@ -1,15 +1,18 @@
 """Oracles, convergence studies, and the run-level invariant suite."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from filamentlab import evolve, reflect
 from filamentlab.compat import HelixFamily, get_family
 from filamentlab.errors import UnknownOracle
 from filamentlab.evolve import SimConfig, solve_half_space, solve_whole_line
 from filamentlab.geometry import Grid
 from filamentlab.harness import (
+    ENERGY_DRIFT_TOL,
     convergence_study,
     extension_jump_study,
     fit_order,
@@ -119,6 +122,33 @@ class TestInvariantSuite:
         summary, _ = self._run("midpoint_fixedpoint")
         assert summary.tolerances["norm_dev"] == 1e-10
         assert summary.passed
+
+    @pytest.mark.parametrize(
+        "scheme, gated", [("rk4_project", False), ("midpoint_fixedpoint", True)]
+    )
+    def test_energy_drift_gates_midpoint_only(self, monkeypatch, scheme, gated):
+        # mutation: close s = 0 with bar(v(h)); E drifts about 0.8 under either scheme
+        monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
+        fam = get_family("planar_odd", a=0.5)
+        cfg = SimConfig(t_final=0.05, scheme=scheme, monitor_every=5)
+        run = solve_half_space(fam.sample(Grid.half_line(20.0, 65)), cfg, fam.sample)
+        summary = invariant_suite(run)
+        bound = ENERGY_DRIFT_TOL + (run.solver["steps"] * cfg.fp_tol if gated else 0.0)
+        assert summary.energy_drift["tolerance"] == bound
+        assert summary.energy_drift["passed"] is False
+        # with every other verdict holding, only the midpoint run fails
+        assert dataclasses.replace(summary, verdicts={}).passed is not gated
+
+    def test_midpoint_energy_drift_within_its_bound_at_a_loose_fp_tol(self):
+        # the largest case of the fp_tol sweep: drift 1.9e-7 against a bound of 1.6e-5
+        fam = get_family("planar_odd", a=0.5)
+        v0 = fam.sample(Grid.half_line(20.0, 512))
+        dt = 0.4 * v0.grid.h**2
+        cfg = SimConfig(t_final=1.0, dt=dt, scheme="midpoint_fixedpoint", fp_tol=1e-8)
+        drift = invariant_suite(solve_half_space(v0, cfg, fam.sample)).energy_drift
+        assert drift["tolerance"] == ENERGY_DRIFT_TOL + math.ceil(1.0 / dt) * 1e-8
+        assert drift["max"] > 1e-9  # the fixed-point tolerance shows in E
+        assert drift["passed"]
 
     def test_json_excludes_wall_clock(self):
         summary, _ = self._run()

@@ -1,33 +1,38 @@
 """Property tests: the reflection T commutes exactly with rhs, one step and deriv.
 
-One step means either start of the midpoint iteration too: the Euler slope
-and the slope extrapolated from two earlier steps.
+One step means every start of the midpoint iteration too: the Euler slope,
+and the slopes extrapolated from two or from four earlier steps.
 
 T maps a whole-line field w to (T w)(s) = -bar(w(-s)).  The half-space
 scheme relies on the discrete flow commuting with T bit for bit; these
 tests check that over random finite fields, not only over the builtin
 families (which are T-fixed after extension).  The half-line stepper
 relies on more: its ghost-closed ``rhs`` is the whole-line ``rhs`` of the
-extension, restricted, and a wrong ghost must show in the telemetry.
+extension, restricted, so is a midpoint solve through every start, and a
+wrong ghost must show in the telemetry and, under midpoint, in the exit code.
 Three round trips must be exact too: a field CSV written and read back, a
 SimConfig written as a config file and read back, and the restriction of
 an extension.  The fast paths must not move a bit: the snapshot writer
 against a naive per-row repr, and the norm kernels against numpy's sum.
 """
 
+import json
 import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from filamentlab import evolve, reflect
 from filamentlab.cli import (
+    EXIT_NUMERICAL,
     _SIM_KEYS,
     _build_cfg,
+    main,
     parse_config,
     read_field_csv,
     write_field_csv,
@@ -38,6 +43,7 @@ from filamentlab.compat import get_family
 from filamentlab.errors import DegenerateVector
 from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, rhs, step
 from filamentlab.geometry import (
+    E3,
     MIN_NORM,
     Grid,
     VectorField,
@@ -80,25 +86,33 @@ def test_step_commutes_with_T(u, scheme):
     assert np.array_equal(got, apply_T(step(u, dt, cfg, evolve.StepLog())).values)
 
 
+@pytest.mark.parametrize("nslopes", [2, 4])
 @PROPERTY_SETTINGS
-@given(whole_line_fields(), st.data())
-def test_slope_started_midpoint_step_commutes_with_T(u, data):
-    # the start 2 f_1 - f_2 from the slopes of two earlier steps, here the
-    # rhs of two other fields; T maps a slope as it maps a state
+@given(u=whole_line_fields(), data=st.data())
+def test_slope_started_midpoint_step_commutes_with_T(nslopes, u, data):
+    # the start extrapolated from the slopes of earlier steps, here the rhs of
+    # other fields: linear from two, cubic or linear (the log's choice) from
+    # four; T maps a slope as it maps a state, and leaves the choice alone
     shape = (u.grid.n, 3)
     slopes = [
         rhs(VectorField(u.grid, data.draw(arrays(np.float64, shape, elements=_unit_interval))))
-        for _ in range(2)
+        for _ in range(nslopes)
     ]
-    plain = evolve.StepLog(slopes)
-    mirrored = evolve.StepLog([apply_T(VectorField(u.grid, f)).values for f in slopes])
+    cubic = data.draw(st.booleans())
+    plain = evolve.StepLog(slopes, cubic=cubic)
+    mirrored = evolve.StepLog(
+        [apply_T(VectorField(u.grid, f)).values for f in slopes], cubic=cubic
+    )
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT)
     got = step(apply_T(u), dt, cfg, mirrored).values
     assert np.array_equal(got, apply_T(step(u, dt, cfg, plain)).values)
     assert plain.rhs_calls == plain.iters[-1]  # no rhs(u): the step started from the slopes
     assert (plain.rhs_calls, plain.iters) == (mirrored.rhs_calls, mirrored.iters)
-    assert np.array_equal(mirrored.slopes[-1], apply_T(VectorField(u.grid, plain.slopes[-1])).values)
+    assert plain.cubic == mirrored.cubic
+    assert len(plain.slopes) == min(nslopes + 1, 4)
+    for f, g in zip(plain.slopes, mirrored.slopes, strict=True):
+        assert np.array_equal(g, apply_T(VectorField(u.grid, f)).values)
 
 
 @PROPERTY_SETTINGS
@@ -160,6 +174,24 @@ def test_ghost_rhs_is_restricted_whole_line_rhs(u):
     assert rhs(u).tobytes() == whole[u.grid.n - 1 :].tobytes()
 
 
+@PROPERTY_SETTINGS
+@given(unit_half_line_fields())
+def test_half_line_midpoint_solve_is_the_restricted_whole_line_solve(u):
+    # eight steps: Euler starts, linear starts, then cubic or linear by the
+    # log's choice, each the same on both grids because T keeps every max|.|;
+    # v(0) = e3 makes the extension T-fixed
+    u = VectorField(u.grid, np.concatenate(([E3], u.values[1:])))
+    dt = 0.02 * u.grid.h**2
+    cfg = SimConfig(t_final=8 * dt, dt=dt, scheme=MIDPOINT_FIXEDPOINT, monitor_every=3)
+    half = evolve.solve_whole_line(u, cfg)
+    whole = evolve.solve_whole_line(extend(u), cfg)
+    assert half.solver == whole.solver
+    assert half.solver["steps"] >= 6
+    assert half.times == whole.times
+    for half_snap, whole_snap in zip(half.snapshots, whole.snapshots, strict=True):
+        assert half_snap.values.tobytes() == restrict(whole_snap).values.tobytes()
+
+
 def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     # mutation: close s = 0 with bar(v(h)) instead of -bar(v(h))
     monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
@@ -170,6 +202,22 @@ def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     assert all(row["symmetry"] > 0.0 for row in run.telemetry)
     assert invariant_suite(run).verdicts["symmetry"] is False
     assert invariant_suite(run).energy_drift["passed"] is False
+
+
+def test_wrong_ghost_under_midpoint_exits_three(monkeypatch, tmp_path, capsys):
+    # the same mutation under midpoint, where the energy verdict gates the exit code
+    monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "grid.kind = half\ngrid.L = 20.0\ngrid.n = 65\n"
+        "data.family = planar_odd:a=0.5\nscheme = midpoint_fixedpoint\n"
+        "time.t_final = 0.05\noutput.monitor_every = 5\n"
+    )
+    assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    assert "(gating)" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["energy_drift"]["passed"] is False
+    assert summary["passed"] is False
 
 
 @st.composite
