@@ -9,9 +9,13 @@ codes: 0 success, 1 usage/I-O error, 2 compatibility rejection,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
+import tempfile
+import threading
 
 import numpy as np
 
@@ -103,19 +107,90 @@ def read_field_csv(path: str, kind: str = "half") -> VectorField:
     return VectorField(grid, data[:, 1:4])
 
 
+#: Fewest snapshot blocks one writer process formats: a chunk's first block is
+#: formatted in full, so a smaller chunk would spend its process on set-up.
+MIN_CHUNK_BLOCKS = 4
+
+
+def _chunks(blocks: int) -> list:
+    """Contiguous ranges of block indices, one per process that formats them.
+
+    One per usable CPU, each of at least MIN_CHUNK_BLOCKS blocks; a single
+    one where processes cannot be forked, or where other threads run, since a
+    forked child holds a copy of every lock those threads might hold.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        cpus = 1
+    count = max(1, min(cpus, blocks // MIN_CHUNK_BLOCKS))
+    return [range(k * blocks // count, (k + 1) * blocks // count) for k in range(count)]
+
+
+def _fork_writer(pieces, part) -> int:
+    """Fork a child that writes ``pieces`` to ``part`` and exits, 0 if it all went; its pid."""
+    pid = os.fork()
+    if pid == 0:  # the child: it must leave here, whatever happens
+        code = 1
+        try:
+            part.writelines(pieces)
+            part.flush()
+            code = 0
+        except Exception as exc:
+            print(f"error: snapshot writer process {os.getpid()}: {exc!r}", file=sys.stderr)
+        finally:
+            os._exit(code)
+    return pid
+
+
 def write_snapshots_csv(path: str, series, curves=None) -> None:
+    """Write the snapshot blocks, t by t, each row ``t,s,v1,v2,v3[,x1,x2,x3]``.
+
+    Blocks are formatted by one process per usable CPU (``_chunks``): each
+    child formats a contiguous chunk into an anonymous part file, while this
+    process writes the header and the first chunk, then copies each child's
+    part in chunk order.  The bytes do not depend on the number of chunks.
+    """
     header = "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
     s = series.grid.nodes()[:, None]
 
-    def pieces():
-        # the s cells keep their bits, so s is formatted once per run; t once per block
+    def pieces(blocks):
+        # the s cells keep their bits, so s is formatted once per chunk; t once per block
         state = None
-        for m, (t, snap) in enumerate(zip(series.times, series.snapshots)):
-            parts = (s, snap.values) if curves is None else (s, snap.values, curves[m].positions)
+        for m in blocks:
+            snap = series.snapshots[m].values
+            parts = (s, snap) if curves is None else (s, snap, curves[m].positions)
             state = _cells(np.hstack(parts), state)
-            yield from _lines(state[1], str(float(t)) + ",")
+            yield from _lines(state[1], str(float(series.times[m])) + ",")
 
-    _write_csv(path, header, pieces())
+    first, *rest = _chunks(len(series.times))
+    # the parts go beside the output, on the disk chosen for it, not in a RAM-backed /tmp
+    where = os.path.dirname(os.path.abspath(path))
+    children = {}  # pid -> (blocks, part file) of each child not yet reaped
+    with contextlib.ExitStack() as parts:
+        try:
+            for blocks in rest:
+                part = parts.enter_context(tempfile.TemporaryFile("w+", dir=where))
+                children[_fork_writer(pieces(blocks), part)] = blocks, part
+            with open(path, "w") as fh:
+                fh.write(header + "\n")
+                fh.writelines(pieces(first))
+                for pid, (blocks, part) in list(children.items()):
+                    status = os.waitpid(pid, 0)[1]
+                    del children[pid]
+                    if status != 0:
+                        raise OSError(
+                            f"{path}: the process formatting snapshot blocks "
+                            f"{blocks.start}..{blocks.stop - 1} failed "
+                            f"(exit code {os.waitstatus_to_exitcode(status)})"
+                        )
+                    part.seek(0)
+                    shutil.copyfileobj(part, fh)
+        finally:
+            for pid in children:
+                os.waitpid(pid, 0)
 
 
 def write_telemetry_csv(path: str, telemetry) -> None:

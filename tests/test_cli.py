@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from filamentlab import cli
 from filamentlab.cli import (
     EXIT_COMPAT,
     EXIT_NUMERICAL,
@@ -432,6 +434,21 @@ class TestSimulate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_midpoint_norm_bound_grows_with_fixed_point_tolerance(self, tmp_path):
+        # with a fixed 1e-10 bound this run failed on norm_dev 3.13e-10 (exit 3),
+        # although its energy drift, 1.9e-7, was within 1.63e-5
+        text = (
+            "grid.kind = half\ngrid.L = 20.0\ngrid.n = 512\n"
+            "data.family = planar_odd:a=0.5\ntime.t_final = 1.0\ntime.dt = 0.0006127\n"
+            "scheme = midpoint_fixedpoint\ntolerances.fixed_point = 1e-8\n"
+        )
+        cfg, out = self._write_config(tmp_path, text), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["maxima"]["norm_dev"]["max"] > 1e-10
+        assert summary["tolerances"]["norm_dev"] == 1e-10 + summary["solver"]["steps"] * 1e-8
+        assert summary["passed"]
+
     def test_family_on_grid_kind_it_does_not_declare_exit_one(self, tmp_path, capsys):
         # planar_odd has a jump at the wrap point of a periodic grid
         cfg = self._write_config(
@@ -441,6 +458,60 @@ class TestSimulate:
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert "planar_odd" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSnapshotWriter:
+    """A writer process that fails fails the write, and no process outlives it."""
+
+    @staticmethod
+    def _fail_where(monkeypatch, in_child):
+        """Two chunks; _cells raises in the writer children or in this process."""
+        parent, cells = os.getpid(), cli._cells
+
+        def cells_failing(values, previous=None):
+            if (os.getpid() != parent) == in_child:
+                raise MemoryError("formatting failed")
+            return cells(values, previous)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "_cells", cells_failing)
+
+    @pytest.fixture
+    def failing_child(self, monkeypatch):
+        self._fail_where(monkeypatch, in_child=True)
+
+    @pytest.fixture
+    def run(self):
+        fam = get_family("planar_odd", a=0.5)
+        v0 = fam.sample(Grid.half_line(20.0, 129))
+        cfg = SimConfig(t_final=0.1, check_order=1, snapshot_every=1)
+        run = solve_half_space(v0, cfg, fam.sample)
+        assert len(run.times) >= 2 * cli.MIN_CHUNK_BLOCKS
+        return run
+
+    def test_failed_child_raises_os_error(self, tmp_path, run, failing_child):
+        with pytest.raises(OSError, match="the process formatting snapshot blocks .* failed"):
+            cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["snapshots.csv"]
+
+    def test_failed_parent_chunk_reaps_the_children(self, tmp_path, run, monkeypatch):
+        self._fail_where(monkeypatch, in_child=False)
+        with pytest.raises(MemoryError):
+            cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_child_makes_simulate_exit_one(self, tmp_path, capsys, failing_child):
+        text = SIM_CONFIG.replace("output.snapshot_every = 50", "output.snapshot_every = 1")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("time.t_final = 0.05", "time.t_final = 0.1"))
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "failed (exit code 1)" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestOtherCommands:

@@ -119,9 +119,18 @@ class TestInvariantSuite:
             assert verdict
 
     def test_midpoint_uses_looser_norm_tolerance(self):
-        summary, _ = self._run("midpoint_fixedpoint")
-        assert summary.tolerances["norm_dev"] == 1e-10
+        summary, run = self._run("midpoint_fixedpoint")
+        assert summary.tolerances["norm_dev"] == 1e-10 + run.solver["steps"] * run.cfg.fp_tol
         assert summary.passed
+
+    def test_midpoint_norm_dev_above_its_bound_fails(self):
+        _, run = self._run("midpoint_fixedpoint")
+        bound = 1e-10 + run.solver["steps"] * run.cfg.fp_tol
+        run.telemetry[-1]["norm_dev"] = np.nextafter(bound, 1.0)
+        summary = invariant_suite(run)
+        assert summary.maxima["norm_dev"]["max"] > summary.tolerances["norm_dev"] == bound
+        assert not summary.verdicts["norm_dev"]
+        assert not summary.passed
 
     @pytest.mark.parametrize(
         "scheme, gated", [("rk4_project", False), ("midpoint_fixedpoint", True)]
@@ -183,7 +192,7 @@ class TestRunRecord:
         summary = invariant_suite(run)  # no config passed
         assert summary.config["scheme"] == "midpoint_fixedpoint"
         assert summary.config["dt"] == 0.25 * v0.grid.h**2
-        assert summary.tolerances["norm_dev"] == 1e-10
+        assert summary.tolerances["norm_dev"] == 1e-10 + run.solver["steps"] * cfg.fp_tol
         assert summary.tolerances["boundary"] == 1e-30
         assert summary.verdicts["boundary"]  # the boundary trace is exactly e3
         assert summary.solver == run.solver

@@ -13,12 +13,14 @@ wrong ghost must show in the telemetry and, under midpoint, in the exit code.
 Three round trips must be exact too: a field CSV written and read back, a
 SimConfig written as a config file and read back, and the restriction of
 an extension.  The fast paths must not move a bit: the snapshot writer
-against a naive per-row repr, and the norm kernels against numpy's sum.
+against a naive per-row repr, however many processes format its blocks,
+and the norm kernels against numpy's sum.
 """
 
 import json
 import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from filamentlab import evolve, reflect
+from filamentlab import cli, evolve, reflect
 from filamentlab.cli import (
     EXIT_NUMERICAL,
     _SIM_KEYS,
@@ -316,15 +318,16 @@ _cell = st.one_of(_awkward, _finite)
 
 
 @st.composite
-def snapshot_series(draw):
-    """(series, curves or None) of 1..6 blocks on a half grid of 8..16 nodes.
+def snapshot_series(draw, blocks=st.integers(1, 6), columns=st.sampled_from([3, 6])):
+    """(series, curves or None) of ``blocks`` blocks on a half grid of 8..16 nodes.
 
-    Each block after the first keeps, negates or redraws each cell of the
-    one before, so cells repeat across blocks and zeros flip sign.
+    ``columns`` is 3 (tangents) or 6 (tangents and curves).  Each block
+    after the first keeps, negates or redraws each cell of the one before,
+    so cells repeat across blocks and zeros flip sign.
     """
     n = draw(st.integers(8, 16))
-    blocks = draw(st.integers(1, 6))
-    k = draw(st.sampled_from([3, 6]))
+    blocks = draw(blocks)
+    k = draw(columns)
     tables = [draw(arrays(np.float64, (n, k), elements=_cell))]
     for _ in range(blocks - 1):
         action = draw(arrays(np.int8, (n, k), elements=st.integers(0, 2)))
@@ -358,6 +361,67 @@ def test_snapshots_csv_is_naive_repr_bytewise(series_and_curves):
         path = Path(tmp) / "snapshots.csv"
         write_snapshots_csv(str(path), series, curves)
         assert path.read_bytes() == _naive_snapshots_csv(series, curves).encode()
+
+
+def _forks_counted(mp) -> list:
+    """Patch os.fork to record, in this process, the pid of each child it starts."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@settings(max_examples=10, deadline=None)
+@pytest.mark.parametrize("columns", [3, 6], ids=["tangents", "with-curves"])
+@given(data=st.data())
+def test_chunked_snapshots_csv_is_naive_repr_bytewise(columns, data):
+    # 12..16 blocks are enough for 3 chunks of MIN_CHUNK_BLOCKS = 4
+    series, curves = data.draw(snapshot_series(st.integers(12, 16), st.just(columns)))
+    want = _naive_snapshots_csv(series, curves).encode()
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            forks = _forks_counted(mp)
+            path = Path(tmp) / "snapshots.csv"
+            write_snapshots_csv(str(path), series, curves)
+            assert len(forks) == cpus - 1
+            assert path.read_bytes() == want
+            assert os.listdir(tmp) == ["snapshots.csv"]  # no part file left beside it
+
+
+def test_snapshots_csv_without_fork_is_one_chunk(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.delattr(os, "fork")
+    table = np.arange(12 * 8 * 3, dtype=float).reshape(12, 8, 3) * -1e-21
+    grid = Grid.half_line(20.0, 8)
+    series = TimeSeries(grid, list(range(12)), [VectorField(grid, t) for t in table])
+    assert cli._chunks(len(series.times)) == [range(12)]
+    write_snapshots_csv(str(tmp_path / "snapshots.csv"), series)
+    assert (tmp_path / "snapshots.csv").read_text() == _naive_snapshots_csv(series, None)
+
+
+def test_chunks_are_contiguous_and_hold_four_blocks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    assert cli._chunks(12) == [range(0, 4), range(4, 8), range(8, 12)]
+    assert cli._chunks(11) == [range(0, 5), range(5, 11)]
+    assert cli._chunks(7) == [range(0, 7)]
+    assert cli._chunks(0) == [range(0, 0)]
+    # a second thread could hold a lock a forked child would never see released
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert cli._chunks(12) == [range(12)]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
 
 
 _TELEMETRY_KEYS = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
