@@ -152,6 +152,7 @@ def write_snapshots_csv(path: str, series, curves=None) -> None:
     child formats a contiguous chunk into an anonymous part file, while this
     process writes the header and the first chunk, then copies each child's
     part in chunk order.  The bytes do not depend on the number of chunks.
+    A write that fails removes the partial file before the error goes on.
     """
     header = "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
     s = series.grid.nodes()[:, None]
@@ -174,20 +175,25 @@ def write_snapshots_csv(path: str, series, curves=None) -> None:
             for blocks in rest:
                 part = parts.enter_context(tempfile.TemporaryFile("w+", dir=where))
                 children[_fork_writer(pieces(blocks), part)] = blocks, part
-            with open(path, "w") as fh:
-                fh.write(header + "\n")
-                fh.writelines(pieces(first))
-                for pid, (blocks, part) in list(children.items()):
-                    status = os.waitpid(pid, 0)[1]
-                    del children[pid]
-                    if status != 0:
-                        raise OSError(
-                            f"{path}: the process formatting snapshot blocks "
-                            f"{blocks.start}..{blocks.stop - 1} failed "
-                            f"(exit code {os.waitstatus_to_exitcode(status)})"
-                        )
-                    part.seek(0)
-                    shutil.copyfileobj(part, fh)
+            fh = open(path, "w")
+            try:
+                with fh:
+                    fh.write(header + "\n")
+                    fh.writelines(pieces(first))
+                    for pid, (blocks, part) in list(children.items()):
+                        status = os.waitpid(pid, 0)[1]
+                        del children[pid]
+                        if status != 0:
+                            raise OSError(
+                                f"{path}: the process formatting snapshot blocks "
+                                f"{blocks.start}..{blocks.stop - 1} failed "
+                                f"(exit code {os.waitstatus_to_exitcode(status)})"
+                            )
+                        part.seek(0)
+                        shutil.copyfileobj(part, fh)
+            except BaseException:
+                os.remove(path)
+                raise
         finally:
             for pid in children:
                 os.waitpid(pid, 0)

@@ -180,7 +180,23 @@ class TimeSeries:
         return self.snapshots[-1]
 
 
-def rhs(u: VectorField) -> np.ndarray:
+class _Stage:
+    """A step's inner value as ``rhs`` reads it: ``.grid`` and ``.values``, unchecked.
+
+    RK4's stage inputs and the midpoint iterates pass through it in place of
+    a ``VectorField``, so a step checks only its result for finiteness; a
+    non-finite stage carries on into that result, and a non-finite iterate
+    shows in its increment.
+    """
+
+    __slots__ = ("grid", "values")
+
+    def __init__(self, grid: Grid, values: np.ndarray):
+        self.grid = grid
+        self.values = values
+
+
+def rhs(u: VectorField | _Stage) -> np.ndarray:
     """Discrete v x v_ss, an (n, 3) array.
 
     One padded stencil for every grid kind: a periodic grid pads with the
@@ -223,12 +239,18 @@ class StepLog:
 def _step_rk4(u: VectorField, dt: float, log: StepLog) -> VectorField:
     grid, v = u.grid, u.values
     k1 = rhs(u)
-    k2 = rhs(VectorField(grid, v + (0.5 * dt) * k1))
-    k3 = rhs(VectorField(grid, v + (0.5 * dt) * k2))
-    k4 = rhs(VectorField(grid, v + dt * k3))
+    k2 = rhs(_Stage(grid, v + (0.5 * dt) * k1))
+    k3 = rhs(_Stage(grid, v + (0.5 * dt) * k2))
+    k4 = rhs(_Stage(grid, v + dt * k3))
     log.rhs_calls += 4
-    incr = (k1 + k4) + 2.0 * (k2 + k3)
-    return VectorField(grid, v + (dt / 6.0) * incr)
+    # v + (dt/6) ((k1 + k4) + 2 (k2 + k3)) with the same roundings, summed in
+    # place in the arrays rhs returned, which nothing else holds
+    k1 += k4
+    k2 += k3
+    k1 += 2.0 * k2
+    k1 *= dt / 6.0
+    k1 += v
+    return VectorField(grid, k1)
 
 
 def _linear_start(slopes: list) -> np.ndarray:
@@ -253,9 +275,11 @@ def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> Vecto
         start = _linear_start(log.slopes)
     m = v + half * start
     for it in range(1, FP_MAX_ITER + 1):
-        f = rhs(VectorField(grid, m))
+        f = rhs(_Stage(grid, m))
         cand = v + half * f
         inc = 2.0 * float(np.max(np.abs(cand - m)))  # bounds the change of v + dt f
+        if not math.isfinite(inc):
+            raise ValueError("field values must be finite")
         m = cand
         if inc <= tol:
             if four:  # the next step takes the start that predicted f better

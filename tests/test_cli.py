@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import errno
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -494,7 +496,7 @@ class TestSnapshotWriter:
             cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert os.listdir(tmp_path) == ["snapshots.csv"]
+        assert os.listdir(tmp_path) == []  # no partial file to pass for output
 
     def test_failed_parent_chunk_reaps_the_children(self, tmp_path, run, monkeypatch):
         self._fail_where(monkeypatch, in_child=False)
@@ -502,6 +504,19 @@ class TestSnapshotWriter:
             cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_copy_removes_the_partial_file(self, tmp_path, run, monkeypatch):
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(shutil, "copyfileobj", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == []
 
     def test_failed_child_makes_simulate_exit_one(self, tmp_path, capsys, failing_child):
         text = SIM_CONFIG.replace("output.snapshot_every = 50", "output.snapshot_every = 1")
@@ -512,6 +527,7 @@ class TestSnapshotWriter:
         assert err.startswith("error: ") and "failed (exit code 1)" in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path / "out") == []
 
 
 class TestOtherCommands:

@@ -153,19 +153,55 @@ class TestStep:
         out = step(u, 1e-4, SimConfig(), StepLog())
         assert np.array_equal(out.values, u.values)
 
-    def test_rk4_step_builds_four_fields(self, monkeypatch):
-        # three stage inputs and the result; the stages themselves stay arrays
-        u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
-        built = []
-        init = VectorField.__init__
+    @staticmethod
+    def _count_fields(monkeypatch):
+        """A list that grows by one for every VectorField built from here on."""
+        built, init = [], VectorField.__init__
 
         def counting_init(self, grid, values):
             built.append(grid)
             init(self, grid, values)
 
         monkeypatch.setattr(VectorField, "__init__", counting_init)
+        return built
+
+    def test_rk4_step_builds_one_field(self, monkeypatch):
+        # the stage inputs go to rhs unchecked; only the result is a VectorField
+        u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
+        built = self._count_fields(monkeypatch)
         step(u, 1e-4, SimConfig(), StepLog())
-        assert len(built) == 4
+        assert len(built) == 1
+
+    def test_midpoint_step_builds_one_field_whatever_its_iterations(self, monkeypatch):
+        u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
+        cfg, log = SimConfig(scheme=MIDPOINT_FIXEDPOINT), StepLog()
+        built = self._count_fields(monkeypatch)
+        step(u, 1e-4, cfg, log)
+        assert log.iters[-1] > 1 and len(built) == 1
+
+    @pytest.mark.parametrize(
+        "scheme, bad_call",
+        [(RK4_PROJECT, 4), (MIDPOINT_FIXEDPOINT, 2)],
+        ids=["last_rk4_stage", "first_midpoint_iterate"],
+    )
+    def test_non_finite_value_fails_its_step(self, monkeypatch, scheme, bad_call):
+        # rhs call bad_call returns NaN: the last RK4 stage, or the first
+        # midpoint iterate after the rhs(u) start.  The step's one check
+        # raises, with no rhs call after the bad value.
+        calls = [0]
+
+        def nan_rhs(u, _rhs=evolve.rhs):
+            calls[0] += 1
+            out = _rhs(u)
+            if calls[0] == bad_call:
+                out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(evolve, "rhs", nan_rhs)
+        u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            step(u, 1e-4, SimConfig(scheme=scheme), StepLog())
+        assert calls[0] == bad_call
 
     def test_run_at_the_cap_is_not_rechecked_per_step(self, tmp_path, capsys):
         # resolve_dt is the one guard: a run at dt = cap whose last step comes

@@ -14,7 +14,11 @@ from pathlib import Path
 
 import pytest
 
+from filamentlab import evolve
 from filamentlab.cli import EXIT_OK, main
+from filamentlab.compat import get_family
+from filamentlab.evolve import SimConfig
+from filamentlab.geometry import Grid
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -119,3 +123,21 @@ def test_run_counts_agree_with_the_tracer(tmp_path, scheme):
     assert calls["evolve.rhs"] == solver["rhs_calls"] + 2 * rows
     node_evals = n * (calls["evolve.rhs"] - rows) + (2 * n - 1) * rows
     assert tracer.counters["rhs_node_evals"] == node_evals
+
+
+@pytest.mark.parametrize("scheme", ["rk4_project", "midpoint_fixedpoint"])
+def test_traced_periodic_solve_counts_every_rhs_node(scheme):
+    # the ring workload's path: every rhs call, stage or iterate included,
+    # reaches the node counter, and a periodic telemetry row calls no rhs
+    fam = get_family("ring", r=0.5)
+    v0 = fam.sample(Grid.periodic(fam.period(), 64))
+    tracer = tracing.Tracer()
+    layers.instrument(tracer)
+    try:
+        series = evolve.solve_whole_line(v0, SimConfig(t_final=0.01, scheme=scheme))
+    finally:
+        tracer.restore()
+    calls = tracer.totals()[0]
+    assert calls["evolve.step"] == series.solver["steps"]
+    assert calls["evolve.rhs"] == series.solver["rhs_calls"]
+    assert tracer.counters["rhs_node_evals"] == 64 * calls["evolve.rhs"]

@@ -149,13 +149,19 @@ _mixed_magnitude = st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=Fals
 
 
 @PROPERTY_SETTINGS
-@given(st.sampled_from([(), (1,), (7,), (40,)]), st.data())
-def test_cross_is_np_cross_bitwise(lead, data):
-    a = data.draw(arrays(np.float64, (*lead, 3), elements=_mixed_magnitude))
-    b = data.draw(arrays(np.float64, (*lead, 3), elements=_mixed_magnitude))
+@given(st.sampled_from([(), (1,), (7,), (40,)]), st.sampled_from(["ab", "a", "b"]), st.data())
+def test_cross_is_np_cross_bitwise(lead, stacked, data):
+    # the operands named in ``stacked`` have the leading axes, the other is one
+    # (3,) vector broadcast against them; lead () gives two (3,) vectors, as
+    # compat passes them
+    shape = {name: (*lead, 3) if name in stacked else (3,) for name in "ab"}
+    a = data.draw(arrays(np.float64, shape["a"], elements=_mixed_magnitude))
+    b = data.draw(arrays(np.float64, shape["b"], elements=_mixed_magnitude))
     got, want = cross(a, b), np.cross(a, b)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # the sign of zero included
+    # the same layout too: np.sum of a column-major result adds in another order
+    assert got.strides == want.strides
 
 
 @st.composite
