@@ -27,6 +27,7 @@ from .errors import (
     FarFieldViolation,
     FilamentError,
     FixedPointDiverged,
+    NonFiniteState,
     StabilityViolated,
     UnknownFamily,
 )
@@ -201,13 +202,8 @@ def write_snapshots_csv(path: str, series, curves=None) -> None:
 
 def write_telemetry_csv(path: str, telemetry) -> None:
     keys = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
-    table = np.array([[row.get(k, np.nan) for k in keys[1:]] for row in telemetry], dtype=float)
-    _, cells = _cells(table.reshape(-1, len(keys) - 1))
     # a key a row lacks (symmetry, boundary off the half line) is an empty cell
-    missing = np.array([[k not in row for k in keys[1:]] for row in telemetry], dtype=bool)
-    cells[missing.reshape(cells.shape)] = ""
-    steps = [str(row["step"]) for row in telemetry]
-    lines = [",".join([step, *text]) + "\n" for step, text in zip(steps, cells.tolist())]
+    lines = [",".join(str(row[k]) if k in row else "" for k in keys) + "\n" for row in telemetry]
     _write_csv(path, ",".join(keys), lines)
 
 
@@ -332,7 +328,11 @@ def cmd_simulate(args) -> int:
         fam = parse_family_spec(conf["data.family"])
     except UnknownFamily as exc:
         raise UnknownFamily(f"config key data.family: {exc}") from None
-    v0 = fam.sample(Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n))
+    try:
+        grid = Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n)
+    except ValueError as exc:  # the one grid ValueError a half or periodic grid raises
+        raise ValueError(f"config key grid.L: {exc}") from None
+    v0 = fam.sample(grid)
 
     if kind == "half":
         series, wall = harness.timed(solve_half_space, v0, cfg, fam.sample)
@@ -488,7 +488,7 @@ def main(argv=None) -> int:
     except (CompatibilityRejected, FarFieldViolation) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_COMPAT
-    except (StabilityViolated, FixedPointDiverged, DegenerateVector) as exc:
+    except (StabilityViolated, FixedPointDiverged, DegenerateVector, NonFiniteState) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FilamentError, OSError, ValueError, KeyError) as exc:

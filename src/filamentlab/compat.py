@@ -140,15 +140,9 @@ class HelixFamily(TangentFamily):
             raise ValueError("helix needs a^2 + c^2 = 1")
 
     def exact(self, s, t):
-        """Solution of v_t = v x v_ss at time t: the wave rotates at w = c k^2."""
-        s = np.asarray(s, dtype=float)
-        a, c, k = self.params["a"], self.params["c"], self.params["k"]
-        phase = k * s - c * k * k * t
-        out = np.empty((s.size, 3))
-        out[:, 0] = a * np.cos(phase)
-        out[:, 1] = a * np.sin(phase)
-        out[:, 2] = c
-        return out
+        """Solution of v_t = v x v_ss at time t: the t = 0 tangent at s - c k t."""
+        c, k = self.params["c"], self.params["k"]
+        return self.tangent(np.asarray(s, dtype=float) - c * k * t)
 
     def derivative(self, s, k_order):
         s = np.asarray(s, dtype=float)

@@ -53,6 +53,10 @@ class FixedPointDiverged(FilamentError):
     """Implicit midpoint fixed-point iteration failed to converge."""
 
 
+class NonFiniteState(FilamentError, ValueError):
+    """A solve produced a non-finite value: a numerical failure, not bad input."""
+
+
 class MaskFragmented(FilamentError):
     """Curvature mask is not a contiguous region; phase integral undefined."""
 

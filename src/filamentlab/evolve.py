@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from .errors import (
     DegenerateVector,
     FarFieldViolation,
     FixedPointDiverged,
+    NonFiniteState,
     NotUnitField,
     StabilityViolated,
 )
@@ -279,7 +279,7 @@ def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> Vecto
         cand = v + half * f
         inc = 2.0 * float(np.max(np.abs(cand - m)))  # bounds the change of v + dt f
         if not math.isfinite(inc):
-            raise ValueError("field values must be finite")
+            raise NonFiniteState("field values must be finite")
         m = cand
         if inc <= tol:
             if four:  # the next step takes the start that predicted f better
@@ -333,23 +333,22 @@ def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
         row["symmetry"] = symmetry_residual(w)
         if half:
             gap = rhs(u) - restrict(VectorField(w.grid, rhs(w))).values
-            row["symmetry"] = max(row["symmetry"], float(np.max(row_norms(gap))))
+            # np.maximum, not max: a NaN gap must win, or a broken rhs reads 0.0
+            row["symmetry"] = float(np.maximum(row["symmetry"], np.max(row_norms(gap))))
         row["boundary"] = float(np.linalg.norm(w.values[w.grid.center] - E3))
     return row
 
 
-def solve_whole_line(
-    u0: VectorField,
-    cfg: SimConfig,
-    progress: Callable[[int, int], None] | None = None,
-) -> TimeSeries:
+def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     """Advance u_t = u x u_ss on a half-line, whole-line or periodic grid.
 
     A half-line grid is closed at s = 0 by the mirror ghost node (see
     ``rhs``); its result is the s >= 0 part of the whole-line solve of the
-    extended data, bit for bit.  A ``DegenerateVector`` or
-    ``FixedPointDiverged`` raised by a step is raised again, as the same
-    type, with the step and the time it started from in its message.
+    extended data, bit for bit.  A ``DegenerateVector``,
+    ``FixedPointDiverged`` or ``NonFiniteState`` raised by a step is raised
+    again, as the same type, with the step and the time it started from in
+    its message; a non-finite step result, which ``VectorField`` rejects
+    with a ``ValueError``, is raised as a ``NonFiniteState``.
     """
     if u0.unit_deviation() > 1e-6:
         raise NotUnitField("initial data must be unit length (within 1e-6)")
@@ -368,15 +367,15 @@ def solve_whole_line(
             u = step(u, dt_k, cfg, log)
             if cfg.scheme == RK4_PROJECT:
                 u = normalize_field(u)
-        except (DegenerateVector, FixedPointDiverged) as exc:
-            raise type(exc)(f"{exc} at step {k} of {nsteps}, t = {(k - 1) * dt:.6g}") from exc
+        except (DegenerateVector, FixedPointDiverged, ValueError) as exc:
+            # a plain ValueError here is VectorField's finiteness check
+            failure = NonFiniteState if type(exc) is ValueError else type(exc)
+            raise failure(f"{exc} at step {k} of {nsteps}, t = {(k - 1) * dt:.6g}") from exc
         t = k * dt if k < nsteps else cfg.t_final
         if k % monitor_every == 0 or k == nsteps:
             series.telemetry.append(_telemetry_row(k, t, u))
         if k % snapshot_every == 0 or k == nsteps:
             series.record(t, u)
-        if progress is not None:
-            progress(k, nsteps)
     series.solver = {"steps": nsteps, "rhs_calls": log.rhs_calls}
     if log.iters:
         series.solver.update(fp_iters_max=max(log.iters), fp_iters_total=sum(log.iters))
@@ -389,15 +388,12 @@ def farfield_deviation(v0: VectorField) -> float:
     return float(np.mean(row_norms(v0.values[-m:] - E3)))
 
 
-def solve_half_space(
-    v0: VectorField,
-    cfg: SimConfig,
-    resampler=None,
-    progress=None,
-) -> TimeSeries:
+def solve_half_space(v0: VectorField, cfg: SimConfig, resampler) -> TimeSeries:
     """Gate the data, then evolve the s >= 0 nodes with the mirror ghost.
 
-    The result is the ``solve_whole_line`` series with the gate's ``report``.
+    ``resampler`` maps a grid to the data on it, for the gate's two-grid
+    cross-check.  The result is the ``solve_whole_line`` series with the
+    gate's ``report``.
     """
     report = check_compat(v0, cfg.check_order, cfg.compat_tol, resampler)
     if cfg.strict and not report.passed:
@@ -409,6 +405,6 @@ def solve_half_space(
         raise FarFieldViolation(
             f"outer-window mean |v0 - e3| = {far:.3g} exceeds {cfg.farfield_tol:g}"
         )
-    series = solve_whole_line(v0, cfg, progress=progress)
+    series = solve_whole_line(v0, cfg)
     series.report = report
     return series

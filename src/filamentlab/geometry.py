@@ -16,6 +16,7 @@ on this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,9 @@ class Grid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n < 8:
             raise GridTooSmall(f"need at least 8 nodes, got {self.n}")
-        if not self.s_max > self.s_min:
-            raise ValueError("need s_max > s_min")
+        finite = math.isfinite(self.s_min) and math.isfinite(self.s_max)
+        if not (finite and self.s_max > self.s_min):
+            raise ValueError(f"need finite s_min < s_max, got {self.s_min!r}, {self.s_max!r}")
         if self.kind == HALF and self.s_min != 0.0:
             raise ValueError("half-line grids start at s = 0")
         if self.kind == WHOLE:
@@ -191,6 +193,13 @@ def deriv(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
         out[1:-1] = second_difference(v) / (h * h)
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
         out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+    return out
+
+
+def cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative trapezoid along axis 0, starting at zero."""
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * dx * (y[1:] + y[:-1]), axis=0)
     return out
 
 

@@ -162,16 +162,10 @@ def convergence_study(case: str, levels) -> ConvergenceResult:
         errors = [stationary_line_error(n)["max_deviation"] for n in levels]
     elif case == "nls":
         hs = [2.0 * np.pi / n for n in levels]
-        errors = [helix_nls_residual(n) for n in levels]
+        errors = [series_nls_residual(_helix_run(n, 0.5)[2]) for n in levels]
     else:
         raise UnknownOracle(f"unknown convergence case {case!r}")
     return ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))
-
-
-def helix_nls_residual(n: int, t_final=0.5) -> float:
-    """Gauge-corrected cubic-Schroedinger residual of a helix run."""
-    _, _, series = _helix_run(n, t_final)
-    return series_nls_residual(series)
 
 
 def extension_jump_study(family, levels) -> dict:
@@ -244,10 +238,13 @@ class RunSummary:
 
 
 def _track(pairs):
-    """{max, step} over (step, value) pairs; the last step holding the max wins."""
+    """{max, step} over (step, value) pairs; the last step holding the max wins.
+
+    A NaN counts above every number, so its verdict fails (nan <= tol is false).
+    """
     best, step = 0.0, 0
     for k, val in pairs:
-        if val >= best:
+        if val >= best or math.isnan(val):
             best, step = val, k
     return {"max": best, "step": step}
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridMismatch, InsufficientSnapshots, MaskFragmented
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, deriv, row_norms, second_difference
+from .geometry import Grid, VectorField, cross, cumtrapz, deriv, row_norms, second_difference
 
 logger = logging.getLogger(__name__)
 
@@ -105,8 +105,7 @@ def hasimoto_psi(f: FrenetData) -> HasimotoField:
         logger.warning("curvature below floor everywhere; psi is the zero field")
         return HasimotoField(f.grid, np.zeros(n, dtype=complex), f.mask.copy())
     h = f.grid.h
-    phase = np.zeros(n)
-    phase[1:] = np.cumsum(0.5 * h * (f.tau[1:] + f.tau[:-1]))
+    phase = cumtrapz(f.tau, h)
     psi = f.kappa * np.exp(1j * phase)
     psi[~f.mask] = 0.0
     wrap = 0.0

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, deriv, row_norms
+from .geometry import Grid, VectorField, cross, cumtrapz, deriv, row_norms
 
 
 @dataclass
@@ -29,20 +29,13 @@ class FilamentCurve:
             raise GridMismatch("positions shape does not match grid")
 
 
-def _cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, starting at zero."""
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * dx * (y[1:] + y[:-1]), axis=0)
-    return out
-
-
 def integrate_tangent(v0: VectorField) -> FilamentCurve:
     """Antiderivative of the tangent field at t = 0, anchored at the origin.
 
     The ``+ 0.0`` turns a -0.0 partial sum into 0.0, so the written
     positions keep the sign of zero they have always had.
     """
-    return FilamentCurve(v0.grid, _cumtrapz(v0.values, v0.grid.h) + 0.0)
+    return FilamentCurve(v0.grid, cumtrapz(v0.values, v0.grid.h) + 0.0)
 
 
 def flow_velocity(v: VectorField) -> np.ndarray:

@@ -2,13 +2,14 @@
 
 import errno
 import json
+import math
 import os
 import shutil
 
 import numpy as np
 import pytest
 
-from filamentlab import cli
+from filamentlab import cli, evolve
 from filamentlab.cli import (
     EXIT_COMPAT,
     EXIT_NUMERICAL,
@@ -35,6 +36,15 @@ scheme = rk4_project
 check.order = 1
 output.snapshot_every = 50
 output.monitor_every = 50
+"""
+
+#: A small half-line run: n = 65, dt = h^2 / 2, 7 steps, telemetry rows at steps 0 and 7.
+NAN_RUN_CONFIG = """\
+grid.kind = half
+grid.L = 20.0
+grid.n = 65
+data.family = planar_odd:a=0.5
+time.t_final = 0.3
 """
 
 PERIODIC_CONFIG = """\
@@ -400,6 +410,53 @@ class TestSimulate:
         assert "after 50 iters at step 1 of 5, t = 0\n" in err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_stage_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # rhs call 10 is the last RK4 stage of step 2 (a telemetry row makes 2
+        # calls, a step 4); its NaN was once filed as a usage error (exit 1)
+        calls = [0]
+
+        def nan_rhs(u, _rhs=evolve.rhs):
+            calls[0] += 1
+            out = _rhs(u)
+            if calls[0] == 10:
+                out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(evolve, "rhs", nan_rhs)
+        cfg, out = self._write_config(tmp_path, NAN_RUN_CONFIG), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: field values must be finite at step 2 of 7, t = 0.0488281\n"
+        )
+        assert not out.exists()
+
+    def test_nan_in_a_telemetry_row_fails_the_run(self, tmp_path, monkeypatch):
+        # a NaN in the ghost-closed rhs(u) of the last telemetry row; Python's
+        # max once dropped it, and the run exited 0 with symmetry 0.0 on every row
+        rows = []
+
+        def row(step_idx, t, u, _row=evolve._telemetry_row):
+            rows.append(step_idx)
+            return _row(step_idx, t, u)
+
+        def nan_rhs(u, _rhs=evolve.rhs):
+            out = _rhs(u)
+            if len(rows) == 2 and u.grid.kind == "half":  # no step follows the last row
+                out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(evolve, "_telemetry_row", row)
+        monkeypatch.setattr(evolve, "rhs", nan_rhs)
+        cfg, out = self._write_config(tmp_path, NAN_RUN_CONFIG), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        header, *lines = (out / "telemetry.csv").read_text().splitlines()
+        column = header.split(",").index("symmetry")
+        assert [line.split(",")[column] for line in lines] == ["0.0", "nan"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert math.isnan(summary["maxima"]["symmetry"]["max"])
+        assert summary["maxima"]["symmetry"]["step"] == 7
+        assert summary["verdicts"]["symmetry"] is False
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -652,14 +709,32 @@ EXIT_ONE_INPUTS = {
     "data-family-missing": SIM_CONFIG.replace("data.family = planar_odd:a=0.5\n", ""),
     "data-family-param-unparsable": SIM_CONFIG.replace("a=0.5", "a=abc"),
     "check-family-param-unparsable": ["check", "--family", "planar_odd:a=1x"],
+    # an infinite length once ran into numpy warnings, and none of these named the key
+    "grid-L-inf": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = inf"),
+    "grid-L-nan": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = nan"),
+    "grid-L-inf-periodic": PERIODIC_CONFIG.replace("grid.L = 6.283185307179586", "grid.L = inf"),
+    "check-length-inf": ["check", "--family", "planar_odd:a=0.5", "--length", "inf"],
+    # a non-finite value in a solve exits 3; in an input file it stays a usage error
+    "csv-not-finite": ["check", "--input", "{nonfinite}"],
+}
+
+#: The start of the error line of the rows whose message is checked.
+EXIT_ONE_MESSAGES = {
+    "grid-L-inf": "config key grid.L: need finite s_min < s_max, got 0.0, inf",
+    "grid-L-nan": "config key grid.L: need finite s_min < s_max, got 0.0, nan",
+    "grid-L-inf-periodic": "config key grid.L: need finite s_min < s_max, got 0.0, inf",
+    "check-length-inf": "need finite s_min < s_max, got 0.0, inf",
+    "csv-not-finite": "field values must be finite",
 }
 
 
-@pytest.mark.parametrize("given", EXIT_ONE_INPUTS.values(), ids=EXIT_ONE_INPUTS.keys())
-def test_every_documented_exit_one_input(tmp_path, capsys, given):
+@pytest.mark.parametrize("case", EXIT_ONE_INPUTS, ids=list(EXIT_ONE_INPUTS))
+def test_every_documented_exit_one_input(tmp_path, capsys, case):
+    given = EXIT_ONE_INPUTS[case]
     files = {
         "nonuniform": "s,v1,v2,v3\n0.0,0,0,1\n1.0,0,0,1\n3.0,0,0,1\n",
         "shifted": "s,v1,v2,v3\n5.0,0,0,1\n6.0,0,0,1\n7.0,0,0,1\n",
+        "nonfinite": "s,v1,v2,v3\n" + "".join(f"{s}.0,0,nan,1\n" for s in range(8)),
         "config": given if isinstance(given, str) else "",
     }
     paths = {name: tmp_path / f"{name}.txt" for name in files}
@@ -670,7 +745,7 @@ def test_every_documented_exit_one_input(tmp_path, capsys, given):
     else:
         argv = [arg.format(**paths) for arg in given]
     assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: " + EXIT_ONE_MESSAGES.get(case, ""))
     assert not (tmp_path / "out").exists()
 
 

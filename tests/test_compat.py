@@ -72,6 +72,14 @@ class TestFamilies:
         fam = HelixFamily(0.6, 0.8, 2.0)
         assert fam.exact(s, 0.0).tobytes() == fam.tangent(s).tobytes()
 
+    @pytest.mark.parametrize("a, c, k", [(0.6, 0.8, 2.0), (0.8, 0.6, 3.0)])
+    @pytest.mark.parametrize("t", [0.1, 0.5])
+    def test_helix_exact_is_the_rotating_wave(self, a, c, k, t):
+        s = Grid.periodic(2.0 * np.pi / k, 64).nodes()
+        phase = k * s - c * k * k * t
+        wave = np.column_stack((a * np.cos(phase), a * np.sin(phase), np.full_like(s, c)))
+        assert np.max(np.abs(HelixFamily(a, c, k).exact(s, t) - wave)) <= 1e-14
+
     def test_helix_exact_solves_the_flow(self):
         # centred time difference of exact vs v x v_ss at t = 0: error O(dt^2)
         s = np.random.default_rng(31).uniform(-5.0, 5.0, size=64)

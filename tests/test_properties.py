@@ -9,7 +9,8 @@ tests check that over random finite fields, not only over the builtin
 families (which are T-fixed after extension).  The half-line stepper
 relies on more: its ghost-closed ``rhs`` is the whole-line ``rhs`` of the
 extension, restricted, so is a midpoint solve through every start, and a
-wrong ghost must show in the telemetry and, under midpoint, in the exit code.
+wrong ghost must show in the telemetry and, under midpoint, in the exit code,
+and a NaN in any tracked telemetry column must fail the run.
 Three round trips must be exact too: a field CSV written and read back, a
 SimConfig written as a config file and read back, and the restriction of
 an extension.  The fast paths must not move a bit: the snapshot writer
@@ -17,6 +18,8 @@ against a naive per-row repr, however many processes format its blocks,
 and the norm kernels against numpy's sum.
 """
 
+import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -226,6 +229,29 @@ def test_wrong_ghost_under_midpoint_exits_three(monkeypatch, tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["energy_drift"]["passed"] is False
     assert summary["passed"] is False
+
+
+@functools.cache
+def _midpoint_half_line_run():
+    # midpoint, where the energy drift gates ``passed`` along with the verdicts
+    fam = get_family("planar_odd", a=0.5)
+    cfg = SimConfig(t_final=0.2, scheme=MIDPOINT_FIXEDPOINT, monitor_every=3)
+    return evolve.solve_half_space(fam.sample(Grid.half_line(20.0, 65)), cfg, fam.sample)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["norm_dev", "symmetry", "boundary", "energy"]), st.data())
+def test_nan_in_a_tracked_column_fails_the_run(column, data):
+    run = _midpoint_half_line_run()
+    assert invariant_suite(run).passed
+    rows = [dict(row) for row in run.telemetry]
+    data.draw(st.sampled_from(rows))[column] = float("nan")
+    summary = invariant_suite(dataclasses.replace(run, telemetry=rows))
+    if column == "energy":
+        assert summary.energy_drift["passed"] is False
+    else:
+        assert summary.verdicts[column] is False
+    assert summary.passed is False
 
 
 @st.composite
