@@ -27,6 +27,7 @@ from .errors import (
     FarFieldViolation,
     FilamentError,
     FixedPointDiverged,
+    GridTooSmall,
     NonFiniteState,
     StabilityViolated,
     UnknownFamily,
@@ -330,6 +331,8 @@ def cmd_simulate(args) -> int:
         raise UnknownFamily(f"config key data.family: {exc}") from None
     try:
         grid = Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n)
+    except GridTooSmall as exc:
+        raise GridTooSmall(f"config key grid.n: {exc}") from None
     except ValueError as exc:  # the one grid ValueError a half or periodic grid raises
         raise ValueError(f"config key grid.L: {exc}") from None
     v0 = fam.sample(grid)

@@ -129,6 +129,12 @@ class _PlanarFamily(TangentFamily):
         return self._lam(k)(np.asarray(s, dtype=float))
 
 
+def _rotating_wave(s, amp, rate, k):
+    """k-th s-derivative of amp (cos, sin)(rate s): (amp rate^k) (cos, sin)(rate s + k pi/2)."""
+    scale, phase = amp * rate**k, rate * s + k * np.pi / 2.0
+    return scale * np.cos(phase), scale * np.sin(phase)
+
+
 class HelixFamily(TangentFamily):
     """Rotating-wave tangent (a cos ks, a sin ks, c) with a^2 + c^2 = 1."""
 
@@ -146,13 +152,9 @@ class HelixFamily(TangentFamily):
 
     def derivative(self, s, k_order):
         s = np.asarray(s, dtype=float)
-        a, c, k = self.params["a"], self.params["c"], self.params["k"]
-        shift = k_order * np.pi / 2.0
-        scale = k**k_order
         out = np.empty((s.size, 3))
-        out[:, 0] = a * scale * np.cos(k * s + shift)
-        out[:, 1] = a * scale * np.sin(k * s + shift)
-        out[:, 2] = c if k_order == 0 else 0.0
+        out[:, 0], out[:, 1] = _rotating_wave(s, self.params["a"], self.params["k"], k_order)
+        out[:, 2] = self.params["c"] if k_order == 0 else 0.0
         return out
 
 
@@ -171,14 +173,9 @@ class RingFamily(TangentFamily):
 
     def derivative(self, s, k_order):
         s = np.asarray(s, dtype=float)
-        r = self.params["r"]
-        w = 1.0 / r
-        shift = k_order * np.pi / 2.0
-        scale = w**k_order
-        out = np.empty((s.size, 3))
-        out[:, 0] = -scale * np.sin(s * w + shift)
-        out[:, 1] = scale * np.cos(s * w + shift)
-        out[:, 2] = 0.0
+        cos, sin = _rotating_wave(s, 1.0, 1.0 / self.params["r"], k_order)
+        out = np.zeros((s.size, 3))
+        out[:, 0], out[:, 1] = -sin, cos
         return out
 
 

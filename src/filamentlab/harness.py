@@ -305,7 +305,7 @@ def invariant_suite(series: TimeSeries, curves=None, wall_seconds: float = 0.0) 
         )
     return RunSummary(
         config={
-            "grid": {"kind": g.kind, "s_min": g.s_min, "s_max": g.s_max, "n": g.n},
+            "grid": asdict(g),
             "t_final": cfg.t_final,
             "dt": cfg.resolve_dt(g.h),
             "scheme": cfg.scheme,

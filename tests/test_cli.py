@@ -415,9 +415,9 @@ class TestSimulate:
         # calls, a step 4); its NaN was once filed as a usage error (exit 1)
         calls = [0]
 
-        def nan_rhs(u, _rhs=evolve.rhs):
+        def nan_rhs(u, values, _rhs=evolve.rhs):
             calls[0] += 1
-            out = _rhs(u)
+            out = _rhs(u, values)
             if calls[0] == 10:
                 out[3, 1] = np.nan
             return out
@@ -430,6 +430,19 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_run_ends_on_a_positive_step(self, tmp_path):
+        # t_final / dt = 17850.000000000004 passed the 1e-12 slack of the step
+        # count: the run took a 17851st step of length 0, recorded t_final twice
+        # and exited 1 with "snapshot times must increase strictly"
+        text = PERIODIC_CONFIG.replace("grid.n = 64", "grid.n = 8").replace(
+            "helix:a=0.6,c=0.8,k=2.0", "ring:r=1"
+        ).replace("time.t_final = 0.05", "time.t_final = 16.065")
+        text += "time.dt = 0.0009\noutput.snapshot_every = 50\n"
+        cfg, out = self._write_config(tmp_path, text), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["solver"]["steps"] == 17850
+        assert (out / "snapshots.csv").read_text().splitlines()[-1].startswith("16.065,")
+
     def test_nan_in_a_telemetry_row_fails_the_run(self, tmp_path, monkeypatch):
         # a NaN in the ghost-closed rhs(u) of the last telemetry row; Python's
         # max once dropped it, and the run exited 0 with symmetry 0.0 on every row
@@ -439,8 +452,8 @@ class TestSimulate:
             rows.append(step_idx)
             return _row(step_idx, t, u)
 
-        def nan_rhs(u, _rhs=evolve.rhs):
-            out = _rhs(u)
+        def nan_rhs(u, values, _rhs=evolve.rhs):
+            out = _rhs(u, values)
             if len(rows) == 2 and u.grid.kind == "half":  # no step follows the last row
                 out[3, 1] = np.nan
             return out
@@ -686,10 +699,14 @@ EXIT_ONE_INPUTS = {
     "config-order-negative-half": SIM_CONFIG.replace("check.order = 1", "check.order = -1"),
     # a periodic run checks no compatibility, so order -1 once ran and exited 0
     "config-order-negative-periodic": PERIODIC_CONFIG + "check.order = -1\n",
+    # order 3 needs derivative 6 at the wall; a periodic run once accepted and ignored it
+    "config-order-3-half": SIM_CONFIG.replace("check.order = 1", "check.order = 3"),
+    "config-order-3-periodic": PERIODIC_CONFIG + "check.order = 3\n",
     "check-tol-inf": ["check", "--family", "planar_bad:a=0.5", "--tol", "inf"],
     "check-tol-nan": ["check", "--family", "planar_bad:a=0.5", "--tol", "nan"],
     "config-tol-nan": SIM_CONFIG + "tolerances.compat = nan\n",
     "grid-n-unparsable": SIM_CONFIG.replace("grid.n = 129", "grid.n = 12x"),
+    "grid-n-too-small": SIM_CONFIG.replace("grid.n = 129", "grid.n = 4"),
     "family-param-unknown": ["check", "--family", "planar_odd:A=5"],
     "family-param-unknown-helix": ["diagnose", "--family", "helix:kk=7", "--n", "64"],
     "family-param-nan": PERIODIC_CONFIG.replace(HELIX, "helix:a=nan"),
@@ -725,6 +742,9 @@ EXIT_ONE_MESSAGES = {
     "grid-L-inf-periodic": "config key grid.L: need finite s_min < s_max, got 0.0, inf",
     "check-length-inf": "need finite s_min < s_max, got 0.0, inf",
     "csv-not-finite": "field values must be finite",
+    "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
+    "config-order-3-periodic": "check_order must be at least 0 and at most 2, got 3",
+    "grid-n-too-small": "config key grid.n: need at least 8 nodes, got 4",
 }
 
 

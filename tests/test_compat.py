@@ -80,6 +80,28 @@ class TestFamilies:
         wave = np.column_stack((a * np.cos(phase), a * np.sin(phase), np.full_like(s, c)))
         assert np.max(np.abs(HelixFamily(a, c, k).exact(s, t) - wave)) <= 1e-14
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_rotating_wave_derivatives_are_their_closed_forms_bitwise(self, k):
+        # k-th derivatives of (a cos qs, a sin qs, c) and (-sin s/r, cos s/r, 0),
+        # in the operation order of the closed forms, including the sign of 0.0
+        s = np.concatenate((np.linspace(-7.0, 7.0, 1001), [0.0, -0.0]))
+        shift = k * np.pi / 2.0
+        for a, c, q in [(0.6, 0.8, 2.0), (0.8, 0.6, 3.0), (1.0, 0.0, -1.5)]:
+            want = np.column_stack(
+                (
+                    a * q**k * np.cos(q * s + shift),
+                    a * q**k * np.sin(q * s + shift),
+                    np.full_like(s, c if k == 0 else 0.0),
+                )
+            )
+            assert HelixFamily(a, c, q).derivative(s, k).tobytes() == want.tobytes()
+        for r in (0.5, 1.0, 2.7):
+            w = 1.0 / r
+            want = np.column_stack(
+                (-(w**k) * np.sin(s * w + shift), w**k * np.cos(s * w + shift), np.zeros_like(s))
+            )
+            assert RingFamily(r).derivative(s, k).tobytes() == want.tobytes()
+
     def test_helix_exact_solves_the_flow(self):
         # centred time difference of exact vs v x v_ss at t = 0: error O(dt^2)
         s = np.random.default_rng(31).uniform(-5.0, 5.0, size=64)

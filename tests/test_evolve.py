@@ -43,8 +43,8 @@ def _constant_e3(grid):
 
 class TestRhs:
     def test_straight_is_fixed_point(self):
-        g = Grid.periodic(2.0 * np.pi, 64)
-        assert np.array_equal(rhs(_constant_e3(g)), np.zeros((64, 3)))
+        u = _constant_e3(Grid.periodic(2.0 * np.pi, 64))
+        assert np.array_equal(rhs(u, u.values), np.zeros((64, 3)))
 
     def test_helix_closed_form(self):
         # v x v_ss for (a cos ks, a sin ks, c) is c k^2 a (sin ks, -cos ks, 0)
@@ -52,7 +52,8 @@ class TestRhs:
         g = Grid.periodic(2.0 * np.pi, 256)
         s = g.nodes()
         fam = HelixFamily(a, c, k)
-        got = rhs(fam.sample(g))
+        u = fam.sample(g)
+        got = rhs(u, u.values)
         expect = np.stack(
             [c * k * k * a * np.sin(k * s), -c * k * k * a * np.cos(k * s), 0.0 * s],
             axis=1,
@@ -74,18 +75,29 @@ class TestRhs:
                 ],
                 axis=1,
             )
-            errs.append(np.max(np.abs(rhs(fam.sample(g)) - expect)))
+            u = fam.sample(g)
+            errs.append(np.max(np.abs(rhs(u, u.values) - expect)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_edges_clamped_on_whole_grid(self):
         fam = get_family("planar_odd", a=0.5)
         ext = extend(fam.sample(Grid.half_line(10.0, 65)))
-        out = rhs(ext)
+        out = rhs(ext, ext.values)
         assert np.array_equal(out[0], [0.0, 0.0, 0.0])
         assert np.array_equal(out[-1], [0.0, 0.0, 0.0])
 
 
 class TestConfig:
+    @pytest.mark.parametrize(
+        "dt, t_final, nsteps", [(0.0009, 16.065, 17850), (0.00025, 8.05, 32200)]
+    )
+    def test_step_count_drops_an_empty_last_step(self, dt, t_final, nsteps):
+        # t_final / dt rounds above the count by more than the 1e-12 slack, so
+        # the count once came out one higher, with a last step of length 0.0
+        cfg = SimConfig(dt=dt, t_final=t_final)
+        assert cfg.resolve_steps(1.0) == nsteps
+        assert t_final - (nsteps - 1) * dt > 0.0
+
     def test_default_dt(self):
         cfg = SimConfig()
         assert cfg.resolve_dt(0.1) == pytest.approx(5e-3)
@@ -134,6 +146,7 @@ class TestConfig:
             ("snapshot_every", 0),
             ("monitor_every", 0),
             ("check_order", -1),
+            ("check_order", 3),
             *[
                 (tol, value)
                 for tol in ("tol_boundary", "fp_tol", "compat_tol", "farfield_tol")
@@ -190,9 +203,9 @@ class TestStep:
         # raises, with no rhs call after the bad value.
         calls = [0]
 
-        def nan_rhs(u, _rhs=evolve.rhs):
+        def nan_rhs(u, values, _rhs=evolve.rhs):
             calls[0] += 1
-            out = _rhs(u)
+            out = _rhs(u, values)
             if calls[0] == bad_call:
                 out[3, 1] = np.nan
             return out
@@ -313,9 +326,9 @@ def test_solver_counts_are_the_rhs_calls_made_in_steps(acceptance_u0, monkeypatc
     cfg = SimConfig(t_final=0.25, scheme=scheme)
     calls, in_step = [0], [False]
 
-    def counting_rhs(u, _rhs=evolve.rhs):
+    def counting_rhs(u, values, _rhs=evolve.rhs):
         calls[0] += in_step[0]
-        return _rhs(u)
+        return _rhs(u, values)
 
     def flagging_step(*args, _step=evolve.step):
         in_step[0] = True

@@ -21,6 +21,7 @@ and the norm kernels against numpy's sum.
 import dataclasses
 import functools
 import json
+import math
 import os
 import tempfile
 import threading
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -78,7 +79,9 @@ def whole_line_fields(draw):
 @PROPERTY_SETTINGS
 @given(whole_line_fields())
 def test_rhs_commutes_with_T(u):
-    assert np.array_equal(rhs(apply_T(u)), apply_T(VectorField(u.grid, rhs(u))).values)
+    mirrored = apply_T(u)
+    got = rhs(mirrored, mirrored.values)
+    assert np.array_equal(got, apply_T(VectorField(u.grid, rhs(u, u.values))).values)
 
 
 @PROPERTY_SETTINGS
@@ -100,7 +103,7 @@ def test_slope_started_midpoint_step_commutes_with_T(nslopes, u, data):
     # four; T maps a slope as it maps a state, and leaves the choice alone
     shape = (u.grid.n, 3)
     slopes = [
-        rhs(VectorField(u.grid, data.draw(arrays(np.float64, shape, elements=_unit_interval))))
+        rhs(u, data.draw(arrays(np.float64, shape, elements=_unit_interval)))
         for _ in range(nslopes)
     ]
     cubic = data.draw(st.booleans())
@@ -181,8 +184,9 @@ def unit_half_line_fields(draw):
 @PROPERTY_SETTINGS
 @given(unit_half_line_fields())
 def test_ghost_rhs_is_restricted_whole_line_rhs(u):
-    whole = rhs(extend(u))
-    assert rhs(u).tobytes() == whole[u.grid.n - 1 :].tobytes()
+    ext = extend(u)
+    whole = rhs(ext, ext.values)
+    assert rhs(u, u.values).tobytes() == whole[u.grid.n - 1 :].tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -325,6 +329,35 @@ def test_config_round_trip(cfg, data):
         path = os.path.join(tmp, "run.cfg")
         Path(path).write_text("\n".join(lines) + "\n")
         assert _build_cfg(parse_config(path)) == cfg
+
+
+# plain decimals such as 1.5e-3 and 16.07, where the step count once went wrong,
+# and any floats; dt stays below the RK4 cap at h = 1
+_plain_dt = st.builds(
+    lambda m, e: float(f"{m}e-{e}"),
+    st.sampled_from([1 + j / 2 for j in range(17)]),
+    st.integers(3, 6),
+)
+_plain_t_final = st.integers(1, 1000).map(lambda k: k / 100)
+
+
+@PROPERTY_SETTINGS
+@given(
+    dt=_plain_dt | st.floats(1e-6, 0.5),
+    t_final=_plain_t_final | st.floats(1e-3, 10.0),
+)
+@example(dt=0.0009, t_final=16.065)
+@example(dt=0.00025, t_final=8.05)
+def test_last_step_is_positive(dt, t_final):
+    nsteps = SimConfig(dt=dt, t_final=t_final).resolve_steps(1.0)
+    last = t_final - (nsteps - 1) * dt
+    assert 0.0 < last <= dt + 1e-12 * (dt + t_final)
+    # the earlier count, kept wherever its last step was not empty
+    earlier = max(1, math.ceil(t_final / dt - 1e-12))
+    if t_final - (earlier - 1) * dt > 0.0:
+        assert nsteps == earlier
+    else:
+        assert nsteps == earlier - 1
 
 
 @PROPERTY_SETTINGS
