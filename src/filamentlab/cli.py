@@ -20,7 +20,7 @@ import threading
 import numpy as np
 
 from . import harness
-from .compat import check_compat, parse_family_spec
+from .compat import check_compat, check_order_range, parse_family_spec
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
@@ -236,6 +236,7 @@ def _input_field(args):
 
 
 def cmd_check(args) -> int:
+    check_order_range("--order", args.order)
     v0, resampler = _input_field(args)
     report = check_compat(v0, args.order, args.tol, resampler)
     for k, (res, ok) in enumerate(zip(report.a_residuals, report.a_pass)):

@@ -281,6 +281,15 @@ def _passes(residual: float, tol: float, coarse: float | None) -> bool:
     return residual <= tol or (coarse is not None and residual <= REFINE_FACTOR * coarse)
 
 
+def check_order_range(name: str, order: int) -> None:
+    """Reject a compatibility order outside 0...K_MAX // 2, naming the setting ``name``.
+
+    Order k reads derivative 2k at s = 0.
+    """
+    if not 0 <= order <= K_MAX // 2:
+        raise ValueError(f"{name} must be at least 0 and at most {K_MAX // 2}, got {order!r}")
+
+
 def check_compat(
     v0: VectorField,
     n: int,

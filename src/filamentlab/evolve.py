@@ -44,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compat import CompatibilityReport, check_compat
+from .compat import CompatibilityReport, check_compat, check_order_range
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
@@ -57,7 +57,6 @@ from .errors import (
 from .geometry import (
     E3,
     HALF,
-    K_MAX,
     PERIODIC,
     WHOLE,
     Grid,
@@ -81,12 +80,15 @@ MIDPOINT_FIXEDPOINT = "midpoint_fixedpoint"
 STABILITY_FACTOR = {RK4_PROJECT: 0.65, MIDPOINT_FIXEDPOINT: 0.4}
 
 #: Default dt/h^2 per scheme.  The spatial error dominates at any stable dt
-#: (RK4's planar_odd error is the same to 6 digits from 0.1 to 0.7 h^2).  The
-#: midpoint default stays below SLOPE_START_FACTOR, so its steps start from
-#: the extrapolated slopes: on planar_odd, n = 512 that takes 3.39 rhs calls
-#: per step to t = 0.25 and 3.36 to t = 1, against 4.63 and 4.83 from the
-#: linear start alone and 5.75 from the Euler start.
-DEFAULT_DT_FACTOR = {RK4_PROJECT: 0.5, MIDPOINT_FIXEDPOINT: 0.25}
+#: (RK4's planar_odd error is the same to 6 digits from 0.1 to 0.7 h^2), so
+#: RK4 steps at its cap: on planar_odd, half n = 513, t = 1 its time error
+#: against a 0.05 h^2 run is 9.2e-11, against a spatial error of 3.9e-4, and
+#: rough, ring and helix data stay stable there (BENCH_rk4_default_dt.json).
+#: The midpoint default stays below SLOPE_START_FACTOR, so its steps start
+#: from the extrapolated slopes: on planar_odd, n = 512 that takes 3.39 rhs
+#: calls per step to t = 0.25 and 3.36 to t = 1, against 4.63 and 4.83 from
+#: the linear start alone and 5.75 from the Euler start.
+DEFAULT_DT_FACTOR = {RK4_PROJECT: STABILITY_FACTOR[RK4_PROJECT], MIDPOINT_FIXEDPOINT: 0.25}
 
 #: Largest dt/h^2 at which a midpoint step starts from extrapolated slopes,
 #: linear or cubic (see the module docstring): theta = 4 dt/h^2 <= pi/3, the
@@ -130,10 +132,7 @@ class SimConfig:
         for name in ("snapshot_every", "monitor_every"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if not 0 <= self.check_order <= K_MAX // 2:  # order k reads derivative 2k at s = 0
-            raise ValueError(
-                f"check_order must be at least 0 and at most {K_MAX // 2}, got {self.check_order!r}"
-            )
+        check_order_range("check_order", self.check_order)
         if self.scheme not in STABILITY_FACTOR:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 

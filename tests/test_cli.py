@@ -38,13 +38,15 @@ output.snapshot_every = 50
 output.monitor_every = 50
 """
 
-#: A small half-line run: n = 65, dt = h^2 / 2, 7 steps, telemetry rows at steps 0 and 7.
+#: A small half-line run: n = 65, dt = h^2 / 2 (pinned below the RK4 default,
+#: so the failing step and rhs call stay put), 7 steps, telemetry rows at steps 0 and 7.
 NAN_RUN_CONFIG = """\
 grid.kind = half
 grid.L = 20.0
 grid.n = 65
 data.family = planar_odd:a=0.5
 time.t_final = 0.3
+time.dt = 0.048828125
 """
 
 PERIODIC_CONFIG = """\
@@ -696,6 +698,8 @@ EXIT_ONE_INPUTS = {
     "csv-not-at-zero": ["check", "--input", "{shifted}"],
     "strict-misspelt": SIM_CONFIG + "check.strict = treu\n",
     "check-order-negative": ["check", "--family", "planar_odd:a=0.5", "--order", "-1"],
+    # once "order 3 needs derivative 6 > k_max=4", naming neither the option nor its range
+    "check-order-3": ["check", "--family", "planar_odd:a=0.5", "--order", "3"],
     "config-order-negative-half": SIM_CONFIG.replace("check.order = 1", "check.order = -1"),
     # a periodic run checks no compatibility, so order -1 once ran and exited 0
     "config-order-negative-periodic": PERIODIC_CONFIG + "check.order = -1\n",
@@ -742,6 +746,7 @@ EXIT_ONE_MESSAGES = {
     "grid-L-inf-periodic": "config key grid.L: need finite s_min < s_max, got 0.0, inf",
     "check-length-inf": "need finite s_min < s_max, got 0.0, inf",
     "csv-not-finite": "field values must be finite",
+    "check-order-3": "--order must be at least 0 and at most 2, got 3",
     "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
     "config-order-3-periodic": "check_order must be at least 0 and at most 2, got 3",
     "grid-n-too-small": "config key grid.n: need at least 8 nodes, got 4",

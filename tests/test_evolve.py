@@ -32,8 +32,8 @@ from filamentlab.evolve import (
     solve_whole_line,
     step,
 )
-from filamentlab.geometry import E3, Grid, VectorField, normalize_field
-from filamentlab.harness import ENERGY_DRIFT_TOL
+from filamentlab.geometry import E3, Grid, VectorField, normalize_field, row_norms
+from filamentlab.harness import ENERGY_DRIFT_TOL, energy_drift
 from filamentlab.reflect import extend, restrict
 
 
@@ -100,7 +100,7 @@ class TestConfig:
 
     def test_default_dt(self):
         cfg = SimConfig()
-        assert cfg.resolve_dt(0.1) == pytest.approx(5e-3)
+        assert cfg.resolve_dt(0.1) == pytest.approx(6.5e-3)
 
     def test_stability_guard(self):
         cfg = SimConfig(dt=0.5)
@@ -114,14 +114,18 @@ class TestConfig:
 
     def test_sampling_resolves_as_simulated_time(self):
         # unset: every 5 h^2 of simulated time; set: a count of steps
-        assert SimConfig().resolve_every(0.1) == (10, 10)
+        assert SimConfig().resolve_every(0.1) == (8, 8)
         assert SimConfig(scheme=MIDPOINT_FIXEDPOINT).resolve_every(0.1) == (20, 20)
         assert SimConfig(dt=0.002).resolve_every(0.1) == (25, 25)
-        assert SimConfig(snapshot_every=7).resolve_every(0.1) == (7, 10)
+        assert SimConfig(snapshot_every=7).resolve_every(0.1) == (7, 8)
+        # RK4 pinned at 0.5 h^2 (its default 0.65 h^2 makes 5 h^2 no whole
+        # number of steps): two step lengths, one sampling time
         g = Grid.periodic(2.0 * np.pi, 64)
         times = [
-            solve_whole_line(HelixFamily().sample(g), SimConfig(t_final=0.2, scheme=scheme)).times
-            for scheme in (RK4_PROJECT, MIDPOINT_FIXEDPOINT)
+            solve_whole_line(
+                HelixFamily().sample(g), SimConfig(t_final=0.2, dt=f * g.h * g.h, scheme=scheme)
+            ).times
+            for scheme, f in ((RK4_PROJECT, 0.5), (MIDPOINT_FIXEDPOINT, 0.25))
         ]
         assert len(times[0]) > 3
         assert times[0] == pytest.approx(times[1], rel=1e-12)
@@ -157,6 +161,43 @@ class TestConfig:
     def test_bad_value_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             SimConfig(**{field: value})
+
+
+class TestDefaultStep:
+    """RK4 steps at its stability cap unless dt is set."""
+
+    def test_time_error_against_a_fine_step(self):
+        # measured 2.26e-8; the spatial error at n = 513 alone is 3.9e-4
+        fam = get_family("planar_odd", a=0.5)
+        grid = Grid.half_line(20.0, 257)
+        finals = [
+            solve_half_space(fam.sample(grid), SimConfig(dt=dt), fam.sample).final().values
+            for dt in (None, 0.05 * grid.h * grid.h)
+        ]
+        assert np.max(row_norms(finals[0] - finals[1])) < 1e-7
+
+    @pytest.mark.parametrize(
+        "name, params, grid, t_final",
+        [
+            ("planar_bad", {"a": 2.0}, Grid.half_line(20.0, 65), 0.5),
+            ("planar_bad", {"a": 2.0}, Grid.half_line(20.0, 129), 0.5),
+            ("planar_bad", {"a": 2.0}, Grid.half_line(20.0, 257), 0.5),
+            ("ring", {"r": 0.5}, Grid.periodic(np.pi, 64), 1.0),
+            ("helix", {}, Grid.periodic(2.0 * np.pi, 64), 1.0),
+        ],
+        ids=["planar_bad-65", "planar_bad-129", "planar_bad-257", "ring-64", "helix-64"],
+    )
+    def test_rough_and_periodic_data_stay_stable(self, name, params, grid, t_final):
+        # an unstable step grows the energy drift past 1; the largest measured
+        # here is 5.2e-3, planar_bad at n = 65
+        fam = get_family(name, **params)
+        cfg = SimConfig(t_final=t_final, strict=False)
+        if grid.kind == "half":
+            series = solve_half_space(fam.sample(grid), cfg, fam.sample)
+        else:
+            series = solve_whole_line(fam.sample(grid), cfg)
+        assert series.times[-1] == t_final
+        assert energy_drift(series.telemetry, ENERGY_DRIFT_TOL)["max"] < 1e-2
 
 
 class TestStep:

@@ -187,6 +187,7 @@ class TestNlsResidual:
     def test_straight_run_residual_zero(self, caplog):
         fam = get_family("straight")
         g = Grid.periodic(2.0 * np.pi, 64)
-        series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.05))
+        series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.05, snapshot_every=4))
+        assert len(series.snapshots) >= 3
         with caplog.at_level("WARNING", logger="filamentlab.hasimoto"):
             assert series_nls_residual(series) == 0.0

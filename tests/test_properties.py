@@ -47,7 +47,15 @@ from filamentlab.cli import (
 )
 from filamentlab.compat import get_family
 from filamentlab.errors import DegenerateVector
-from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, rhs, step
+from filamentlab.evolve import (
+    MIDPOINT_FIXEDPOINT,
+    RK4_PROJECT,
+    STABILITY_FACTOR,
+    SimConfig,
+    TimeSeries,
+    rhs,
+    step,
+)
 from filamentlab.geometry import (
     E3,
     MIN_NORM,
@@ -358,6 +366,13 @@ def test_last_step_is_positive(dt, t_final):
         assert nsteps == earlier
     else:
         assert nsteps == earlier - 1
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_rk4_default_dt_is_its_cap(h):
+    # the default never trips the one stability guard, whatever the grid
+    assert SimConfig().resolve_dt(h) == STABILITY_FACTOR[RK4_PROJECT] * h * h
 
 
 @PROPERTY_SETTINGS
