@@ -284,10 +284,11 @@ def _passes(residual: float, tol: float, coarse: float | None) -> bool:
 def check_order_range(name: str, order: int) -> None:
     """Reject a compatibility order outside 0...K_MAX // 2, naming the setting ``name``.
 
-    Order k reads derivative 2k at s = 0.
+    Order k reads derivative 2k at s = 0; an order above the range raises OrderTooHigh.
     """
     if not 0 <= order <= K_MAX // 2:
-        raise ValueError(f"{name} must be at least 0 and at most {K_MAX // 2}, got {order!r}")
+        error = ValueError if order < 0 else OrderTooHigh
+        raise error(f"{name} must be at least 0 and at most {K_MAX // 2}, got {order!r}")
 
 
 def check_compat(
@@ -302,12 +303,9 @@ def check_compat(
     underlying data; it enables the two-grid cross-check that separates
     stencil truncation error from genuine incompatibility.
     """
-    if n < 0:
-        raise ValueError(f"compatibility order must be at least 0, got {n}")
+    check_order_range("order", n)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"compatibility tolerance must be a finite number above 0, got {tol!r}")
-    if 2 * n > K_MAX:
-        raise OrderTooHigh(f"order {n} needs derivative {2 * n} > k_max={K_MAX}")
     norm_residual = v0.unit_deviation()
     if norm_residual > UNIT_FIELD_CAP:
         raise NotUnitField(

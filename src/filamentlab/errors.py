@@ -9,7 +9,7 @@ class GridTooSmall(FilamentError):
     """A finite-difference stencil does not fit on the grid."""
 
 
-class OrderTooHigh(FilamentError):
+class OrderTooHigh(FilamentError, ValueError):
     """A derivative order beyond the supported boundary-stencil table."""
 
 

@@ -121,9 +121,7 @@ class SimConfig:
     strict: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
-            raise ValueError(f"t_final must be a finite number above 0, got {self.t_final!r}")
-        for name in ("dt", "tol_boundary", "fp_tol", "compat_tol", "farfield_tol"):
+        for name in ("t_final", "dt", "tol_boundary", "fp_tol", "compat_tol", "farfield_tol"):
             value = getattr(self, name)
             if value is None and name == "dt":
                 continue  # resolve_dt derives it from h

@@ -4,7 +4,9 @@ import errno
 import json
 import math
 import os
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from filamentlab.cli import (
 from filamentlab.compat import get_family
 from filamentlab.evolve import SimConfig, solve_half_space
 from filamentlab.geometry import Grid
+from filamentlab.harness import RunSummary
 
 
 SIM_CONFIG = """\
@@ -56,6 +59,12 @@ grid.n = 64
 data.family = helix:a=0.6,c=0.8,k=2.0
 time.t_final = 0.05
 """
+
+
+def _with_key(text: str, key: str, value: str) -> str:
+    """Config ``text`` with ``key`` set to ``value``: its line replaced, or one appended."""
+    lines = [line + "\n" for line in text.splitlines() if not line.startswith(key + " ")]
+    return "".join(lines) + f"{key} = {value}\n"
 
 
 class TestCheck:
@@ -209,6 +218,18 @@ class TestSimulate:
         assert all(summary["verdicts"].values())
         assert "wall_seconds" not in summary
 
+    def test_summary_without_curves_has_no_curve_tolerances(self, tmp_path, capsys):
+        # endpoint_height and arclength_dev once had tolerances but no verdicts here
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        gating = {"norm_dev", "symmetry", "boundary"}
+        assert set(summary["tolerances"]) == set(summary["verdicts"]) == gating
+        assert set(summary["maxima"]) == gating | {"energy_drift"}
+        drift = summary["maxima"]["energy_drift"]["max"]
+        assert f"energy_drift {drift:.3e} (reported, not gating)" in capsys.readouterr().out
+
     def test_summary_bit_identical_across_runs(self, tmp_path):
         cfg = self._write_config(tmp_path)
         blobs = []
@@ -352,7 +373,7 @@ class TestSimulate:
         ],
     )
     def test_bad_time_setting_exit_one(self, tmp_path, capsys, key, value, field):
-        cfg = self._write_config(tmp_path, SIM_CONFIG + f"{key} = {value}\n")
+        cfg = self._write_config(tmp_path, _with_key(SIM_CONFIG, key, value))
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert f"{field} must" in capsys.readouterr().err
@@ -381,11 +402,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key, value", [("grid.n", "12x"), ("grid.L", "2o")])
     def test_bad_grid_value_names_its_key(self, tmp_path, capsys, key, value):
-        text = "".join(
-            f"{key} = {value}\n" if line.startswith(key + " ") else line + "\n"
-            for line in SIM_CONFIG.splitlines()
-        )
-        cfg = self._write_config(tmp_path, text)
+        cfg = self._write_config(tmp_path, _with_key(SIM_CONFIG, key, value))
         out = tmp_path / "out"
         assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
         assert f"config key {key}: " in capsys.readouterr().err
@@ -689,9 +706,11 @@ EXIT_ONE_INPUTS = {
     "unknown-key": SIM_CONFIG + "time.tfinal = 0.01\n",
     "dt-nan": SIM_CONFIG + "time.dt = nan\n",
     "dt-zero": SIM_CONFIG + "time.dt = 0\n",
-    "t_final-inf": SIM_CONFIG + "time.t_final = inf\n",
-    "snapshot_every-zero": SIM_CONFIG + "output.snapshot_every = 0\n",
-    "monitor_every-zero": SIM_CONFIG + "output.monitor_every = 0\n",
+    "t_final-inf": _with_key(SIM_CONFIG, "time.t_final", "inf"),
+    "snapshot_every-zero": _with_key(SIM_CONFIG, "output.snapshot_every", "0"),
+    "monitor_every-zero": _with_key(SIM_CONFIG, "output.monitor_every", "0"),
+    # the last copy once won silently: this ran at n = 65 and exited 0
+    "repeated-key": SIM_CONFIG + "grid.n = 65\n",
     "family-off-its-grid-kind": PERIODIC_CONFIG.replace(HELIX, "planar_odd:a=0.5"),
     "diagnose-half-line-family": ["diagnose", "--family", "planar_odd", "--n", "64"],
     "csv-not-uniform": ["check", "--input", "{nonuniform}"],
@@ -750,6 +769,10 @@ EXIT_ONE_MESSAGES = {
     "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
     "config-order-3-periodic": "check_order must be at least 0 and at most 2, got 3",
     "grid-n-too-small": "config key grid.n: need at least 8 nodes, got 4",
+    "t_final-inf": "t_final must be a finite number above 0, got inf",
+    "snapshot_every-zero": "snapshot_every must be at least 1, got 0",
+    "monitor_every-zero": "monitor_every must be at least 1, got 0",
+    "repeated-key": "config key grid.n is set twice",
 }
 
 
@@ -772,6 +795,29 @@ def test_every_documented_exit_one_input(tmp_path, capsys, case):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: " + EXIT_ONE_MESSAGES.get(case, ""))
     assert not (tmp_path / "out").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(first: str) -> list:
+    """The README lines after the first one that starts with ``first``, to the next blank line."""
+    lines = README.read_text().splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(first))
+    return lines[start + 1 : lines.index("", start)]
+
+
+def test_readme_names_every_summary_key():
+    # each sub-bullet of summary.json leads with the keys it describes
+    lines = _readme_block("- `summary.json`")
+    bullets = [re.match(r"  - ((`\w+`( and )?)+)", line) for line in lines]
+    named = [key for m in bullets if m for key in re.findall(r"`(\w+)`", m.group(1))]
+    assert sorted(named) == sorted(RunSummary(config={}).to_dict())
+
+
+def test_readme_config_table_lists_every_accepted_key():
+    rows = [re.match(r"\| `([\w.]+)` \|", line) for line in _readme_block("| key | default |")]
+    assert sorted(m.group(1) for m in rows if m) == sorted([*cli._SIM_KEYS, *cli._RUN_KEYS])
 
 
 def test_parse_config(tmp_path):

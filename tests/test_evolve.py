@@ -197,7 +197,7 @@ class TestDefaultStep:
         else:
             series = solve_whole_line(fam.sample(grid), cfg)
         assert series.times[-1] == t_final
-        assert energy_drift(series.telemetry, ENERGY_DRIFT_TOL)["max"] < 1e-2
+        assert energy_drift(series.telemetry)["max"] < 1e-2
 
 
 class TestStep:

@@ -142,11 +142,18 @@ class TestInvariantSuite:
         cfg = SimConfig(t_final=0.05, scheme=scheme, monitor_every=5)
         run = solve_half_space(fam.sample(Grid.half_line(20.0, 65)), cfg, fam.sample)
         summary = invariant_suite(run)
-        bound = ENERGY_DRIFT_TOL + (run.solver["steps"] * cfg.fp_tol if gated else 0.0)
-        assert summary.energy_drift["tolerance"] == bound
-        assert summary.energy_drift["passed"] is False
+        # the drift exceeds the midpoint bound under either scheme
+        bound = ENERGY_DRIFT_TOL + run.solver["steps"] * cfg.fp_tol
+        assert summary.maxima["energy_drift"]["max"] > bound
+        if gated:
+            assert summary.tolerances["energy_drift"] == bound
+            assert summary.verdicts["energy_drift"] is False
+        else:
+            assert "energy_drift" not in summary.tolerances
         # with every other verdict holding, only the midpoint run fails
-        assert dataclasses.replace(summary, verdicts={}).passed is not gated
+        others = {name: True for name in summary.verdicts if name != "energy_drift"}
+        holding = dataclasses.replace(summary, verdicts={**summary.verdicts, **others})
+        assert holding.passed is not gated
 
     def test_midpoint_energy_drift_within_its_bound_at_a_loose_fp_tol(self):
         # the largest case of the fp_tol sweep: drift 1.9e-7 against a bound of 1.6e-5
@@ -154,10 +161,10 @@ class TestInvariantSuite:
         v0 = fam.sample(Grid.half_line(20.0, 512))
         dt = 0.4 * v0.grid.h**2
         cfg = SimConfig(t_final=1.0, dt=dt, scheme="midpoint_fixedpoint", fp_tol=1e-8)
-        drift = invariant_suite(solve_half_space(v0, cfg, fam.sample)).energy_drift
-        assert drift["tolerance"] == ENERGY_DRIFT_TOL + math.ceil(1.0 / dt) * 1e-8
-        assert drift["max"] > 1e-9  # the fixed-point tolerance shows in E
-        assert drift["passed"]
+        summary = invariant_suite(solve_half_space(v0, cfg, fam.sample))
+        assert summary.tolerances["energy_drift"] == ENERGY_DRIFT_TOL + math.ceil(1.0 / dt) * 1e-8
+        assert summary.maxima["energy_drift"]["max"] > 1e-9  # the fixed-point tolerance shows in E
+        assert summary.verdicts["energy_drift"]
 
     def test_json_excludes_wall_clock(self):
         summary, _ = self._run()
@@ -209,3 +216,31 @@ class TestRunRecord:
         assert set(summary.verdicts) == set(summary.tolerances) == {"norm_dev"}
         assert summary.root_cause == ""
         assert summary.config["scheme"] == "rk4_project"
+
+    @pytest.mark.parametrize("scheme", ["rk4_project", "midpoint_fixedpoint"])
+    @pytest.mark.parametrize("case", ["half-curves", "half", "periodic"])
+    def test_one_table_of_tolerances_verdicts_and_maxima(self, case, scheme):
+        cfg = SimConfig(t_final=0.05, scheme=scheme)
+        if case == "periodic":
+            v0 = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
+            series = solve_whole_line(v0, cfg)
+        else:
+            fam = get_family("planar_odd", a=0.5)
+            v0 = fam.sample(Grid.half_line(20.0, 65))
+            series = solve_half_space(v0, cfg, fam.sample)
+        curves = None
+        if case == "half-curves":
+            curves = reconstruct_positions(integrate_tangent(v0), series)
+        summary = invariant_suite(series, curves)
+        gating = {"norm_dev"}
+        if case != "periodic":
+            gating |= {"symmetry", "boundary"}
+        if curves is not None:
+            gating |= {"endpoint_height", "arclength_dev"}
+        if scheme == "midpoint_fixedpoint":
+            gating |= {"energy_drift"}
+        assert set(summary.verdicts) == set(summary.tolerances) == gating
+        assert set(summary.tolerances) <= set(summary.maxima)
+        assert set(summary.maxima) == gating | {"energy_drift"}
+        assert summary.passed == all(summary.verdicts.values())
+        assert summary.passed

@@ -66,7 +66,7 @@ from filamentlab.geometry import (
     normalize_field,
     row_norms,
 )
-from filamentlab.harness import invariant_suite
+from filamentlab.harness import ENERGY_DRIFT_TOL, invariant_suite
 from filamentlab.reconstruct import FilamentCurve
 from filamentlab.reflect import apply_T, extend, restrict
 
@@ -224,7 +224,7 @@ def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     run = evolve.solve_half_space(v0, cfg, resampler=fam.sample)
     assert all(row["symmetry"] > 0.0 for row in run.telemetry)
     assert invariant_suite(run).verdicts["symmetry"] is False
-    assert invariant_suite(run).energy_drift["passed"] is False
+    assert invariant_suite(run).maxima["energy_drift"]["max"] > ENERGY_DRIFT_TOL
 
 
 def test_wrong_ghost_under_midpoint_exits_three(monkeypatch, tmp_path, capsys):
@@ -237,15 +237,15 @@ def test_wrong_ghost_under_midpoint_exits_three(monkeypatch, tmp_path, capsys):
         "time.t_final = 0.05\noutput.monitor_every = 5\n"
     )
     assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
-    assert "(gating)" in capsys.readouterr().out
+    assert "invariant energy_drift: FAIL" in capsys.readouterr().out
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-    assert summary["energy_drift"]["passed"] is False
+    assert summary["verdicts"]["energy_drift"] is False
     assert summary["passed"] is False
 
 
 @functools.cache
 def _midpoint_half_line_run():
-    # midpoint, where the energy drift gates ``passed`` along with the verdicts
+    # midpoint, where the energy drift is a verdict like the other tracked columns
     fam = get_family("planar_odd", a=0.5)
     cfg = SimConfig(t_final=0.2, scheme=MIDPOINT_FIXEDPOINT, monitor_every=3)
     return evolve.solve_half_space(fam.sample(Grid.half_line(20.0, 65)), cfg, fam.sample)
@@ -259,10 +259,7 @@ def test_nan_in_a_tracked_column_fails_the_run(column, data):
     rows = [dict(row) for row in run.telemetry]
     data.draw(st.sampled_from(rows))[column] = float("nan")
     summary = invariant_suite(dataclasses.replace(run, telemetry=rows))
-    if column == "energy":
-        assert summary.energy_drift["passed"] is False
-    else:
-        assert summary.verdicts[column] is False
+    assert summary.verdicts["energy_drift" if column == "energy" else column] is False
     assert summary.passed is False
 
 
