@@ -72,9 +72,7 @@ def _cells(values: np.ndarray, previous=None) -> tuple:
     else:
         old_bits, cells = previous
         changed = bits != old_bits
-    for j in range(values.shape[1]):  # a column at a time: less new text alive at once
-        rows = changed[:, j]
-        cells[rows, j] = list(map(str, values[rows, j].tolist()))
+    cells[changed] = list(map(str, values[changed].tolist()))
     return bits, cells
 
 
@@ -334,19 +332,19 @@ def cmd_simulate(args) -> int:
         raise UnknownFamily(f"config key data.family: {exc}") from None
     try:
         grid = Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n)
+        v0 = fam.sample(grid) if kind == "periodic" else None
     except GridTooSmall as exc:
         raise GridTooSmall(f"config key grid.n: {exc}") from None
-    except ValueError as exc:  # the one grid ValueError a half or periodic grid raises
+    except ValueError as exc:  # the grid's length rule, or a periodic family's period rule
         raise ValueError(f"config key grid.L: {exc}") from None
-    v0 = fam.sample(grid)
 
     if kind == "half":
-        series, wall = harness.timed(solve_half_space, v0, cfg, fam.sample)
+        series, wall = harness.timed(solve_half_space, fam, grid, cfg)
     else:
         series, wall = harness.timed(solve_whole_line, v0, cfg)
     curves = None
     if args.reconstruct:
-        curves = reconstruct_positions(integrate_tangent(v0), series)
+        curves = reconstruct_positions(integrate_tangent(series.snapshots[0]), series)
     summary = harness.invariant_suite(series, curves, wall_seconds=wall)
 
     # only now: a run rejected above (exit 1 or 2) leaves no directory behind
@@ -398,10 +396,9 @@ def cmd_convergence(args) -> int:
 
 def cmd_diagnose(args) -> int:
     fam = parse_family_spec(args.family)
-    if fam.name == "ring":
-        length = fam.period()
-    else:
-        length = args.length
+    length = args.length
+    if length is None:
+        length = fam.period() if fam.name == "ring" else 2.0 * np.pi
     grid = Grid.periodic(length, args.n)
     cfg = SimConfig(t_final=args.t_final)
     series = solve_whole_line(fam.sample(grid), cfg)
@@ -476,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diagnose", help="curvature/torsion/NLS diagnostics")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--length", "-L", type=float, default=2.0 * np.pi)
+    sp.add_argument("--length", "-L", type=float, help="default: a ring's period, else 2 pi")
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--t-final", type=float, dest="t_final", default=0.1)
     sp.set_defaults(fn=cmd_diagnose)

@@ -63,12 +63,25 @@ class TangentFamily:
     def derivative(self, s: np.ndarray, k: int) -> np.ndarray:
         raise NotImplementedError
 
+    def period(self) -> float | None:
+        """Period in s of the closed form; None where every length fits."""
+        return None
+
     def sample(self, grid: Grid) -> VectorField:
+        """The field at the grid's nodes; a periodic grid must hold whole periods."""
         if grid.kind not in self.kinds:
             raise GridMismatch(
                 f"family {self.name!r} is defined on {'/'.join(self.kinds)} grids, "
                 f"not on a {grid.kind} grid"
             )
+        period = self.period()
+        if grid.kind == "periodic" and period is not None:
+            turns = grid.length / period
+            if abs(turns - round(turns)) > 1e-9 * turns:  # a rounded 0 fails too
+                raise ValueError(
+                    f"family {self.name!r} has period {period!r}; a periodic grid "
+                    f"must hold a whole number of periods, got length {grid.length!r}"
+                )
         return VectorField(grid, self.tangent(grid.nodes()))
 
 
@@ -144,6 +157,10 @@ class HelixFamily(TangentFamily):
         super().__init__("helix", {"a": a, "c": c, "k": k})
         if abs(a * a + c * c - 1.0) > 1e-12:
             raise ValueError("helix needs a^2 + c^2 = 1")
+
+    def period(self) -> float | None:
+        k = self.params["k"]
+        return 2.0 * np.pi / abs(k) if k else None
 
     def exact(self, s, t):
         """Solution of v_t = v x v_ss at time t: the t = 0 tangent at s - c k t."""

@@ -388,14 +388,16 @@ def farfield_deviation(v0: VectorField) -> float:
     return float(np.mean(row_norms(v0.values[-m:] - E3)))
 
 
-def solve_half_space(v0: VectorField, cfg: SimConfig, resampler) -> TimeSeries:
-    """Gate the data, then evolve the s >= 0 nodes with the mirror ghost.
+def solve_half_space(family, grid: Grid, cfg: SimConfig) -> TimeSeries:
+    """Sample ``family`` on the half-line ``grid``, gate the sample, then evolve it.
 
-    ``resampler`` maps a grid to the data on it, for the gate's two-grid
-    cross-check.  The result is the ``solve_whole_line`` series with the
-    gate's ``report``.
+    ``family`` is anything with ``sample(grid)``; the gate's two-grid
+    cross-check resamples it on the refined grid, so the data that is gated
+    is the data that is evolved.  The result is the ``solve_whole_line``
+    series with the gate's ``report``; its first snapshot is the sample.
     """
-    report = check_compat(v0, cfg.check_order, cfg.compat_tol, resampler)
+    v0 = family.sample(grid)
+    report = check_compat(v0, cfg.check_order, cfg.compat_tol, family.sample)
     if cfg.strict and not report.passed:
         raise CompatibilityRejected(
             f"orders {report.failed_orders()} failed at tol={cfg.compat_tol:g}"

@@ -46,11 +46,12 @@ class Grid:
         ``half``      [0, L], node at s = 0.
         ``whole``     [-L, L], symmetric, odd node count, node at s = 0.
         ``periodic``  [0, L) with wrap-around, spacing L/n.
+
+    ``length`` is L; the left end ``s_min`` follows from the kind.
     """
 
     kind: str
-    s_min: float
-    s_max: float
+    length: float
     n: int
 
     def __post_init__(self):
@@ -58,22 +59,20 @@ class Grid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n < 8:
             raise GridTooSmall(f"need at least 8 nodes, got {self.n}")
-        finite = math.isfinite(self.s_min) and math.isfinite(self.s_max)
-        if not (finite and self.s_max > self.s_min):
-            raise ValueError(f"need finite s_min < s_max, got {self.s_min!r}, {self.s_max!r}")
-        if self.kind == HALF and self.s_min != 0.0:
-            raise ValueError("half-line grids start at s = 0")
-        if self.kind == WHOLE:
-            if self.s_min != -self.s_max:
-                raise ValueError("whole-line grids must be symmetric about 0")
-            if self.n % 2 == 0:
-                raise ValueError("whole-line grids need an odd node count")
+        if not (math.isfinite(self.length) and self.length > 0.0):
+            raise ValueError(f"grid length must be a finite number above 0, got {self.length!r}")
+        if self.kind == WHOLE and self.n % 2 == 0:
+            raise ValueError("whole-line grids need an odd node count")
+
+    @property
+    def s_min(self) -> float:
+        return -self.length if self.kind == WHOLE else 0.0
 
     @property
     def h(self) -> float:
         if self.kind == PERIODIC:
-            return (self.s_max - self.s_min) / self.n
-        return (self.s_max - self.s_min) / (self.n - 1)
+            return self.length / self.n
+        return (self.length - self.s_min) / (self.n - 1)
 
     @property
     def center(self) -> int:
@@ -89,21 +88,20 @@ class Grid:
 
     def refined(self) -> "Grid":
         """Grid with spacing h/2 whose nodes nest into this one."""
-        if self.kind == PERIODIC:
-            return Grid(PERIODIC, self.s_min, self.s_max, 2 * self.n)
-        return Grid(self.kind, self.s_min, self.s_max, 2 * self.n - 1)
+        n = 2 * self.n if self.kind == PERIODIC else 2 * self.n - 1
+        return Grid(self.kind, self.length, n)
 
     @classmethod
     def half_line(cls, length: float, n: int) -> "Grid":
-        return cls(HALF, 0.0, float(length), n)
+        return cls(HALF, float(length), n)
 
     @classmethod
     def whole_line(cls, length: float, n: int) -> "Grid":
-        return cls(WHOLE, -float(length), float(length), n)
+        return cls(WHOLE, float(length), n)
 
     @classmethod
     def periodic(cls, length: float, n: int) -> "Grid":
-        return cls(PERIODIC, 0.0, float(length), n)
+        return cls(PERIODIC, float(length), n)
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

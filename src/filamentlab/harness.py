@@ -104,10 +104,8 @@ def ring_translation_error(r=0.5, n=256, t_final=0.5) -> dict:
 
 def stationary_line_error(n=128, t_final=0.1) -> dict:
     """Deviation of the straight-filament run from e3 (zero to roundoff)."""
-    grid = Grid.half_line(HALF_LENGTH, n)
-    fam = get_family("straight")
     cfg = SimConfig(t_final=t_final, check_order=1)
-    run = solve_half_space(fam.sample(grid), cfg, resampler=fam.sample)
+    run = solve_half_space(get_family("straight"), Grid.half_line(HALF_LENGTH, n), cfg)
     worst = 0.0
     for snap in run.snapshots:
         worst = max(worst, float(np.max(np.abs(snap.values - E3))))

@@ -39,7 +39,7 @@ def extend(v0: VectorField) -> VectorField:
     g = v0.grid
     if g.kind != "half":
         raise GridNotSymmetric("extend needs half-line input")
-    whole = Grid.whole_line(g.s_max, 2 * g.n - 1)
+    whole = Grid.whole_line(g.length, 2 * g.n - 1)
     neg = (v0.values[1:] * _NEGBAR)[::-1]
     return VectorField(whole, np.concatenate([neg, v0.values], axis=0))
 
@@ -50,7 +50,7 @@ def restrict(whole: VectorField) -> VectorField:
     if g.kind != "whole":
         raise GridNotSymmetric("restrict needs whole-line input")
     c = g.center
-    half = Grid.half_line(g.s_max, g.n - c)
+    half = Grid.half_line(g.length, g.n - c)
     return VectorField(half, np.array(whole.values[c:], copy=True))
 
 

@@ -30,10 +30,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _planar_run(scheme: str):
     fam = get_family("planar_odd", a=0.5)
-    v0 = fam.sample(Grid.half_line(20.0, 512))
     cfg = SimConfig(t_final=1.0, scheme=scheme, check_order=2)
-    run, wall = timed(solve_half_space, v0, cfg, fam.sample)
-    curves = reconstruct_positions(integrate_tangent(v0), run)
+    run, wall = timed(solve_half_space, fam, Grid.half_line(20.0, 512), cfg)
+    curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
     summary = invariant_suite(run, curves, wall_seconds=wall)
     return run, curves, summary
 

@@ -250,10 +250,10 @@ class TestSimulate:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
         # and reads back as exactly the values the solver produced
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
-        run = solve_half_space(v0, SimConfig(t_final=0.05, check_order=1), fam.sample)
+        grid = Grid.half_line(20.0, 129)
+        run = solve_half_space(fam, grid, SimConfig(t_final=0.05, check_order=1))
         assert np.array_equal(data[:, 0], np.repeat(run.times, 129))
-        assert np.array_equal(data[:, 1], np.tile(v0.grid.nodes(), len(run.times)))
+        assert np.array_equal(data[:, 1], np.tile(grid.nodes(), len(run.times)))
         assert np.array_equal(data[:, 2:5], np.concatenate([u.values for u in run.snapshots]))
 
     def test_periodic_run(self, tmp_path):
@@ -574,9 +574,8 @@ class TestSnapshotWriter:
     @pytest.fixture
     def run(self):
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.1, check_order=1, snapshot_every=1)
-        run = solve_half_space(v0, cfg, fam.sample)
+        run = solve_half_space(fam, Grid.half_line(20.0, 129), cfg)
         assert len(run.times) >= 2 * cli.MIN_CHUNK_BLOCKS
         return run
 
@@ -756,14 +755,33 @@ EXIT_ONE_INPUTS = {
     "check-length-inf": ["check", "--family", "planar_odd:a=0.5", "--length", "inf"],
     # a non-finite value in a solve exits 3; in an input file it stays a usage error
     "csv-not-finite": ["check", "--input", "{nonfinite}"],
+    # a periodic family off a whole number of its periods once ran and exited 0
+    "ring-length-not-whole-periods": PERIODIC_CONFIG.replace(HELIX, "ring:r=0.5").replace(
+        "grid.L = 6.283185307179586", "grid.L = 3.0"
+    ),
+    "helix-length-not-whole-periods": PERIODIC_CONFIG.replace(HELIX, "helix:k=1.5"),
+    "diagnose-helix-off-its-period": ["diagnose", "--family", "helix:k=1.5", "--n", "128"],
+    # diagnose once ignored --length for a ring
+    "diagnose-ring-length": ["diagnose", "--family", "ring:r=0.5", "--length", "5"],
 }
+
+RING_PERIOD = "family 'ring' has period 3.141592653589793"
+HELIX_PERIOD = "family 'helix' has period 4.1887902047863905"
+WHOLE_PERIODS = "a periodic grid must hold a whole number of periods, got length"
+POSITIVE_LENGTH = "grid length must be a finite number above 0, got"
 
 #: The start of the error line of the rows whose message is checked.
 EXIT_ONE_MESSAGES = {
-    "grid-L-inf": "config key grid.L: need finite s_min < s_max, got 0.0, inf",
-    "grid-L-nan": "config key grid.L: need finite s_min < s_max, got 0.0, nan",
-    "grid-L-inf-periodic": "config key grid.L: need finite s_min < s_max, got 0.0, inf",
-    "check-length-inf": "need finite s_min < s_max, got 0.0, inf",
+    "grid-L-inf": f"config key grid.L: {POSITIVE_LENGTH} inf",
+    "grid-L-nan": f"config key grid.L: {POSITIVE_LENGTH} nan",
+    "grid-L-inf-periodic": f"config key grid.L: {POSITIVE_LENGTH} inf",
+    "check-length-inf": f"{POSITIVE_LENGTH} inf",
+    "ring-length-not-whole-periods": f"config key grid.L: {RING_PERIOD}; {WHOLE_PERIODS} 3.0",
+    "helix-length-not-whole-periods": (
+        f"config key grid.L: {HELIX_PERIOD}; {WHOLE_PERIODS} 6.283185307179586"
+    ),
+    "diagnose-helix-off-its-period": f"{HELIX_PERIOD}; {WHOLE_PERIODS} 6.283185307179586",
+    "diagnose-ring-length": f"{RING_PERIOD}; {WHOLE_PERIODS} 5.0",
     "csv-not-finite": "field values must be finite",
     "check-order-3": "--order must be at least 0 and at most 2, got 3",
     "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
@@ -813,6 +831,15 @@ def test_readme_names_every_summary_key():
     bullets = [re.match(r"  - ((`\w+`( and )?)+)", line) for line in lines]
     named = [key for m in bullets if m for key in re.findall(r"`(\w+)`", m.group(1))]
     assert sorted(named) == sorted(RunSummary(config={}).to_dict())
+
+
+def test_readme_library_example_runs():
+    # the example is the documented call shape; run it so it cannot drift from the code
+    library = README.read_text().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    assert scope["summary"].passed
 
 
 def test_readme_config_table_lists_every_accepted_key():

@@ -193,6 +193,31 @@ class TestFamilies:
         with pytest.raises(GridMismatch, match=f"{name}.*{grid.kind}"):
             fam.sample(grid)
 
+    @pytest.mark.parametrize(
+        "spec, length, fits",
+        [
+            ("ring:r=0.5", np.pi, True),
+            ("ring:r=0.5", 3.0 * np.pi, True),
+            ("ring:r=0.5", np.pi * (1.0 + 5e-10), True),  # within 1e-9 relative
+            ("ring:r=0.5", np.pi * (1.0 + 2e-9), False),
+            ("ring:r=0.5", 0.5 * np.pi, False),
+            ("ring:r=0.5", 3.0, False),
+            ("helix:k=-2", np.pi, True),  # the period is 2 pi / |k|
+            ("helix:k=1.5", 2.0 * np.pi, False),
+            ("helix:k=0", 3.0, True),  # constant: every length fits
+            ("straight", 3.0, True),
+        ],
+    )
+    def test_periodic_sample_needs_whole_periods(self, spec, length, fits):
+        # a ring on a length of 3 once ran with a kink at the wrap-around and exited 0
+        fam = parse_family_spec(spec)
+        grid = Grid.periodic(length, 32)
+        if fits:
+            assert fam.sample(grid).grid == grid
+        else:
+            with pytest.raises(ValueError, match=f"has period .* got length {length!r}$"):
+                fam.sample(grid)
+
     @pytest.mark.parametrize("name, c2", [("planar_odd", 0.0), ("planar_bad", 1.0)])
     def test_planar_parameter_used_exactly(self, name, c2):
         # a has 16 significant digits; a 15-digit rounding of it changes the samples

@@ -171,7 +171,7 @@ class TestDefaultStep:
         fam = get_family("planar_odd", a=0.5)
         grid = Grid.half_line(20.0, 257)
         finals = [
-            solve_half_space(fam.sample(grid), SimConfig(dt=dt), fam.sample).final().values
+            solve_half_space(fam, grid, SimConfig(dt=dt)).final().values
             for dt in (None, 0.05 * grid.h * grid.h)
         ]
         assert np.max(row_norms(finals[0] - finals[1])) < 1e-7
@@ -193,7 +193,7 @@ class TestDefaultStep:
         fam = get_family(name, **params)
         cfg = SimConfig(t_final=t_final, strict=False)
         if grid.kind == "half":
-            series = solve_half_space(fam.sample(grid), cfg, fam.sample)
+            series = solve_half_space(fam, grid, cfg)
         else:
             series = solve_whole_line(fam.sample(grid), cfg)
         assert series.times[-1] == t_final
@@ -469,16 +469,14 @@ class TestWholeLine:
 class TestHalfSpace:
     def test_planar_odd_symmetry_and_boundary_exact(self):
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
-        run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
+        run = solve_half_space(fam, Grid.half_line(20.0, 129), SimConfig(t_final=0.05))
         for row in run.telemetry:
             assert row["symmetry"] == 0.0
             assert row["boundary"] == 0.0
 
     def test_boundary_value_bitwise_e3(self):
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
-        run = solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
+        run = solve_half_space(fam, Grid.half_line(20.0, 129), SimConfig(t_final=0.05))
         for snap in run.snapshots:
             assert np.array_equal(snap.values[0], E3)
 
@@ -489,46 +487,44 @@ class TestHalfSpace:
             ("planar_odd", "planar_bad"), (RK4_PROJECT, MIDPOINT_FIXEDPOINT)
         ):
             fam = get_family(name, a=0.5)
-            v0 = fam.sample(Grid.half_line(20.0, 129))
+            grid = Grid.half_line(20.0, 129)
             cfg = SimConfig(
                 t_final=0.05,
-                dt=0.1 * v0.grid.h**2,  # enough steps for > 3 rows at this step cadence
+                dt=0.1 * grid.h**2,  # enough steps for > 3 rows at this step cadence
                 scheme=scheme,
                 strict=False,
                 snapshot_every=5,
                 monitor_every=7,
             )
-            run = solve_half_space(v0, cfg, resampler=fam.sample)
-            whole = solve_whole_line(extend(v0), cfg)
-            assert run.grid == v0.grid
+            run = solve_half_space(fam, grid, cfg)
+            whole = solve_whole_line(extend(run.snapshots[0]), cfg)
+            assert run.grid == grid
             assert run.times == whole.times
             assert run.telemetry == whole.telemetry
             assert len(run.telemetry) > 3
             for half_snap, whole_snap in zip(run.snapshots, whole.snapshots, strict=True):
-                assert half_snap.grid == v0.grid
+                assert half_snap.grid == grid
                 assert np.array_equal(half_snap.values, restrict(whole_snap).values)
 
     def test_incompatible_data_rejected(self):
         fam = get_family("planar_bad", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
         with pytest.raises(CompatibilityRejected):
-            solve_half_space(v0, SimConfig(t_final=0.05), resampler=fam.sample)
+            solve_half_space(fam, Grid.half_line(20.0, 129), SimConfig(t_final=0.05))
 
     def test_non_strict_lets_incompatible_data_run(self):
         fam = get_family("planar_bad", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.01, strict=False)
-        run = solve_half_space(v0, cfg, resampler=fam.sample)
+        run = solve_half_space(fam, Grid.half_line(20.0, 129), cfg)
         assert not run.report.passed
         assert len(run.snapshots) >= 2
 
     def test_farfield_gate(self):
         # on a short interval the planar profile has not decayed at s = L
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(2.0, 33))
-        assert farfield_deviation(v0) > 1e-3
+        grid = Grid.half_line(2.0, 33)
+        assert farfield_deviation(fam.sample(grid)) > 1e-3
         with pytest.raises(FarFieldViolation):
-            solve_half_space(v0, SimConfig(t_final=0.01), resampler=fam.sample)
+            solve_half_space(fam, grid, SimConfig(t_final=0.01))
 
 
 def test_bending_energy_helix_value():

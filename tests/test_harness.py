@@ -10,7 +10,7 @@ from filamentlab import evolve, reflect
 from filamentlab.compat import HelixFamily, get_family
 from filamentlab.errors import UnknownOracle
 from filamentlab.evolve import SimConfig, solve_half_space, solve_whole_line
-from filamentlab.geometry import Grid
+from filamentlab.geometry import Grid, VectorField
 from filamentlab.harness import (
     ENERGY_DRIFT_TOL,
     convergence_study,
@@ -95,10 +95,9 @@ def test_extension_jump_study_separates_families():
 class TestInvariantSuite:
     def _run(self, scheme="rk4_project"):
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
         cfg = SimConfig(t_final=0.05, scheme=scheme)
-        run, wall = timed(solve_half_space, v0, cfg, fam.sample)
-        curves = reconstruct_positions(integrate_tangent(v0), run)
+        run, wall = timed(solve_half_space, fam, Grid.half_line(20.0, 129), cfg)
+        curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
         return invariant_suite(run, curves, wall_seconds=wall), run
 
     def test_all_verdicts_pass(self):
@@ -140,7 +139,7 @@ class TestInvariantSuite:
         monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
         fam = get_family("planar_odd", a=0.5)
         cfg = SimConfig(t_final=0.05, scheme=scheme, monitor_every=5)
-        run = solve_half_space(fam.sample(Grid.half_line(20.0, 65)), cfg, fam.sample)
+        run = solve_half_space(fam, Grid.half_line(20.0, 65), cfg)
         summary = invariant_suite(run)
         # the drift exceeds the midpoint bound under either scheme
         bound = ENERGY_DRIFT_TOL + run.solver["steps"] * cfg.fp_tol
@@ -158,10 +157,10 @@ class TestInvariantSuite:
     def test_midpoint_energy_drift_within_its_bound_at_a_loose_fp_tol(self):
         # the largest case of the fp_tol sweep: drift 1.9e-7 against a bound of 1.6e-5
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 512))
-        dt = 0.4 * v0.grid.h**2
+        grid = Grid.half_line(20.0, 512)
+        dt = 0.4 * grid.h**2
         cfg = SimConfig(t_final=1.0, dt=dt, scheme="midpoint_fixedpoint", fp_tol=1e-8)
-        summary = invariant_suite(solve_half_space(v0, cfg, fam.sample))
+        summary = invariant_suite(solve_half_space(fam, grid, cfg))
         assert summary.tolerances["energy_drift"] == ENERGY_DRIFT_TOL + math.ceil(1.0 / dt) * 1e-8
         assert summary.maxima["energy_drift"]["max"] > 1e-9  # the fixed-point tolerance shows in E
         assert summary.verdicts["energy_drift"]
@@ -177,13 +176,22 @@ class TestInvariantSuite:
         assert s1.to_json() == s2.to_json()
 
     def test_root_cause_on_incompatible_run(self):
-        fam = get_family("planar_bad", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
-        cfg = SimConfig(t_final=0.2, strict=False, tol_boundary=1e-10)
-        run, wall = timed(solve_half_space, v0, cfg, fam.sample)
+        # v0(0) != e3 breaks order 0, which the mirror ghost cannot repair
+        # (planar_bad breaks order 1 only, and its boundary trace stays e3)
+        class TiltedAtWall:
+            def sample(self, grid):
+                beta = 0.1 * np.exp(-grid.nodes() ** 2)
+                return VectorField(grid, np.stack([np.sin(beta), 0.0 * beta, np.cos(beta)], 1))
+
+        cfg = SimConfig(t_final=0.05, strict=False)
+        run, wall = timed(solve_half_space, TiltedAtWall(), Grid.half_line(20.0, 129), cfg)
         summary = invariant_suite(run, None, wall)
-        if not summary.verdicts["boundary"]:
-            assert "compatibility" in summary.root_cause
+        assert summary.maxima["boundary"]["max"] == pytest.approx(0.09996, abs=1e-5)
+        assert summary.verdicts["boundary"] is False
+        assert summary.root_cause == (
+            "compatibility orders [0, 1] violated; boundary trace cannot converge"
+        )
+        assert summary.passed is False
         assert not summary.compat["passed"]
 
 
@@ -192,13 +200,13 @@ class TestRunRecord:
 
     def test_half_space_summary_reads_the_runs_config(self):
         fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
+        grid = Grid.half_line(20.0, 129)
         cfg = SimConfig(t_final=0.05, scheme="midpoint_fixedpoint", tol_boundary=1e-30)
-        run = solve_half_space(v0, cfg, fam.sample)
+        run = solve_half_space(fam, grid, cfg)
         assert run.cfg is cfg
         summary = invariant_suite(run)  # no config passed
         assert summary.config["scheme"] == "midpoint_fixedpoint"
-        assert summary.config["dt"] == 0.25 * v0.grid.h**2
+        assert summary.config["dt"] == 0.25 * grid.h**2
         assert summary.tolerances["norm_dev"] == 1e-10 + run.solver["steps"] * cfg.fp_tol
         assert summary.tolerances["boundary"] == 1e-30
         assert summary.verdicts["boundary"]  # the boundary trace is exactly e3
@@ -226,11 +234,10 @@ class TestRunRecord:
             series = solve_whole_line(v0, cfg)
         else:
             fam = get_family("planar_odd", a=0.5)
-            v0 = fam.sample(Grid.half_line(20.0, 65))
-            series = solve_half_space(v0, cfg, fam.sample)
+            series = solve_half_space(fam, Grid.half_line(20.0, 65), cfg)
         curves = None
         if case == "half-curves":
-            curves = reconstruct_positions(integrate_tangent(v0), series)
+            curves = reconstruct_positions(integrate_tangent(series.snapshots[0]), series)
         summary = invariant_suite(series, curves)
         gating = {"norm_dev"}
         if case != "periodic":

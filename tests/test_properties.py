@@ -219,9 +219,8 @@ def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     # mutation: close s = 0 with bar(v(h)) instead of -bar(v(h))
     monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
     fam = get_family("planar_odd", a=0.5)
-    v0 = fam.sample(Grid.half_line(20.0, 65))
     cfg = SimConfig(t_final=0.05, monitor_every=5)
-    run = evolve.solve_half_space(v0, cfg, resampler=fam.sample)
+    run = evolve.solve_half_space(fam, Grid.half_line(20.0, 65), cfg)
     assert all(row["symmetry"] > 0.0 for row in run.telemetry)
     assert invariant_suite(run).verdicts["symmetry"] is False
     assert invariant_suite(run).maxima["energy_drift"]["max"] > ENERGY_DRIFT_TOL
@@ -248,7 +247,7 @@ def _midpoint_half_line_run():
     # midpoint, where the energy drift is a verdict like the other tracked columns
     fam = get_family("planar_odd", a=0.5)
     cfg = SimConfig(t_final=0.2, scheme=MIDPOINT_FIXEDPOINT, monitor_every=3)
-    return evolve.solve_half_space(fam.sample(Grid.half_line(20.0, 65)), cfg, fam.sample)
+    return evolve.solve_half_space(fam, Grid.half_line(20.0, 65), cfg)
 
 
 @PROPERTY_SETTINGS
@@ -286,7 +285,7 @@ def test_field_csv_round_trip_is_bitwise(u):
         write_field_csv(path, u)
         back = read_field_csv(path, u.grid.kind)
     assert (back.grid.kind, back.grid.n) == (u.grid.kind, u.grid.n)
-    assert np.allclose(back.grid.nodes(), u.grid.nodes(), rtol=0.0, atol=1e-12 * u.grid.s_max)
+    assert np.allclose(back.grid.nodes(), u.grid.nodes(), rtol=0.0, atol=1e-12 * u.grid.length)
     assert back.values.tobytes() == u.values.tobytes()  # the sign of zero included
 
 

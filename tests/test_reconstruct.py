@@ -48,8 +48,8 @@ def test_flow_velocity_ring_is_wall_parallel_translation():
 def test_straight_run_curve_is_static():
     fam = get_family("straight")
     g = Grid.half_line(10.0, 65)
-    run = solve_half_space(fam.sample(g), SimConfig(t_final=0.05), resampler=fam.sample)
-    curves = reconstruct_positions(integrate_tangent(fam.sample(g)), run)
+    run = solve_half_space(fam, g, SimConfig(t_final=0.05))
+    curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
     assert len(curves) == len(run.times)
     for c in curves:
         assert np.array_equal(c.positions, curves[0].positions)
