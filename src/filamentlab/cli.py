@@ -227,18 +227,17 @@ def parse_config(path: str) -> dict:
 # commands
 
 
-def _input_field(args):
-    """(half-line field, resampler_or_None) from --family or --input."""
+def _input_field(args, refined: bool):
+    """The half-line field of --input, or of --family at spacing h (at h/2 when ``refined``)."""
     if args.family is not None:
-        fam = parse_family_spec(args.family)
-        return fam.sample(Grid.half_line(args.length, args.n)), fam.sample
-    return read_field_csv(args.input), None
+        grid = Grid.half_line(args.length, args.n)
+        return parse_family_spec(args.family).sample(grid.refined() if refined else grid)
+    return read_field_csv(args.input)
 
 
 def cmd_check(args) -> int:
     check_order_range("--order", args.order)
-    v0, resampler = _input_field(args)
-    report = check_compat(v0, args.order, args.tol, resampler)
+    report = check_compat(_input_field(args, refined=True), args.order, args.tol)
     for k, (res, ok) in enumerate(zip(report.a_residuals, report.a_pass)):
         print(f"order {k}: residual {res:.6e}  {'pass' if ok else 'FAIL'}")
     print(f"norm residual: {report.norm_residual:.3e}")
@@ -253,8 +252,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    v0, _ = _input_field(args)
-    ext = extend(v0)
+    ext = extend(_input_field(args, refined=False))
     for k in range(0, 4):
         print(f"jump residual k={k}: {derivative_jump_residual(ext, k):.6e}")
     if args.out:

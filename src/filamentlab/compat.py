@@ -8,10 +8,12 @@ reported as a consistency diagnostic.
 
 All residuals are measured from samples with one-sided stencils, so a
 fixed absolute tolerance cannot separate discretization error from a
-genuine violation.  When the caller can resample (builtin families
-can), the verdict adds a two-grid cross-check: a residual that fails
-the absolute tolerance still passes if halving h shrinks it at the
-stencil's order; a genuine violation converges to a nonzero constant.
+genuine violation.  The verdict therefore adds a two-grid cross-check
+against the data's own every-other-node decimation at spacing 2h: a
+residual that fails the absolute tolerance still passes if it is
+smaller than the decimation's by the stencil's order; a genuine
+violation converges to a nonzero constant.  A family that is to be
+judged at spacing h is handed over sampled at h/2 (``Grid.refined``).
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import asdict, dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatch, NotUnitField, OrderTooHigh, UnknownFamily
-from .geometry import E3, K_MAX, Grid, VectorField, cross, one_sided_deriv_at_zero
+from .errors import GridMismatch, GridTooSmall, NotUnitField, OrderTooHigh, UnknownFamily
+from .geometry import E3, HALF, K_MAX, MIN_NODES, Grid, VectorField, cross, one_sided_deriv_at_zero
 
 #: Residual contraction required by the two-grid cross-check (order-2
 #: stencils contract by ~4; incompatible data contracts by ~1).
@@ -68,7 +69,7 @@ class TangentFamily:
         return None
 
     def sample(self, grid: Grid) -> VectorField:
-        """The field at the grid's nodes; a periodic grid must hold whole periods."""
+        """The field at the grid's nodes; a periodic grid holds whole periods, each over 2h."""
         if grid.kind not in self.kinds:
             raise GridMismatch(
                 f"family {self.name!r} is defined on {'/'.join(self.kinds)} grids, "
@@ -77,6 +78,12 @@ class TangentFamily:
         period = self.period()
         if grid.kind == "periodic" and period is not None:
             turns = grid.length / period
+            if turns >= grid.n / 2:  # period <= 2h: the nodes see an alias, not the family
+                raise GridTooSmall(
+                    f"family {self.name!r} has period {period!r}; a periodic grid of "
+                    f"{grid.n} nodes must hold fewer than {grid.n / 2:g} periods, "
+                    f"got length {grid.length!r}"
+                )
             if abs(turns - round(turns)) > 1e-9 * turns:  # a rounded 0 fails too
                 raise ValueError(
                     f"family {self.name!r} has period {period!r}; a periodic grid "
@@ -308,21 +315,32 @@ def check_order_range(name: str, order: int) -> None:
         raise error(f"{name} must be at least 0 and at most {K_MAX // 2}, got {order!r}")
 
 
-def check_compat(
-    v0: VectorField,
-    n: int,
-    tol: float = 1e-6,
-    resampler: Callable[[Grid], VectorField] | None = None,
-) -> CompatibilityReport:
+def decimated(v0: VectorField) -> VectorField:
+    """Every other node of half-line samples from s = 0: the same data at spacing 2h.
+
+    An even node count loses its last node, so on odd n the grid is exactly
+    ``Grid.half_line(L, (n + 1) // 2)`` and ``Grid.refined`` undoes it.
+    """
+    grid = v0.grid
+    length = grid.length if grid.n % 2 else grid.length - grid.h
+    return VectorField(Grid.half_line(length, (grid.n + 1) // 2), v0.values[::2])
+
+
+def check_compat(v0: VectorField, n: int, tol: float = 1e-6) -> CompatibilityReport:
     """Full compatibility report up to order n (conditions and diagnostics).
 
-    ``resampler``, when given, maps a grid to a resampling of the same
-    underlying data; it enables the two-grid cross-check that separates
-    stencil truncation error from genuine incompatibility.
+    ``v0`` is half-line data.  Its residuals are cross-checked against those
+    of ``decimated(v0)``, which separates stencil truncation error from
+    genuine incompatibility, whenever the decimation is a grid (n >= 15
+    nodes); below that the absolute tolerance alone decides.
     """
     check_order_range("order", n)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"compatibility tolerance must be a finite number above 0, got {tol!r}")
+    if v0.grid.kind != HALF:
+        raise GridMismatch(
+            f"compatibility is checked on half-line data, not on a {v0.grid.kind} grid"
+        )
     norm_residual = v0.unit_deviation()
     if norm_residual > UNIT_FIELD_CAP:
         raise NotUnitField(
@@ -330,9 +348,8 @@ def check_compat(
         )
     a, d = _residuals(v0, n)
     a_coarse, d_coarse = [], {}
-    if resampler is not None:
-        a_coarse, d_coarse = a, d
-        a, d = _residuals(resampler(v0.grid.refined()), n)
+    if (v0.grid.n + 1) // 2 >= MIN_NODES:
+        a_coarse, d_coarse = _residuals(decimated(v0), n)
     return CompatibilityReport(
         max_order=n,
         tol=tol,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compat import CompatibilityReport, check_compat, check_order_range
+from .compat import CompatibilityReport, check_compat, check_order_range, decimated
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
@@ -391,17 +391,19 @@ def farfield_deviation(v0: VectorField) -> float:
 def solve_half_space(family, grid: Grid, cfg: SimConfig) -> TimeSeries:
     """Sample ``family`` on the half-line ``grid``, gate the sample, then evolve it.
 
-    ``family`` is anything with ``sample(grid)``; the gate's two-grid
-    cross-check resamples it on the refined grid, so the data that is gated
-    is the data that is evolved.  The result is the ``solve_whole_line``
-    series with the gate's ``report``; its first snapshot is the sample.
+    ``family`` is anything with ``sample(grid)``.  It is sampled once, at
+    spacing h/2 (``grid.refined()``); the gate judges that sample, and its
+    decimation, the gate's coarse level, is the data evolved on ``grid``.
+    The result is the ``solve_whole_line`` series with the gate's
+    ``report``; its first snapshot is the decimated sample.
     """
-    v0 = family.sample(grid)
-    report = check_compat(v0, cfg.check_order, cfg.compat_tol, family.sample)
+    fine = family.sample(grid.refined())
+    report = check_compat(fine, cfg.check_order, cfg.compat_tol)
     if cfg.strict and not report.passed:
         raise CompatibilityRejected(
             f"orders {report.failed_orders()} failed at tol={cfg.compat_tol:g}"
         )
+    v0 = decimated(fine)
     far = farfield_deviation(v0)
     if far > cfg.farfield_tol:
         raise FarFieldViolation(

@@ -29,6 +29,9 @@ E3 = np.array([0.0, 0.0, 1.0])
 #: Highest boundary-trace derivative order supported by the stencil table.
 K_MAX = 4
 
+#: Fewest nodes a grid may have.
+MIN_NODES = 8
+
 #: Smallest sample norm ``normalize_field`` rescales; a unit field after a
 #: stable step never gets near it, so a norm below it means blowup.
 MIN_NORM = 0.5
@@ -57,8 +60,8 @@ class Grid:
     def __post_init__(self):
         if self.kind not in (HALF, WHOLE, PERIODIC):
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.n < 8:
-            raise GridTooSmall(f"need at least 8 nodes, got {self.n}")
+        if self.n < MIN_NODES:
+            raise GridTooSmall(f"need at least {MIN_NODES} nodes, got {self.n}")
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ValueError(f"grid length must be a finite number above 0, got {self.length!r}")
         if self.kind == WHOLE and self.n % 2 == 0:

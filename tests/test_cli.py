@@ -22,7 +22,7 @@ from filamentlab.cli import (
     read_field_csv,
     write_field_csv,
 )
-from filamentlab.compat import get_family
+from filamentlab.compat import get_family, parse_family_spec
 from filamentlab.evolve import SimConfig, solve_half_space
 from filamentlab.geometry import Grid
 from filamentlab.harness import RunSummary
@@ -143,14 +143,26 @@ class TestFieldCsv:
         assert back.grid == v0.grid
         assert np.array_equal(back.values, v0.values)
 
-    def test_check_from_csv(self, tmp_path):
-        fam = get_family("planar_odd", a=0.5)
-        v0 = fam.sample(Grid.half_line(20.0, 129))
+    @pytest.mark.parametrize(
+        "spec, n, order, code",
+        [
+            ("planar_odd:a=0.5", 129, 0, EXIT_OK),
+            # from a file with no family to resample, this once failed order 1 and exited 2
+            ("planar_odd:a=0.5", 512, 2, EXIT_OK),
+            *[
+                (f"planar_bad:a={a}", n, 1, EXIT_COMPAT)
+                for a in (0.5, 0.05)
+                for n in (65, 512, 2049)
+            ],
+        ],
+    )
+    def test_check_from_csv(self, tmp_path, spec, n, order, code):
+        v0 = parse_family_spec(spec).sample(Grid.half_line(20.0, n))
         path = tmp_path / "field.csv"
         write_field_csv(str(path), v0)
-        # no resampler from a file, but sampled planar_odd still passes order 1
-        rc = main(["check", "--input", str(path), "--order", "0", "--strict"])
-        assert rc == EXIT_OK
+        # a file is cross-checked against its own decimation at 2h
+        rc = main(["check", "--input", str(path), "--order", str(order), "--strict"])
+        assert rc == code
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -763,12 +775,19 @@ EXIT_ONE_INPUTS = {
     "diagnose-helix-off-its-period": ["diagnose", "--family", "helix:k=1.5", "--n", "128"],
     # diagnose once ignored --length for a ring
     "diagnose-ring-length": ["diagnose", "--family", "ring:r=0.5", "--length", "5"],
+    # a period under 2 h once sampled aliased noise and exited 0 (energy drift 0.94)
+    "helix-period-under-2h": PERIODIC_CONFIG.replace(HELIX, "helix:k=1e300"),
+    "diagnose-helix-period-under-2h": ["diagnose", "--family", "helix:k=1e300", "--n", "64"],
 }
 
 RING_PERIOD = "family 'ring' has period 3.141592653589793"
 HELIX_PERIOD = "family 'helix' has period 4.1887902047863905"
 WHOLE_PERIODS = "a periodic grid must hold a whole number of periods, got length"
 POSITIVE_LENGTH = "grid length must be a finite number above 0, got"
+ALIASED_HELIX = (
+    "family 'helix' has period 6.283185307179586e-300; a periodic grid of 64 nodes "
+    "must hold fewer than 32 periods, got length 6.283185307179586"
+)
 
 #: The start of the error line of the rows whose message is checked.
 EXIT_ONE_MESSAGES = {
@@ -782,6 +801,8 @@ EXIT_ONE_MESSAGES = {
     ),
     "diagnose-helix-off-its-period": f"{HELIX_PERIOD}; {WHOLE_PERIODS} 6.283185307179586",
     "diagnose-ring-length": f"{RING_PERIOD}; {WHOLE_PERIODS} 5.0",
+    "helix-period-under-2h": f"config key grid.n: {ALIASED_HELIX}",
+    "diagnose-helix-period-under-2h": ALIASED_HELIX,
     "csv-not-finite": "field values must be finite",
     "check-order-3": "--order must be at least 0 and at most 2, got 3",
     "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
@@ -840,6 +861,24 @@ def test_readme_library_example_runs():
     scope = {}
     exec(code, scope)
     assert scope["summary"].passed
+
+
+def _readme_commands() -> list:
+    """The argument lists of the README's command-line block, ``filamentlab`` dropped."""
+    block = README.read_text().split("\n## Command line\n", 1)[1]
+    text = block.split("```text\n", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in text.splitlines()]
+
+
+# simulate is run by test_readme_library_example_runs and TestSimulate
+@pytest.mark.parametrize(
+    "argv", [a for a in _readme_commands() if a[0] != "simulate"], ids=lambda argv: argv[0]
+)
+def test_readme_command_examples_run(tmp_path, argv):
+    # no test ran these, so the `check ... --strict` example could stop passing unseen
+    after_out = [False] + [arg == "--out" for arg in argv[:-1]]
+    argv = [str(tmp_path / arg) if out else arg for arg, out in zip(argv, after_out)]
+    assert main(argv) == EXIT_OK
 
 
 def test_readme_config_table_lists_every_accepted_key():

@@ -17,10 +17,17 @@ from filamentlab.compat import (
     HelixFamily,
     RingFamily,
     check_compat,
+    decimated,
     get_family,
     parse_family_spec,
 )
-from filamentlab.errors import GridMismatch, NotUnitField, OrderTooHigh, UnknownFamily
+from filamentlab.errors import (
+    GridMismatch,
+    GridTooSmall,
+    NotUnitField,
+    OrderTooHigh,
+    UnknownFamily,
+)
 from filamentlab.geometry import Grid, VectorField
 from filamentlab.reflect import extend, restrict
 
@@ -206,16 +213,21 @@ class TestFamilies:
             ("helix:k=1.5", 2.0 * np.pi, False),
             ("helix:k=0", 3.0, True),  # constant: every length fits
             ("straight", 3.0, True),
+            # a period of at most 2 h is aliased: k = 1e300 once ran on noise and exited 0
+            ("helix:k=1e300", 2.0 * np.pi, GridTooSmall),
+            ("helix:k=16", 2.0 * np.pi, GridTooSmall),  # period 2 h exactly
+            ("helix:k=15", 2.0 * np.pi, True),
         ],
     )
     def test_periodic_sample_needs_whole_periods(self, spec, length, fits):
         # a ring on a length of 3 once ran with a kink at the wrap-around and exited 0
         fam = parse_family_spec(spec)
         grid = Grid.periodic(length, 32)
-        if fits:
+        if fits is True:
             assert fam.sample(grid).grid == grid
         else:
-            with pytest.raises(ValueError, match=f"has period .* got length {length!r}$"):
+            # False: not a whole number of periods
+            with pytest.raises(fits or ValueError, match=f"has period .* got length {length!r}$"):
                 fam.sample(grid)
 
     @pytest.mark.parametrize("name, c2", [("planar_odd", 0.0), ("planar_bad", 1.0)])
@@ -234,7 +246,7 @@ class TestCheckCompat:
     def test_straight_passes_exactly(self):
         g = Grid.half_line(10.0, 65)
         fam = get_family("straight")
-        report = check_compat(fam.sample(g), 2, resampler=fam.sample)
+        report = check_compat(fam.sample(g.refined()), 2)
         assert report.passed
         assert all(r == 0.0 for r in report.a_residuals)
         assert report.norm_residual == 0.0
@@ -252,7 +264,7 @@ class TestCheckCompat:
     def test_planar_odd_passes_to_order_two(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 2, resampler=fam.sample)
+        report = check_compat(fam.sample(g.refined()), 2)
         assert report.refined
         assert report.passed
         assert report.failed_orders() == []
@@ -260,7 +272,7 @@ class TestCheckCompat:
     def test_planar_bad_fails_order_one(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
+        report = check_compat(fam.sample(g.refined()), 1)
         assert not report.passed
         assert 1 in report.failed_orders()
         assert 0 not in report.failed_orders()
@@ -270,7 +282,7 @@ class TestCheckCompat:
     def test_planar_bad_residual_does_not_contract(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
+        report = check_compat(fam.sample(g.refined()), 1)
         coarse = report.a_residuals_coarse[1]
         fine = report.a_residuals[1]
         assert fine > 0.8 * coarse  # converging to a nonzero constant
@@ -278,7 +290,7 @@ class TestCheckCompat:
     def test_planar_odd_residual_contracts(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 2, resampler=fam.sample)
+        report = check_compat(fam.sample(g.refined()), 2)
         for rc, rf in zip(report.a_residuals_coarse[1:], report.a_residuals[1:]):
             assert rf <= 0.35 * rc or rf <= report.tol
 
@@ -286,7 +298,7 @@ class TestCheckCompat:
         # |v0| = 1 holds identically, yet v' . v'' (0) = alpha' alpha'' = a * 2
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
+        report = check_compat(fam.sample(g.refined()), 1)
         assert report.d_residuals[(1, 2)] == pytest.approx(1.0, rel=0.05)
         assert not report.d_pass[(1, 2)]
 
@@ -317,6 +329,23 @@ class TestCheckCompat:
         r1 = check_compat(back, 2)
         assert r0.a_residuals == r1.a_residuals
 
+    @pytest.mark.parametrize("n", [14, 15, 16, 17])
+    def test_cross_check_against_decimation_from_15_nodes(self, n):
+        # every other node from s = 0, an even count losing its last: a grid from n = 15
+        v0 = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, n))
+        assert check_compat(v0, 1).refined == (n >= 15)
+        if n >= 15:
+            coarse = decimated(v0)
+            assert coarse.grid.n == (n + 1) // 2
+            assert coarse.grid.h == pytest.approx(2.0 * v0.grid.h, rel=1e-15)
+            assert np.array_equal(coarse.values, v0.values[::2])
+
+    @pytest.mark.parametrize("grid", [Grid.whole_line(20.0, 129), Grid.periodic(20.0, 128)])
+    def test_half_line_data_only(self, grid):
+        # the decimation keeps s = 0 only on a half line
+        with pytest.raises(GridMismatch, match=f"half-line data, not on a {grid.kind} grid"):
+            check_compat(get_family("straight").sample(grid), 1)
+
     def test_order_too_high(self):
         g = Grid.half_line(10.0, 65)
         with pytest.raises(OrderTooHigh):
@@ -333,7 +362,7 @@ class TestCheckCompat:
 
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 129)
-        report = check_compat(fam.sample(g), 1, resampler=fam.sample)
+        report = check_compat(fam.sample(g.refined()), 1)
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert json.loads(blob)["passed"] is True
 
@@ -409,7 +438,7 @@ def test_cold_start_does_not_import_sympy():
         "grid = filamentlab.Grid.half_line(20.0, 129)\n"
         "for name in ('planar_odd', 'planar_bad'):\n"
         "    fam = filamentlab.get_family(name, a=0.5)\n"
-        "    filamentlab.check_compat(fam.sample(grid), 2, resampler=fam.sample)\n"
+        "    filamentlab.check_compat(fam.sample(grid.refined()), 2)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')[:5])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(filamentlab.__file__)))

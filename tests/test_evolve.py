@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from filamentlab.cli import EXIT_OK, main
-from filamentlab.compat import HelixFamily, get_family
+from filamentlab.compat import HelixFamily, check_compat, get_family
 from filamentlab.errors import (
     CompatibilityRejected,
     DegenerateVector,
@@ -505,6 +505,17 @@ class TestHalfSpace:
             for half_snap, whole_snap in zip(run.snapshots, whole.snapshots, strict=True):
                 assert half_snap.grid == grid
                 assert np.array_equal(half_snap.values, restrict(whole_snap).values)
+
+    @pytest.mark.parametrize("name", ["planar_odd", "planar_bad"])
+    @pytest.mark.parametrize("length, n", itertools.product((20.0, 10.0), (65, 512, 513)))
+    def test_decimated_fine_sample_is_the_sample(self, name, length, n):
+        # the solve samples at h/2 and evolves the decimation; its data and the gate's
+        # coarse level are the family sampled at h, bit for bit, so no verdict moves
+        fam = get_family(name, a=0.5)
+        grid = Grid.half_line(length, n)
+        run = solve_half_space(fam, grid, SimConfig(t_final=1e-6, check_order=2, strict=False))
+        assert run.snapshots[0].values.tobytes() == fam.sample(grid).values.tobytes()
+        assert run.report.a_residuals_coarse == check_compat(fam.sample(grid), 2).a_residuals
 
     def test_incompatible_data_rejected(self):
         fam = get_family("planar_bad", a=0.5)
