@@ -9,15 +9,14 @@ codes: 0 success, 1 usage/I-O error, 2 compatibility rejection,
 from __future__ import annotations
 
 import argparse
-import contextlib
+import itertools
 import json
 import os
-import shutil
 import sys
-import tempfile
-import threading
+import warnings
 
 import numpy as np
+import orjson
 
 from . import harness
 from .compat import check_compat, check_order_range, parse_family_spec
@@ -49,45 +48,55 @@ EXIT_NUMERICAL = 3
 
 
 def _write_csv(path: str, header: str, pieces) -> None:
-    """Write ``header`` and its newline, then each piece of text as it comes."""
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(pieces)
+    """Write ``header`` and its newline, then each piece of text as it comes.
 
-
-def _cells(values: np.ndarray, previous=None) -> tuple:
-    """(bits, cells): the cell text of an (n, k) float64 array, as an object array.
-
-    str of a Python float is its repr, the shortest text that reads back to
-    the same float.  Formatting dominates the cost of writing, so given the
-    ``(bits, cells)`` of the previous array of a series, a cell keeps its
-    text wherever its bits are unchanged and only the changed cells go
-    through str; ``cells`` is updated in place.  The bits decide, not
-    ``==``: 0.0 == -0.0, yet their text differs.
+    A write that fails removes the partial file before the error goes on, so
+    no partial CSV can pass for the output of a run.
     """
-    bits = values.view(np.uint64)
-    if previous is None:
-        cells = np.empty(values.shape, dtype=object)
-        changed = np.ones(values.shape, dtype=bool)
-    else:
-        old_bits, cells = previous
-        changed = bits != old_bits
-    cells[changed] = list(map(str, values[changed].tolist()))
-    return bits, cells
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write(header + "\n")
+            fh.writelines(pieces)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
-def _lines(cells: np.ndarray, prefix: str = "") -> tuple:
-    """Pieces of the CSV text of the rows of ``cells``, each line led by ``prefix``."""
-    return prefix, ("\n" + prefix).join(map(",".join, cells.tolist())), "\n"
+def _rows_text(values: np.ndarray, prefix: str) -> str:
+    """The CSV lines of the rows of an (n, k) float64 array, each led by ``prefix``.
+
+    Every cell is the repr of its float, the shortest text that reads back to
+    the same float.  orjson prints the same shortest digits, much faster, and
+    lays them out as repr does except for non-finite values (``null``), for
+    1e-9 <= |x| < 1e-4 (``0.00001`` for ``1e-05``, ``1e-9`` for ``1e-09``) and
+    for |x| >= 1e16 (``1e16`` for ``1e+16``); only those cells go through str.
+    """
+    rows = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
+    mag = np.abs(values)
+    # NaN fails every comparison, so the mask holds the non-finite cells too
+    redo = ~(((mag >= 1e-4) & (mag < 1e16)) | (mag < 1e-9))
+    # nonzero and the mask index both walk the cells in row-major order
+    i, j = np.nonzero(redo)
+    cells = zip(i.tolist(), j.tolist(), map(str, values[redo].tolist()))
+    for i, row in itertools.groupby(cells, key=lambda cell: cell[0]):
+        line = rows[i].split(",")
+        for _, j, text in row:
+            line[j] = text
+        rows[i] = ",".join(line)
+    return prefix + ("\n" + prefix).join(rows) + "\n"
 
 
 def write_field_csv(path: str, field: VectorField) -> None:
-    _, cells = _cells(np.column_stack((field.grid.nodes(), field.values)))
-    _write_csv(path, "s,v1,v2,v3", _lines(cells))
+    rows = _rows_text(np.column_stack((field.grid.nodes(), field.values)), "")
+    _write_csv(path, "s,v1,v2,v3", [rows])
 
 
 def read_field_csv(path: str, kind: str = "half") -> VectorField:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    with warnings.catch_warnings():
+        # a file with no data rows warns; the shape check below rejects it
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 4:
         raise ValueError(f"{path}: expected columns s,v1,v2,v3")
     s = data[:, 0]
@@ -107,96 +116,16 @@ def read_field_csv(path: str, kind: str = "half") -> VectorField:
     return VectorField(grid, data[:, 1:4])
 
 
-#: Fewest snapshot blocks one writer process formats: a chunk's first block is
-#: formatted in full, so a smaller chunk would spend its process on set-up.
-MIN_CHUNK_BLOCKS = 4
-
-
-def _chunks(blocks: int) -> list:
-    """Contiguous ranges of block indices, one per process that formats them.
-
-    One per usable CPU, each of at least MIN_CHUNK_BLOCKS blocks; a single
-    one where processes cannot be forked, or where other threads run, since a
-    forked child holds a copy of every lock those threads might hold.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        cpus = 1
-    count = max(1, min(cpus, blocks // MIN_CHUNK_BLOCKS))
-    return [range(k * blocks // count, (k + 1) * blocks // count) for k in range(count)]
-
-
-def _fork_writer(pieces, part) -> int:
-    """Fork a child that writes ``pieces`` to ``part`` and exits, 0 if it all went; its pid."""
-    pid = os.fork()
-    if pid == 0:  # the child: it must leave here, whatever happens
-        code = 1
-        try:
-            part.writelines(pieces)
-            part.flush()
-            code = 0
-        except Exception as exc:
-            print(f"error: snapshot writer process {os.getpid()}: {exc!r}", file=sys.stderr)
-        finally:
-            os._exit(code)
-    return pid
-
-
 def write_snapshots_csv(path: str, series, curves=None) -> None:
-    """Write the snapshot blocks, t by t, each row ``t,s,v1,v2,v3[,x1,x2,x3]``.
-
-    Blocks are formatted by one process per usable CPU (``_chunks``): each
-    child formats a contiguous chunk into an anonymous part file, while this
-    process writes the header and the first chunk, then copies each child's
-    part in chunk order.  The bytes do not depend on the number of chunks.
-    A write that fails removes the partial file before the error goes on.
-    """
+    """Write the snapshot blocks, t by t, each row ``t,s,v1,v2,v3[,x1,x2,x3]``."""
     header = "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
     s = series.grid.nodes()[:, None]
 
-    def pieces(blocks):
-        # the s cells keep their bits, so s is formatted once per chunk; t once per block
-        state = None
-        for m in blocks:
-            snap = series.snapshots[m].values
-            parts = (s, snap) if curves is None else (s, snap, curves[m].positions)
-            state = _cells(np.hstack(parts), state)
-            yield from _lines(state[1], str(float(series.times[m])) + ",")
+    def block(m):
+        parts = [s, series.snapshots[m].values] + ([] if curves is None else [curves[m].positions])
+        return _rows_text(np.hstack(parts), str(float(series.times[m])) + ",")
 
-    first, *rest = _chunks(len(series.times))
-    # the parts go beside the output, on the disk chosen for it, not in a RAM-backed /tmp
-    where = os.path.dirname(os.path.abspath(path))
-    children = {}  # pid -> (blocks, part file) of each child not yet reaped
-    with contextlib.ExitStack() as parts:
-        try:
-            for blocks in rest:
-                part = parts.enter_context(tempfile.TemporaryFile("w+", dir=where))
-                children[_fork_writer(pieces(blocks), part)] = blocks, part
-            fh = open(path, "w")
-            try:
-                with fh:
-                    fh.write(header + "\n")
-                    fh.writelines(pieces(first))
-                    for pid, (blocks, part) in list(children.items()):
-                        status = os.waitpid(pid, 0)[1]
-                        del children[pid]
-                        if status != 0:
-                            raise OSError(
-                                f"{path}: the process formatting snapshot blocks "
-                                f"{blocks.start}..{blocks.stop - 1} failed "
-                                f"(exit code {os.waitstatus_to_exitcode(status)})"
-                            )
-                        part.seek(0)
-                        shutil.copyfileobj(part, fh)
-            except BaseException:
-                os.remove(path)
-                raise
-        finally:
-            for pid in children:
-                os.waitpid(pid, 0)
+    _write_csv(path, header, map(block, range(len(series.times))))
 
 
 def write_telemetry_csv(path: str, telemetry) -> None:

@@ -7,7 +7,7 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process behind, such as a snapshot writer."""
+    """Fail a test that leaves a child process behind: the package starts none."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

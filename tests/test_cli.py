@@ -5,7 +5,6 @@ import json
 import math
 import os
 import re
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -564,69 +563,49 @@ class TestSimulate:
 
 
 class TestSnapshotWriter:
-    """A writer process that fails fails the write, and no process outlives it."""
+    def test_failed_write_removes_the_partial_file(self, tmp_path, capsys, monkeypatch):
+        """ENOSPC on the second snapshot block: OSError, no snapshots.csv, and simulate exits 1."""
 
-    @staticmethod
-    def _fail_where(monkeypatch, in_child):
-        """Two chunks; _cells raises in the writer children or in this process."""
-        parent, cells = os.getpid(), cli._cells
+        class DiskFull:
+            """A file whose third write, the second block after the header, finds the disk full."""
 
-        def cells_failing(values, previous=None):
-            if (os.getpid() != parent) == in_child:
-                raise MemoryError("formatting failed")
-            return cells(values, previous)
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(cli, "_cells", cells_failing)
+            def __enter__(self):
+                return self
 
-    @pytest.fixture
-    def failing_child(self, monkeypatch):
-        self._fail_where(monkeypatch, in_child=True)
+            def __exit__(self, *exc):
+                self.fh.close()
 
-    @pytest.fixture
-    def run(self):
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(text)
+
+            def writelines(self, pieces):
+                for piece in pieces:
+                    self.write(piece)
+
+        def opening(path, mode="r"):
+            fh = open(path, mode)
+            return DiskFull(fh) if path.endswith("snapshots.csv") else fh
+
+        monkeypatch.setattr(cli, "open", opening, raising=False)
         fam = get_family("planar_odd", a=0.5)
         cfg = SimConfig(t_final=0.1, check_order=1, snapshot_every=1)
         run = solve_half_space(fam, Grid.half_line(20.0, 129), cfg)
-        assert len(run.times) >= 2 * cli.MIN_CHUNK_BLOCKS
-        return run
-
-    def test_failed_child_raises_os_error(self, tmp_path, run, failing_child):
-        with pytest.raises(OSError, match="the process formatting snapshot blocks .* failed"):
-            cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert os.listdir(tmp_path) == []  # no partial file to pass for output
-
-    def test_failed_parent_chunk_reaps_the_children(self, tmp_path, run, monkeypatch):
-        self._fail_where(monkeypatch, in_child=False)
-        with pytest.raises(MemoryError):
-            cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert os.listdir(tmp_path) == []
-
-    def test_failed_copy_removes_the_partial_file(self, tmp_path, run, monkeypatch):
-        def disk_full(src, dst):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(shutil, "copyfileobj", disk_full)
+        assert len(run.times) >= 2
         with pytest.raises(OSError, match="No space left"):
             cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), run)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == []  # no partial file to pass for output
 
-    def test_failed_child_makes_simulate_exit_one(self, tmp_path, capsys, failing_child):
         text = SIM_CONFIG.replace("output.snapshot_every = 50", "output.snapshot_every = 1")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text.replace("time.t_final = 0.05", "time.t_final = 0.1"))
-        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "failed (exit code 1)" in err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert main(["simulate", str(config), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
         assert os.listdir(tmp_path / "out") == []
 
 
@@ -767,6 +746,10 @@ EXIT_ONE_INPUTS = {
     "check-length-inf": ["check", "--family", "planar_odd:a=0.5", "--length", "inf"],
     # a non-finite value in a solve exits 3; in an input file it stays a usage error
     "csv-not-finite": ["check", "--input", "{nonfinite}"],
+    # a text cell once read as NaN and failed as not finite
+    "csv-not-numeric": ["check", "--input", "{nonnumeric}"],
+    "csv-one-row": ["check", "--input", "{onerow}"],
+    "csv-header-only": ["check", "--input", "{headeronly}"],
     # a periodic family off a whole number of its periods once ran and exited 0
     "ring-length-not-whole-periods": PERIODIC_CONFIG.replace(HELIX, "ring:r=0.5").replace(
         "grid.L = 6.283185307179586", "grid.L = 3.0"
@@ -804,6 +787,9 @@ EXIT_ONE_MESSAGES = {
     "helix-period-under-2h": f"config key grid.n: {ALIASED_HELIX}",
     "diagnose-helix-period-under-2h": ALIASED_HELIX,
     "csv-not-finite": "field values must be finite",
+    "csv-not-numeric": "could not convert string 'abc' to float64 at row 1, column 2",
+    "csv-one-row": "{onerow}: expected columns s,v1,v2,v3",
+    "csv-header-only": "{headeronly}: expected columns s,v1,v2,v3",
     "check-order-3": "--order must be at least 0 and at most 2, got 3",
     "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
     "config-order-3-periodic": "check_order must be at least 0 and at most 2, got 3",
@@ -822,6 +808,10 @@ def test_every_documented_exit_one_input(tmp_path, capsys, case):
         "nonuniform": "s,v1,v2,v3\n0.0,0,0,1\n1.0,0,0,1\n3.0,0,0,1\n",
         "shifted": "s,v1,v2,v3\n5.0,0,0,1\n6.0,0,0,1\n7.0,0,0,1\n",
         "nonfinite": "s,v1,v2,v3\n" + "".join(f"{s}.0,0,nan,1\n" for s in range(8)),
+        "nonnumeric": "s,v1,v2,v3\n0.0,0,0,1\n1.0,abc,0,1\n"
+        + "".join(f"{s}.0,0,0,1\n" for s in range(2, 8)),
+        "onerow": "s,v1,v2,v3\n0.0,0,0,1\n",
+        "headeronly": "s,v1,v2,v3\n",
         "config": given if isinstance(given, str) else "",
     }
     paths = {name: tmp_path / f"{name}.txt" for name in files}
@@ -832,7 +822,8 @@ def test_every_documented_exit_one_input(tmp_path, capsys, case):
     else:
         argv = [arg.format(**paths) for arg in given]
     assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: " + EXIT_ONE_MESSAGES.get(case, ""))
+    message = EXIT_ONE_MESSAGES.get(case, "").format(**paths)
+    assert capsys.readouterr().err.startswith("error: " + message)
     assert not (tmp_path / "out").exists()
 
 

@@ -13,9 +13,8 @@ wrong ghost must show in the telemetry and, under midpoint, in the exit code,
 and a NaN in any tracked telemetry column must fail the run.
 Three round trips must be exact too: a field CSV written and read back, a
 SimConfig written as a config file and read back, and the restriction of
-an extension.  The fast paths must not move a bit: the snapshot writer
-against a naive per-row repr, however many processes format its blocks,
-and the norm kernels against numpy's sum.
+an extension.  The fast paths must not move a bit: the CSV cell text against
+a naive per-row repr, and the norm kernels against numpy's sum.
 """
 
 import dataclasses
@@ -24,7 +23,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +260,21 @@ def test_nan_in_a_tracked_column_fails_the_run(column, data):
     assert summary.passed is False
 
 
+# every finite double, with the cells whose text is easy to get wrong drawn often
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_awkward = st.sampled_from(
+    [
+        0.0, -0.0,  # equal, yet "0.0" and "-0.0"
+        5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,  # subnormal and smallest normal
+        1e300, -1e300, 1.7976931348623157e308,
+        # the edges of the bands where the writer's fast layout differs from repr
+        1e-9, math.nextafter(1e-9, 0.0), 1e-4, math.nextafter(1e-4, 0.0),
+        1e-5, -2.5e-6, 1.5e-7, 1e16, math.nextafter(1e16, 0.0), 1e22,
+    ]
+)
+_cell = st.one_of(_awkward, _finite)
+
+
 @st.composite
 def fields_of_any_kind(draw):
     """A half, whole or periodic grid of 8..41 nodes and any finite field on it."""
@@ -274,7 +287,7 @@ def fields_of_any_kind(draw):
         grid = Grid.whole_line(length, n | 1)
     else:
         grid = Grid.periodic(length, n)
-    return VectorField(grid, draw(arrays(np.float64, (grid.n, 3), elements=_mixed_magnitude)))
+    return VectorField(grid, draw(arrays(np.float64, (grid.n, 3), elements=_cell)))
 
 
 @PROPERTY_SETTINGS
@@ -381,18 +394,6 @@ def test_restrict_of_extend_is_identity(n, length, data):
     assert back.values.tobytes() == u.values.tobytes()
 
 
-# every finite double, with the cells a reuse rule could get wrong drawn often
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-_awkward = st.sampled_from(
-    [
-        0.0, -0.0,  # equal, yet "0.0" and "-0.0"
-        5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,  # subnormal and smallest normal
-        1e300, -1e300, 1.7976931348623157e308,
-    ]
-)
-_cell = st.one_of(_awkward, _finite)
-
-
 @st.composite
 def snapshot_series(draw, blocks=st.integers(1, 6), columns=st.sampled_from([3, 6])):
     """(series, curves or None) of ``blocks`` blocks on a half grid of 8..16 nodes.
@@ -439,65 +440,21 @@ def test_snapshots_csv_is_naive_repr_bytewise(series_and_curves):
         assert path.read_bytes() == _naive_snapshots_csv(series, curves).encode()
 
 
-def _forks_counted(mp) -> list:
-    """Patch os.fork to record, in this process, the pid of each child it starts."""
-    pids, fork = [], os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    mp.setattr(os, "fork", counting_fork)
-    return pids
-
-
-@settings(max_examples=10, deadline=None)
-@pytest.mark.parametrize("columns", [3, 6], ids=["tangents", "with-curves"])
-@given(data=st.data())
-def test_chunked_snapshots_csv_is_naive_repr_bytewise(columns, data):
-    # 12..16 blocks are enough for 3 chunks of MIN_CHUNK_BLOCKS = 4
-    series, curves = data.draw(snapshot_series(st.integers(12, 16), st.just(columns)))
-    want = _naive_snapshots_csv(series, curves).encode()
-    for cpus in (1, 2, 3):
-        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            forks = _forks_counted(mp)
-            path = Path(tmp) / "snapshots.csv"
-            write_snapshots_csv(str(path), series, curves)
-            assert len(forks) == cpus - 1
-            assert path.read_bytes() == want
-            assert os.listdir(tmp) == ["snapshots.csv"]  # no part file left beside it
-
-
-def test_snapshots_csv_without_fork_is_one_chunk(monkeypatch, tmp_path):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.delattr(os, "fork")
-    table = np.arange(12 * 8 * 3, dtype=float).reshape(12, 8, 3) * -1e-21
-    grid = Grid.half_line(20.0, 8)
-    series = TimeSeries(grid, list(range(12)), [VectorField(grid, t) for t in table])
-    assert cli._chunks(len(series.times)) == [range(12)]
-    write_snapshots_csv(str(tmp_path / "snapshots.csv"), series)
-    assert (tmp_path / "snapshots.csv").read_text() == _naive_snapshots_csv(series, None)
-
-
-def test_chunks_are_contiguous_and_hold_four_blocks(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
-    assert cli._chunks(12) == [range(0, 4), range(4, 8), range(8, 12)]
-    assert cli._chunks(11) == [range(0, 5), range(5, 11)]
-    assert cli._chunks(7) == [range(0, 7)]
-    assert cli._chunks(0) == [range(0, 0)]
-    # a second thread could hold a lock a forked child would never see released
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert cli._chunks(12) == [range(12)]
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
+def test_rows_text_is_naive_repr_on_random_and_band_values():
+    # an orjson release that changed its digits or its layout would fail here
+    rng = np.random.default_rng(20240607)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    signs = rng.choice([-1.0, 1.0], 100_000)
+    small = signs * 10.0 ** rng.uniform(-9.0, -4.0, 100_000)  # repr writes 1e-05, orjson 0.00001
+    large = signs * 10.0 ** rng.uniform(16.0, 308.25, 100_000)  # repr writes 1e+16, orjson 1e16
+    edges = np.array([1e-9, math.nextafter(1e-9, 0.0), 1e-4, math.nextafter(1e-4, 0.0), 1e16,
+                      math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), math.inf])
+    nan = np.full(100_000, np.nan)  # repr writes nan, orjson null
+    values = np.concatenate([bits[np.isfinite(bits)], small, large, edges, nan, -edges])
+    values = np.concatenate([values, np.zeros(-len(values) % 8)]).reshape(-1, 8)
+    rng.shuffle(values.reshape(-1))
+    want = "".join("7.5," + ",".join(map(repr, row)) + "\n" for row in values.tolist())
+    assert cli._rows_text(values, "7.5,") == want
 
 
 _TELEMETRY_KEYS = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
