@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
     UnknownFamily,
 )
 from .evolve import SimConfig, solve_half_space, solve_whole_line
-from .geometry import Grid, VectorField
+from .geometry import MIN_NODES, Grid, VectorField
 from .hasimoto import frenet, gauge_rate, hasimoto_psi, series_nls_residual
 from .reconstruct import integrate_tangent, reconstruct_positions
 from .reflect import derivative_jump_residual, extend
@@ -92,28 +93,37 @@ def write_field_csv(path: str, field: VectorField) -> None:
     _write_csv(path, "s,v1,v2,v3", [rows])
 
 
-def read_field_csv(path: str, kind: str = "half") -> VectorField:
-    with warnings.catch_warnings():
-        # a file with no data rows warns; the shape check below rejects it
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 4:
+def read_field_csv(path: str) -> VectorField:
+    """The half-line field of a CSV with header ``s,v1,v2,v3`` and rows from s = 0.
+
+    An error names the file, and a text or non-finite cell its line and column.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns, and the row count rejects it; a text cell reads as NaN
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+    except ValueError as exc:  # rows of differing lengths
+        raise ValueError(f"{path}: {exc}") from None
+    if len(data) < MIN_NODES:
+        raise ValueError(f"{path}: too few rows ({len(data)}); a grid needs {MIN_NODES}")
+    if data.shape[1] != 4:
         raise ValueError(f"{path}: expected columns s,v1,v2,v3")
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        row, col = bad[0].tolist()
+        # genfromtxt skips blank and comment lines; count them back in
+        with open(path) as fh:
+            lines = [k for k, text in enumerate(fh, 1) if k > 1 and text.split("#")[0].strip()]
+        raise ValueError(f"{path}: line {lines[row]}, column {col + 1} is not a finite number")
     s = data[:, 0]
     h = s[1] - s[0]
     tol = 1e-9 * max(1.0, abs(h))
-    if np.max(np.abs(np.diff(s) - h)) > tol:
-        raise ValueError(f"{path}: grid must be uniform")
-    # half-line and periodic data start at s = 0; whole-line data span [-L, L]
-    if abs(s[0] + s[-1] if kind == "whole" else s[0]) > tol:
-        raise ValueError(f"{path}: s runs {s[0]:g}..{s[-1]:g}, not a {kind} grid")
-    if kind == "half":
-        grid = Grid.half_line(s[-1], len(s))
-    elif kind == "whole":
-        grid = Grid.whole_line(s[-1], len(s))
-    else:
-        grid = Grid.periodic(s[-1] + h, len(s))
-    return VectorField(grid, data[:, 1:4])
+    if not h > 0.0 or np.max(np.abs(np.diff(s) - h)) > tol:
+        raise ValueError(f"{path}: s must increase in equal steps")
+    if abs(s[0]) > tol:
+        raise ValueError(f"{path}: s runs {s[0]:g}..{s[-1]:g}, not a half grid")
+    return VectorField(Grid.half_line(s[-1], len(s)), data[:, 1:4])
 
 
 def write_snapshots_csv(path: str, series, curves=None) -> None:
@@ -265,14 +275,13 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:  # the grid's length rule, or a periodic family's period rule
         raise ValueError(f"config key grid.L: {exc}") from None
 
-    if kind == "half":
-        series, wall = harness.timed(solve_half_space, fam, grid, cfg)
-    else:
-        series, wall = harness.timed(solve_whole_line, v0, cfg)
+    start = time.perf_counter()
+    series = solve_half_space(fam, grid, cfg) if kind == "half" else solve_whole_line(v0, cfg)
+    wall = time.perf_counter() - start
     curves = None
     if args.reconstruct:
         curves = reconstruct_positions(integrate_tangent(series.snapshots[0]), series)
-    summary = harness.invariant_suite(series, curves, wall_seconds=wall)
+    summary = harness.invariant_suite(series, curves)
 
     # only now: a run rejected above (exit 1 or 2) leaves no directory behind
     outdir = args.out or os.environ.get("FILAMENTLAB_OUTDIR") or conf.get("output.dir", ".")
@@ -281,7 +290,7 @@ def cmd_simulate(args) -> int:
     write_telemetry_csv(os.path.join(outdir, "telemetry.csv"), series.telemetry)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         fh.write(summary.to_json())
-    print(f"run finished in {summary.wall_seconds:.2f} s; outputs in {outdir}")
+    print(f"run finished in {wall:.2f} s; outputs in {outdir}")
     for name, ok in summary.verdicts.items():
         print(f"invariant {name}: {'pass' if ok else 'FAIL'}")
     for name, worst in summary.maxima.items():

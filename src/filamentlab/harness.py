@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import time as _time
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
@@ -84,8 +83,9 @@ def helix_dispersion_error(n=256, t_final=0.5) -> dict:
     }
 
 
-def ring_translation_error(r=0.5, n=256, t_final=0.5) -> dict:
-    """Rigid displacement of the reconstructed circle against (0, 0, t/r)."""
+def ring_translation_error(n=256, t_final=0.5) -> dict:
+    """Rigid displacement of the reconstructed circle against (0, 0, t/r), r = 0.5."""
+    r = 0.5
     fam = RingFamily(r)
     grid = Grid.periodic(fam.period(), n)
     v0 = fam.sample(grid)
@@ -141,10 +141,10 @@ class ConvergenceResult:
     order: float
 
 
-def helix_solution_error(n: int, t_final=0.5) -> float:
-    """max-norm error at t_final against the exact rotating wave."""
-    fam, grid, series = _helix_run(n, t_final)
-    diff = series.final().values - fam.exact(grid.nodes(), t_final)
+def helix_solution_error(n: int) -> float:
+    """max-norm error at t = 0.5 against the exact rotating wave."""
+    fam, grid, series = _helix_run(n, 0.5)
+    diff = series.final().values - fam.exact(grid.nodes(), 0.5)
     return float(np.max(row_norms(diff)))
 
 
@@ -203,8 +203,8 @@ class RunSummary:
     """Per-run invariant maxima, tolerances and verdicts, and config echo.
 
     Every tolerance has a verdict and every verdict a maximum; a maximum
-    without a tolerance is reported but does not gate.  Wall-clock time is
-    kept out of ``to_json`` so identical runs serialize to identical bytes.
+    without a tolerance is reported but does not gate.  It holds no wall-clock
+    time, so identical runs serialize to identical bytes.
     """
 
     config: dict
@@ -214,16 +214,13 @@ class RunSummary:
     compat: dict = dc_field(default_factory=dict)
     root_cause: str = ""
     solver: dict = dc_field(default_factory=dict)  # TimeSeries.solver
-    wall_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        del out["wall_seconds"]
-        return {**out, "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -251,7 +248,7 @@ def energy_drift(rows) -> dict:
     return _track((row["step"], abs(row["energy"] - e0) / scale) for row in rows)
 
 
-def invariant_suite(series: TimeSeries, curves=None, wall_seconds: float = 0.0) -> RunSummary:
+def invariant_suite(series: TimeSeries, curves=None) -> RunSummary:
     """Stamp the invariants of a run, read against the config that produced it.
 
     Every run gets the norm check and the energy drift maximum, which is a
@@ -309,12 +306,4 @@ def invariant_suite(series: TimeSeries, curves=None, wall_seconds: float = 0.0) 
         compat=report.to_dict() if report is not None else {},
         root_cause=root_cause,
         solver=series.solver,
-        wall_seconds=wall_seconds,
     )
-
-
-def timed(fn, *args, **kw):
-    """Run fn, returning (result, wall_seconds)."""
-    t0 = _time.perf_counter()
-    out = fn(*args, **kw)
-    return out, _time.perf_counter() - t0

@@ -138,7 +138,7 @@ class TestFieldCsv:
         v0 = fam.sample(Grid.half_line(10.0, 65))
         path = tmp_path / "field.csv"
         write_field_csv(str(path), v0)
-        back = read_field_csv(str(path), "half")
+        back = read_field_csv(str(path))
         assert back.grid == v0.grid
         assert np.array_equal(back.values, v0.values)
 
@@ -165,8 +165,8 @@ class TestFieldCsv:
 
     def test_nonuniform_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("s,v1,v2,v3\n0.0,0,0,1\n1.0,0,0,1\n3.0,0,0,1\n")
-        with pytest.raises(ValueError):
+        path.write_text("s,v1,v2,v3\n" + "".join(f"{s}.0,0,0,1\n" for s in (0, 1, 3, 4, 5, 6, 7, 8)))
+        with pytest.raises(ValueError, match="s must increase in equal steps"):
             read_field_csv(str(path))
 
     @staticmethod
@@ -178,10 +178,9 @@ class TestFieldCsv:
         np.savetxt(path, rows, delimiter=",", header="s,v1,v2,v3", comments="")
         return str(path)
 
-    @pytest.mark.parametrize("kind", ["half", "periodic"])
-    def test_grid_not_starting_at_zero_rejected(self, tmp_path, kind):
-        with pytest.raises(ValueError, match=f"not a {kind} grid"):
-            read_field_csv(self._shifted_csv(tmp_path), kind)
+    def test_grid_not_starting_at_zero_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="not a half grid"):
+            read_field_csv(self._shifted_csv(tmp_path))
 
     def test_check_rejects_shifted_csv(self, tmp_path, capsys):
         path = self._shifted_csv(tmp_path)
@@ -189,14 +188,14 @@ class TestFieldCsv:
         assert rc == EXIT_USAGE
         assert "s runs 5..15" in capsys.readouterr().err
 
-    def test_asymmetric_whole_grid_rejected(self, tmp_path):
+    def test_check_rejects_extended_csv(self, tmp_path, capsys):
+        # --input takes half-line data; extend --out writes the whole line [-L, L]
         path = tmp_path / "ext.csv"
         assert main(["extend", "--family", "planar_odd:a=0.5", "--n", "65", "-L", "10",
                      "--out", str(path)]) == EXIT_OK
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the s = L row
-        with pytest.raises(ValueError, match="not a whole grid"):
-            read_field_csv(str(path), "whole")
+        capsys.readouterr()
+        assert main(["check", "--input", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: s runs -10..10, not a half grid\n"
 
 
 class TestExtend:
@@ -206,8 +205,9 @@ class TestExtend:
             ["extend", "--family", "planar_odd:a=0.5", "--n", "65", "-L", "10", "--out", str(out)]
         )
         assert rc == EXIT_OK
-        ext = read_field_csv(str(out), "whole")
-        assert ext.grid.n == 129
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (129, 4)
+        assert (data[0, 0], data[64, 0], data[-1, 0]) == (-10.0, 0.0, 10.0)
         assert "jump residual k=0" in capsys.readouterr().out
 
 
@@ -691,7 +691,8 @@ class TestOtherCommands:
 HELIX = "helix:a=0.6,c=0.8,k=2.0"
 
 #: Every exit-1 input of the README's list: a simulate config text, or a
-#: command line in which {nonuniform} and {shifted} name CSV files.
+#: command line in which {nonuniform}, {shifted} and the other names of the
+#: test's ``files`` name CSV files.
 EXIT_ONE_INPUTS = {
     "unknown-key": SIM_CONFIG + "time.tfinal = 0.01\n",
     "dt-nan": SIM_CONFIG + "time.dt = nan\n",
@@ -750,6 +751,11 @@ EXIT_ONE_INPUTS = {
     "csv-not-numeric": ["check", "--input", "{nonnumeric}"],
     "csv-one-row": ["check", "--input", "{onerow}"],
     "csv-header-only": ["check", "--input", "{headeronly}"],
+    # a falling s column once reached Grid, whose message named no file
+    "csv-s-backward": ["check", "--input", "{backward}"],
+    # the reader skips blank and comment lines; the message counts them
+    "csv-not-finite-after-blank-line": ["check", "--input", "{blankline}"],
+    "csv-ragged": ["check", "--input", "{ragged}"],
     # a periodic family off a whole number of its periods once ran and exited 0
     "ring-length-not-whole-periods": PERIODIC_CONFIG.replace(HELIX, "ring:r=0.5").replace(
         "grid.L = 6.283185307179586", "grid.L = 3.0"
@@ -786,10 +792,17 @@ EXIT_ONE_MESSAGES = {
     "diagnose-ring-length": f"{RING_PERIOD}; {WHOLE_PERIODS} 5.0",
     "helix-period-under-2h": f"config key grid.n: {ALIASED_HELIX}",
     "diagnose-helix-period-under-2h": ALIASED_HELIX,
-    "csv-not-finite": "field values must be finite",
-    "csv-not-numeric": "could not convert string 'abc' to float64 at row 1, column 2",
-    "csv-one-row": "{onerow}: expected columns s,v1,v2,v3",
-    "csv-header-only": "{headeronly}: expected columns s,v1,v2,v3",
+    "csv-not-uniform": "{nonuniform}: s must increase in equal steps",
+    "csv-not-at-zero": "{shifted}: s runs 5..12, not a half grid",
+    "csv-not-finite": "{nonfinite}: line 2, column 3 is not a finite number",
+    "csv-not-numeric": "{nonnumeric}: line 3, column 2 is not a finite number",
+    # one data row once failed as wrong columns
+    "csv-one-row": "{onerow}: too few rows (1); a grid needs 8",
+    "csv-header-only": "{headeronly}: too few rows (0); a grid needs 8",
+    "csv-s-backward": "{backward}: s must increase in equal steps",
+    "csv-not-finite-after-blank-line": "{blankline}: line 5, column 3 is not a finite number",
+    # numpy's own message follows, naming the line
+    "csv-ragged": "{ragged}: ",
     "check-order-3": "--order must be at least 0 and at most 2, got 3",
     "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
     "config-order-3-periodic": "check_order must be at least 0 and at most 2, got 3",
@@ -805,12 +818,16 @@ EXIT_ONE_MESSAGES = {
 def test_every_documented_exit_one_input(tmp_path, capsys, case):
     given = EXIT_ONE_INPUTS[case]
     files = {
-        "nonuniform": "s,v1,v2,v3\n0.0,0,0,1\n1.0,0,0,1\n3.0,0,0,1\n",
-        "shifted": "s,v1,v2,v3\n5.0,0,0,1\n6.0,0,0,1\n7.0,0,0,1\n",
+        "nonuniform": "s,v1,v2,v3\n" + "".join(f"{s}.0,0,0,1\n" for s in (0, 1, 3, 4, 5, 6, 7, 8)),
+        "shifted": "s,v1,v2,v3\n" + "".join(f"{s}.0,0,0,1\n" for s in range(5, 13)),
         "nonfinite": "s,v1,v2,v3\n" + "".join(f"{s}.0,0,nan,1\n" for s in range(8)),
         "nonnumeric": "s,v1,v2,v3\n0.0,0,0,1\n1.0,abc,0,1\n"
         + "".join(f"{s}.0,0,0,1\n" for s in range(2, 8)),
         "onerow": "s,v1,v2,v3\n0.0,0,0,1\n",
+        "blankline": "s,v1,v2,v3\n0.0,0,0,1\n\n# a comment\n1.0,0,nan,1\n"
+        + "".join(f"{s}.0,0,0,1\n" for s in range(2, 8)),
+        "backward": "s,v1,v2,v3\n" + "".join(f"-0.{s},0,0,1\n" for s in range(8)),
+        "ragged": "s,v1,v2,v3\n0.0,0,0,1\n1.0,0,1\n" + "".join(f"{s}.0,0,0,1\n" for s in range(2, 8)),
         "headeronly": "s,v1,v2,v3\n",
         "config": given if isinstance(given, str) else "",
     }

@@ -32,3 +32,36 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"filamentlab"}
     assert {"numpy", "orjson"} <= third_party  # the scan sees the imports it should
     assert third_party <= declared, f"imported but not in dependencies: {third_party - declared}"
+
+
+def _unused_imports(text: str) -> list:
+    """``name (line N)`` for each name the module ``text`` imports and never reads.
+
+    A name imported on a line marked ``# noqa: F401`` is kept on purpose.
+    """
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{name} (line {alias.lineno})")
+    return unused
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # the check sees a stray import, and the marker keeps one
+    assert _unused_imports("import time as _time\nimport os\nos.sep\n") == ["_time (line 1)"]
+    assert _unused_imports("from .geometry import deriv  # noqa: F401\n") == []
+    # __init__.py imports to re-export
+    found = {
+        path.name: _unused_imports(path.read_text())
+        for path in (ROOT / "src").rglob("*.py")
+        if path.name != "__init__.py"
+    }
+    assert not {name: unused for name, unused in found.items() if unused}

@@ -38,7 +38,6 @@ from filamentlab.cli import (
     _build_cfg,
     main,
     parse_config,
-    read_field_csv,
     write_field_csv,
     write_snapshots_csv,
     write_telemetry_csv,
@@ -296,10 +295,9 @@ def test_field_csv_round_trip_is_bitwise(u):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "field.csv")
         write_field_csv(path, u)
-        back = read_field_csv(path, u.grid.kind)
-    assert (back.grid.kind, back.grid.n) == (u.grid.kind, u.grid.n)
-    assert np.allclose(back.grid.nodes(), u.grid.nodes(), rtol=0.0, atol=1e-12 * u.grid.length)
-    assert back.values.tobytes() == u.values.tobytes()  # the sign of zero included
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert back[:, 0].tobytes() == u.grid.nodes().tobytes()
+    assert back[:, 1:].tobytes() == u.values.tobytes()  # the sign of zero included
 
 
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
