@@ -210,7 +210,10 @@ def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
     else:
         left = v[1:2] * _NEGBAR if grid.kind == HALF else v[:1]
         right = v[-1:]
-    out = cross(v, second_difference(np.concatenate((left, v, right))) / (grid.h * grid.h))
+    d2 = second_difference(np.concatenate((left, v, right)))
+    h = grid.h
+    d2 /= h * h
+    out = cross(v, d2)
     if grid.kind != PERIODIC:
         out[-1] = 0.0
     if grid.kind == WHOLE:
@@ -253,43 +256,64 @@ def _step_rk4(u: VectorField, dt: float, log: StepLog) -> VectorField:
     return VectorField(grid, k1)
 
 
-def _linear_start(slopes: list) -> np.ndarray:
-    return 2.0 * slopes[-1] - slopes[-2]
+def _linear_start(slopes: list, out: np.ndarray) -> np.ndarray:
+    """2 f_4 - f_3, written into ``out``."""
+    np.multiply(slopes[-1], 2.0, out=out)
+    out -= slopes[-2]
+    return out
 
 
-def _cubic_start(slopes: list) -> np.ndarray:
+def _cubic_start(slopes: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """((4 f_4 - 6 f_3) + 4 f_2) - f_1, written into ``out``; ``scratch`` is overwritten."""
     f1, f2, f3, f4 = slopes
-    return 4.0 * f4 - 6.0 * f3 + 4.0 * f2 - f1
+    np.multiply(f4, 4.0, out=out)
+    out -= np.multiply(f3, 6.0, out=scratch)
+    out += np.multiply(f2, 4.0, out=scratch)
+    out -= f1
+    return out
 
 
 def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> VectorField:
+    # Every array written here is one this step allocated: never u.values, an
+    # array held in log.slopes, or the rhs(u) start, which is read only.
     grid, v = u.grid, u.values
+    h = grid.h
     half = 0.5 * dt
-    extrapolate = len(log.slopes) >= 2 and dt <= SLOPE_START_FACTOR * grid.h * grid.h
+    extrapolate = len(log.slopes) >= 2 and dt <= SLOPE_START_FACTOR * h * h
     four = extrapolate and len(log.slopes) == 4
+    m, cand = np.empty_like(v), np.empty_like(v)
     if not extrapolate:
         start = rhs(u, v)
     elif four and log.cubic:
-        start = _cubic_start(log.slopes)
+        start = _cubic_start(log.slopes, np.empty_like(v), m)
     else:
-        start = _linear_start(log.slopes)
-    m = v + half * start
+        start = _linear_start(log.slopes, np.empty_like(v))
+    np.multiply(start, half, out=m)
+    m += v
     for it in range(1, FP_MAX_ITER + 1):
         f = rhs(u, m)
-        cand = v + half * f
-        inc = 2.0 * float(np.max(np.abs(cand - m)))  # bounds the change of v + dt f
+        np.multiply(f, half, out=cand)
+        cand += v
+        m -= cand  # |m - cand|, the change of the iterate
+        inc = 2.0 * float(np.abs(m, out=m).max())  # bounds the change of v + dt f
         if not math.isfinite(inc):
             raise NonFiniteState("field values must be finite")
-        m = cand
+        m, cand = cand, m
         if inc <= tol:
             if four:  # the next step takes the start that predicted f better
-                cubic = start if log.cubic else _cubic_start(log.slopes)
-                linear = _linear_start(log.slopes) if log.cubic else start
-                log.cubic = np.max(np.abs(f - cubic)) <= np.max(np.abs(f - linear))
+                if log.cubic:
+                    cubic, linear = start, _linear_start(log.slopes, cand)
+                else:
+                    cubic, linear = _cubic_start(log.slopes, cand, m), start
+                cubic -= f  # |x - f| is the same number as |f - x|
+                linear -= f
+                log.cubic = np.abs(cubic, out=cubic).max() <= np.abs(linear, out=linear).max()
             log.slopes = [*log.slopes[-3:], f]
             log.rhs_calls += it if extrapolate else it + 1
             log.iters.append(it)
-            return VectorField(grid, v + dt * f)
+            np.multiply(f, dt, out=m)
+            m += v
+            return VectorField(grid, m)
     raise FixedPointDiverged(
         f"midpoint iteration stalled above tol={tol:g} after {FP_MAX_ITER} iters"
     )
@@ -311,7 +335,8 @@ def bending_energy(u: VectorField) -> float:
     """
     v = u.values
     d = np.diff(v, axis=0, append=v[:1]) if u.grid.kind == PERIODIC else np.diff(v, axis=0)
-    return float(np.sum(d * d) / u.grid.h)
+    d *= d
+    return float(d.sum() / u.grid.h)
 
 
 def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
@@ -334,7 +359,7 @@ def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
         if half:
             gap = rhs(u, u.values) - restrict(VectorField(w.grid, rhs(w, w.values))).values
             # np.maximum, not max: a NaN gap must win, or a broken rhs reads 0.0
-            row["symmetry"] = float(np.maximum(row["symmetry"], np.max(row_norms(gap))))
+            row["symmetry"] = float(np.maximum(row["symmetry"], row_norms(gap).max()))
         row["boundary"] = float(np.linalg.norm(w.values[w.grid.center] - E3))
     return row
 

@@ -117,8 +117,9 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
     b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
-    np.subtract(a2 * b3, a3 * b2, out=out[..., 0])
+    p = a2 * b3  # its shape and dtype are those of every product
+    out = np.empty((*p.shape, 3), p.dtype)
+    np.subtract(p, a3 * b2, out=out[..., 0])
     np.subtract(a3 * b1, a1 * b3, out=out[..., 1])
     np.subtract(a1 * b2, a2 * b1, out=out[..., 2])
     return out
@@ -156,7 +157,9 @@ class VectorField:
 
     def unit_deviation(self) -> float:
         """max_i | |v_i| - 1 |."""
-        return float(np.max(np.abs(self.norms() - 1.0)))
+        d = self.norms()
+        d -= 1.0
+        return float(np.abs(d, out=d).max())
 
 
 def second_difference(padded: np.ndarray) -> np.ndarray:

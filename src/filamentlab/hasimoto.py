@@ -165,7 +165,8 @@ def nls_residual(psis: list, times: list, rates: list) -> float:
         psi_t = (psis[m + 1].psi - psis[m - 1].psi) / (times[m + 1] - times[m - 1])
         psi_ss = _psi_ss(psis[m])
         res = psi_t / 1j - psi_ss - 0.5 * np.abs(psi) ** 2 * psi - rates[m] * psi
-        worst = max(worst, float(np.max(np.abs(res[mask]))))
+        # np.maximum, not max: a NaN residual must win, or it reads as the last finite one
+        worst = float(np.maximum(worst, np.abs(res[mask]).max()))
     if not any_masked:
         logger.warning("empty mask throughout; residual reported as 0")
     return worst

@@ -56,8 +56,9 @@ def restrict(whole: VectorField) -> VectorField:
 
 def symmetry_residual(u: VectorField) -> float:
     """max-norm of T u - u; zero for fields obtained from extend()."""
-    diff = apply_T(u).values - u.values
-    return float(np.max(row_norms(diff)))
+    diff = apply_T(u).values
+    diff -= u.values
+    return float(row_norms(diff).max())
 
 
 def derivative_jump_residual(ext: VectorField, k: int) -> float:

@@ -175,6 +175,17 @@ class TestNlsResidual:
         assert residual([0, 1, 14, 16, 30, 31]) == base
         assert residual([2]) > 1e6  # node 2 is read
 
+    def test_nan_rate_makes_the_residual_nan(self):
+        # a NaN among the rates must reach the caller's isfinite check, not
+        # fold away behind the finite residuals of the other snapshots
+        g = Grid.periodic(np.pi, 64)
+        series = solve_whole_line(HelixFamily().sample(g), SimConfig(t_final=0.05))
+        frames = [frenet(s) for s in series.snapshots]
+        psis, rates = [hasimoto_psi(f) for f in frames], [gauge_rate(f) for f in frames]
+        assert np.isfinite(nls_residual(psis, series.times, rates))
+        rates[1] = np.nan
+        assert np.isnan(nls_residual(psis, series.times, rates))
+
     def test_gauge_term_is_essential(self):
         # dropping the rates leaves an O(1) remainder on the helix
         fam = HelixFamily()

@@ -14,7 +14,8 @@ and a NaN in any tracked telemetry column must fail the run.
 Three round trips must be exact too: a field CSV written and read back, a
 SimConfig written as a config file and read back, and the restriction of
 an extension.  The fast paths must not move a bit: the CSV cell text against
-a naive per-row repr, and the norm kernels against numpy's sum.
+a naive per-row repr, the norm kernels against numpy's sum, and the in-place
+midpoint step against the same expressions on fresh arrays.
 """
 
 import dataclasses
@@ -210,6 +211,74 @@ def test_half_line_midpoint_solve_is_the_restricted_whole_line_solve(u):
     assert half.times == whole.times
     for half_snap, whole_snap in zip(half.snapshots, whole.snapshots, strict=True):
         assert half_snap.values.tobytes() == restrict(whole_snap).values.tobytes()
+
+
+def _fresh_linear_start(slopes):
+    return 2.0 * slopes[-1] - slopes[-2]
+
+
+def _fresh_cubic_start(slopes):
+    f1, f2, f3, f4 = slopes
+    return 4.0 * f4 - 6.0 * f3 + 4.0 * f2 - f1
+
+
+def _fresh_array_midpoint_step(u, dt, tol, log):
+    """The midpoint step with a fresh array for every value: the reference for
+    the in-place one, which must round every value the same way."""
+    v, half = u.values, 0.5 * dt
+    linear, cubic = _fresh_linear_start, _fresh_cubic_start
+    extrapolate = len(log.slopes) >= 2 and dt <= evolve.SLOPE_START_FACTOR * u.grid.h**2
+    four = extrapolate and len(log.slopes) == 4
+    if not extrapolate:
+        start = rhs(u, v)
+    elif four and log.cubic:
+        start = cubic(log.slopes)
+    else:
+        start = linear(log.slopes)
+    m = v + half * start
+    for it in range(1, evolve.FP_MAX_ITER + 1):
+        f = rhs(u, m)
+        cand = v + half * f
+        inc = 2.0 * float(np.max(np.abs(cand - m)))
+        m = cand
+        if inc <= tol:
+            if four:
+                c = start if log.cubic else cubic(log.slopes)
+                lin = linear(log.slopes) if log.cubic else start
+                log.cubic = np.max(np.abs(f - c)) <= np.max(np.abs(f - lin))
+            log.slopes = [*log.slopes[-3:], f]
+            log.rhs_calls += it if extrapolate else it + 1
+            log.iters.append(it)
+            return v + dt * f
+    raise AssertionError("the reference iteration did not converge")
+
+
+@PROPERTY_SETTINGS
+@given(unit_half_line_fields(), st.booleans())
+def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
+    # eight steps on one log: two Euler starts, two linear ones, then cubic or
+    # linear, the first of them by the drawn choice, the rest by the log's
+    dt = 0.02 * u.grid.h**2
+    cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT)
+    log, ref = evolve.StepLog(cubic=cubic), evolve.StepLog(cubic=cubic)
+    for _ in range(8):
+        held = [(a, a.tobytes()) for a in (u.values, *log.slopes)]
+        # the starts alone, as the step's result hides a start's rounding
+        # wherever the iteration converges to the same bits
+        buf, scratch = np.empty_like(u.values), np.empty_like(u.values)
+        if len(log.slopes) >= 2:
+            got = evolve._linear_start(log.slopes, buf)
+            assert got.tobytes() == _fresh_linear_start(log.slopes).tobytes()
+        if len(log.slopes) == 4:
+            got = evolve._cubic_start(log.slopes, buf, scratch)
+            assert got.tobytes() == _fresh_cubic_start(log.slopes).tobytes()
+        want = _fresh_array_midpoint_step(u, dt, cfg.fp_tol, ref)
+        u = step(u, dt, cfg, log)
+        assert all(a.tobytes() == before for a, before in held)  # nothing held was written
+        assert u.values.tobytes() == want.tobytes()
+        assert [f.tobytes() for f in log.slopes] == [f.tobytes() for f in ref.slopes]
+        assert (log.cubic, log.iters, log.rhs_calls) == (ref.cubic, ref.iters, ref.rhs_calls)
+    assert log.rhs_calls == sum(log.iters) + 2  # only the two Euler starts called rhs(u)
 
 
 def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
