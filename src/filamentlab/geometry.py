@@ -126,13 +126,13 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """|a_i| of an (n, 3) array, bit for bit ``np.sqrt(np.sum(a * a, axis=1))``.
+    """|a_i| over the trailing axis 3, bit for bit ``np.sqrt(np.sum(a * a, axis=-1))``.
 
     The three squares are added in the order that sum takes, first two
     first, at a third of its per-call cost.
     """
     w = a * a
-    return np.sqrt((w[:, 0] + w[:, 1]) + w[:, 2])
+    return np.sqrt((w[..., 0] + w[..., 1]) + w[..., 2])
 
 
 class VectorField:

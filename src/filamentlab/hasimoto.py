@@ -20,11 +20,16 @@ residual monitor therefore measures
     (1/i) psi_t - psi_ss - (|psi|^2 / 2) psi - R(t) psi
 
 over interior masked nodes.  It is a diagnostic, never a solver.
+
+A series is evaluated in one pass: its m snapshots stacked as (n, m, 3),
+grid axis first, give (n, m) curvature, torsion, mask and psi, and the
+residual runs on all m - 2 interior triples at once.  The per-snapshot
+``frenet``, ``hasimoto_psi`` and ``gauge_rate`` are the m = 1 case of the
+same helpers.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +37,6 @@ import numpy as np
 from .errors import GridMismatch, InsufficientSnapshots, MaskFragmented
 from .evolve import TimeSeries
 from .geometry import Grid, VectorField, cross, cumtrapz, deriv, row_norms, second_difference
-
-logger = logging.getLogger(__name__)
 
 #: Curvature floor; below it torsion and psi are masked out, not computed.
 EPS_KAPPA = 1e-6
@@ -65,29 +68,55 @@ class HasimotoField:
     wrap_phase: float = 0.0
 
 
-def frenet(v: VectorField) -> FrenetData:
-    """Curvature and torsion of the curve whose unit tangent is v."""
-    vs = deriv(v.values, v.grid, 1)
-    vss = deriv(v.values, v.grid, 2)
+def _frenet(values: np.ndarray, grid: Grid) -> tuple:
+    """kappa, tau and mask of unit tangents ``values`` of shape (n, ..., 3).
+
+    Derivatives run along the grid axis 0, so a stack of m snapshots as
+    (n, m, 3) gives (n, m) samples, each column those of its snapshot.
+    """
+    vs = deriv(values, grid, 1)
+    vss = deriv(values, grid, 2)
     kappa = row_norms(vs)
     mask = kappa >= EPS_KAPPA
+    num = cross(values, vs)
+    num *= vss
     tau = np.zeros_like(kappa)
-    num = np.sum(cross(v.values, vs) * vss, axis=1)
-    tau[mask] = num[mask] / (kappa[mask] ** 2)
-    return FrenetData(v.grid, kappa, tau, mask)
+    np.divide(num.sum(axis=-1), kappa**2, out=tau, where=mask)
+    return kappa, tau, mask
 
 
-def _mask_contiguous(mask: np.ndarray, periodic: bool) -> bool:
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return True
-    if idx[-1] - idx[0] + 1 == idx.size:
-        return True
-    if periodic:
-        # allow a single wrap-around block
-        gap = np.flatnonzero(~mask)
-        return gap.size > 0 and gap[-1] - gap[0] + 1 == gap.size
-    return False
+def frenet(v: VectorField) -> FrenetData:
+    """Curvature and torsion of the curve whose unit tangent is v."""
+    return FrenetData(v.grid, *_frenet(v.values, v.grid))
+
+
+def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tuple:
+    """psi and wrap phase of (n, ...) Frenet samples, one per trailing column.
+
+    A column whose mask is not one block (circularly, on a periodic grid)
+    raises MaskFragmented; a column with an empty mask gets the zero
+    field and wrap phase 0.
+    """
+    periodic = grid.kind == "periodic"
+    # one block is at most one rising edge per column; node 0 rises from node n - 1
+    # on a periodic grid and from outside the grid otherwise
+    first = mask[0] > mask[-1] if periodic else mask[0]
+    if np.any(np.count_nonzero(mask[1:] > mask[:-1], axis=0) + first > 1):
+        raise MaskFragmented("curvature mask is not contiguous")
+    h = grid.h
+    phase = cumtrapz(tau, h)
+    wrap = phase[-1] + 0.5 * h * (tau[-1] + tau[0]) if periodic else np.zeros(phase.shape[1:])
+    psi = np.multiply(1j, phase)
+    np.exp(psi, out=psi)
+    psi *= kappa
+    psi[~mask] = 0.0
+    curved = mask.any(axis=0)
+    if not np.all(curved):
+        import logging
+
+        logging.getLogger(__name__).warning("curvature below floor everywhere; psi is the zero field")
+        wrap = np.where(curved, wrap, 0.0)
+    return psi, wrap
 
 
 def hasimoto_psi(f: FrenetData) -> HasimotoField:
@@ -98,41 +127,75 @@ def hasimoto_psi(f: FrenetData) -> HasimotoField:
     fragmented mask is an error, the phase integral being undefined
     across curvature zeros.
     """
-    if not _mask_contiguous(f.mask, f.grid.kind == "periodic"):
-        raise MaskFragmented("curvature mask is not contiguous")
-    n = f.grid.n
-    if not np.any(f.mask):
-        logger.warning("curvature below floor everywhere; psi is the zero field")
-        return HasimotoField(f.grid, np.zeros(n, dtype=complex), f.mask.copy())
-    h = f.grid.h
-    phase = cumtrapz(f.tau, h)
-    psi = f.kappa * np.exp(1j * phase)
-    psi[~f.mask] = 0.0
-    wrap = 0.0
-    if f.grid.kind == "periodic":
-        wrap = float(phase[-1] + 0.5 * h * (f.tau[-1] + f.tau[0]))
-    return HasimotoField(f.grid, psi, f.mask.copy(), wrap)
+    psi, wrap = _psi(f.kappa, f.tau, f.mask, f.grid)
+    return HasimotoField(f.grid, psi, f.mask.copy(), float(wrap))
+
+
+def _gauge_rates(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> list:
+    """R(t) of each column of (n, m) Frenet samples, 0 where the mask is empty."""
+    kss = deriv(kappa, grid, 2)
+    rates = []
+    for j, i0 in enumerate(mask.argmax(axis=0)):
+        if not mask[i0, j]:
+            rates.append(0.0)
+            continue
+        k0 = kappa[i0, j]
+        # tau0 ** 2 squares a numpy scalar, which may round unlike an array's x * x
+        rates.append(float(-((kss[i0, j] - k0 * tau[i0, j] ** 2) / k0 + 0.5 * k0 * k0)))
+    return rates
 
 
 def gauge_rate(f: FrenetData) -> float:
     """Free phase rate R(t) fixed by the transform's phase origin."""
-    idx = np.flatnonzero(f.mask)
-    if idx.size == 0:
-        return 0.0
-    i0 = int(idx[0])
-    kss = deriv(f.kappa, f.grid, 2)
-    k0 = f.kappa[i0]
-    return float(-((kss[i0] - k0 * f.tau[i0] ** 2) / k0 + 0.5 * k0 * k0))
+    return _gauge_rates(f.kappa[:, None], f.tau[:, None], f.mask[:, None], f.grid)[0]
 
 
-def _psi_ss(hf: HasimotoField) -> np.ndarray:
-    """Second s-derivative of psi; periodic wrap twisted by wrap_phase."""
-    grid, psi = hf.grid, hf.psi
+def _series_grid(items) -> Grid:
+    """The grid every snapshot of ``items`` shares; three at least."""
+    if len(items) < 3:
+        raise InsufficientSnapshots("need >= 3 snapshots for a centered psi_t")
+    grid = items[0].grid
+    for item in items:
+        if item.grid != grid:
+            raise GridMismatch("snapshots live on different grids")
+    return grid
+
+
+def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates) -> float:
+    """Max NLS residual over the interior columns of (n, m) stacked psi."""
+    keep = mask[:, :-2] & mask[:, 1:-1] & mask[:, 2:]
+    # the psi_ss stencil must not read zeroed-out neighbors; a roll wraps
+    # only into the end nodes, which a non-periodic grid drops anyway
+    keep = keep & np.roll(keep, 1, axis=0) & np.roll(keep, -1, axis=0)
     if grid.kind != "periodic":
-        return deriv(psi, grid, 2)
-    twist = np.exp(1j * hf.wrap_phase)
-    padded = np.concatenate((psi[-1:] / twist, psi, psi[:1] * twist))
-    return second_difference(padded) / (grid.h * grid.h)
+        keep[:2] = False
+        keep[-2:] = False
+    if not keep.any():
+        import logging
+
+        logging.getLogger(__name__).warning("empty mask throughout; residual reported as 0")
+        return 0.0
+    times = np.asarray(times, dtype=float)
+    mid = psi[:, 1:-1]
+    res = np.subtract(psi[:, 2:], psi[:, :-2])
+    res /= times[2:] - times[:-2]
+    res /= 1j
+    if grid.kind != "periodic":
+        res -= deriv(mid, grid, 2)
+    else:
+        # psi is quasi-periodic: the wrapped neighbours twist by the wrap phase
+        twist = np.exp(1j * np.asarray(wraps[1:-1]))
+        padded = np.concatenate((mid[-1:] / twist, mid, mid[:1] * twist))
+        ss = second_difference(padded)
+        ss /= grid.h * grid.h
+        res -= ss
+    cubic = np.abs(mid)
+    cubic *= cubic
+    cubic *= 0.5
+    res -= cubic * mid
+    res -= np.asarray(rates[1:-1], dtype=float) * mid
+    # np.max folds with np.maximum: a NaN residual wins, not the last finite one
+    return float(np.max(np.abs(res), where=keep, initial=0.0))
 
 
 def nls_residual(psis: list, times: list, rates: list) -> float:
@@ -142,41 +205,22 @@ def nls_residual(psis: list, times: list, rates: list) -> float:
     triples; needs at least three.  ``rates`` carries R(t) per snapshot.
     The two edge nodes at each end of a non-periodic grid are excluded.
     """
-    if len(psis) < 3:
-        raise InsufficientSnapshots("need >= 3 snapshots for a centered psi_t")
-    grid = psis[0].grid
-    for p in psis:
-        if p.grid != grid:
-            raise GridMismatch("snapshots live on different grids")
-    worst = 0.0
-    any_masked = False
-    for m in range(1, len(psis) - 1):
-        mask = psis[m - 1].mask & psis[m].mask & psis[m + 1].mask
-        # the psi_ss stencil must not read zeroed-out neighbors; a roll wraps
-        # only into the end nodes, which a non-periodic grid drops anyway
-        mask = mask & np.roll(mask, 1) & np.roll(mask, -1)
-        if grid.kind != "periodic":
-            mask[:2] = False
-            mask[-2:] = False
-        if not np.any(mask):
-            continue
-        any_masked = True
-        psi = psis[m].psi
-        psi_t = (psis[m + 1].psi - psis[m - 1].psi) / (times[m + 1] - times[m - 1])
-        psi_ss = _psi_ss(psis[m])
-        res = psi_t / 1j - psi_ss - 0.5 * np.abs(psi) ** 2 * psi - rates[m] * psi
-        # np.maximum, not max: a NaN residual must win, or it reads as the last finite one
-        worst = float(np.maximum(worst, np.abs(res[mask]).max()))
-    if not any_masked:
-        logger.warning("empty mask throughout; residual reported as 0")
-    return worst
+    if not len(psis) == len(times) == len(rates):
+        raise ValueError(
+            f"{len(psis)} snapshots, {len(times)} times and {len(rates)} rates: need one of each per snapshot"
+        )
+    grid = _series_grid(psis)
+    psi = np.stack([p.psi for p in psis], axis=1)
+    mask = np.stack([p.mask for p in psis], axis=1)
+    wraps = [p.wrap_phase for p in psis]
+    return _residual(grid, psi, mask, wraps, times, rates)
 
 
 def series_nls_residual(series: TimeSeries) -> float:
-    """Convenience wrapper: Frenet + transform + residual for a trajectory."""
-    psis, rates = [], []
-    for snap in series.snapshots:
-        f = frenet(snap)
-        psis.append(hasimoto_psi(f))
-        rates.append(gauge_rate(f))
-    return nls_residual(psis, series.times, rates)
+    """Frenet + transform + residual for a trajectory, all snapshots at once."""
+    grid = _series_grid(series.snapshots)
+    kappa, tau, mask = _frenet(np.stack([s.values for s in series.snapshots], axis=1), grid)
+    psi, wraps = _psi(kappa, tau, mask, grid)
+    rates = _gauge_rates(kappa, tau, mask, grid)
+    del kappa, tau
+    return _residual(grid, psi, mask, wraps, series.times, rates)

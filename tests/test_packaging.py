@@ -1,7 +1,9 @@
 """Packaging: what the package imports, its install declares."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +67,12 @@ def test_no_module_imports_a_name_it_does_not_use():
         if path.name != "__init__.py"
     }
     assert not {name: unused for name, unused in found.items() if unused}
+
+
+def test_import_leaves_logging_out():
+    # hasimoto imports logging only on its two rare warning paths, so a run
+    # on a curved filament never pays for it at start-up
+    code = "import sys, filamentlab; print('logging' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
