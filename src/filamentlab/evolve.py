@@ -1,5 +1,7 @@
 """Time integration of the tangent-field flow v_t = v x v_ss.
 
+Both schemes work in grid units: ``rhs`` is h^2 v x v_ss, and a step of
+length dt advances by lambda = dt/h^2 in those units, its one parameter.
 Two schemes:
 
 ``rk4_project``
@@ -8,7 +10,7 @@ Two schemes:
 
 ``midpoint_fixedpoint``
     Implicit midpoint solved by fixed-point iteration on the midpoint
-    value, m <- v + (dt/2) f(m), then v + dt f(m).  Conserves every
+    value, m <- v + (lambda/2) f(m), then v + lambda f(m).  Conserves every
     sample norm without projection because the update is orthogonal to
     the midpoint value.  Within a solve a step starts the iteration from
     an extrapolation of the converged slopes f(m) of earlier steps, in
@@ -20,9 +22,9 @@ Two schemes:
     The choice keeps the linear start where the slopes are roundoff, as
     on the stationary ring, whose noise the cubic weights amplify 15x
     against the linear 3x.  Linearised about e3, the top mode turns by
-    theta = 4 dt/h^2 per step, and an extrapolation of order P scales a
+    theta = 4 lambda per step, and an extrapolation of order P scales a
     mode's start error by |1 - e^{-i theta}|^P, which is at most 1
-    exactly when theta <= pi/3, that is dt <= (pi/12) h^2.  Above that
+    exactly when theta <= pi/3, that is lambda <= pi/12.  Above that
     bound, and on the first two steps, the start is f(v).
 
 The half-space solve gates the data through the compatibility check and
@@ -65,34 +67,34 @@ from .geometry import (
     deriv,  # noqa: F401 -- unused here; perfbench/layers.py wraps evolve.deriv
     normalize_field,
     row_norms,
-    second_difference,
 )
 from .reflect import _NEGBAR, extend, restrict, symmetry_residual
 
 RK4_PROJECT = "rk4_project"
 MIDPOINT_FIXEDPOINT = "midpoint_fixedpoint"
 
-#: Cap on dt/h^2 per scheme.  Linearised about e3 the flow is w_t = i w_ss,
-#: whose discrete spectrum reaches 4/h^2 i; RK4 is stable to |lambda dt| =
-#: 2 sqrt(2), so dt <= 0.707 h^2.  The midpoint fixed point contracts by about
-#: 2 dt/h^2: on planar_odd, n = 512 it takes 6.5 rhs calls per step at 0.4 h^2,
-#: 17.7 at 0.45 h^2 and diverges at 0.5 h^2.
+#: Cap on lambda = dt/h^2 per scheme.  Linearised about e3 the flow in grid
+#: units is w_t = i (w_- + w_+ - 2w), whose spectrum reaches 4i; RK4 is stable
+#: to |4 lambda| = 2 sqrt(2), so lambda <= 0.707.  The midpoint fixed point
+#: contracts by about 2 lambda: on planar_odd, n = 512 it takes 6.5 rhs calls
+#: per step at lambda = 0.4, 17.7 at 0.45 and diverges at 0.5.
 STABILITY_FACTOR = {RK4_PROJECT: 0.65, MIDPOINT_FIXEDPOINT: 0.4}
 
-#: Default dt/h^2 per scheme.  The spatial error dominates at any stable dt
-#: (RK4's planar_odd error is the same to 6 digits from 0.1 to 0.7 h^2), so
-#: RK4 steps at its cap: on planar_odd, half n = 513, t = 1 its time error
-#: against a 0.05 h^2 run is 9.2e-11, against a spatial error of 3.9e-4, and
-#: rough, ring and helix data stay stable there (BENCH_rk4_default_dt.json).
+#: Default lambda = dt/h^2 per scheme.  The spatial error dominates at any
+#: stable step (RK4's planar_odd error is the same to 6 digits from lambda =
+#: 0.1 to 0.7), so RK4 steps at its cap: on planar_odd, half n = 513, t = 1
+#: its time error against a lambda = 0.05 run is 9.2e-11, against a spatial
+#: error of 3.9e-4, and rough, ring and helix data stay stable there
+#: (BENCH_rk4_default_dt.json).
 #: The midpoint default stays below SLOPE_START_FACTOR, so its steps start
 #: from the extrapolated slopes: on planar_odd, n = 512 that takes 3.39 rhs
 #: calls per step to t = 0.25 and 3.36 to t = 1, against 4.63 and 4.83 from
 #: the linear start alone and 5.75 from the Euler start.
 DEFAULT_DT_FACTOR = {RK4_PROJECT: STABILITY_FACTOR[RK4_PROJECT], MIDPOINT_FIXEDPOINT: 0.25}
 
-#: Largest dt/h^2 at which a midpoint step starts from extrapolated slopes,
-#: linear or cubic (see the module docstring): theta = 4 dt/h^2 <= pi/3, the
-#: one bound for every order.
+#: Largest lambda = dt/h^2 at which a midpoint step starts from extrapolated
+#: slopes, linear or cubic (see the module docstring): theta = 4 lambda <=
+#: pi/3, the one bound for every order.
 SLOPE_START_FACTOR = math.pi / 12.0
 
 #: Fixed-point iterations a midpoint step may take before it is declared
@@ -192,7 +194,13 @@ class TimeSeries:
 
 
 def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
-    """Discrete v x v_ss of the (n, 3) ``values`` on ``u``'s grid, an (n, 3) array.
+    """h^2 v x v_ss of the (n, 3) ``values`` on ``u``'s grid, an (n, 3) array.
+
+    Evaluated as v_i x (v_{i-1} + v_{i+1}): the -2 v_i of the second
+    difference drops out because v_i x v_i = 0, and the steps take the
+    1/h^2 into lambda = dt/h^2.  T commutes with it bit for bit because the
+    neighbour sum is symmetric and a cross product of two vectors both
+    mapped to -bar is -bar of their cross product, sign for sign.
 
     ``values`` is unchecked: RK4's stage inputs and the midpoint iterates
     reach it as plain arrays, so a step checks only its result for
@@ -210,10 +218,8 @@ def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
     else:
         left = v[1:2] * _NEGBAR if grid.kind == HALF else v[:1]
         right = v[-1:]
-    d2 = second_difference(np.concatenate((left, v, right)))
-    h = grid.h
-    d2 /= h * h
-    out = cross(v, d2)
+    pad = np.concatenate((left, v, right))
+    out = cross(v, np.add(pad[:-2], pad[2:]))
     if grid.kind != PERIODIC:
         out[-1] = 0.0
     if grid.kind == WHOLE:
@@ -229,8 +235,9 @@ class StepLog:
     oldest first; a fresh log has none.  ``cubic``: whether the next step
     with four slopes starts from their cubic extrapolation (else the linear
     one); the step before sets it to the start that predicted its slope
-    better.  ``rhs_calls`` counts either scheme's ``rhs`` calls, ``iters``
-    the fixed-point iterations of each midpoint step.
+    better.  Slopes are ``rhs`` values, in the grid units that a step's
+    lambda = dt/h^2 scales.  ``rhs_calls`` counts either scheme's ``rhs``
+    calls, ``iters`` the fixed-point iterations of each midpoint step.
     """
 
     slopes: list = dc_field(default_factory=list)
@@ -241,17 +248,19 @@ class StepLog:
 
 def _step_rk4(u: VectorField, dt: float, log: StepLog) -> VectorField:
     grid, v = u.grid, u.values
+    h = grid.h
+    lam = dt / (h * h)
     k1 = rhs(u, v)
-    k2 = rhs(u, v + (0.5 * dt) * k1)
-    k3 = rhs(u, v + (0.5 * dt) * k2)
-    k4 = rhs(u, v + dt * k3)
+    k2 = rhs(u, v + (0.5 * lam) * k1)
+    k3 = rhs(u, v + (0.5 * lam) * k2)
+    k4 = rhs(u, v + lam * k3)
     log.rhs_calls += 4
-    # v + (dt/6) ((k1 + k4) + 2 (k2 + k3)) with the same roundings, summed in
-    # place in the arrays rhs returned, which nothing else holds
+    # v + (lambda/6) ((k1 + k4) + 2 (k2 + k3)) with the same roundings, summed
+    # in place in the arrays rhs returned, which nothing else holds
     k1 += k4
     k2 += k3
     k1 += 2.0 * k2
-    k1 *= dt / 6.0
+    k1 *= lam / 6.0
     k1 += v
     return VectorField(grid, k1)
 
@@ -278,8 +287,9 @@ def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> Vecto
     # array held in log.slopes, or the rhs(u) start, which is read only.
     grid, v = u.grid, u.values
     h = grid.h
-    half = 0.5 * dt
-    extrapolate = len(log.slopes) >= 2 and dt <= SLOPE_START_FACTOR * h * h
+    lam = dt / (h * h)
+    half = 0.5 * lam
+    extrapolate = len(log.slopes) >= 2 and lam <= SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
     m, cand = np.empty_like(v), np.empty_like(v)
     if not extrapolate:
@@ -295,7 +305,7 @@ def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> Vecto
         np.multiply(f, half, out=cand)
         cand += v
         m -= cand  # |m - cand|, the change of the iterate
-        inc = 2.0 * float(np.abs(m, out=m).max())  # bounds the change of v + dt f
+        inc = 2.0 * float(np.abs(m, out=m).max())  # bounds the change of v + lambda f
         if not math.isfinite(inc):
             raise NonFiniteState("field values must be finite")
         m, cand = cand, m
@@ -311,7 +321,7 @@ def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> Vecto
             log.slopes = [*log.slopes[-3:], f]
             log.rhs_calls += it if extrapolate else it + 1
             log.iters.append(it)
-            np.multiply(f, dt, out=m)
+            np.multiply(f, lam, out=m)
             m += v
             return VectorField(grid, m)
     raise FixedPointDiverged(
@@ -344,7 +354,8 @@ def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
 
     On a half-line state ``symmetry`` also takes in the gap between the
     ghost-closed ``rhs`` and the whole-line ``rhs`` restricted to s >= 0,
-    so a wrong ghost shows on the row even though the extension is exact.
+    divided by h^2 into the units of v x v_ss, so a wrong ghost shows on
+    the row even though the extension is exact.
     """
     half = u.grid.kind == HALF
     w = extend(u) if half else u
@@ -359,7 +370,8 @@ def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
         if half:
             gap = rhs(u, u.values) - restrict(VectorField(w.grid, rhs(w, w.values))).values
             # np.maximum, not max: a NaN gap must win, or a broken rhs reads 0.0
-            row["symmetry"] = float(np.maximum(row["symmetry"], row_norms(gap).max()))
+            h = u.grid.h
+            row["symmetry"] = float(np.maximum(row["symmetry"], row_norms(gap).max() / (h * h)))
         row["boundary"] = float(np.linalg.norm(w.values[w.grid.center] - E3))
     return row
 

@@ -108,7 +108,9 @@ def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tu
     wrap = phase[-1] + 0.5 * h * (tau[-1] + tau[0]) if periodic else np.zeros(phase.shape[1:])
     psi = np.multiply(1j, phase)
     np.exp(psi, out=psi)
-    psi *= kappa
+    # kappa first, as in kappa * exp(1j * phase): a complex product that
+    # underflows takes the sign of its zero from the operand order
+    np.multiply(kappa, psi, out=psi)
     psi[~mask] = 0.0
     curved = mask.any(axis=0)
     if not np.all(curved):

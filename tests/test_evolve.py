@@ -53,7 +53,7 @@ class TestRhs:
         s = g.nodes()
         fam = HelixFamily(a, c, k)
         u = fam.sample(g)
-        got = rhs(u, u.values)
+        got = rhs(u, u.values) / (g.h * g.h)
         expect = np.stack(
             [c * k * k * a * np.sin(k * s), -c * k * k * a * np.cos(k * s), 0.0 * s],
             axis=1,
@@ -76,7 +76,7 @@ class TestRhs:
                 axis=1,
             )
             u = fam.sample(g)
-            errs.append(np.max(np.abs(rhs(u, u.values) - expect)))
+            errs.append(np.max(np.abs(rhs(u, u.values) / (g.h * g.h) - expect)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_edges_clamped_on_whole_grid(self):

@@ -419,6 +419,22 @@ class TestStackedIsPerSnapshot:
     def test_short_series(self, kind, data):
         _check_against_reference(data.draw(synthetic_series(kind, st.integers(1, 2))))
 
+    def test_underflowing_phase_keeps_the_sign_of_zero(self):
+        # a torsion whose trapezoid sum is a negative subnormal: kappa times
+        # the phase's sine underflows, and the zero's sign follows the
+        # operand order, so psi must take kappa first as kappa * exp(1j * phase)
+        grid = Grid.whole_line(1.0, 9)
+        kappa = np.full(grid.n, 1e-3)
+        tau = np.zeros(grid.n)
+        tau[1] = -8e-323
+        mask = np.ones(grid.n, dtype=bool)
+        phase = cumtrapz(tau, grid.h)
+        assert np.all(phase[1:] < 0.0) and np.all(np.abs(phase) < 1e-320)
+        got = hasimoto_psi(FrenetData(grid, kappa, tau, mask)).psi
+        want = _ref_psi(kappa, tau, mask, grid)[0]
+        assert np.all(np.signbit(want[1:].imag)) and np.all(want[1:].imag == 0.0)
+        assert _same_bits(got, want)
+
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def _run(family, scheme, n):

@@ -1,5 +1,8 @@
 """Property tests: the reflection T commutes exactly with rhs, one step and deriv.
 
+``rhs`` in its grid-unit form v x (v_- + v_+) is v x (v_- + v_+ - 2v) up to
+rounding, on every grid kind, and orthogonal to v.
+
 One step means every start of the midpoint iteration too: the Euler slope,
 and the slopes extrapolated from two or from four earlier steps.
 
@@ -56,13 +59,17 @@ from filamentlab.evolve import (
 )
 from filamentlab.geometry import (
     E3,
+    HALF,
     MIN_NORM,
+    PERIODIC,
+    WHOLE,
     Grid,
     VectorField,
     cross,
     deriv,
     normalize_field,
     row_norms,
+    second_difference,
 )
 from filamentlab.harness import ENERGY_DRIFT_TOL, invariant_suite
 from filamentlab.reconstruct import FilamentCurve
@@ -88,6 +95,35 @@ def test_rhs_commutes_with_T(u):
     mirrored = apply_T(u)
     got = rhs(mirrored, mirrored.values)
     assert np.array_equal(got, apply_T(VectorField(u.grid, rhs(u, u.values))).values)
+
+
+@pytest.mark.parametrize("kind", [HALF, WHOLE, PERIODIC])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_rhs_is_v_cross_the_second_difference(kind, data):
+    # rhs is h^2 v x v_ss in the form v x (v_- + v_+), which drops the -2v of
+    # the second difference because v x v = 0; it must agree with the cross
+    # product with the full second difference up to the rounding of either
+    u = data.draw(whole_line_fields())
+    grid = Grid(kind, u.grid.length, u.grid.n)
+    v = u.values
+    if kind == PERIODIC:
+        pad = np.concatenate((v[-1:], v, v[:1]))
+    else:
+        ghost = extend(VectorField(grid, v)).values[grid.n - 2] if kind == HALF else v[0]
+        pad = np.concatenate(([ghost], v, v[-1:]))
+    want = cross(v, second_difference(pad))
+    if kind != PERIODIC:
+        want[-1] = 0.0
+    if kind == WHOLE:
+        want[0] = 0.0
+    got = rhs(VectorField(grid, v), v)
+    near = pad[:-2] + pad[2:]
+    size = row_norms(v) * (row_norms(near) + row_norms(near - 2.0 * v))
+    eps = np.finfo(float).eps
+    assert np.all(row_norms(got - want) <= 4.0 * eps * size)
+    dot = np.abs(np.sum(got * v, axis=1))
+    assert np.all(dot <= 16.0 * eps * row_norms(v) ** 2 * row_norms(near))
 
 
 @PROPERTY_SETTINGS
@@ -225,9 +261,10 @@ def _fresh_cubic_start(slopes):
 def _fresh_array_midpoint_step(u, dt, tol, log):
     """The midpoint step with a fresh array for every value: the reference for
     the in-place one, which must round every value the same way."""
-    v, half = u.values, 0.5 * dt
+    lam = dt / (u.grid.h * u.grid.h)
+    v, half = u.values, 0.5 * lam
     linear, cubic = _fresh_linear_start, _fresh_cubic_start
-    extrapolate = len(log.slopes) >= 2 and dt <= evolve.SLOPE_START_FACTOR * u.grid.h**2
+    extrapolate = len(log.slopes) >= 2 and lam <= evolve.SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
     if not extrapolate:
         start = rhs(u, v)
@@ -249,7 +286,7 @@ def _fresh_array_midpoint_step(u, dt, tol, log):
             log.slopes = [*log.slopes[-3:], f]
             log.rhs_calls += it if extrapolate else it + 1
             log.iters.append(it)
-            return v + dt * f
+            return v + lam * f
     raise AssertionError("the reference iteration did not converge")
 
 
