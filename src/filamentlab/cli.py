@@ -15,6 +15,7 @@ import os
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import orjson
@@ -336,8 +337,12 @@ def cmd_diagnose(args) -> int:
     if length is None:
         length = fam.period() if fam.name == "ring" else 2.0 * np.pi
     grid = Grid.periodic(length, args.n)
-    cfg = SimConfig(t_final=args.t_final)
-    series = solve_whole_line(fam.sample(grid), cfg)
+    # at least two steps and three snapshots, the fewest a centered psi_t
+    # takes; at the defaults the step and the cadence are the solver's own
+    dt = min(SimConfig(t_final=args.t_final).resolve_dt(grid.h), args.t_final / 2.0)
+    cfg = SimConfig(t_final=args.t_final, dt=dt)
+    every = min(cfg.resolve_every(grid.h)[0], cfg.resolve_steps(grid.h) // 2)
+    series = solve_whole_line(fam.sample(grid), replace(cfg, snapshot_every=every))
     f = frenet(series.final())
     psi = hasimoto_psi(f)
     masked = f.mask

@@ -2,7 +2,10 @@
 
 Both schemes work in grid units: ``rhs`` is h^2 v x v_ss, and a step of
 length dt advances by lambda = dt/h^2 in those units, its one parameter.
-Two schemes:
+The solve carries the state from step to step as a plain (n, 3) array:
+a step takes and returns one, and the solve checks each result for
+finiteness once and builds a ``VectorField`` only for a snapshot, a
+telemetry row or the final state.  Two schemes:
 
 ``rk4_project``
     Classical four-stage explicit step followed by pointwise projection
@@ -202,10 +205,11 @@ def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
     neighbour sum is symmetric and a cross product of two vectors both
     mapped to -bar is -bar of their cross product, sign for sign.
 
-    ``values`` is unchecked: RK4's stage inputs and the midpoint iterates
-    reach it as plain arrays, so a step checks only its result for
-    finiteness.  ``u`` supplies only the grid; it stays the first argument
-    because perfbench counts a call's nodes from ``args[0].grid.n``.
+    ``values`` is unchecked: the state, RK4's stage inputs and the midpoint
+    iterates all reach it as plain arrays, and the solve checks only each
+    step's result for finiteness.  ``u`` supplies only the grid: the steps
+    pass the run's initial field.  It stays the first argument because
+    perfbench counts a call's nodes from ``args[0].grid.n``.
 
     One padded stencil for every grid kind: a periodic grid pads with the
     wrapped rows; a half-line grid pads s = 0 with the mirror ghost
@@ -231,11 +235,12 @@ def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
 class StepLog:
     """What the steps of one solve carry from step to step, and the work they did.
 
-    ``slopes``: the converged midpoint slopes f(m) of the last four steps,
-    oldest first; a fresh log has none.  ``cubic``: whether the next step
-    with four slopes starts from their cubic extrapolation (else the linear
-    one); the step before sets it to the start that predicted its slope
-    better.  Slopes are ``rhs`` values, in the grid units that a step's
+    The state is not in it: a step takes the (n, 3) state array and returns
+    the next one.  ``slopes``: the converged midpoint slopes f(m) of the
+    last four steps, oldest first; a fresh log has none.  ``cubic``: whether
+    the next step with four slopes starts from their cubic extrapolation
+    (else the linear one); the step before sets it to the start that
+    predicted its slope better.  Slopes are ``rhs`` values, in the grid units that a step's
     lambda = dt/h^2 scales.  ``rhs_calls`` counts either scheme's ``rhs``
     calls, ``iters`` the fixed-point iterations of each midpoint step.
     """
@@ -246,14 +251,21 @@ class StepLog:
     cubic: bool = True
 
 
-def _step_rk4(u: VectorField, dt: float, log: StepLog) -> VectorField:
-    grid, v = u.grid, u.values
-    h = grid.h
-    lam = dt / (h * h)
+def _step_rk4(u: VectorField, v: np.ndarray, dt: float, log: StepLog) -> np.ndarray:
+    lam = dt / (u.grid.h * u.grid.h)
+    # the three stage inputs v + (c lambda) k, each written into y in turn:
+    # c lambda k, then + v, the same roundings as the fresh-array sum
+    y = np.empty_like(v)
     k1 = rhs(u, v)
-    k2 = rhs(u, v + (0.5 * lam) * k1)
-    k3 = rhs(u, v + (0.5 * lam) * k2)
-    k4 = rhs(u, v + lam * k3)
+    np.multiply(k1, 0.5 * lam, out=y)
+    y += v
+    k2 = rhs(u, y)
+    np.multiply(k2, 0.5 * lam, out=y)
+    y += v
+    k3 = rhs(u, y)
+    np.multiply(k3, lam, out=y)
+    y += v
+    k4 = rhs(u, y)
     log.rhs_calls += 4
     # v + (lambda/6) ((k1 + k4) + 2 (k2 + k3)) with the same roundings, summed
     # in place in the arrays rhs returned, which nothing else holds
@@ -262,7 +274,7 @@ def _step_rk4(u: VectorField, dt: float, log: StepLog) -> VectorField:
     k1 += 2.0 * k2
     k1 *= lam / 6.0
     k1 += v
-    return VectorField(grid, k1)
+    return k1
 
 
 def _linear_start(slopes: list, out: np.ndarray) -> np.ndarray:
@@ -282,12 +294,13 @@ def _cubic_start(slopes: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarr
     return out
 
 
-def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> VectorField:
-    # Every array written here is one this step allocated: never u.values, an
-    # array held in log.slopes, or the rhs(u) start, which is read only.
-    grid, v = u.grid, u.values
-    h = grid.h
-    lam = dt / (h * h)
+def _step_midpoint(
+    u: VectorField, v: np.ndarray, dt: float, tol: float, log: StepLog
+) -> np.ndarray:
+    # Every array written here is one this step allocated: never v, which a
+    # snapshot may hold, an array held in log.slopes, or the rhs(u, v) start,
+    # which is read only.
+    lam = dt / (u.grid.h * u.grid.h)
     half = 0.5 * lam
     extrapolate = len(log.slopes) >= 2 and lam <= SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
@@ -323,17 +336,22 @@ def _step_midpoint(u: VectorField, dt: float, tol: float, log: StepLog) -> Vecto
             log.iters.append(it)
             np.multiply(f, lam, out=m)
             m += v
-            return VectorField(grid, m)
+            return m
     raise FixedPointDiverged(
         f"midpoint iteration stalled above tol={tol:g} after {FP_MAX_ITER} iters"
     )
 
 
-def step(u: VectorField, dt: float, cfg: SimConfig, log: StepLog) -> VectorField:
-    """One time step under the configured scheme (no projection here), logged in ``log``."""
+def step(u: VectorField, v: np.ndarray, dt: float, cfg: SimConfig, log: StepLog) -> np.ndarray:
+    """One step of the (n, 3) state ``v`` on ``u``'s grid under the configured scheme.
+
+    Returns the step's (n, 3) result, a new array, unprojected and
+    unchecked: the solve makes the one finiteness check.  The step is
+    logged in ``log``.
+    """
     if cfg.scheme == RK4_PROJECT:
-        return _step_rk4(u, dt, log)
-    return _step_midpoint(u, dt, cfg.fp_tol, log)
+        return _step_rk4(u, v, dt, log)
+    return _step_midpoint(u, v, dt, cfg.fp_tol, log)
 
 
 def bending_energy(u: VectorField) -> float:
@@ -381,11 +399,16 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
 
     A half-line grid is closed at s = 0 by the mirror ghost node (see
     ``rhs``); its result is the s >= 0 part of the whole-line solve of the
-    extended data, bit for bit.  A ``DegenerateVector``,
-    ``FixedPointDiverged`` or ``NonFiniteState`` raised by a step is raised
-    again, as the same type, with the step and the time it started from in
-    its message; a non-finite step result, which ``VectorField`` rejects
-    with a ``ValueError``, is raised as a ``NonFiniteState``.
+    extended data, bit for bit.
+
+    The state between steps is a plain (n, 3) array; a step's result gets
+    one finiteness check, before the projection, and a ``VectorField`` is
+    built only where the state is kept or measured: at a snapshot or a
+    telemetry row, one field for both on the same step, the last step
+    among them.  A ``DegenerateVector``, ``FixedPointDiverged`` or
+    ``NonFiniteState`` raised by a step or by that check is raised again,
+    as the same type, with the step and the time it started from in its
+    message.
     """
     if u0.unit_deviation() > 1e-6:
         raise NotUnitField("initial data must be unit length (within 1e-6)")
@@ -395,24 +418,28 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     nsteps = cfg.resolve_steps(grid.h)
     series = TimeSeries(grid=grid, cfg=cfg)
     log = StepLog()
-    u = u0
-    series.record(0.0, u)
-    series.telemetry.append(_telemetry_row(0, 0.0, u))
+    v = u0.values
+    series.record(0.0, u0)
+    series.telemetry.append(_telemetry_row(0, 0.0, u0))
     for k in range(1, nsteps + 1):
         dt_k = dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt
         try:
-            u = step(u, dt_k, cfg, log)
+            v = step(u0, v, dt_k, cfg, log)
+            if not np.isfinite(v).all():
+                raise NonFiniteState("field values must be finite")
             if cfg.scheme == RK4_PROJECT:
-                u = normalize_field(u)
-        except (DegenerateVector, FixedPointDiverged, ValueError) as exc:
-            # a plain ValueError here is VectorField's finiteness check
-            failure = NonFiniteState if type(exc) is ValueError else type(exc)
-            raise failure(f"{exc} at step {k} of {nsteps}, t = {(k - 1) * dt:.6g}") from exc
+                v = normalize_field(v)
+        except (DegenerateVector, FixedPointDiverged, NonFiniteState) as exc:
+            raise type(exc)(f"{exc} at step {k} of {nsteps}, t = {(k - 1) * dt:.6g}") from exc
         t = k * dt if k < nsteps else cfg.t_final
-        if k % monitor_every == 0 or k == nsteps:
-            series.telemetry.append(_telemetry_row(k, t, u))
-        if k % snapshot_every == 0 or k == nsteps:
-            series.record(t, u)
+        monitor = k % monitor_every == 0 or k == nsteps
+        snapshot = k % snapshot_every == 0 or k == nsteps
+        if monitor or snapshot:
+            u = VectorField(grid, v)
+            if monitor:
+                series.telemetry.append(_telemetry_row(k, t, u))
+            if snapshot:
+                series.record(t, u)
     series.solver = {"steps": nsteps, "rhs_calls": log.rhs_calls}
     if log.iters:
         series.solver.update(fp_iters_max=max(log.iters), fp_iters_total=sum(log.iters))

@@ -275,14 +275,14 @@ def one_sided_deriv_at_zero(
     return w @ field.values[i0 + offsets]
 
 
-def normalize_field(field: VectorField) -> VectorField:
-    """Rescale every sample to the unit sphere.  Idempotent.
+def normalize_field(values: np.ndarray) -> np.ndarray:
+    """Rescale every row of the (n, 3) array ``values`` to unit length.  Idempotent.
 
-    Raises DegenerateVector if any sample norm falls below MIN_NORM.
+    Returns a new array.  Raises DegenerateVector if any row norm falls below MIN_NORM.
     """
-    norms = field.norms()
+    norms = row_norms(values)
     if norms.min() < MIN_NORM:
         raise DegenerateVector(
             f"sample norm {norms.min():.3g} below {MIN_NORM}; refusing to rescale"
         )
-    return VectorField(field.grid, field.values / norms[:, None])
+    return values / norms[:, None]

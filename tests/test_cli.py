@@ -658,6 +658,35 @@ class TestOtherCommands:
         assert blob["kappa_mean"] == pytest.approx(1.2, abs=2e-2)
         assert blob["tau_mean"] == pytest.approx(1.6, abs=2e-2)
 
+    @staticmethod
+    def _diagnose(monkeypatch, capsys, argv):
+        """(exit code, printed values, snapshots of the solve) of ``diagnose``."""
+        runs = []
+
+        def recording_solve(u0, cfg, _solve=cli.solve_whole_line):
+            runs.append(_solve(u0, cfg))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "solve_whole_line", recording_solve)
+        rc = main(["diagnose", *argv])
+        out = capsys.readouterr().out
+        return rc, json.loads(out) if out else None, len(runs[0].snapshots) if runs else 0
+
+    def test_diagnose_a_run_shorter_than_one_default_step(self, monkeypatch, capsys):
+        # the default step, 0.65 h^2 = 0.0111, is longer than t_final: one
+        # step and two snapshots, too few for a centered psi_t, once exited 1
+        argv = ["--family", "helix", "--n", "48", "--t-final", "0.01"]
+        rc, blob, snapshots = self._diagnose(monkeypatch, capsys, argv)
+        assert rc == EXIT_OK
+        assert snapshots == 3
+        assert all(math.isfinite(value) for value in blob.values())
+
+    def test_default_diagnose_keeps_the_solver_cadence(self, monkeypatch, capsys):
+        # n = 256, t = 0.1: 256 steps of the default dt, a snapshot every 8
+        rc, _, snapshots = self._diagnose(monkeypatch, capsys, ["--family", "helix"])
+        assert rc == EXIT_OK
+        assert snapshots == 33
+
     def test_diagnose_half_line_family_exit_one(self, capsys):
         assert main(["diagnose", "--family", "planar_odd", "--n", "64"]) == EXIT_USAGE
         assert "planar_odd" in capsys.readouterr().err

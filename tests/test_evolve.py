@@ -13,6 +13,7 @@ from filamentlab.errors import (
     DegenerateVector,
     FarFieldViolation,
     FixedPointDiverged,
+    NonFiniteState,
     NotUnitField,
     StabilityViolated,
 )
@@ -32,7 +33,15 @@ from filamentlab.evolve import (
     solve_whole_line,
     step,
 )
-from filamentlab.geometry import E3, Grid, VectorField, normalize_field, row_norms
+from filamentlab.geometry import (
+    E3,
+    HALF,
+    PERIODIC,
+    Grid,
+    VectorField,
+    normalize_field,
+    row_norms,
+)
 from filamentlab.harness import ENERGY_DRIFT_TOL, energy_drift
 from filamentlab.reflect import extend, restrict
 
@@ -204,8 +213,8 @@ class TestStep:
     def test_straight_is_stationary(self):
         g = Grid.periodic(2.0 * np.pi, 64)
         u = _constant_e3(g)
-        out = step(u, 1e-4, SimConfig(), StepLog())
-        assert np.array_equal(out.values, u.values)
+        out = step(u, u.values, 1e-4, SimConfig(), StepLog())
+        assert np.array_equal(out, u.values)
 
     @staticmethod
     def _count_fields(monkeypatch):
@@ -219,19 +228,40 @@ class TestStep:
         monkeypatch.setattr(VectorField, "__init__", counting_init)
         return built
 
-    def test_rk4_step_builds_one_field(self, monkeypatch):
-        # the stage inputs go to rhs unchecked; only the result is a VectorField
+    def test_rk4_step_builds_no_field(self, monkeypatch):
+        # the stage inputs and the result are plain arrays
         u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
         built = self._count_fields(monkeypatch)
-        step(u, 1e-4, SimConfig(), StepLog())
-        assert len(built) == 1
+        step(u, u.values, 1e-4, SimConfig(), StepLog())
+        assert len(built) == 0
 
-    def test_midpoint_step_builds_one_field_whatever_its_iterations(self, monkeypatch):
+    def test_midpoint_step_builds_no_field_whatever_its_iterations(self, monkeypatch):
         u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
         cfg, log = SimConfig(scheme=MIDPOINT_FIXEDPOINT), StepLog()
         built = self._count_fields(monkeypatch)
-        step(u, 1e-4, cfg, log)
-        assert log.iters[-1] > 1 and len(built) == 1
+        step(u, u.values, 1e-4, cfg, log)
+        assert log.iters[-1] > 1 and len(built) == 0
+
+    @pytest.mark.parametrize(
+        "kind, scheme",
+        [(PERIODIC, RK4_PROJECT), (PERIODIC, MIDPOINT_FIXEDPOINT), (HALF, RK4_PROJECT)],
+    )
+    def test_solve_builds_a_field_only_at_its_samples(self, monkeypatch, kind, scheme):
+        # one field per distinct snapshot or telemetry step, shared where both
+        # fall on one step, and none on the steps between; a half-line
+        # telemetry row builds its extension and restriction on other grids
+        if kind == PERIODIC:
+            u0, t_final = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64)), 0.1
+        else:
+            u0, t_final = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, 65)), 1.0
+        cfg = SimConfig(t_final=t_final, scheme=scheme, snapshot_every=3, monitor_every=2)
+        built = self._count_fields(monkeypatch)
+        nsteps = solve_whole_line(u0, cfg).solver["steps"]
+        samples = {k for k in range(1, nsteps + 1) if k % 3 == 0 or k % 2 == 0 or k == nsteps}
+        assert nsteps >= 10
+        assert sum(grid is u0.grid for grid in built) == len(samples)
+        if kind == PERIODIC:
+            assert len(built) == len(samples)
 
     @pytest.mark.parametrize(
         "scheme, bad_call",
@@ -240,8 +270,9 @@ class TestStep:
     )
     def test_non_finite_value_fails_its_step(self, monkeypatch, scheme, bad_call):
         # rhs call bad_call returns NaN: the last RK4 stage, or the first
-        # midpoint iterate after the rhs(u) start.  The step's one check
-        # raises, with no rhs call after the bad value.
+        # midpoint iterate after the rhs(u, v) start.  The solve's one check
+        # of the step's result, or the midpoint iteration's own, raises and
+        # names step 1, with no rhs call after the bad value.
         calls = [0]
 
         def nan_rhs(u, values, _rhs=evolve.rhs):
@@ -253,8 +284,9 @@ class TestStep:
 
         monkeypatch.setattr(evolve, "rhs", nan_rhs)
         u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
-        with pytest.raises(ValueError, match="^field values must be finite$"):
-            step(u, 1e-4, SimConfig(scheme=scheme), StepLog())
+        message = r"^field values must be finite at step 1 of \d+, t = 0$"
+        with pytest.raises(NonFiniteState, match=message):
+            solve_whole_line(u, SimConfig(t_final=0.05, scheme=scheme))
         assert calls[0] == bad_call
 
     def test_run_at_the_cap_is_not_rechecked_per_step(self, tmp_path, capsys):
@@ -277,17 +309,18 @@ class TestStep:
         g = Grid.periodic(2.0 * np.pi, 64)
         fam = HelixFamily()
         cfg = SimConfig(scheme="midpoint_fixedpoint", fp_tol=1e-16)
+        u = fam.sample(g)
         with pytest.raises(FixedPointDiverged):
-            step(fam.sample(g), 1e-4, cfg, StepLog())
+            step(u, u.values, 1e-4, cfg, StepLog())
 
     def test_failure_names_its_step_and_time(self, monkeypatch):
         calls = [0]
 
-        def failing_on_the_third_call(u, _normalize=evolve.normalize_field):
+        def failing_on_the_third_call(v, _normalize=evolve.normalize_field):
             calls[0] += 1
             if calls[0] == 3:
                 raise DegenerateVector("sample norm 0 below MIN_NORM")
-            return _normalize(u)
+            return _normalize(v)
 
         monkeypatch.setattr(evolve, "normalize_field", failing_on_the_third_call)
         g = Grid.periodic(2.0 * np.pi, 64)
@@ -305,8 +338,8 @@ class TestStep:
         fam = HelixFamily()
         u = fam.sample(g)
         cfg = SimConfig(scheme="midpoint_fixedpoint")
-        out = step(u, 1e-4, cfg, StepLog())
-        assert out.unit_deviation() < 1e-13
+        out = step(u, u.values, 1e-4, cfg, StepLog())
+        assert VectorField(g, out).unit_deviation() < 1e-13
 
 
 class TestMidpointStart:
@@ -321,25 +354,26 @@ class TestMidpointStart:
         dt = factor * u.grid.h**2
         cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT, dt=dt)
         history = StepLog()
+        v = u.values
         for _ in range(2):
-            u = step(u, dt, cfg, history)
-        assert history.rhs_calls == sum(history.iters) + 2  # both started from rhs(u)
-        return u, dt, cfg, history
+            v = step(u, v, dt, cfg, history)
+        assert history.rhs_calls == sum(history.iters) + 2  # both started from rhs(u, v)
+        return u, v, dt, cfg, history
 
     def test_extrapolated_start_below_the_bound(self):
-        u, dt, cfg, history = self._after_two_steps(0.25)
+        u, v, dt, cfg, history = self._after_two_steps(0.25)
         assert dt <= SLOPE_START_FACTOR * u.grid.h**2
         calls = history.rhs_calls
-        step(u, dt, cfg, history)
+        step(u, v, dt, cfg, history)
         assert history.rhs_calls - calls == history.iters[-1]
 
     def test_four_slopes_start_the_cubic_then_the_better_start(self):
-        u, dt, cfg, history = self._after_two_steps(0.25)
+        u, v, dt, cfg, history = self._after_two_steps(0.25)
         for _ in range(2):
-            u = step(u, dt, cfg, history)
+            v = step(u, v, dt, cfg, history)
         assert len(history.slopes) == 4 and history.cubic
         slopes, calls = history.slopes, history.rhs_calls
-        step(u, dt, cfg, history)
+        step(u, v, dt, cfg, history)
         assert history.rhs_calls - calls == history.iters[-1]  # no rhs(u)
         assert all(new is old for new, old in zip(history.slopes[:3], slopes[1:], strict=True))
         f = history.slopes[-1]
@@ -348,11 +382,11 @@ class TestMidpointStart:
         assert history.cubic == (np.max(np.abs(f - cubic)) <= np.max(np.abs(f - linear)))
 
     def test_above_the_bound_a_step_is_the_rhs_started_one(self):
-        u, dt, cfg, history = self._after_two_steps(0.3)
+        u, v, dt, cfg, history = self._after_two_steps(0.3)
         assert dt > SLOPE_START_FACTOR * u.grid.h**2
         calls = history.rhs_calls
-        got = step(u, dt, cfg, history)
-        assert got.values.tobytes() == step(u, dt, cfg, StepLog()).values.tobytes()
+        got = step(u, v, dt, cfg, history)
+        assert got.tobytes() == step(u, v, dt, cfg, StepLog()).tobytes()
         assert history.rhs_calls - calls == history.iters[-1] + 1
 
 
@@ -410,10 +444,11 @@ def test_extrapolated_start_keeps_the_solve(acceptance_u0):
     dt = cfg.resolve_dt(acceptance_u0.grid.h)
     nsteps = math.ceil(cfg.t_final / dt - 1e-12)
     u = acceptance_u0
+    v = u.values
     for k in range(1, nsteps + 1):
-        u = step(u, dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt, cfg, StepLog())
+        v = step(u, v, dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt, cfg, StepLog())
     final = solve_whole_line(acceptance_u0, cfg).final()
-    assert np.max(np.abs(final.values - u.values)) <= 1e-12
+    assert np.max(np.abs(final.values - v)) <= 1e-12
 
 
 class TestWholeLine:
@@ -555,9 +590,10 @@ def test_rk4_energy_holds_below_its_stability_limit_only(factor, stable):
     u = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, 512))
     dt = factor * u.grid.h**2
     e0 = bending_energy(u)
+    v = u.values
     for _ in range(math.ceil(1.0 / dt)):
-        u = normalize_field(_step_rk4(u, dt, StepLog()))
-    drift = abs(bending_energy(u) - e0) / e0
+        v = normalize_field(_step_rk4(u, v, dt, StepLog()))
+    drift = abs(bending_energy(VectorField(u.grid, v)) - e0) / e0
     if stable:
         assert drift < ENERGY_DRIFT_TOL
     else:

@@ -1,6 +1,7 @@
 """Packaging: what the package imports, its install declares."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -34,6 +35,18 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"filamentlab"}
     assert {"numpy", "orjson"} <= third_party  # the scan sees the imports it should
     assert third_party <= declared, f"imported but not in dependencies: {third_party - declared}"
+
+
+def test_every_console_script_target_imports_and_is_callable():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{name} = {target!r} is not callable"
 
 
 def _unused_imports(text: str) -> list:

@@ -80,6 +80,11 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 _unit_interval = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
+def _stepped(u, dt, cfg, log):
+    """The field one ``step`` from ``u``, on ``u``'s grid."""
+    return VectorField(u.grid, step(u, u.values, dt, cfg, log))
+
+
 @st.composite
 def whole_line_fields(draw):
     """A whole-line grid of 9..41 nodes and a field with components in [-1, 1]."""
@@ -97,33 +102,51 @@ def test_rhs_commutes_with_T(u):
     assert np.array_equal(got, apply_T(VectorField(u.grid, rhs(u, u.values))).values)
 
 
+def _scaled_norms(a):
+    """|a_i| by hypot, which neither underflows nor overflows where |a_i| does not."""
+    return np.hypot(np.hypot(a[:, 0], a[:, 1]), a[:, 2])
+
+
+def _assert_rhs_is_v_cross_the_second_difference(grid, v):
+    # rhs is h^2 v x v_ss in the form v x (v_- + v_+), which drops the -2v of
+    # the second difference because v x v = 0; it must agree with the cross
+    # product with the full second difference up to the rounding of either.
+    # The bounds take their norms by hypot, as a row of 1e-170s squares to 0,
+    # and allow a few units of the smallest subnormal, the absolute rounding
+    # of a product that underflows.
+    if grid.kind == PERIODIC:
+        pad = np.concatenate((v[-1:], v, v[:1]))
+    else:
+        ghost = extend(VectorField(grid, v)).values[grid.n - 2] if grid.kind == HALF else v[0]
+        pad = np.concatenate(([ghost], v, v[-1:]))
+    want = cross(v, second_difference(pad))
+    if grid.kind != PERIODIC:
+        want[-1] = 0.0
+    if grid.kind == WHOLE:
+        want[0] = 0.0
+    got = rhs(VectorField(grid, v), v)
+    near = pad[:-2] + pad[2:]
+    size = _scaled_norms(v) * (_scaled_norms(near) + _scaled_norms(near - 2.0 * v))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    assert np.all(row_norms(got - want) <= 4.0 * eps * size + 8.0 * tiny)
+    dot = np.abs(np.sum(got * v, axis=1))
+    assert np.all(dot <= 16.0 * eps * _scaled_norms(v) ** 2 * _scaled_norms(near) + 8.0 * tiny)
+
+
 @pytest.mark.parametrize("kind", [HALF, WHOLE, PERIODIC])
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_rhs_is_v_cross_the_second_difference(kind, data):
-    # rhs is h^2 v x v_ss in the form v x (v_- + v_+), which drops the -2v of
-    # the second difference because v x v = 0; it must agree with the cross
-    # product with the full second difference up to the rounding of either
     u = data.draw(whole_line_fields())
-    grid = Grid(kind, u.grid.length, u.grid.n)
-    v = u.values
-    if kind == PERIODIC:
-        pad = np.concatenate((v[-1:], v, v[:1]))
-    else:
-        ghost = extend(VectorField(grid, v)).values[grid.n - 2] if kind == HALF else v[0]
-        pad = np.concatenate(([ghost], v, v[-1:]))
-    want = cross(v, second_difference(pad))
-    if kind != PERIODIC:
-        want[-1] = 0.0
-    if kind == WHOLE:
-        want[0] = 0.0
-    got = rhs(VectorField(grid, v), v)
-    near = pad[:-2] + pad[2:]
-    size = row_norms(v) * (row_norms(near) + row_norms(near - 2.0 * v))
-    eps = np.finfo(float).eps
-    assert np.all(row_norms(got - want) <= 4.0 * eps * size)
-    dot = np.abs(np.sum(got * v, axis=1))
-    assert np.all(dot <= 16.0 * eps * row_norms(v) ** 2 * row_norms(near))
+    _assert_rhs_is_v_cross_the_second_difference(Grid(kind, u.grid.length, u.grid.n), u.values)
+
+
+def test_rhs_bounds_hold_beside_neighbours_whose_squares_underflow():
+    # a draw that once failed: |v_-| and |v_+| by sqrt(sum of squares) read 0
+    # next to the one row of norm 0.28, so the orthogonality bound read 0
+    v = np.full((9, 3), 1.18007461e-170)
+    v[5] = [-0.19338894578858837, 0.12530809568010898, 0.1651022309110887]
+    _assert_rhs_is_v_cross_the_second_difference(Grid.whole_line(1.0, 9), v)
 
 
 @PROPERTY_SETTINGS
@@ -132,8 +155,8 @@ def test_step_commutes_with_T(u, scheme):
     # dt well below either scheme's cap, where the fixed point contracts
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=scheme)
-    got = step(apply_T(u), dt, cfg, evolve.StepLog()).values
-    assert np.array_equal(got, apply_T(step(u, dt, cfg, evolve.StepLog())).values)
+    got = _stepped(apply_T(u), dt, cfg, evolve.StepLog()).values
+    assert np.array_equal(got, apply_T(_stepped(u, dt, cfg, evolve.StepLog())).values)
 
 
 @pytest.mark.parametrize("nslopes", [2, 4])
@@ -155,8 +178,8 @@ def test_slope_started_midpoint_step_commutes_with_T(nslopes, u, data):
     )
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT)
-    got = step(apply_T(u), dt, cfg, mirrored).values
-    assert np.array_equal(got, apply_T(step(u, dt, cfg, plain)).values)
+    got = _stepped(apply_T(u), dt, cfg, mirrored).values
+    assert np.array_equal(got, apply_T(_stepped(u, dt, cfg, plain)).values)
     assert plain.rhs_calls == plain.iters[-1]  # no rhs(u): the step started from the slopes
     assert (plain.rhs_calls, plain.iters) == (mirrored.rhs_calls, mirrored.iters)
     assert plain.cubic == mirrored.cubic
@@ -310,7 +333,7 @@ def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
             got = evolve._cubic_start(log.slopes, buf, scratch)
             assert got.tobytes() == _fresh_cubic_start(log.slopes).tobytes()
         want = _fresh_array_midpoint_step(u, dt, cfg.fp_tol, ref)
-        u = step(u, dt, cfg, log)
+        u = _stepped(u, dt, cfg, log)
         assert all(a.tobytes() == before for a, before in held)  # nothing held was written
         assert u.values.tobytes() == want.tobytes()
         assert [f.tobytes() for f in log.slopes] == [f.tobytes() for f in ref.slopes]
@@ -612,9 +635,9 @@ def test_normalize_raises_exactly_below_min_norm(n, data):
         v[i, axis] = data.draw(st.sampled_from([radius, -radius]))
     norms = np.sqrt(np.sum(v * v, axis=1))
     try:
-        out = normalize_field(VectorField(Grid.half_line(1.0, n), v))
+        out = normalize_field(v)
     except DegenerateVector:
         assert np.any(norms < MIN_NORM)
     else:
         assert not np.any(norms < MIN_NORM)
-        assert out.values.tobytes() == (v / norms[:, None]).tobytes()
+        assert out.tobytes() == (v / norms[:, None]).tobytes()
