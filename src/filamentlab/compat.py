@@ -40,11 +40,11 @@ UNIT_FIELD_CAP = 0.1
 
 
 class TangentFamily:
-    """A closed-form unit tangent field with analytic s-derivatives.
+    """A closed-form unit tangent field v0(s), evaluated at nodes by ``tangent``.
 
-    ``derivative(s, k)`` evaluates the exact k-th derivative of the closed
-    form and ``tangent`` is its k = 0; k >= 1 backs oracle tests and is
-    never consulted by the sample-based checker.
+    A family defines nothing of higher order: the checker measures the
+    boundary conditions from samples, and the tests take exact derivatives
+    from sympy or from closed forms they write out.
     """
 
     #: grid kinds the family makes sense on
@@ -59,9 +59,7 @@ class TangentFamily:
         self.params = dict(params)
 
     def tangent(self, s: np.ndarray) -> np.ndarray:
-        return self.derivative(s, 0)
-
-    def derivative(self, s: np.ndarray, k: int) -> np.ndarray:
+        """The unit tangent at the nodes s, an (n, 3) array."""
         raise NotImplementedError
 
     def period(self) -> float | None:
@@ -98,21 +96,17 @@ class StraightFamily(TangentFamily):
     def __init__(self):
         super().__init__("straight", {})
 
-    def derivative(self, s, k):
+    def tangent(self, s):
         out = np.zeros((np.asarray(s, dtype=float).size, 3))
-        if k == 0:
-            out[:, 2] = 1.0
+        out[:, 2] = 1.0
         return out
 
 
 class _PlanarFamily(TangentFamily):
     """v0 = (sin alpha, 0, cos alpha) with alpha(s) = (c1 s + c2 s^2) exp(-s^2).
 
-    ``derivative(s, k)`` is k! times the k-th Taylor coefficient at each
-    node s: exp(-(s + e)^2) from E' = q' E, times the quadratic gives the
-    angle's series, and S' = alpha' C, C' = -alpha' S give sin and cos of
-    it.  k = 0 evaluates the closed form in the operation order of the
-    symbolic definition's lambdified code, so samples keep its bits.
+    The closed form is evaluated in the operation order of the symbolic
+    definition's lambdified code, so samples keep its bits.
     """
 
     kinds = ("half", "whole")
@@ -121,38 +115,19 @@ class _PlanarFamily(TangentFamily):
         super().__init__(name, params)
         self.c1, self.c2 = float(c1), float(c2)
 
-    def _lam(self, k: int):
-        """s -> the k-th derivative at the nodes s, an (n, 3) array."""
+    def _lam(self, s):
+        """The closed form at the nodes s, an (n, 3) array.
+
+        ``perfbench/layers.py`` wraps this method as the ``compat.family``
+        span; ``tangent`` calls it so that the span times every planar sample.
+        """
         c1, c2 = self.c1, self.c2
+        # no "+ 0 s^2" term: it would turn a -0.0 angle into +0.0
+        alpha = (c1 * s + c2 * s**2 if c2 else c1 * s) * np.exp(-s**2)
+        return np.stack([np.sin(alpha), np.zeros_like(s), np.cos(alpha)], axis=-1)
 
-        def lam(s):
-            gauss = np.exp(-s**2)
-            if k == 0:
-                # no "+ 0 s^2" term: it would turn a -0.0 angle into +0.0
-                alpha = (c1 * s + c2 * s**2 if c2 else c1 * s) * gauss
-                return np.stack([np.sin(alpha), np.zeros_like(s), np.cos(alpha)], axis=-1)
-            e = [gauss, -2.0 * s * gauss]
-            for j in range(2, k + 1):
-                e.append((-2.0 * s * e[j - 1] - 2.0 * e[j - 2]) / j)
-            poly = (c1 * s + c2 * s**2, c1 + 2.0 * c2 * s, c2)
-            alpha = [sum(poly[i] * e[j - i] for i in range(min(j, 2) + 1)) for j in range(k + 1)]
-            sin, cos = [np.sin(alpha[0])], [np.cos(alpha[0])]
-            for j in range(1, k + 1):
-                sin.append(sum(i * alpha[i] * cos[j - i] for i in range(1, j + 1)) / j)
-                cos.append(-sum(i * alpha[i] * sin[j - i] for i in range(1, j + 1)) / j)
-            scale = math.factorial(k)
-            return np.stack([scale * sin[k], np.zeros_like(s), scale * cos[k]], axis=-1)
-
-        return lam
-
-    def derivative(self, s, k):
-        return self._lam(k)(np.asarray(s, dtype=float))
-
-
-def _rotating_wave(s, amp, rate, k):
-    """k-th s-derivative of amp (cos, sin)(rate s): (amp rate^k) (cos, sin)(rate s + k pi/2)."""
-    scale, phase = amp * rate**k, rate * s + k * np.pi / 2.0
-    return scale * np.cos(phase), scale * np.sin(phase)
+    def tangent(self, s):
+        return self._lam(np.asarray(s, dtype=float))
 
 
 class HelixFamily(TangentFamily):
@@ -174,11 +149,12 @@ class HelixFamily(TangentFamily):
         c, k = self.params["c"], self.params["k"]
         return self.tangent(np.asarray(s, dtype=float) - c * k * t)
 
-    def derivative(self, s, k_order):
-        s = np.asarray(s, dtype=float)
-        out = np.empty((s.size, 3))
-        out[:, 0], out[:, 1] = _rotating_wave(s, self.params["a"], self.params["k"], k_order)
-        out[:, 2] = self.params["c"] if k_order == 0 else 0.0
+    def tangent(self, s):
+        a, k = self.params["a"], self.params["k"]
+        # + 0.0 turns the -0.0 phase of k < 0 at s = 0 into +0.0, whose sin is +0.0
+        phase = k * np.asarray(s, dtype=float) + 0.0
+        out = np.empty((phase.size, 3))
+        out[:, 0], out[:, 1], out[:, 2] = a * np.cos(phase), a * np.sin(phase), self.params["c"]
         return out
 
 
@@ -195,11 +171,11 @@ class RingFamily(TangentFamily):
     def period(self) -> float:
         return 2.0 * np.pi * self.params["r"]
 
-    def derivative(self, s, k_order):
-        s = np.asarray(s, dtype=float)
-        cos, sin = _rotating_wave(s, 1.0, 1.0 / self.params["r"], k_order)
-        out = np.zeros((s.size, 3))
-        out[:, 0], out[:, 1] = -sin, cos
+    def tangent(self, s):
+        # (1.0 / r) * s, not s / r, and + 0.0 as in the helix: the bits of every sample
+        phase = 1.0 / self.params["r"] * np.asarray(s, dtype=float) + 0.0
+        out = np.zeros((phase.size, 3))
+        out[:, 0], out[:, 1] = -np.sin(phase), np.cos(phase)
         return out
 
 

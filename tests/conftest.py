@@ -1,5 +1,6 @@
-"""Checks that hold after every test of the suite."""
+"""Checks that hold after every test of the suite, and the planar families' symbolic reference."""
 
+import functools
 import os
 
 import pytest
@@ -14,3 +15,32 @@ def no_child_process_left():
     except ChildProcessError:  # no child at all: the only passing outcome
         return
     pytest.fail(f"the test left a child process behind ({pid or 'still running'})")
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_derivative(name: str, k: int):
+    """Lambdified d^k/ds^k of (sin alpha, cos alpha) as a function of (s, a).
+
+    The symbolic definition of the planar families, alpha = a s exp(-s^2)
+    (planar_odd) or (a s + s^2) exp(-s^2) (planar_bad).  sympy applies the
+    chain rule to sin and cos of an opaque A(s), and then puts in alpha and
+    its own derivatives: the same derivative in a third of the time of
+    differentiating the composite k times.  A missing sympy fails the test.
+    """
+    import sympy as sp
+
+    s, a = sp.symbols("s a", real=True)
+    poly = a * s if name == "planar_odd" else a * s + s**2
+    alpha = poly * sp.exp(-(s**2))
+    opaque = sp.Function("A")(s)
+    inner = {sp.Derivative(opaque, (s, j)): sp.diff(alpha, s, j) for j in range(k, 0, -1)}
+    return [
+        sp.lambdify((s, a), sp.diff(f(opaque), s, k).subs(inner).subs(opaque, alpha), "numpy")
+        for f in (sp.sin, sp.cos)
+    ]
+
+
+@pytest.fixture(scope="session")
+def sympy_derivative():
+    """``sympy_derivative(name, k)``: the [sin, cos] columns of d^k v/ds^k of a planar family."""
+    return _sympy_derivative

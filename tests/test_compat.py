@@ -1,6 +1,5 @@
 """Compatibility conditions, diagnostics, and the builtin families."""
 
-import functools
 import math
 import os
 import subprocess
@@ -41,34 +40,16 @@ class TestFamilies:
             v = fam.tangent(s)
             assert np.allclose(np.sum(v * v, axis=1), 1.0, atol=1e-12), name
 
-    def test_symbolic_derivatives_match_finite_difference(self):
-        # analytic derivative vs. centered difference of the closed form
-        rng = np.random.default_rng(17)
-        s = rng.uniform(0.2, 2.0, size=12)
-        eps = 1e-5
-        for name in ("planar_odd", "planar_bad", "helix", "ring"):
-            fam = get_family(name)
-            for k in (1, 2, 3):
-                num = (fam.derivative(s + eps, k - 1) - fam.derivative(s - eps, k - 1)) / (
-                    2.0 * eps
-                )
-                assert np.allclose(fam.derivative(s, k), num, rtol=1e-5, atol=1e-5), (
-                    name,
-                    k,
-                )
-
-    def test_planar_odd_angle_derivative_at_zero(self):
+    def test_planar_odd_angle_derivative_at_zero(self, sympy_derivative):
         # alpha = a s exp(-s^2): alpha'(0) = a, so dv/ds(0) = (a, 0, 0)
-        fam = get_family("planar_odd", a=0.7)
-        d = fam.derivative(np.array([0.0]), 1)[0]
-        assert np.allclose(d, [0.7, 0.0, 0.0], atol=1e-14)
+        d = [float(fn(0.0, 0.7)) for fn in sympy_derivative("planar_odd", 1)]
+        assert np.allclose(d, [0.7, 0.0], atol=1e-14)
 
-    def test_planar_bad_second_angle_derivative(self):
+    def test_planar_bad_second_angle_derivative(self, sympy_derivative):
         # alpha = (a s + s^2) exp(-s^2): alpha''(0) = 2, the planted violation
-        fam = get_family("planar_bad", a=0.5)
-        d2 = fam.derivative(np.array([0.0]), 2)[0]
+        d2 = float(sympy_derivative("planar_bad", 2)[0](0.0, 0.5))
         # v'' (0) = (alpha'' cos a - alpha'^2 sin a, 0, ...) with alpha(0)=0
-        assert d2[0] == pytest.approx(2.0, abs=1e-12)
+        assert d2 == pytest.approx(2.0, abs=1e-12)
 
     def test_helix_needs_unit_amplitude(self):
         with pytest.raises(ValueError):
@@ -87,33 +68,27 @@ class TestFamilies:
         wave = np.column_stack((a * np.cos(phase), a * np.sin(phase), np.full_like(s, c)))
         assert np.max(np.abs(HelixFamily(a, c, k).exact(s, t) - wave)) <= 1e-14
 
-    @pytest.mark.parametrize("k", range(6))
-    def test_rotating_wave_derivatives_are_their_closed_forms_bitwise(self, k):
-        # k-th derivatives of (a cos qs, a sin qs, c) and (-sin s/r, cos s/r, 0),
-        # in the operation order of the closed forms, including the sign of 0.0
+    def test_rotating_wave_tangents_are_their_closed_forms_bitwise(self):
+        # (a cos qs, a sin qs, c) and (-sin s/r, cos s/r, 0) in the operation
+        # order of the closed forms, including the sign of 0.0: the phase is
+        # +0.0 at s = -0.0 and, with q < 0, at s = 0.0
         s = np.concatenate((np.linspace(-7.0, 7.0, 1001), [0.0, -0.0]))
-        shift = k * np.pi / 2.0
         for a, c, q in [(0.6, 0.8, 2.0), (0.8, 0.6, 3.0), (1.0, 0.0, -1.5)]:
-            want = np.column_stack(
-                (
-                    a * q**k * np.cos(q * s + shift),
-                    a * q**k * np.sin(q * s + shift),
-                    np.full_like(s, c if k == 0 else 0.0),
-                )
-            )
-            assert HelixFamily(a, c, q).derivative(s, k).tobytes() == want.tobytes()
+            phase = q * s + 0.0
+            want = np.column_stack((a * np.cos(phase), a * np.sin(phase), np.full_like(s, c)))
+            assert HelixFamily(a, c, q).tangent(s).tobytes() == want.tobytes()
+        assert not np.signbit(HelixFamily(1.0, 0.0, -1.5).tangent(np.array([0.0, -0.0]))).any()
         for r in (0.5, 1.0, 2.7):
-            w = 1.0 / r
-            want = np.column_stack(
-                (-(w**k) * np.sin(s * w + shift), w**k * np.cos(s * w + shift), np.zeros_like(s))
-            )
-            assert RingFamily(r).derivative(s, k).tobytes() == want.tobytes()
+            phase = s * (1.0 / r) + 0.0
+            want = np.column_stack((-np.sin(phase), np.cos(phase), np.zeros_like(s)))
+            assert RingFamily(r).tangent(s).tobytes() == want.tobytes()
 
     def test_helix_exact_solves_the_flow(self):
         # centred time difference of exact vs v x v_ss at t = 0: error O(dt^2)
         s = np.random.default_rng(31).uniform(-5.0, 5.0, size=64)
         fam = HelixFamily(0.6, 0.8, 2.0)
-        flow = np.cross(fam.exact(s, 0.0), fam.derivative(s, 2))
+        v_ss = -4.0 * np.column_stack((0.6 * np.cos(2.0 * s), 0.6 * np.sin(2.0 * s), 0.0 * s))
+        flow = np.cross(fam.exact(s, 0.0), v_ss)
         errs = []
         for dt in (1e-2, 5e-3):
             v_t = (fam.exact(s, dt) - fam.exact(s, -dt)) / (2.0 * dt)
@@ -371,64 +346,18 @@ class TestCheckCompat:
 # the planar families against their symbolic definition
 
 
-@functools.lru_cache(maxsize=None)
-def _sympy_derivative(name: str, k: int):
-    """Lambdified d^k/ds^k of (sin alpha, cos alpha) as a function of (s, a).
-
-    sympy applies the chain rule to sin and cos of an opaque A(s), and then
-    puts in alpha and its own derivatives: the same derivative in a third of
-    the time of differentiating the composite k times.
-    """
-    import sympy as sp
-
-    s, a = sp.symbols("s a", real=True)
-    poly = a * s if name == "planar_odd" else a * s + s**2
-    alpha = poly * sp.exp(-(s**2))
-    opaque = sp.Function("A")(s)
-    inner = {sp.Derivative(opaque, (s, j)): sp.diff(alpha, s, j) for j in range(k, 0, -1)}
-    return [
-        sp.lambdify((s, a), sp.diff(f(opaque), s, k).subs(inner).subs(opaque, alpha), "numpy")
-        for f in (sp.sin, sp.cos)
-    ]
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(["planar_odd", "planar_bad"]),
     st.integers(100_000, 2_000_000).map(lambda m: m / 1e6),
     arrays(np.float64, st.integers(1, 32), elements=st.floats(-4.0, 4.0)),
-    st.integers(0, 8),
 )
-def test_planar_derivatives_match_sympy(name, a, s, k):
-    # k = 0 bit for bit; k >= 1 relative to the size of d^k v on [-4, 4]: where
-    # d^k v is small, both float evaluations carry rounding from terms as large
-    # as its peak (pointwise relative gaps reach 7e-12 at k = 8)
-    pytest.importorskip("sympy")
-    got = get_family(name, a=a).derivative(s, k)
+def test_planar_derivatives_match_sympy(sympy_derivative, name, a, s):
+    # the tangent is the symbolic definition's lambdified code, bit for bit
+    got = get_family(name, a=a).tangent(s)
     assert not got[:, 1].any()
-    for column, ref_fn in zip((0, 2), _sympy_derivative(name, k)):
-        ref = ref_fn(s, a)
-        if k == 0:
-            assert got[:, column].tobytes() == ref.tobytes()
-        else:
-            size = np.max(np.abs(ref_fn(np.linspace(-4.0, 4.0, 801), a)))
-            assert np.max(np.abs(got[:, column] - ref)) <= 1e-13 * max(1.0, size)
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-@pytest.mark.parametrize("a", [0.5, 1.3])
-@pytest.mark.parametrize("name", ["planar_odd", "planar_bad"])
-def test_planar_derivatives_match_sympy_on_a_fixed_grid(name, a, k):
-    # every order on 801 nodes across [-4, 4], at the tolerance of the test
-    # above: an error in one order shows on every run, not only on the draws
-    # that reach where that order is large
-    pytest.importorskip("sympy")
-    s = np.linspace(-4.0, 4.0, 801)
-    got = get_family(name, a=a).derivative(s, k)
-    for column, ref_fn in zip((0, 2), _sympy_derivative(name, k)):
-        ref = ref_fn(s, a)
-        size = np.max(np.abs(ref))
-        assert np.max(np.abs(got[:, column] - ref)) <= 1e-13 * max(1.0, size)
+    for column, ref_fn in zip((0, 2), sympy_derivative(name, 0)):
+        assert got[:, column].tobytes() == ref_fn(s, a).tobytes()
 
 
 def test_cold_start_does_not_import_sympy():

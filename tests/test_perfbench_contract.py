@@ -141,3 +141,16 @@ def test_traced_periodic_solve_counts_every_rhs_node(scheme):
     assert calls["evolve.step"] == series.solver["steps"]
     assert calls["evolve.rhs"] == series.solver["rhs_calls"]
     assert tracer.counters["rhs_node_evals"] == 64 * calls["evolve.rhs"]
+
+
+def test_planar_sample_evaluates_through_the_family_span():
+    # compat.family_setup_s times a planar family's closed form through
+    # _PlanarFamily._lam; a tangent that bypassed it would leave it unmeasured
+    fam = get_family("planar_odd", a=0.5)
+    tracer = tracing.Tracer()
+    layers.instrument(tracer)
+    try:
+        fam.sample(Grid.half_line(20.0, 65))
+    finally:
+        tracer.restore()
+    assert tracer.totals()[0].get("compat.family", 0) == 1
