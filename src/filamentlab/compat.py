@@ -2,9 +2,7 @@
 
 The checks decide whether half-line initial data v0 admits a smooth
 solution that respects v(0, t) = e3: order k = 0 requires v0(0) = e3,
-order k >= 1 requires v0 x d^{2k}v0/ds^{2k} to vanish at s = 0.  The
-odd-order inner products d^j v0 . d^l v0 |_{s=0} (j + l odd) are
-reported as a consistency diagnostic.
+order k >= 1 requires v0 x d^{2k}v0/ds^{2k} to vanish at s = 0.
 
 All residuals are measured from samples with one-sided stencils, so a
 fixed absolute tolerance cannot separate discretization error from a
@@ -213,6 +211,8 @@ def parse_family_spec(spec: str) -> TangentFamily:
     if rest:
         for item in rest.split(","):
             key, _, val = (part.strip() for part in item.partition("="))
+            if key in params:
+                raise UnknownFamily(f"family {name!r} parameter {key} is set twice")
             try:
                 params[key] = float(val)
             except ValueError:
@@ -231,17 +231,14 @@ class CompatibilityReport:
     """Per-order boundary residuals with verdicts.
 
     ``a_residuals[k]`` is |v0(0) - e3| for k = 0 and |v0(0) x d^{2k}v0(0)|
-    for k >= 1.  ``d_residuals[(j, l)]`` holds |d^j v0 . d^l v0|(0) for
-    odd j + l.  When the two-grid cross-check ran, ``a_residuals_coarse``
-    carries the a residuals at spacing 2h and ``refined`` is True.
+    for k >= 1.  When the two-grid cross-check ran, ``a_residuals_coarse``
+    carries them at spacing 2h and ``refined`` is True.
     """
 
     max_order: int
     tol: float
     a_residuals: list = dc_field(default_factory=list)
     a_pass: list = dc_field(default_factory=list)
-    d_residuals: dict = dc_field(default_factory=dict)
-    d_pass: dict = dc_field(default_factory=dict)
     norm_residual: float = 0.0
     a_residuals_coarse: list = dc_field(default_factory=list)
 
@@ -257,23 +254,14 @@ class CompatibilityReport:
         return [k for k, ok in enumerate(self.a_pass) if not ok]
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for name in ("d_residuals", "d_pass"):
-            out[name] = {f"{j},{l}": value for (j, l), value in out[name].items()}
-        return {**out, "refined": self.refined, "passed": self.passed}
+        return {**asdict(self), "refined": self.refined, "passed": self.passed}
 
 
-def _residuals(v0: VectorField, n: int) -> tuple:
-    """([a residual per order 0..n], {(j, l): d residual}) of one sampling.
-
-    Each derivative trace at s = 0 is estimated once and shared by the
-    residuals that read it; pairs (j, l) have j + l odd, up to 2n + 1.
-    """
-    trace = [one_sided_deriv_at_zero(v0, k) for k in range(min(2 * n + 1, K_MAX) + 1)]
-    a = [float(np.linalg.norm(trace[0] - E3))]
-    a += [float(np.linalg.norm(cross(trace[0], trace[2 * k]))) for k in range(1, n + 1)]
-    pairs = [(j, t - j) for t in range(1, 2 * n + 2, 2) for j in range(t // 2 + 1)]
-    return a, {(j, l): float(abs(np.dot(trace[j], trace[l]))) for j, l in pairs if l <= K_MAX}
+def _residuals(v0: VectorField, n: int) -> list:
+    """|v0(0) - e3| and |v0(0) x d^{2k}v0(0)| for k = 1..n, of one sampling."""
+    v = one_sided_deriv_at_zero(v0, 0)
+    crossed = [cross(v, one_sided_deriv_at_zero(v0, 2 * k)) for k in range(1, n + 1)]
+    return [float(np.linalg.norm(r)) for r in (v - E3, *crossed)]
 
 
 def _passes(residual: float, tol: float, coarse: float | None) -> bool:
@@ -303,7 +291,7 @@ def decimated(v0: VectorField) -> VectorField:
 
 
 def check_compat(v0: VectorField, n: int, tol: float = 1e-6) -> CompatibilityReport:
-    """Full compatibility report up to order n (conditions and diagnostics).
+    """Compatibility report of the conditions up to order n.
 
     ``v0`` is half-line data.  Its residuals are cross-checked against those
     of ``decimated(v0)``, which separates stencil truncation error from
@@ -322,17 +310,13 @@ def check_compat(v0: VectorField, n: int, tol: float = 1e-6) -> CompatibilityRep
         raise NotUnitField(
             f"max | |v0| - 1 | = {norm_residual:.3g}; not a tangent field"
         )
-    a, d = _residuals(v0, n)
-    a_coarse, d_coarse = [], {}
-    if (v0.grid.n + 1) // 2 >= MIN_NODES:
-        a_coarse, d_coarse = _residuals(decimated(v0), n)
+    a = _residuals(v0, n)
+    a_coarse = _residuals(decimated(v0), n) if (v0.grid.n + 1) // 2 >= MIN_NODES else []
     return CompatibilityReport(
         max_order=n,
         tol=tol,
         a_residuals=a,
         a_pass=[_passes(r, tol, a_coarse[k] if a_coarse else None) for k, r in enumerate(a)],
-        d_residuals=d,
-        d_pass={pair: _passes(r, tol, d_coarse.get(pair)) for pair, r in d.items()},
         norm_residual=norm_residual,
         a_residuals_coarse=a_coarse,
     )

@@ -229,6 +229,13 @@ class TestSimulate:
         assert all(summary["verdicts"].values())
         assert "wall_seconds" not in summary
 
+    def test_grid_defaults(self, tmp_path):
+        cfg = self._write_config(tmp_path, "data.family = planar_odd:a=0.5\ntime.t_final = 1e-5\n")
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["grid"] == {"kind": "half", "length": 20.0, "n": 512}
+
     def test_summary_without_curves_has_no_curve_tolerances(self, tmp_path, capsys):
         # endpoint_height and arclength_dev once had tolerances but no verdicts here
         cfg = self._write_config(tmp_path)
@@ -625,6 +632,16 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "fitted order" in out
 
+    def test_convergence_stationary_is_exact(self, capsys):
+        assert main(["convergence", "stationary", "--levels", "16,32,64"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("fitted order: exact\n")
+
+    def test_convergence_nls_is_second_order(self, capsys):
+        assert main(["convergence", "nls", "--levels", "32,64,128"]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        # the window of acceptance criterion 9
+        assert 1.8 <= float(last.removeprefix("fitted order: ")) <= 2.5
+
     @pytest.mark.parametrize(
         "flag, message",
         [("--n", "need at least 8 nodes, got 0"), ("--t-final", "t_final must be a finite")],
@@ -769,6 +786,10 @@ EXIT_ONE_INPUTS = {
     "data-family-missing": SIM_CONFIG.replace("data.family = planar_odd:a=0.5\n", ""),
     "data-family-param-unparsable": SIM_CONFIG.replace("a=0.5", "a=abc"),
     "check-family-param-unparsable": ["check", "--family", "planar_odd:a=1x"],
+    # as with a repeated config key, neither copy may win silently
+    "family-param-repeated": ["check", "--family", "planar_odd:a=0.5,a=2"],
+    "data-family-param-repeated": SIM_CONFIG.replace("a=0.5", "a=0.5,a=2"),
+    "grid-kind-whole": SIM_CONFIG.replace("grid.kind = half", "grid.kind = whole"),
     # an infinite length once ran into numpy warnings, and none of these named the key
     "grid-L-inf": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = inf"),
     "grid-L-nan": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = nan"),
@@ -785,6 +806,8 @@ EXIT_ONE_INPUTS = {
     # the reader skips blank and comment lines; the message counts them
     "csv-not-finite-after-blank-line": ["check", "--input", "{blankline}"],
     "csv-ragged": ["check", "--input", "{ragged}"],
+    # the rows of a snapshots.csv: t,s,v1,v2,v3
+    "csv-five-columns": ["check", "--input", "{fivecolumns}"],
     # a periodic family off a whole number of its periods once ran and exited 0
     "ring-length-not-whole-periods": PERIODIC_CONFIG.replace(HELIX, "ring:r=0.5").replace(
         "grid.L = 6.283185307179586", "grid.L = 3.0"
@@ -840,6 +863,12 @@ EXIT_ONE_MESSAGES = {
     "snapshot_every-zero": "snapshot_every must be at least 1, got 0",
     "monitor_every-zero": "monitor_every must be at least 1, got 0",
     "repeated-key": "config key grid.n is set twice",
+    "family-param-repeated": "family 'planar_odd' parameter a is set twice",
+    "data-family-param-repeated": (
+        "config key data.family: family 'planar_odd' parameter a is set twice"
+    ),
+    "grid-kind-whole": "grid.kind must be half or periodic, got 'whole'",
+    "csv-five-columns": "{fivecolumns}: expected columns s,v1,v2,v3",
 }
 
 
@@ -858,6 +887,7 @@ def test_every_documented_exit_one_input(tmp_path, capsys, case):
         "backward": "s,v1,v2,v3\n" + "".join(f"-0.{s},0,0,1\n" for s in range(8)),
         "ragged": "s,v1,v2,v3\n0.0,0,0,1\n1.0,0,1\n" + "".join(f"{s}.0,0,0,1\n" for s in range(2, 8)),
         "headeronly": "s,v1,v2,v3\n",
+        "fivecolumns": "t,s,v1,v2,v3\n" + "".join(f"0.0,{s}.0,0,0,1\n" for s in range(8)),
         "config": given if isinstance(given, str) else "",
     }
     paths = {name: tmp_path / f"{name}.txt" for name in files}
