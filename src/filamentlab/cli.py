@@ -9,13 +9,11 @@ codes: 0 success, 1 usage/I-O error, 2 compatibility rejection,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import orjson
@@ -33,7 +31,7 @@ from .errors import (
     StabilityViolated,
     UnknownFamily,
 )
-from .evolve import SimConfig, solve_half_space, solve_whole_line
+from .evolve import TELEMETRY_KEYS, SimConfig, solve_half_space, solve_whole_line
 from .geometry import MIN_NODES, Grid, VectorField
 from .hasimoto import frenet, gauge_rate, hasimoto_psi, series_nls_residual
 from .reconstruct import integrate_tangent, reconstruct_positions
@@ -68,24 +66,13 @@ def _write_csv(path: str, header: str, pieces) -> None:
 def _rows_text(values: np.ndarray, prefix: str) -> str:
     """The CSV lines of the rows of an (n, k) float64 array, each led by ``prefix``.
 
-    Every cell is the repr of its float, the shortest text that reads back to
-    the same float.  orjson prints the same shortest digits, much faster, and
-    lays them out as repr does except for non-finite values (``null``), for
-    1e-9 <= |x| < 1e-4 (``0.00001`` for ``1e-05``, ``1e-9`` for ``1e-09``) and
-    for |x| >= 1e16 (``1e16`` for ``1e+16``); only those cells go through str.
+    Every cell is orjson's shortest text that reads back to the same float
+    (``0.00001`` where repr writes ``1e-05``, ``1e16`` for ``1e+16``).  orjson
+    writes a non-finite value as ``null``, so a block that holds one is refused.
     """
+    if not np.isfinite(values).all():
+        raise ValueError("CSV cells must be finite numbers; a block holds a NaN or infinity")
     rows = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
-    mag = np.abs(values)
-    # NaN fails every comparison, so the mask holds the non-finite cells too
-    redo = ~(((mag >= 1e-4) & (mag < 1e16)) | (mag < 1e-9))
-    # nonzero and the mask index both walk the cells in row-major order
-    i, j = np.nonzero(redo)
-    cells = zip(i.tolist(), j.tolist(), map(str, values[redo].tolist()))
-    for i, row in itertools.groupby(cells, key=lambda cell: cell[0]):
-        line = rows[i].split(",")
-        for _, j, text in row:
-            line[j] = text
-        rows[i] = ",".join(line)
     return prefix + ("\n" + prefix).join(rows) + "\n"
 
 
@@ -140,10 +127,9 @@ def write_snapshots_csv(path: str, series, curves=None) -> None:
 
 
 def write_telemetry_csv(path: str, telemetry) -> None:
-    keys = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
     # a key a row lacks (symmetry, boundary off the half line) is an empty cell
-    lines = [",".join(str(row[k]) if k in row else "" for k in keys) + "\n" for row in telemetry]
-    _write_csv(path, ",".join(keys), lines)
+    cells = ([str(row[k]) if k in row else "" for k in TELEMETRY_KEYS] for row in telemetry)
+    _write_csv(path, ",".join(TELEMETRY_KEYS), [",".join(line) + "\n" for line in cells])
 
 
 def parse_config(path: str) -> dict:
@@ -337,12 +323,7 @@ def cmd_diagnose(args) -> int:
     if length is None:
         length = fam.period() if fam.name == "ring" else 2.0 * np.pi
     grid = Grid.periodic(length, args.n)
-    # at least two steps and three snapshots, the fewest a centered psi_t
-    # takes; at the defaults the step and the cadence are the solver's own
-    dt = min(SimConfig(t_final=args.t_final).resolve_dt(grid.h), args.t_final / 2.0)
-    cfg = SimConfig(t_final=args.t_final, dt=dt)
-    every = min(cfg.resolve_every(grid.h)[0], cfg.resolve_steps(grid.h) // 2)
-    series = solve_whole_line(fam.sample(grid), replace(cfg, snapshot_every=every))
+    series = solve_whole_line(fam.sample(grid), harness.nls_config(grid, args.t_final))
     f = frenet(series.final())
     psi = hasimoto_psi(f)
     masked = f.mask

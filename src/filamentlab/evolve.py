@@ -367,6 +367,10 @@ def bending_energy(u: VectorField) -> float:
     return float(d.sum() / u.grid.h)
 
 
+#: The keys of a telemetry row, in order; a periodic row stops at energy.
+TELEMETRY_KEYS = ("step", "time", "norm_dev", "energy", "symmetry", "boundary")
+
+
 def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
     """One monitor row; a half-line state is measured on its extension.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -148,6 +148,17 @@ def helix_solution_error(n: int) -> float:
     return float(np.max(row_norms(diff)))
 
 
+def nls_config(grid: Grid, t_final: float) -> SimConfig:
+    """The default SimConfig to ``t_final``, with the 3 snapshots a centered psi_t takes.
+
+    It steps at most t_final / 2 and keeps a snapshot at least every half of its steps.
+    """
+    dt = min(SimConfig(t_final=t_final).resolve_dt(grid.h), t_final / 2.0)
+    cfg = SimConfig(t_final=t_final, dt=dt)
+    every = min(cfg.resolve_every(grid.h)[0], cfg.resolve_steps(grid.h) // 2)
+    return replace(cfg, snapshot_every=every)
+
+
 def convergence_study(case: str, levels) -> ConvergenceResult:
     """Run ``case`` at each node count in ``levels`` (dt follows h^2)."""
     if len(set(levels)) < 3:
@@ -159,8 +170,10 @@ def convergence_study(case: str, levels) -> ConvergenceResult:
         hs = [HALF_LENGTH / (n - 1) for n in levels]
         errors = [stationary_line_error(n)["max_deviation"] for n in levels]
     elif case == "nls":
-        hs = [2.0 * np.pi / n for n in levels]
-        errors = [series_nls_residual(_helix_run(n, 0.5)[2]) for n in levels]
+        grids = [Grid.periodic(2.0 * np.pi, n) for n in levels]
+        hs = [g.h for g in grids]
+        runs = (solve_whole_line(HelixFamily().sample(g), nls_config(g, 0.5)) for g in grids)
+        errors = [series_nls_residual(run) for run in runs]
     else:
         raise UnknownOracle(f"unknown convergence case {case!r}")
     return ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))

@@ -22,8 +22,9 @@ from filamentlab.cli import (
     write_field_csv,
 )
 from filamentlab.compat import get_family, parse_family_spec
-from filamentlab.evolve import SimConfig, solve_half_space
-from filamentlab.geometry import Grid
+from filamentlab.evolve import SimConfig, TimeSeries, solve_half_space
+from filamentlab.geometry import E3, Grid, VectorField
+from filamentlab.reconstruct import FilamentCurve, integrate_tangent, reconstruct_positions
 from filamentlab.harness import RunSummary
 
 
@@ -260,19 +261,23 @@ class TestSimulate:
     def test_snapshots_csv_round_trip_floats(self, tmp_path):
         cfg = self._write_config(tmp_path)
         out = tmp_path / "out"
-        main(["simulate", str(cfg), "--out", str(out)])
+        main(["simulate", str(cfg), "--reconstruct", "--out", str(out)])
         data = np.genfromtxt(out / "snapshots.csv", delimiter=",", skip_header=1)
-        assert data.shape[1] == 5
-        # every tangent sample is unit length after repr round trip
+        assert data.shape[1] == 8
+        # every tangent sample is unit length after the text round trip
         norms = np.sqrt(np.sum(data[:, 2:5] ** 2, axis=1))
         assert np.max(np.abs(norms - 1.0)) < 1e-12
-        # and reads back as exactly the values the solver produced
+        # and reads back as exactly the values the solver and the curve produced
         fam = get_family("planar_odd", a=0.5)
         grid = Grid.half_line(20.0, 129)
         run = solve_half_space(fam, grid, SimConfig(t_final=0.05, check_order=1))
-        assert np.array_equal(data[:, 0], np.repeat(run.times, 129))
-        assert np.array_equal(data[:, 1], np.tile(grid.nodes(), len(run.times)))
-        assert np.array_equal(data[:, 2:5], np.concatenate([u.values for u in run.snapshots]))
+        curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
+        tangents = np.concatenate([u.values for u in run.snapshots])
+        positions = np.concatenate([c.positions for c in curves])
+        assert data[:, 0].tobytes() == np.repeat(run.times, 129).tobytes()
+        assert data[:, 1].tobytes() == np.tile(grid.nodes(), len(run.times)).tobytes()
+        assert data[:, 2:5].tobytes() == tangents.tobytes()
+        assert data[:, 5:8].tobytes() == positions.tobytes()
 
     def test_periodic_run(self, tmp_path):
         cfg = self._write_config(tmp_path, PERIODIC_CONFIG)
@@ -616,6 +621,19 @@ class TestSnapshotWriter:
         assert os.listdir(tmp_path / "out") == []
 
 
+    def test_non_finite_curve_is_refused_and_leaves_no_file(self, tmp_path):
+        # orjson writes NaN as null; the writer once wrote the cell nan
+        grid = Grid.half_line(20.0, 17)
+        tangent = VectorField(grid, np.tile(E3, (grid.n, 1)))
+        series = TimeSeries(grid, [0.0, 0.5], [tangent, tangent])
+        bad = np.zeros((grid.n, 3))
+        bad[5, 2] = np.nan
+        curves = [FilamentCurve(grid, np.zeros((grid.n, 3))), FilamentCurve(grid, bad)]
+        with pytest.raises(ValueError, match="finite"):
+            cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), series, curves)
+        assert os.listdir(tmp_path) == []  # the first block, written, is removed too
+
+
 class TestOtherCommands:
     def test_oracle_stationary(self, capsys):
         rc = main(["oracle", "stationary_line", "--n", "64", "--t-final", "0.05"])
@@ -640,6 +658,13 @@ class TestOtherCommands:
         assert main(["convergence", "nls", "--levels", "32,64,128"]) == EXIT_OK
         last = capsys.readouterr().out.splitlines()[-1]
         # the window of acceptance criterion 9
+        assert 1.8 <= float(last.removeprefix("fitted order: ")) <= 2.5
+
+    def test_convergence_nls_on_coarse_levels(self, capsys):
+        # at n = 16 the default cadence kept 2 snapshots of 5 steps, and the
+        # study exited 1: need >= 3 snapshots for a centered psi_t
+        assert main(["convergence", "nls", "--levels", "16,32,64"]) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
         assert 1.8 <= float(last.removeprefix("fitted order: ")) <= 2.5
 
     @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from filamentlab.evolve import (
     RK4_PROJECT,
     SLOPE_START_FACTOR,
     STABILITY_FACTOR,
+    TELEMETRY_KEYS,
     SimConfig,
     StepLog,
     _step_rk4,
@@ -508,6 +509,14 @@ class TestHalfSpace:
         for row in run.telemetry:
             assert row["symmetry"] == 0.0
             assert row["boundary"] == 0.0
+
+    def test_telemetry_row_keys_are_the_column_list_in_order(self):
+        # telemetry.csv writes its header from TELEMETRY_KEYS, not from the rows
+        fam = get_family("planar_odd", a=0.5)
+        run = solve_half_space(fam, Grid.half_line(20.0, 129), SimConfig(t_final=0.05))
+        assert len(run.telemetry) >= 2
+        for row in run.telemetry:
+            assert tuple(row) == TELEMETRY_KEYS
 
     def test_boundary_value_bitwise_e3(self):
         fam = get_family("planar_odd", a=0.5)

@@ -16,13 +16,16 @@ wrong ghost must show in the telemetry and, under midpoint, in the exit code,
 and a NaN in any tracked telemetry column must fail the run.
 Three round trips must be exact too: a field CSV written and read back, a
 SimConfig written as a config file and read back, and the restriction of
-an extension.  The fast paths must not move a bit: the CSV cell text against
-a naive per-row repr, the norm kernels against numpy's sum, and the in-place
-midpoint step against the same expressions on fresh arrays.
+an extension.  Every snapshot CSV cell must read back to its float bit for
+bit, by ``float`` and by ``numpy.loadtxt``, and a non-finite cell must be
+refused.  The fast paths must not move a bit: the norm kernels against
+numpy's sum, and the in-place midpoint step against the same expressions on
+fresh arrays.
 """
 
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -395,7 +398,7 @@ _awkward = st.sampled_from(
         0.0, -0.0,  # equal, yet "0.0" and "-0.0"
         5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,  # subnormal and smallest normal
         1e300, -1e300, 1.7976931348623157e308,
-        # the edges of the bands where the writer's fast layout differs from repr
+        # the edges of the bands where orjson lays out a float otherwise than repr
         1e-9, math.nextafter(1e-9, 0.0), 1e-4, math.nextafter(1e-4, 0.0),
         1e-5, -2.5e-6, 1.5e-7, 1e16, math.nextafter(1e16, 0.0), 1e22,
     ]
@@ -545,43 +548,72 @@ def snapshot_series(draw, blocks=st.integers(1, 6), columns=st.sampled_from([3, 
     return series, curves
 
 
-def _naive_snapshots_csv(series, curves) -> str:
-    lines = ["t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")]
-    s = series.grid.nodes().tolist()
-    for m, (t, snap) in enumerate(zip(series.times, series.snapshots)):
-        for i in range(series.grid.n):
-            row = [float(t), s[i], *snap.values[i].tolist()]
-            if curves is not None:
-                row += curves[m].positions[i].tolist()
-            lines.append(",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+def _parsed_both_ways(text: str) -> tuple:
+    """The cells of CSV ``text`` (no header) as read by ``float`` and by ``numpy.loadtxt``."""
+    by_float = np.array([[float(cell) for cell in line.split(",")] for line in text.splitlines()])
+    by_loadtxt = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2)
+    return by_float, by_loadtxt
 
 
 @PROPERTY_SETTINGS
 @given(snapshot_series())
-def test_snapshots_csv_is_naive_repr_bytewise(series_and_curves):
+def test_snapshots_csv_reads_back_bitwise(series_and_curves):
     series, curves = series_and_curves
+    n = series.grid.n
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snapshots.csv"
         write_snapshots_csv(str(path), series, curves)
-        assert path.read_bytes() == _naive_snapshots_csv(series, curves).encode()
+        header, body = path.read_text().split("\n", 1)
+    assert header == "t,s,v1,v2,v3" + (",x1,x2,x3" if curves is not None else "")
+    lines = body.splitlines()
+    assert len(lines) == n * len(series.times)  # one block of n rows per snapshot
+    for m, t in enumerate(series.times):
+        assert all(line.startswith(str(float(t)) + ",") for line in lines[m * n : (m + 1) * n])
+    want = np.vstack(
+        [
+            np.column_stack(
+                [np.full(n, float(t)), series.grid.nodes(), snap.values]
+                + ([] if curves is None else [curves[m].positions])
+            )
+            for m, (t, snap) in enumerate(zip(series.times, series.snapshots))
+        ]
+    )
+    for got in _parsed_both_ways(body):
+        assert got.tobytes() == want.tobytes()  # the sign of zero included
 
 
-def test_rows_text_is_naive_repr_on_random_and_band_values():
-    # an orjson release that changed its digits or its layout would fail here
+def test_rows_text_reads_back_bitwise_on_random_and_band_values():
+    # an orjson release that printed digits that read back to another float would fail here
     rng = np.random.default_rng(20240607)
     bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
     signs = rng.choice([-1.0, 1.0], 100_000)
     small = signs * 10.0 ** rng.uniform(-9.0, -4.0, 100_000)  # repr writes 1e-05, orjson 0.00001
     large = signs * 10.0 ** rng.uniform(16.0, 308.25, 100_000)  # repr writes 1e+16, orjson 1e16
-    edges = np.array([1e-9, math.nextafter(1e-9, 0.0), 1e-4, math.nextafter(1e-4, 0.0), 1e16,
-                      math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), math.inf])
-    nan = np.full(100_000, np.nan)  # repr writes nan, orjson null
-    values = np.concatenate([bits[np.isfinite(bits)], small, large, edges, nan, -edges])
+    subnormal = signs * rng.integers(1, 2**52, 100_000, dtype=np.uint64).view(np.float64)
+    edges = np.array([0.0, 1e-9, math.nextafter(1e-9, 0.0), 1e-4, math.nextafter(1e-4, 0.0),
+                      1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+                      5e-324, math.nextafter(2.2250738585072014e-308, 0.0),
+                      2.2250738585072014e-308, 1.7976931348623157e308])
+    values = np.concatenate([bits[np.isfinite(bits)], small, large, subnormal, edges, -edges])
     values = np.concatenate([values, np.zeros(-len(values) % 8)]).reshape(-1, 8)
     rng.shuffle(values.reshape(-1))
-    want = "".join("7.5," + ",".join(map(repr, row)) + "\n" for row in values.tolist())
-    assert cli._rows_text(values, "7.5,") == want
+    text = cli._rows_text(values, "7.5,")
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert len(lines) == len(values)
+    assert all(line.startswith("7.5,") for line in lines)
+    for got in _parsed_both_ways(text):
+        assert got[:, 1:].tobytes() == values.tobytes()
+        assert got[:, 0].tobytes() == np.full(len(values), 7.5).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rows_text_refuses_a_non_finite_cell(bad):
+    # orjson would write it as null, which reads back as no number at all
+    values = np.ones((4, 3))
+    values[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cli._rows_text(values, "0.0,")
 
 
 _TELEMETRY_KEYS = ["step", "time", "norm_dev", "energy", "symmetry", "boundary"]
