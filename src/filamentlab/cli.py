@@ -32,7 +32,7 @@ from .errors import (
     UnknownFamily,
 )
 from .evolve import TELEMETRY_KEYS, SimConfig, solve_half_space, solve_whole_line
-from .geometry import MIN_NODES, Grid, VectorField
+from .geometry import HALF, MIN_NODES, PERIODIC, Grid, VectorField
 from .hasimoto import frenet, gauge_rate, hasimoto_psi, series_nls_residual
 from .reconstruct import integrate_tangent, reconstruct_positions
 from .reflect import derivative_jump_residual, extend
@@ -41,6 +41,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COMPAT = 2
 EXIT_NUMERICAL = 3
+
+#: The default grid of check and extend (--length, --n) and of simulate (grid.L, grid.n),
+#: and the rule by which ``cmd_diagnose`` picks its default --length.
+DEFAULT_LENGTH, DEFAULT_N = 20.0, 512
+_DIAGNOSE_LENGTH = "default: a ring's period, else 2 pi"
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +248,11 @@ def _build_cfg(conf: dict) -> SimConfig:
 def cmd_simulate(args) -> int:
     conf = parse_config(args.config)
     cfg = _build_cfg(conf)
-    kind = conf.get("grid.kind", "half")
-    if kind not in ("half", "periodic"):
-        raise ValueError(f"grid.kind must be half or periodic, got {kind!r}")
-    length = _read_key(conf, "grid.L", float, 20.0)
-    n = _read_key(conf, "grid.n", int, 512)
+    kind = conf.get("grid.kind", HALF)
+    if kind not in (HALF, PERIODIC):
+        raise ValueError(f"grid.kind must be {HALF} or {PERIODIC}, got {kind!r}")
+    length = _read_key(conf, "grid.L", float, DEFAULT_LENGTH)
+    n = _read_key(conf, "grid.n", int, DEFAULT_N)
     if "data.family" not in conf:
         raise ValueError("config key data.family is missing; it names the initial data")
     try:
@@ -255,15 +260,15 @@ def cmd_simulate(args) -> int:
     except UnknownFamily as exc:
         raise UnknownFamily(f"config key data.family: {exc}") from None
     try:
-        grid = Grid.half_line(length, n) if kind == "half" else Grid.periodic(length, n)
-        v0 = fam.sample(grid) if kind == "periodic" else None
+        grid = Grid(kind, length, n)
+        v0 = fam.sample(grid) if kind == PERIODIC else None
     except GridTooSmall as exc:
         raise GridTooSmall(f"config key grid.n: {exc}") from None
     except ValueError as exc:  # the grid's length rule, or a periodic family's period rule
         raise ValueError(f"config key grid.L: {exc}") from None
 
     start = time.perf_counter()
-    series = solve_half_space(fam, grid, cfg) if kind == "half" else solve_whole_line(v0, cfg)
+    series = solve_half_space(fam, grid, cfg) if kind == HALF else solve_whole_line(v0, cfg)
     wall = time.perf_counter() - start
     curves = None
     if args.reconstruct:
@@ -323,7 +328,12 @@ def cmd_diagnose(args) -> int:
     if length is None:
         length = fam.period() if fam.name == "ring" else 2.0 * np.pi
     grid = Grid.periodic(length, args.n)
-    series = solve_whole_line(fam.sample(grid), harness.nls_config(grid, args.t_final))
+    try:
+        v0 = fam.sample(grid)
+    except ValueError as exc:  # a periodic family's period rule
+        flag = "--length" if args.length is not None else f"--length ({_DIAGNOSE_LENGTH})"
+        raise ValueError(f"{flag}: {exc}") from None
+    series = solve_whole_line(v0, harness.nls_config(grid, args.t_final))
     f = frenet(series.final())
     psi = hasimoto_psi(f)
     masked = f.mask
@@ -360,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
         data = sp.add_mutually_exclusive_group(required=True)
         data.add_argument("--family", help="builtin family, e.g. planar_odd:a=0.5")
         data.add_argument("--input", help="sampled-data CSV (s,v1,v2,v3)")
-        sp.add_argument("--length", "-L", type=float, default=20.0)
-        sp.add_argument("--n", type=int, default=512)
+        sp.add_argument("--length", "-L", type=float, default=DEFAULT_LENGTH)
+        sp.add_argument("--n", type=int, default=DEFAULT_N)
 
     sp = sub.add_parser("check", help="compatibility conditions at s = 0")
     add_data_args(sp)
-    sp.add_argument("--order", type=int, default=1)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--order", type=int, default=SimConfig.check_order)
+    sp.add_argument("--tol", type=float, default=SimConfig.compat_tol)
     sp.add_argument("--strict", action="store_true")
     sp.add_argument("--out", help="write report JSON here")
     sp.set_defaults(fn=cmd_check)
@@ -395,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("diagnose", help="curvature/torsion/NLS diagnostics")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--length", "-L", type=float, help="default: a ring's period, else 2 pi")
+    sp.add_argument("--length", "-L", type=float, help=_DIAGNOSE_LENGTH)
     sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--t-final", type=float, dest="t_final", default=0.1)
     sp.set_defaults(fn=cmd_diagnose)

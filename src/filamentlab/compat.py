@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall, NotUnitField, OrderTooHigh, UnknownFamily
-from .geometry import E3, HALF, K_MAX, MIN_NODES, Grid, VectorField, cross, one_sided_deriv_at_zero
+from .geometry import E3, HALF, K_MAX, KINDS, MIN_NODES, PERIODIC, WHOLE, Grid, VectorField, cross, one_sided_deriv_at_zero
 
 #: Residual contraction required by the two-grid cross-check (order-2
 #: stencils contract by ~4; incompatible data contracts by ~1).
@@ -46,7 +46,7 @@ class TangentFamily:
     """
 
     #: grid kinds the family makes sense on
-    kinds = ("half", "whole", "periodic")
+    kinds = KINDS
 
     def __init__(self, name: str, params: dict):
         """Checks the rule all families share; subclasses call it before their own."""
@@ -72,7 +72,7 @@ class TangentFamily:
                 f"not on a {grid.kind} grid"
             )
         period = self.period()
-        if grid.kind == "periodic" and period is not None:
+        if grid.kind == PERIODIC and period is not None:
             turns = grid.length / period
             if turns >= grid.n / 2:  # period <= 2h: the nodes see an alias, not the family
                 raise GridTooSmall(
@@ -107,7 +107,7 @@ class _PlanarFamily(TangentFamily):
     definition's lambdified code, so samples keep its bits.
     """
 
-    kinds = ("half", "whole")
+    kinds = (HALF, WHOLE)
 
     def __init__(self, name, params, c1, c2):
         super().__init__(name, params)
@@ -131,7 +131,7 @@ class _PlanarFamily(TangentFamily):
 class HelixFamily(TangentFamily):
     """Rotating-wave tangent (a cos ks, a sin ks, c) with a^2 + c^2 = 1."""
 
-    kinds = ("periodic", "whole")
+    kinds = (PERIODIC, WHOLE)
 
     def __init__(self, a=0.6, c=0.8, k=2.0):
         super().__init__("helix", {"a": a, "c": c, "k": k})
@@ -159,7 +159,7 @@ class HelixFamily(TangentFamily):
 class RingFamily(TangentFamily):
     """Unit-speed circle tangent (-sin(s/r), cos(s/r), 0); period 2*pi*r."""
 
-    kinds = ("periodic",)
+    kinds = (PERIODIC,)
 
     def __init__(self, r=1.0):
         super().__init__("ring", {"r": r})
@@ -290,7 +290,7 @@ def decimated(v0: VectorField) -> VectorField:
     return VectorField(Grid.half_line(length, (grid.n + 1) // 2), v0.values[::2])
 
 
-def check_compat(v0: VectorField, n: int, tol: float = 1e-6) -> CompatibilityReport:
+def check_compat(v0: VectorField, n: int, tol: float) -> CompatibilityReport:
     """Compatibility report of the conditions up to order n.
 
     ``v0`` is half-line data.  Its residuals are cross-checked against those

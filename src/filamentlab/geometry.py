@@ -38,9 +38,8 @@ MIN_NODES = 8
 #: stable step never gets near it, so a norm below it means blowup.
 MIN_NORM = 0.5
 
-HALF = "half"
-WHOLE = "whole"
-PERIODIC = "periodic"
+#: The grid kinds; ``Grid.kind`` is one of them.
+KINDS = HALF, WHOLE, PERIODIC = ("half", "whole", "periodic")
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.kind not in (HALF, WHOLE, PERIODIC):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n < MIN_NODES:
             raise GridTooSmall(f"need at least {MIN_NODES} nodes, got {self.n}")

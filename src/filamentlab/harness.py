@@ -104,7 +104,7 @@ def ring_translation_error(n=256, t_final=0.5) -> dict:
 
 def stationary_line_error(n=128, t_final=0.1) -> dict:
     """Deviation of the straight-filament run from e3 (zero to roundoff)."""
-    cfg = SimConfig(t_final=t_final, check_order=1)
+    cfg = SimConfig(t_final=t_final)
     run = solve_half_space(get_family("straight"), Grid.half_line(HALF_LENGTH, n), cfg)
     worst = 0.0
     for snap in run.snapshots:

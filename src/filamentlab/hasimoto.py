@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import GridMismatch, InsufficientSnapshots, MaskFragmented
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, cumtrapz, deriv, row_norms, second_difference
+from .geometry import PERIODIC, Grid, VectorField, cross, cumtrapz, deriv, row_norms, second_difference
 
 #: Curvature floor; below it torsion and psi are masked out, not computed.
 EPS_KAPPA = 1e-6
@@ -97,7 +97,7 @@ def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tu
     raises MaskFragmented; a column with an empty mask gets the zero
     field and wrap phase 0.
     """
-    periodic = grid.kind == "periodic"
+    periodic = grid.kind == PERIODIC
     # one block is at most one rising edge per column; node 0 rises from node n - 1
     # on a periodic grid and from outside the grid otherwise
     first = mask[0] > mask[-1] if periodic else mask[0]
@@ -169,7 +169,7 @@ def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates
     # the psi_ss stencil must not read zeroed-out neighbors; a roll wraps
     # only into the end nodes, which a non-periodic grid drops anyway
     keep = keep & np.roll(keep, 1, axis=0) & np.roll(keep, -1, axis=0)
-    if grid.kind != "periodic":
+    if grid.kind != PERIODIC:
         keep[:2] = False
         keep[-2:] = False
     if not keep.any():
@@ -182,7 +182,7 @@ def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates
     res = np.subtract(psi[:, 2:], psi[:, :-2])
     res /= times[2:] - times[:-2]
     res /= 1j
-    if grid.kind != "periodic":
+    if grid.kind != PERIODIC:
         res -= deriv(mid, grid, 2)
     else:
         # psi is quasi-periodic: the wrapped neighbours twist by the wrap phase

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridNotSymmetric
-from .geometry import Grid, VectorField, one_sided_deriv_at_zero, row_norms
+from .geometry import HALF, WHOLE, Grid, VectorField, one_sided_deriv_at_zero, row_norms
 
 _BAR = np.array([1.0, 1.0, -1.0])
 _NEGBAR = np.array([-1.0, -1.0, 1.0])
@@ -29,7 +29,7 @@ def bar(w: np.ndarray) -> np.ndarray:
 
 def apply_T(field: VectorField) -> VectorField:
     """(T w)(s) = -bar(w(-s)) on a symmetric whole-line grid."""
-    if field.grid.kind != "whole":
+    if field.grid.kind != WHOLE:
         raise GridNotSymmetric("T needs a symmetric whole-line grid")
     return VectorField(field.grid, field.values[::-1] * _NEGBAR)
 
@@ -37,7 +37,7 @@ def apply_T(field: VectorField) -> VectorField:
 def extend(v0: VectorField) -> VectorField:
     """Mirror half-line data onto [-L, L]; restriction to s >= 0 is exact."""
     g = v0.grid
-    if g.kind != "half":
+    if g.kind != HALF:
         raise GridNotSymmetric("extend needs half-line input")
     whole = Grid.whole_line(g.length, 2 * g.n - 1)
     neg = (v0.values[1:] * _NEGBAR)[::-1]
@@ -47,7 +47,7 @@ def extend(v0: VectorField) -> VectorField:
 def restrict(whole: VectorField) -> VectorField:
     """Copy the s >= 0 nodes of a whole-line field onto a half-line grid."""
     g = whole.grid
-    if g.kind != "whole":
+    if g.kind != WHOLE:
         raise GridNotSymmetric("restrict needs whole-line input")
     c = g.center
     half = Grid.half_line(g.length, g.n - c)

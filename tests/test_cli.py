@@ -123,6 +123,21 @@ class TestCheck:
         assert exc.value.code == EXIT_OK
         assert "--family" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "family, strict",
+        [("planar_odd:a=0.5", ""), ("planar_bad:a=0.5", "check.strict = false\n"), ("straight", "")],
+    )
+    def test_defaults_judge_the_sample_simulate_gates(self, tmp_path, capsys, family, strict):
+        # at their defaults (grid length and nodes, gate order and tolerance) check
+        # and simulate must judge one sample: a default that drifts on one side splits them
+        report = tmp_path / "report.json"
+        assert main(["check", "--family", family, "--out", str(report)]) == EXIT_OK
+        config = tmp_path / "run.cfg"
+        config.write_text(f"data.family = {family}\n{strict}")
+        assert main(["simulate", str(config), "--out", str(tmp_path / "run")]) == EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert json.loads(report.read_text()) == summary["compat"]
+
     def test_report_json_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(
@@ -839,6 +854,8 @@ EXIT_ONE_INPUTS = {
     ),
     "helix-length-not-whole-periods": PERIODIC_CONFIG.replace(HELIX, "helix:k=1.5"),
     "diagnose-helix-off-its-period": ["diagnose", "--family", "helix:k=1.5", "--n", "128"],
+    # the message once named a length of 2 pi that the user never passed
+    "diagnose-helix-default-length": ["diagnose", "--family", "helix:k=0.5"],
     # diagnose once ignored --length for a ring
     "diagnose-ring-length": ["diagnose", "--family", "ring:r=0.5", "--length", "5"],
     # a period under 2 h once sampled aliased noise and exited 0 (energy drift 0.94)
@@ -850,6 +867,7 @@ RING_PERIOD = "family 'ring' has period 3.141592653589793"
 HELIX_PERIOD = "family 'helix' has period 4.1887902047863905"
 WHOLE_PERIODS = "a periodic grid must hold a whole number of periods, got length"
 POSITIVE_LENGTH = "grid length must be a finite number above 0, got"
+DIAGNOSE_DEFAULT_LENGTH = "--length (default: a ring's period, else 2 pi)"
 ALIASED_HELIX = (
     "family 'helix' has period 6.283185307179586e-300; a periodic grid of 64 nodes "
     "must hold fewer than 32 periods, got length 6.283185307179586"
@@ -865,8 +883,14 @@ EXIT_ONE_MESSAGES = {
     "helix-length-not-whole-periods": (
         f"config key grid.L: {HELIX_PERIOD}; {WHOLE_PERIODS} 6.283185307179586"
     ),
-    "diagnose-helix-off-its-period": f"{HELIX_PERIOD}; {WHOLE_PERIODS} 6.283185307179586",
-    "diagnose-ring-length": f"{RING_PERIOD}; {WHOLE_PERIODS} 5.0",
+    "diagnose-helix-off-its-period": (
+        f"{DIAGNOSE_DEFAULT_LENGTH}: {HELIX_PERIOD}; {WHOLE_PERIODS} 6.283185307179586"
+    ),
+    "diagnose-helix-default-length": (
+        f"{DIAGNOSE_DEFAULT_LENGTH}: family 'helix' has period 12.566370614359172; "
+        f"{WHOLE_PERIODS} 6.283185307179586"
+    ),
+    "diagnose-ring-length": f"--length: {RING_PERIOD}; {WHOLE_PERIODS} 5.0",
     "helix-period-under-2h": f"config key grid.n: {ALIASED_HELIX}",
     "diagnose-helix-period-under-2h": ALIASED_HELIX,
     "csv-not-uniform": "{nonuniform}: s must increase in equal steps",

@@ -28,8 +28,12 @@ from filamentlab.errors import (
     OrderTooHigh,
     UnknownFamily,
 )
+from filamentlab.evolve import SimConfig
 from filamentlab.geometry import Grid, VectorField
 from filamentlab.reflect import extend, restrict
+
+#: The gate's tolerance: the default of simulate's tolerances.compat and check's --tol.
+TOL = SimConfig.compat_tol
 
 
 class TestFamilies:
@@ -222,7 +226,7 @@ class TestCheckCompat:
     def test_straight_passes_exactly(self):
         g = Grid.half_line(10.0, 65)
         fam = get_family("straight")
-        report = check_compat(fam.sample(g.refined()), 2)
+        report = check_compat(fam.sample(g.refined()), 2, TOL)
         assert report.passed
         assert all(r == 0.0 for r in report.a_residuals)
         assert report.norm_residual == 0.0
@@ -232,7 +236,7 @@ class TestCheckCompat:
         g = Grid.half_line(10.0, 65)
         th = 0.1
         vals = np.tile([np.sin(th), 0.0, np.cos(th)], (65, 1))
-        report = check_compat(VectorField(g, vals), 0)
+        report = check_compat(VectorField(g, vals), 0, TOL)
         assert report.a_residuals[0] == pytest.approx(2.0 * math.sin(0.05), rel=1e-12)
         assert not report.passed
         assert report.failed_orders() == [0]
@@ -240,7 +244,7 @@ class TestCheckCompat:
     def test_planar_odd_passes_to_order_two(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g.refined()), 2)
+        report = check_compat(fam.sample(g.refined()), 2, TOL)
         assert report.refined
         assert report.passed
         assert report.failed_orders() == []
@@ -248,7 +252,7 @@ class TestCheckCompat:
     def test_planar_bad_fails_order_one(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g.refined()), 1)
+        report = check_compat(fam.sample(g.refined()), 1, TOL)
         assert not report.passed
         assert 1 in report.failed_orders()
         assert 0 not in report.failed_orders()
@@ -258,7 +262,7 @@ class TestCheckCompat:
     def test_planar_bad_residual_does_not_contract(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g.refined()), 1)
+        report = check_compat(fam.sample(g.refined()), 1, TOL)
         coarse = report.a_residuals_coarse[1]
         fine = report.a_residuals[1]
         assert fine > 0.8 * coarse  # converging to a nonzero constant
@@ -266,7 +270,7 @@ class TestCheckCompat:
     def test_planar_odd_residual_contracts(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
-        report = check_compat(fam.sample(g.refined()), 2)
+        report = check_compat(fam.sample(g.refined()), 2, TOL)
         for rc, rf in zip(report.a_residuals_coarse[1:], report.a_residuals[1:]):
             assert rf <= 0.35 * rc or rf <= report.tol
 
@@ -281,7 +285,7 @@ class TestCheckCompat:
     @example(0.5, 20.0, 65, 1)
     def test_report_holds_a_false_only_when_it_fails(self, a, length, n, order):
         report = check_compat(
-            get_family("planar_odd", a=a).sample(Grid.half_line(length, n).refined()), order
+            get_family("planar_odd", a=a).sample(Grid.half_line(length, n).refined()), order, TOL
         )
         assert ("false" in json.dumps(report.to_dict())) == (not report.passed)
 
@@ -299,8 +303,8 @@ class TestCheckCompat:
             ]
         )
         v_rot = VectorField(g, v0.values @ rot.T)
-        r0 = check_compat(v0, 2)
-        r1 = check_compat(v_rot, 2)
+        r0 = check_compat(v0, 2, TOL)
+        r1 = check_compat(v_rot, 2, TOL)
         assert np.allclose(r0.a_residuals, r1.a_residuals, atol=1e-12)
 
     def test_extension_round_trip_preserves_report(self):
@@ -308,15 +312,15 @@ class TestCheckCompat:
         g = Grid.half_line(20.0, 129)
         v0 = fam.sample(g)
         back = restrict(extend(v0))
-        r0 = check_compat(v0, 2)
-        r1 = check_compat(back, 2)
+        r0 = check_compat(v0, 2, TOL)
+        r1 = check_compat(back, 2, TOL)
         assert r0.a_residuals == r1.a_residuals
 
     @pytest.mark.parametrize("n", [14, 15, 16, 17])
     def test_cross_check_against_decimation_from_15_nodes(self, n):
         # every other node from s = 0, an even count losing its last: a grid from n = 15
         v0 = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, n))
-        assert check_compat(v0, 1).refined == (n >= 15)
+        assert check_compat(v0, 1, TOL).refined == (n >= 15)
         if n >= 15:
             coarse = decimated(v0)
             assert coarse.grid.n == (n + 1) // 2
@@ -327,23 +331,23 @@ class TestCheckCompat:
     def test_half_line_data_only(self, grid):
         # the decimation keeps s = 0 only on a half line
         with pytest.raises(GridMismatch, match=f"half-line data, not on a {grid.kind} grid"):
-            check_compat(get_family("straight").sample(grid), 1)
+            check_compat(get_family("straight").sample(grid), 1, TOL)
 
     def test_order_too_high(self):
         g = Grid.half_line(10.0, 65)
         with pytest.raises(OrderTooHigh):
-            check_compat(get_family("straight").sample(g), 3)
+            check_compat(get_family("straight").sample(g), 3, TOL)
 
     def test_non_unit_field_rejected(self):
         g = Grid.half_line(10.0, 65)
         vals = np.tile([0.0, 0.0, 1.3], (65, 1))
         with pytest.raises(NotUnitField):
-            check_compat(VectorField(g, vals), 1)
+            check_compat(VectorField(g, vals), 1, TOL)
 
     def test_report_dict_round_trips_through_json(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 129)
-        report = check_compat(fam.sample(g.refined()), 1)
+        report = check_compat(fam.sample(g.refined()), 1, TOL)
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert json.loads(blob)["passed"] is True
 
@@ -371,9 +375,10 @@ def test_cold_start_does_not_import_sympy():
         "import sys\n"
         "import filamentlab\n"
         "grid = filamentlab.Grid.half_line(20.0, 129)\n"
+        "tol = filamentlab.SimConfig.compat_tol\n"
         "for name in ('planar_odd', 'planar_bad'):\n"
         "    fam = filamentlab.get_family(name, a=0.5)\n"
-        "    filamentlab.check_compat(fam.sample(grid.refined()), 2)\n"
+        "    filamentlab.check_compat(fam.sample(grid.refined()), 2, tol)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy')[:5])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(filamentlab.__file__)))

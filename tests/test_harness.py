@@ -10,7 +10,7 @@ from filamentlab import evolve, reflect
 from filamentlab.compat import HelixFamily, get_family
 from filamentlab.errors import UnknownOracle
 from filamentlab.evolve import SimConfig, solve_half_space, solve_whole_line
-from filamentlab.geometry import Grid, VectorField
+from filamentlab.geometry import E3, Grid, VectorField
 from filamentlab.harness import (
     ENERGY_DRIFT_TOL,
     RunSummary,
@@ -82,6 +82,57 @@ class TestConvergence:
         e1 = helix_solution_error(48)
         e2 = helix_solution_error(96)
         assert e2 < 0.35 * e1
+
+
+class TestHalfLineClosedForm:
+    """The small-amplitude wave packet: an exact half-line oracle for the whole pipeline.
+
+    Write v = (w1, w2, 1) + O(|w|^2) with w = w1 + i w2; then v_t = v x v_ss is
+    w_t = i w_ss + O(|w|^3).  planar_odd:a has w(s, 0) = a s exp(-s^2), which is
+    odd, so its odd extension is the paper's reflection and the free evolution
+    w(s, t) = a s (1 + 4it)^(-3/2) exp(-s^2 / (1 + 4it)) solves the half-line
+    problem up to O(a^3).  Its foot point on the wall moves to
+    x1 + i x2 = (a/2) (1 - (1 + 4it)^(-1/2)), with x3(0, t) = 0.
+    """
+
+    A = 1e-3
+    LEVELS = (129, 257, 513)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # half line, L = 20, RK4 at its default step, t = 1
+        family = get_family("planar_odd", a=self.A)
+        return [
+            solve_half_space(family, Grid.half_line(20.0, n), SimConfig(t_final=1.0))
+            for n in self.LEVELS
+        ]
+
+    def _error(self, run) -> float:
+        """max over nodes of |(v1, v2) - (Re w, Im w)| at the run's last time."""
+        s, z = run.grid.nodes(), 1.0 + 4.0j * run.times[-1]
+        w = self.A * s * z**-1.5 * np.exp(-(s**2) / z)
+        v = run.final().values
+        return float(np.max(np.hypot(v[:, 0] - w.real, v[:, 1] - w.imag)))
+
+    def test_second_order_against_the_closed_form(self, runs):
+        # measured 1.273e-5, 3.151e-6 and 7.853e-7: order 2.010
+        errors = [self._error(run) for run in runs]
+        assert 1.8 <= fit_order([run.grid.h for run in runs], errors) <= 2.5
+        assert errors[-1] < 1e-6
+
+    def test_wall_holds_bitwise_on_every_snapshot(self, runs):
+        for run in runs:
+            assert run.times[-1] == 1.0
+            for snap in run.snapshots:
+                assert snap.values[0].tobytes() == E3.tobytes()
+
+    def test_foot_point_on_the_wall(self, runs):
+        run = runs[-1]
+        curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
+        exact = self.A / 2.0 * (1.0 - (1.0 + 4.0j) ** -0.5)
+        x1, x2, _ = curves[-1].positions[0]
+        assert abs(complex(x1, x2) - exact) <= 5e-3 * abs(exact)  # measured 0.19 %
+        assert all(curve.positions[0, 2] == 0.0 for curve in curves)
 
 
 def test_extension_jump_study_separates_families():
