@@ -18,9 +18,9 @@ from .geometry import (
     normalize_field,
     one_sided_deriv_at_zero,
 )
-from .hasimoto import frenet, hasimoto_psi, nls_residual
+from .hasimoto import frenet, hasimoto_psi
 from .reconstruct import FilamentCurve, integrate_tangent, reconstruct_positions
-from .reflect import apply_T, bar, derivative_jump_residual, extend, restrict, symmetry_residual
+from .reflect import apply_T, derivative_jump_residual, extend, restrict, symmetry_residual
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "TimeSeries",
     "VectorField",
     "apply_T",
-    "bar",
     "check_compat",
     "cross",
     "deriv",
@@ -43,7 +42,6 @@ __all__ = [
     "get_family",
     "hasimoto_psi",
     "integrate_tangent",
-    "nls_residual",
     "normalize_field",
     "one_sided_deriv_at_zero",
     "reconstruct_positions",

@@ -14,6 +14,7 @@ import os
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import orjson
@@ -26,6 +27,7 @@ from .errors import (
     FarFieldViolation,
     FilamentError,
     FixedPointDiverged,
+    GridMismatch,
     GridTooSmall,
     NonFiniteState,
     StabilityViolated,
@@ -158,11 +160,27 @@ def parse_config(path: str) -> dict:
 # commands
 
 
+@contextmanager
+def _naming(options: dict):
+    """Raise an error again, as the same type, led by the option that answers for it.
+
+    ``options`` maps option names to error types; the first name whose type the
+    error has leads it, and other errors pass as they are.
+    """
+    try:
+        yield
+    except tuple(options.values()) as exc:
+        name = next(name for name, error in options.items() if isinstance(exc, error))
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 def _input_field(args, refined: bool):
     """The half-line field of --input, or of --family at spacing h (at h/2 when ``refined``)."""
     if args.family is not None:
-        grid = Grid.half_line(args.length, args.n)
-        return parse_family_spec(args.family).sample(grid.refined() if refined else grid)
+        fam = parse_family_spec(args.family)
+        with _naming({"--family": GridMismatch, "--n": GridTooSmall, "--length": ValueError}):
+            grid = Grid.half_line(args.length, args.n)
+            return fam.sample(grid.refined() if refined else grid)
     return read_field_csv(args.input)
 
 
@@ -255,17 +273,11 @@ def cmd_simulate(args) -> int:
     n = _read_key(conf, "grid.n", int, DEFAULT_N)
     if "data.family" not in conf:
         raise ValueError("config key data.family is missing; it names the initial data")
-    try:
+    with _naming({"config key data.family": UnknownFamily}):
         fam = parse_family_spec(conf["data.family"])
-    except UnknownFamily as exc:
-        raise UnknownFamily(f"config key data.family: {exc}") from None
-    try:
+    with _naming({"config key grid.n": GridTooSmall, "config key grid.L": ValueError}):
         grid = Grid(kind, length, n)
         v0 = fam.sample(grid) if kind == PERIODIC else None
-    except GridTooSmall as exc:
-        raise GridTooSmall(f"config key grid.n: {exc}") from None
-    except ValueError as exc:  # the grid's length rule, or a periodic family's period rule
-        raise ValueError(f"config key grid.L: {exc}") from None
 
     start = time.perf_counter()
     series = solve_half_space(fam, grid, cfg) if kind == HALF else solve_whole_line(v0, cfg)
@@ -327,13 +339,13 @@ def cmd_diagnose(args) -> int:
     length = args.length
     if length is None:
         length = fam.period() if fam.name == "ring" else 2.0 * np.pi
-    grid = Grid.periodic(length, args.n)
-    try:
+    flag = "--length" if args.length is not None else f"--length ({_DIAGNOSE_LENGTH})"
+    with _naming({"--family": GridMismatch, "--n": GridTooSmall, flag: ValueError}):
+        grid = Grid.periodic(length, args.n)
         v0 = fam.sample(grid)
-    except ValueError as exc:  # a periodic family's period rule
-        flag = "--length" if args.length is not None else f"--length ({_DIAGNOSE_LENGTH})"
-        raise ValueError(f"{flag}: {exc}") from None
-    series = solve_whole_line(v0, harness.nls_config(grid, args.t_final))
+    with _naming({"--t-final": ValueError}):
+        cfg = harness.nls_config(grid, args.t_final)
+    series = solve_whole_line(v0, cfg)
     f = frenet(series.final())
     psi = hasimoto_psi(f)
     masked = f.mask

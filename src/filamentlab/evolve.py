@@ -3,13 +3,14 @@
 Both schemes work in grid units: ``rhs`` is h^2 v x v_ss, and a step of
 length dt advances by lambda = dt/h^2 in those units, its one parameter.
 The solve carries the state from step to step as a plain (n, 3) array:
-a step takes and returns one, and the solve checks each result for
-finiteness once and builds a ``VectorField`` only for a snapshot, a
-telemetry row or the final state.  Two schemes:
+a step takes and returns one, and the solve builds a ``VectorField`` only
+for a snapshot, a telemetry row or the final state.  Each scheme checks
+its own values for finiteness, and raises ``NonFiniteState``.  Two schemes:
 
 ``rk4_project``
     Classical four-stage explicit step followed by pointwise projection
-    back to the unit sphere.  Default; norm exact to roundoff.
+    back to the unit sphere.  Default; norm exact to roundoff.  The
+    projection, ``normalize_field``, checks the row norms for finiteness.
 
 ``midpoint_fixedpoint``
     Implicit midpoint solved by fixed-point iteration on the midpoint
@@ -28,7 +29,9 @@ telemetry row or the final state.  Two schemes:
     theta = 4 lambda per step, and an extrapolation of order P scales a
     mode's start error by |1 - e^{-i theta}|^P, which is at most 1
     exactly when theta <= pi/3, that is lambda <= pi/12.  Above that
-    bound, and on the first two steps, the start is f(v).
+    bound, and on the first two steps, the start is f(v).  The iteration
+    checks each change of its iterate for finiteness, so a converged step
+    is finite.
 
 The half-space solve gates the data through the compatibility check and
 evolves the s >= 0 nodes only.  The node at s = -h of the reflected
@@ -206,10 +209,10 @@ def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
     mapped to -bar is -bar of their cross product, sign for sign.
 
     ``values`` is unchecked: the state, RK4's stage inputs and the midpoint
-    iterates all reach it as plain arrays, and the solve checks only each
-    step's result for finiteness.  ``u`` supplies only the grid: the steps
-    pass the run's initial field.  It stays the first argument because
-    perfbench counts a call's nodes from ``args[0].grid.n``.
+    iterates all reach it as plain arrays, and only the midpoint iteration
+    and RK4's projection check values for finiteness.  ``u`` supplies only
+    the grid: the steps pass the run's initial field.  It stays the first
+    argument because perfbench counts a call's nodes from ``args[0].grid.n``.
 
     One padded stencil for every grid kind: a periodic grid pads with the
     wrapped rows; a half-line grid pads s = 0 with the mirror ghost
@@ -345,9 +348,11 @@ def _step_midpoint(
 def step(u: VectorField, v: np.ndarray, dt: float, cfg: SimConfig, log: StepLog) -> np.ndarray:
     """One step of the (n, 3) state ``v`` on ``u``'s grid under the configured scheme.
 
-    Returns the step's (n, 3) result, a new array, unprojected and
-    unchecked: the solve makes the one finiteness check.  The step is
-    logged in ``log``.
+    Returns the step's (n, 3) result, a new array, unprojected.  A midpoint
+    step raises ``NonFiniteState`` on a non-finite iterate or candidate, so
+    what it returns is finite; an RK4 result is checked by the solve's
+    projection, ``normalize_field``, which raises ``NonFiniteState`` on a
+    non-finite row norm.  The step is logged in ``log``.
     """
     if cfg.scheme == RK4_PROJECT:
         return _step_rk4(u, v, dt, log)
@@ -405,14 +410,13 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     ``rhs``); its result is the s >= 0 part of the whole-line solve of the
     extended data, bit for bit.
 
-    The state between steps is a plain (n, 3) array; a step's result gets
-    one finiteness check, before the projection, and a ``VectorField`` is
-    built only where the state is kept or measured: at a snapshot or a
+    The state between steps is a plain (n, 3) array, and a ``VectorField``
+    is built only where the state is kept or measured: at a snapshot or a
     telemetry row, one field for both on the same step, the last step
     among them.  A ``DegenerateVector``, ``FixedPointDiverged`` or
-    ``NonFiniteState`` raised by a step or by that check is raised again,
-    as the same type, with the step and the time it started from in its
-    message.
+    ``NonFiniteState`` raised by a step or by RK4's projection is raised
+    again, as the same type, with the step and the time it started from
+    in its message.
     """
     if u0.unit_deviation() > 1e-6:
         raise NotUnitField("initial data must be unit length (within 1e-6)")
@@ -429,8 +433,6 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
         dt_k = dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt
         try:
             v = step(u0, v, dt_k, cfg, log)
-            if not np.isfinite(v).all():
-                raise NonFiniteState("field values must be finite")
             if cfg.scheme == RK4_PROJECT:
                 v = normalize_field(v)
         except (DegenerateVector, FixedPointDiverged, NonFiniteState) as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, GridMismatch, GridTooSmall, OrderTooHigh
+from .errors import DegenerateVector, GridMismatch, GridTooSmall, NonFiniteState, OrderTooHigh
 
 #: Unit vector normal to the wall; the boundary value of the tangent field.
 E3 = np.array([0.0, 0.0, 1.0])
@@ -277,9 +277,13 @@ def one_sided_deriv_at_zero(
 def normalize_field(values: np.ndarray) -> np.ndarray:
     """Rescale every row of the (n, 3) array ``values`` to unit length.  Idempotent.
 
-    Returns a new array.  Raises DegenerateVector if any row norm falls below MIN_NORM.
+    Returns a new array.  Raises NonFiniteState if any row norm is not finite
+    (a NaN or infinite entry, or a square that overflows), and else
+    DegenerateVector if any falls below MIN_NORM.
     """
     norms = row_norms(values)
+    if not np.isfinite(norms).all():
+        raise NonFiniteState("field values must be finite")
     if norms.min() < MIN_NORM:
         raise DegenerateVector(
             f"sample norm {norms.min():.3g} below {MIN_NORM}; refusing to rescale"

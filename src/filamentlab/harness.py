@@ -164,10 +164,10 @@ def convergence_study(case: str, levels) -> ConvergenceResult:
     if len(set(levels)) < 3:
         raise ValueError(f"need at least 3 distinct levels for an order fit, got {list(levels)}")
     if case == "helix":
-        hs = [2.0 * np.pi / n for n in levels]
+        hs = [Grid.periodic(2.0 * np.pi, n).h for n in levels]
         errors = [helix_solution_error(n) for n in levels]
     elif case == "stationary":
-        hs = [HALF_LENGTH / (n - 1) for n in levels]
+        hs = [Grid.half_line(HALF_LENGTH, n).h for n in levels]
         errors = [stationary_line_error(n)["max_deviation"] for n in levels]
     elif case == "nls":
         grids = [Grid.periodic(2.0 * np.pi, n) for n in levels]
@@ -186,8 +186,9 @@ def extension_jump_study(family, levels) -> dict:
     order ~2; incompatible data converges to the true jump (order ~0).
     """
     out = {}
-    hs = [HALF_LENGTH / (n - 1) for n in levels]
-    exts = [extend(family.sample(Grid.half_line(HALF_LENGTH, n))) for n in levels]
+    grids = [Grid.half_line(HALF_LENGTH, n) for n in levels]
+    hs = [g.h for g in grids]
+    exts = [extend(family.sample(g)) for g in grids]
     for k in (1, 2, 3):
         errors = [derivative_jump_residual(ext, k) for ext in exts]
         out[k] = ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))

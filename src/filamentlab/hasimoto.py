@@ -152,19 +152,13 @@ def gauge_rate(f: FrenetData) -> float:
     return _gauge_rates(f.kappa[:, None], f.tau[:, None], f.mask[:, None], f.grid)[0]
 
 
-def _series_grid(items) -> Grid:
-    """The grid every snapshot of ``items`` shares; three at least."""
-    if len(items) < 3:
-        raise InsufficientSnapshots("need >= 3 snapshots for a centered psi_t")
-    grid = items[0].grid
-    for item in items:
-        if item.grid != grid:
-            raise GridMismatch("snapshots live on different grids")
-    return grid
-
-
 def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates) -> float:
-    """Max NLS residual over the interior columns of (n, m) stacked psi."""
+    """Max NLS residual over the interior columns of (n, m) stacked psi.
+
+    psi_t is the centered difference across each snapshot triple; ``wraps``
+    and ``rates`` hold each snapshot's wrap phase and R(t).  The two edge
+    nodes at each end of a non-periodic grid are excluded.
+    """
     keep = mask[:, :-2] & mask[:, 1:-1] & mask[:, 2:]
     # the psi_ss stencil must not read zeroed-out neighbors; a roll wraps
     # only into the end nodes, which a non-periodic grid drops anyway
@@ -200,27 +194,13 @@ def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates
     return float(np.max(np.abs(res), where=keep, initial=0.0))
 
 
-def nls_residual(psis: list, times: list, rates: list) -> float:
-    """Max residual of the cubic Schroedinger identity over the run.
-
-    Time derivative by centered differences across consecutive snapshot
-    triples; needs at least three.  ``rates`` carries R(t) per snapshot.
-    The two edge nodes at each end of a non-periodic grid are excluded.
-    """
-    if not len(psis) == len(times) == len(rates):
-        raise ValueError(
-            f"{len(psis)} snapshots, {len(times)} times and {len(rates)} rates: need one of each per snapshot"
-        )
-    grid = _series_grid(psis)
-    psi = np.stack([p.psi for p in psis], axis=1)
-    mask = np.stack([p.mask for p in psis], axis=1)
-    wraps = [p.wrap_phase for p in psis]
-    return _residual(grid, psi, mask, wraps, times, rates)
-
-
 def series_nls_residual(series: TimeSeries) -> float:
     """Frenet + transform + residual for a trajectory, all snapshots at once."""
-    grid = _series_grid(series.snapshots)
+    if len(series.snapshots) < 3:
+        raise InsufficientSnapshots("need >= 3 snapshots for a centered psi_t")
+    grid = series.snapshots[0].grid
+    if any(snap.grid != grid for snap in series.snapshots):
+        raise GridMismatch("snapshots live on different grids")
     kappa, tau, mask = _frenet(np.stack([s.values for s in series.snapshots], axis=1), grid)
     psi, wraps = _psi(kappa, tau, mask, grid)
     rates = _gauge_rates(kappa, tau, mask, grid)

@@ -1,4 +1,4 @@
-"""Reflection machinery: bar conjugation, the involution T, and extension.
+"""Reflection machinery: the involution T, extension and restriction.
 
 Half-line data v0 is extended to the whole line by mirroring through the
 wall with the sign pattern (-1, -1, +1):
@@ -18,13 +18,8 @@ import numpy as np
 from .errors import GridNotSymmetric
 from .geometry import HALF, WHOLE, Grid, VectorField, one_sided_deriv_at_zero, row_norms
 
-_BAR = np.array([1.0, 1.0, -1.0])
+#: The sign pattern of -bar: w * _NEGBAR is -bar(w), row by row.
 _NEGBAR = np.array([-1.0, -1.0, 1.0])
-
-
-def bar(w: np.ndarray) -> np.ndarray:
-    """(w1, w2, -w3); elementwise over trailing axis 3."""
-    return np.asarray(w) * _BAR
 
 
 def apply_T(field: VectorField) -> VectorField:

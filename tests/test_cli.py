@@ -22,7 +22,7 @@ from filamentlab.cli import (
     write_field_csv,
 )
 from filamentlab.compat import get_family, parse_family_spec
-from filamentlab.evolve import SimConfig, TimeSeries, solve_half_space
+from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, solve_half_space
 from filamentlab.geometry import E3, Grid, VectorField
 from filamentlab.reconstruct import FilamentCurve, integrate_tangent, reconstruct_positions
 from filamentlab.harness import RunSummary
@@ -487,6 +487,47 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "scheme, bad_call, message",
+        [
+            (RK4_PROJECT, 2, "at step 3 of 7, t = 0.0976562"),
+            (MIDPOINT_FIXEDPOINT, 2, "at step 3 of 13, t = 0.0488281"),
+        ],
+        ids=["rk4_second_stage", "midpoint_second_iterate"],
+    )
+    def test_non_finite_value_in_a_step_exits_three(
+        self, tmp_path, capsys, monkeypatch, scheme, bad_call, message, bad
+    ):
+        # the value lands in rhs call bad_call of step 3: RK4's second stage, or the
+        # midpoint's second iterate.  No finiteness pass follows the step: RK4's
+        # projection and the midpoint iteration must each raise NonFiniteState
+        steps, calls = [0], [0]
+
+        def counted_step(*args, _step=evolve.step):
+            steps[0] += 1
+            calls[0] = 0
+            return _step(*args)
+
+        def bad_rhs(u, values, _rhs=evolve.rhs):
+            calls[0] += 1
+            out = _rhs(u, values)
+            if steps[0] == 3 and calls[0] == bad_call:
+                out[3, 1] = bad
+            return out
+
+        monkeypatch.setattr(evolve, "step", counted_step)
+        monkeypatch.setattr(evolve, "rhs", bad_rhs)
+        text = NAN_RUN_CONFIG + f"scheme = {scheme}\n"
+        if scheme == MIDPOINT_FIXEDPOINT:  # 0.5 h^2 is above the midpoint cap; take its default
+            text = text.replace("time.dt = 0.048828125\n", "")
+        cfg, out = self._write_config(tmp_path, text), tmp_path / "out"
+        with np.errstate(invalid="ignore"):  # inf - inf in the cross products of an inf
+            assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: field values must be finite {message}\n"
+        assert (steps[0], calls[0]) == (3, 4 if scheme == RK4_PROJECT else bad_call)
+        assert not out.exists()
+
     def test_run_ends_on_a_positive_step(self, tmp_path):
         # t_final / dt = 17850.000000000004 passed the 1e-12 slack of the step
         # count: the run took a 17851st step of length 0, recorded t_final twice
@@ -861,6 +902,12 @@ EXIT_ONE_INPUTS = {
     # a period under 2 h once sampled aliased noise and exited 0 (energy drift 0.94)
     "helix-period-under-2h": PERIODIC_CONFIG.replace(HELIX, "helix:k=1e300"),
     "diagnose-helix-period-under-2h": ["diagnose", "--family", "helix:k=1e300", "--n", "64"],
+    # these once named no option, unlike simulate's grid.n and grid.L
+    "extend-n-too-small": ["extend", "--family", "planar_odd:a=0.5", "--n", "4"],
+    "diagnose-n-too-small": ["diagnose", "--family", "helix", "--n", "4"],
+    "diagnose-family-off-its-grid-kind": ["diagnose", "--family", "planar_odd"],
+    "check-family-off-its-grid-kind": ["check", "--family", "helix"],
+    "diagnose-t-final-zero": ["diagnose", "--family", "helix", "--t-final", "0"],
 }
 
 RING_PERIOD = "family 'ring' has period 3.141592653589793"
@@ -878,7 +925,7 @@ EXIT_ONE_MESSAGES = {
     "grid-L-inf": f"config key grid.L: {POSITIVE_LENGTH} inf",
     "grid-L-nan": f"config key grid.L: {POSITIVE_LENGTH} nan",
     "grid-L-inf-periodic": f"config key grid.L: {POSITIVE_LENGTH} inf",
-    "check-length-inf": f"{POSITIVE_LENGTH} inf",
+    "check-length-inf": f"--length: {POSITIVE_LENGTH} inf",
     "ring-length-not-whole-periods": f"config key grid.L: {RING_PERIOD}; {WHOLE_PERIODS} 3.0",
     "helix-length-not-whole-periods": (
         f"config key grid.L: {HELIX_PERIOD}; {WHOLE_PERIODS} 6.283185307179586"
@@ -892,7 +939,16 @@ EXIT_ONE_MESSAGES = {
     ),
     "diagnose-ring-length": f"--length: {RING_PERIOD}; {WHOLE_PERIODS} 5.0",
     "helix-period-under-2h": f"config key grid.n: {ALIASED_HELIX}",
-    "diagnose-helix-period-under-2h": ALIASED_HELIX,
+    "diagnose-helix-period-under-2h": f"--n: {ALIASED_HELIX}",
+    "extend-n-too-small": "--n: need at least 8 nodes, got 4",
+    "diagnose-n-too-small": "--n: need at least 8 nodes, got 4",
+    "diagnose-family-off-its-grid-kind": (
+        "--family: family 'planar_odd' is defined on half/whole grids, not on a periodic grid"
+    ),
+    "check-family-off-its-grid-kind": (
+        "--family: family 'helix' is defined on periodic/whole grids, not on a half grid"
+    ),
+    "diagnose-t-final-zero": "--t-final: t_final must be a finite number above 0, got 0.0",
     "csv-not-uniform": "{nonuniform}: s must increase in equal steps",
     "csv-not-at-zero": "{shifted}: s runs 5..12, not a half grid",
     "csv-not-finite": "{nonfinite}: line 2, column 3 is not a finite number",

@@ -271,9 +271,9 @@ class TestStep:
     )
     def test_non_finite_value_fails_its_step(self, monkeypatch, scheme, bad_call):
         # rhs call bad_call returns NaN: the last RK4 stage, or the first
-        # midpoint iterate after the rhs(u, v) start.  The solve's one check
-        # of the step's result, or the midpoint iteration's own, raises and
-        # names step 1, with no rhs call after the bad value.
+        # midpoint iterate after the rhs(u, v) start.  RK4's projection, or
+        # the midpoint iteration, raises and names step 1, with no rhs call
+        # after the bad value.
         calls = [0]
 
         def nan_rhs(u, values, _rhs=evolve.rhs):

@@ -187,7 +187,7 @@ class TestInvariantSuite:
     )
     def test_energy_drift_gates_midpoint_only(self, monkeypatch, scheme, gated):
         # mutation: close s = 0 with bar(v(h)); E drifts about 0.8 under either scheme
-        monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
+        monkeypatch.setattr(evolve, "_NEGBAR", -reflect._NEGBAR)
         fam = get_family("planar_odd", a=0.5)
         cfg = SimConfig(t_final=0.05, scheme=scheme, monitor_every=5)
         run = solve_half_space(fam, Grid.half_line(20.0, 65), cfg)

@@ -50,7 +50,7 @@ from filamentlab.cli import (
     write_telemetry_csv,
 )
 from filamentlab.compat import get_family
-from filamentlab.errors import DegenerateVector
+from filamentlab.errors import DegenerateVector, NonFiniteState
 from filamentlab.evolve import (
     MIDPOINT_FIXEDPOINT,
     RK4_PROJECT,
@@ -346,7 +346,7 @@ def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
 
 def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     # mutation: close s = 0 with bar(v(h)) instead of -bar(v(h))
-    monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
+    monkeypatch.setattr(evolve, "_NEGBAR", -reflect._NEGBAR)
     fam = get_family("planar_odd", a=0.5)
     cfg = SimConfig(t_final=0.05, monitor_every=5)
     run = evolve.solve_half_space(fam, Grid.half_line(20.0, 65), cfg)
@@ -357,7 +357,7 @@ def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
 
 def test_wrong_ghost_under_midpoint_exits_three(monkeypatch, tmp_path, capsys):
     # the same mutation under midpoint, where the energy verdict gates the exit code
-    monkeypatch.setattr(evolve, "_NEGBAR", reflect._BAR)
+    monkeypatch.setattr(evolve, "_NEGBAR", -reflect._NEGBAR)
     config = tmp_path / "run.cfg"
     config.write_text(
         "grid.kind = half\ngrid.L = 20.0\ngrid.n = 65\n"
@@ -653,6 +653,25 @@ def test_norms_are_numpy_sum_bitwise(n, data):
         assert row_norms(v).tobytes() == want.tobytes()
         assert row_norms(stacked).tobytes() == np.sqrt(np.sum(stacked * stacked, axis=-1)).tobytes()
     assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(8, 40), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_normalize_raises_on_one_non_finite_entry(n, data, bad):
+    # the solve has no finiteness pass of its own: an RK4 result is checked here
+    v = data.draw(arrays(np.float64, (n, 3), elements=st.one_of(_mixed_magnitude, _unit_interval)))
+    norms = np.sqrt(np.sum(v * v, axis=1))
+    try:
+        out = normalize_field(v)
+    except DegenerateVector:
+        assert np.any(norms < MIN_NORM)
+    else:  # the bits of v / |v| from row norms in numpy's sum order
+        assert not np.any(norms < MIN_NORM)
+        assert out.tobytes() == (v / norms[:, None]).tobytes()
+    # finiteness comes first: a degenerate row elsewhere does not turn it into DegenerateVector
+    v[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))] = bad
+    with pytest.raises(NonFiniteState, match="^field values must be finite$"):
+        normalize_field(v)
 
 
 @PROPERTY_SETTINGS

@@ -5,10 +5,10 @@ import pytest
 
 from filamentlab.compat import get_family
 from filamentlab.errors import GridNotSymmetric
-from filamentlab.geometry import E3, Grid, VectorField
+from filamentlab.geometry import E3, Grid, VectorField, row_norms
 from filamentlab.reflect import (
+    _NEGBAR,
     apply_T,
-    bar,
     derivative_jump_residual,
     extend,
     restrict,
@@ -17,20 +17,22 @@ from filamentlab.reflect import (
 
 
 class TestBar:
+    """bar(w) = (w1, w2, -w3), as the sign pattern ``_NEGBAR`` of -bar carries it."""
+
     def test_flips_third_component(self):
-        assert np.array_equal(bar([1.0, 2.0, 3.0]), [1.0, 2.0, -3.0])
+        assert np.array_equal(-(np.array([1.0, 2.0, 3.0]) * _NEGBAR), [1.0, 2.0, -3.0])
 
     def test_involution(self):
         rng = np.random.default_rng(2)
         w = rng.normal(size=(20, 3))
-        assert np.array_equal(bar(bar(w)), w)
+        assert np.array_equal(w * _NEGBAR * _NEGBAR, w)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(4)
-        w = rng.normal(size=(20, 3))
-        assert np.allclose(
-            np.linalg.norm(bar(w), axis=1), np.linalg.norm(w, axis=1)
-        )
+        u = VectorField(Grid.whole_line(3.0, 21), rng.normal(size=(21, 3)))
+        # bitwise: a sign flip leaves every square as it was
+        assert np.array_equal(row_norms(u.values * _NEGBAR), u.norms())
+        assert np.array_equal(apply_T(u).norms(), u.norms()[::-1])
 
 
 class TestApplyT:
