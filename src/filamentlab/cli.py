@@ -164,14 +164,16 @@ def parse_config(path: str) -> dict:
 def _naming(options: dict):
     """Raise an error again, as the same type, led by the option that answers for it.
 
-    ``options`` maps option names to error types; the first name whose type the
-    error has leads it, and other errors pass as they are.
+    ``options`` maps option names to error types, each a type or a tuple of types;
+    the first name whose type the error has leads it, and other errors pass as they are.
     """
     try:
         yield
-    except tuple(options.values()) as exc:
-        name = next(name for name, error in options.items() if isinstance(exc, error))
-        raise type(exc)(f"{name}: {exc}") from None
+    except Exception as exc:
+        for name, error in options.items():
+            if isinstance(exc, error):
+                raise type(exc)(f"{name}: {exc}") from None
+        raise
 
 
 def _input_field(args, refined: bool):
@@ -304,10 +306,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # checked before the run, so that no error of the run names an option
     kw = {}
     if args.n is not None:
+        with _naming({"--n": GridTooSmall}):
+            Grid.periodic(2.0 * np.pi, args.n)
         kw["n"] = args.n
     if args.t_final is not None:
+        with _naming({"--t-final": ValueError}):
+            SimConfig(t_final=args.t_final)
         kw["t_final"] = args.t_final
     result = harness.oracle_error(args.name, **kw)
     print(json.dumps(result, indent=2, sort_keys=True))
@@ -325,6 +332,8 @@ def _levels(text: str) -> list:
 
 
 def cmd_convergence(args) -> int:
+    with _naming({"--levels": (GridTooSmall, ValueError)}):
+        harness.check_levels(args.levels)
     result = harness.convergence_study(args.case, args.levels)
     print(f"{'n':>6} {'h':>12} {'error':>14}")
     for n, h, e in zip(result.levels, result.hs, result.errors):

@@ -254,8 +254,7 @@ class StepLog:
     cubic: bool = True
 
 
-def _step_rk4(u: VectorField, v: np.ndarray, dt: float, log: StepLog) -> np.ndarray:
-    lam = dt / (u.grid.h * u.grid.h)
+def _step_rk4(u: VectorField, v: np.ndarray, lam: float, log: StepLog) -> np.ndarray:
     # the three stage inputs v + (c lambda) k, each written into y in turn:
     # c lambda k, then + v, the same roundings as the fresh-array sum
     y = np.empty_like(v)
@@ -298,12 +297,11 @@ def _cubic_start(slopes: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarr
 
 
 def _step_midpoint(
-    u: VectorField, v: np.ndarray, dt: float, tol: float, log: StepLog
+    u: VectorField, v: np.ndarray, lam: float, tol: float, log: StepLog
 ) -> np.ndarray:
     # Every array written here is one this step allocated: never v, which a
     # snapshot may hold, an array held in log.slopes, or the rhs(u, v) start,
     # which is read only.
-    lam = dt / (u.grid.h * u.grid.h)
     half = 0.5 * lam
     extrapolate = len(log.slopes) >= 2 and lam <= SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
@@ -352,11 +350,12 @@ def step(u: VectorField, v: np.ndarray, dt: float, cfg: SimConfig, log: StepLog)
     step raises ``NonFiniteState`` on a non-finite iterate or candidate, so
     what it returns is finite; an RK4 result is checked by the solve's
     projection, ``normalize_field``, which raises ``NonFiniteState`` on a
-    non-finite row norm.  The step is logged in ``log``.
+    non-finite row norm.  The step is logged in ``log``; the schemes take lambda = dt/h^2.
     """
+    lam = dt / (u.grid.h * u.grid.h)
     if cfg.scheme == RK4_PROJECT:
-        return _step_rk4(u, v, dt, log)
-    return _step_midpoint(u, v, dt, cfg.fp_tol, log)
+        return _step_rk4(u, v, lam, log)
+    return _step_midpoint(u, v, lam, cfg.fp_tol, log)
 
 
 def bending_energy(u: VectorField) -> float:

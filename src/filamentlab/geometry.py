@@ -7,7 +7,7 @@ stencils generated with the Fornberg recursion.
 
 The interior second-difference is deliberately evaluated as
 ``(left + right) - 2*center`` (``second_difference``, shared by
-``deriv`` and the twisted periodic psi_ss of ``hasimoto``) so that
+``deriv`` and the twisted psi_ss of ``hasimoto``) so that
 reflecting a field through s = 0 commutes with the operator *bitwise*
 (negation commutes exactly with IEEE rounding).  ``evolve.rhs`` no longer
 shares it: it needs only the neighbour sum ``left + right``, since the
@@ -152,13 +152,9 @@ class VectorField:
         self.grid = grid
         self.values = values
 
-    def norms(self) -> np.ndarray:
-        """|v_i|; see ``row_norms``."""
-        return row_norms(self.values)
-
     def unit_deviation(self) -> float:
         """max_i | |v_i| - 1 |."""
-        d = self.norms()
+        d = row_norms(self.values)
         d -= 1.0
         return float(np.abs(d, out=d).max())
 

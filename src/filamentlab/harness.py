@@ -106,9 +106,7 @@ def stationary_line_error(n=128, t_final=0.1) -> dict:
     """Deviation of the straight-filament run from e3 (zero to roundoff)."""
     cfg = SimConfig(t_final=t_final)
     run = solve_half_space(get_family("straight"), Grid.half_line(HALF_LENGTH, n), cfg)
-    worst = 0.0
-    for snap in run.snapshots:
-        worst = float(np.maximum(worst, np.abs(snap.values - E3).max()))  # a NaN wins
+    worst = _track(enumerate(float(np.abs(s.values - E3).max()) for s in run.snapshots))["max"]
     return {"max_deviation": worst, "relative_error": worst}
 
 
@@ -159,10 +157,17 @@ def nls_config(grid: Grid, t_final: float) -> SimConfig:
     return replace(cfg, snapshot_every=every)
 
 
-def convergence_study(case: str, levels) -> ConvergenceResult:
-    """Run ``case`` at each node count in ``levels`` (dt follows h^2)."""
+def check_levels(levels) -> None:
+    """Raise unless ``levels`` holds at least 3 distinct node counts, each one ``Grid`` takes."""
+    for n in levels:
+        Grid.periodic(2.0 * np.pi, n)  # GridTooSmall; every study grid has only this rule on n
     if len(set(levels)) < 3:
         raise ValueError(f"need at least 3 distinct levels for an order fit, got {list(levels)}")
+
+
+def convergence_study(case: str, levels) -> ConvergenceResult:
+    """Run ``case`` at each node count in ``levels`` (dt follows h^2)."""
+    check_levels(levels)
     if case == "helix":
         hs = [Grid.periodic(2.0 * np.pi, n).h for n in levels]
         errors = [helix_solution_error(n) for n in levels]

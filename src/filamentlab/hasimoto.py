@@ -176,15 +176,13 @@ def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates
     res = np.subtract(psi[:, 2:], psi[:, :-2])
     res /= times[2:] - times[:-2]
     res /= 1j
-    if grid.kind != PERIODIC:
-        res -= deriv(mid, grid, 2)
-    else:
-        # psi is quasi-periodic: the wrapped neighbours twist by the wrap phase
-        twist = np.exp(1j * np.asarray(wraps[1:-1]))
-        padded = np.concatenate((mid[-1:] / twist, mid, mid[:1] * twist))
-        ss = second_difference(padded)
-        ss /= grid.h * grid.h
-        res -= ss
+    # psi is quasi-periodic: the wrapped neighbours twist by the wrap phase.  Off a
+    # periodic grid the phase is 0, and the two wrapped rows are edge rows keep drops
+    twist = np.exp(1j * np.asarray(wraps[1:-1]))
+    padded = np.concatenate((mid[-1:] / twist, mid, mid[:1] * twist))
+    ss = second_difference(padded)
+    ss /= grid.h * grid.h
+    res -= ss
     cubic = np.abs(mid)
     cubic *= cubic
     cubic *= 0.5

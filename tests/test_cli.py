@@ -732,6 +732,25 @@ class TestOtherCommands:
         assert main(["oracle", "stationary_line", flag, "0"]) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    def test_non_finite_value_in_an_oracle_run_names_no_option(self, capsys, monkeypatch):
+        # --n and --t-final are checked before the run; a NonFiniteState is a
+        # ValueError, so a run inside the --t-final check would have named it
+        calls = [0]
+
+        def bad_rhs(u, values, _rhs=evolve.rhs):
+            calls[0] += 1
+            out = _rhs(u, values)
+            if calls[0] == 6:
+                out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(evolve, "rhs", bad_rhs)
+        argv = ["oracle", "ring_translation", "--n", "64", "--t-final", "0.01"]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: field values must be finite at step 2 of 7, t = 0.00156622\n"
+        )
+
     @pytest.mark.parametrize("levels", ["32,32,32", "32,64,32"])
     def test_convergence_repeated_levels_exit_one(self, capsys, levels):
         # three copies of one level once printed a fitted order and exited 0
@@ -856,7 +875,9 @@ EXIT_ONE_INPUTS = {
     "ring-r-negative": ["diagnose", "--family", "ring:r=-1"],
     "oracle-n-zero": ["oracle", "stationary_line", "--n", "0"],
     "oracle-t_final-zero": ["oracle", "stationary_line", "--t-final", "0"],
+    "oracle-n-too-small": ["oracle", "helix_dispersion", "--n", "4"],
     "convergence-repeated-levels": ["convergence", "helix", "--levels", "32,32,32"],
+    "convergence-level-too-small": ["convergence", "helix", "--levels", "4,8,16"],
     "convergence-level-unparsable": ["convergence", "helix", "--levels", "32,64,x"],
     "usage-simulate-without-config": ["simulate"],
     "usage-order-not-an-integer": ["check", "--order", "x", "--family", "planar_odd"],
@@ -949,6 +970,13 @@ EXIT_ONE_MESSAGES = {
         "--family: family 'helix' is defined on periodic/whole grids, not on a half grid"
     ),
     "diagnose-t-final-zero": "--t-final: t_final must be a finite number above 0, got 0.0",
+    "oracle-n-zero": "--n: need at least 8 nodes, got 0",
+    "oracle-n-too-small": "--n: need at least 8 nodes, got 4",
+    "oracle-t_final-zero": "--t-final: t_final must be a finite number above 0, got 0.0",
+    "convergence-repeated-levels": (
+        "--levels: need at least 3 distinct levels for an order fit, got [32, 32, 32]"
+    ),
+    "convergence-level-too-small": "--levels: need at least 8 nodes, got 4",
     "csv-not-uniform": "{nonuniform}: s must increase in equal steps",
     "csv-not-at-zero": "{shifted}: s runs 5..12, not a half grid",
     "csv-not-finite": "{nonfinite}: line 2, column 3 is not a finite number",
