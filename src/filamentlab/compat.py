@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooSmall, NotUnitField, OrderTooHigh, UnknownFamily
+from .errors import GridMismatch, GridTooSmall, UnknownFamily
 from .geometry import E3, HALF, K_MAX, KINDS, MIN_NODES, PERIODIC, WHOLE, Grid, VectorField, cross, one_sided_deriv_at_zero
 
 #: Residual contraction required by the two-grid cross-check (order-2
@@ -237,10 +237,10 @@ class CompatibilityReport:
 
     max_order: int
     tol: float
-    a_residuals: list = dc_field(default_factory=list)
-    a_pass: list = dc_field(default_factory=list)
-    norm_residual: float = 0.0
-    a_residuals_coarse: list = dc_field(default_factory=list)
+    a_residuals: list
+    a_pass: list
+    norm_residual: float
+    a_residuals_coarse: list
 
     @property
     def passed(self) -> bool:
@@ -272,11 +272,10 @@ def _passes(residual: float, tol: float, coarse: float | None) -> bool:
 def check_order_range(name: str, order: int) -> None:
     """Reject a compatibility order outside 0...K_MAX // 2, naming the setting ``name``.
 
-    Order k reads derivative 2k at s = 0; an order above the range raises OrderTooHigh.
+    Order k reads derivative 2k at s = 0, so K_MAX // 2 is the highest.
     """
     if not 0 <= order <= K_MAX // 2:
-        error = ValueError if order < 0 else OrderTooHigh
-        raise error(f"{name} must be at least 0 and at most {K_MAX // 2}, got {order!r}")
+        raise ValueError(f"{name} must be at least 0 and at most {K_MAX // 2}, got {order!r}")
 
 
 def decimated(v0: VectorField) -> VectorField:
@@ -307,7 +306,7 @@ def check_compat(v0: VectorField, n: int, tol: float) -> CompatibilityReport:
         )
     norm_residual = v0.unit_deviation()
     if norm_residual > UNIT_FIELD_CAP:
-        raise NotUnitField(
+        raise ValueError(
             f"max | |v0| - 1 | = {norm_residual:.3g}; not a tangent field"
         )
     a = _residuals(v0, n)

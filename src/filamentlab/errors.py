@@ -9,32 +9,16 @@ class GridTooSmall(FilamentError):
     """A finite-difference stencil does not fit on the grid."""
 
 
-class OrderTooHigh(FilamentError, ValueError):
-    """A derivative order beyond the supported boundary-stencil table."""
-
-
 class DegenerateVector(FilamentError):
     """A sample with norm too small to renormalize safely."""
 
 
-class NotUnitField(FilamentError):
-    """Input data is not (close to) a unit tangent field."""
-
-
-class GridNotSymmetric(FilamentError):
-    """Operation requires a symmetric whole-line grid with a node at s = 0."""
-
-
 class GridMismatch(FilamentError):
-    """Two fields/curves live on different grids."""
+    """A grid of the wrong kind for the operation, or fields/curves on different grids."""
 
 
 class UnknownFamily(FilamentError):
     """A family spec that names no builtin family, or a parameter it cannot take."""
-
-
-class UnknownOracle(FilamentError):
-    """Unrecognized oracle case name."""
 
 
 class CompatibilityRejected(FilamentError):
@@ -55,11 +39,3 @@ class FixedPointDiverged(FilamentError):
 
 class NonFiniteState(FilamentError, ValueError):
     """A solve produced a non-finite value: a numerical failure, not bad input."""
-
-
-class MaskFragmented(FilamentError):
-    """Curvature mask is not a contiguous region; phase integral undefined."""
-
-
-class InsufficientSnapshots(FilamentError):
-    """Too few snapshots for a centered time derivative."""

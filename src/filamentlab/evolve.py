@@ -59,7 +59,6 @@ from .errors import (
     FarFieldViolation,
     FixedPointDiverged,
     NonFiniteState,
-    NotUnitField,
     StabilityViolated,
 )
 from .geometry import (
@@ -143,7 +142,7 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def resolve_dt(self, h: float) -> float:
-        """The run's step; the one stability guard, checked once per run."""
+        """The run's step; the one stability guard."""
         dt = self.dt if self.dt is not None else DEFAULT_DT_FACTOR[self.scheme] * h * h
         cap = STABILITY_FACTOR[self.scheme] * h * h
         if dt > cap:
@@ -418,7 +417,7 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     in its message.
     """
     if u0.unit_deviation() > 1e-6:
-        raise NotUnitField("initial data must be unit length (within 1e-6)")
+        raise ValueError("initial data must be unit length (within 1e-6)")
     grid = u0.grid
     dt = cfg.resolve_dt(grid.h)
     snapshot_every, monitor_every = cfg.resolve_every(grid.h)

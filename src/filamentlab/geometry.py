@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, GridMismatch, GridTooSmall, NonFiniteState, OrderTooHigh
+from .errors import DegenerateVector, GridMismatch, GridTooSmall, NonFiniteState
 
 #: Unit vector normal to the wall; the boundary value of the tangent field.
 E3 = np.array([0.0, 0.0, 1.0])
@@ -250,7 +250,7 @@ def one_sided_deriv_at_zero(
     latter needs a whole-line grid.  k = 0 returns the node value itself.
     """
     if k < 0 or k > K_MAX:
-        raise OrderTooHigh(f"derivative order {k} exceeds k_max={K_MAX}")
+        raise ValueError(f"derivative order {k} exceeds k_max={K_MAX}")
     grid = field.grid
     i0 = grid.center
     if k == 0:

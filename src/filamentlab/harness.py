@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .compat import HelixFamily, RingFamily, get_family
-from .errors import UnknownOracle
 from .evolve import (
     MIDPOINT_FIXEDPOINT,
     SimConfig,
@@ -72,8 +71,9 @@ def helix_dispersion_error(n=256, t_final=0.5) -> dict:
     phases = np.unwrap(
         [math.atan2(s.values[0, 1], s.values[0, 0]) for s in series.snapshots]
     )
-    slope = np.polyfit(series.times, phases, 1)[0]
-    measured = -float(slope)
+    # fitted in units of t_final: a tiny t_final would underflow polyfit's column scale
+    slope = np.polyfit(np.asarray(series.times) / t_final, phases, 1)[0]
+    measured = -float(slope) / t_final
     c, k = fam.params["c"], fam.params["k"]
     exact = c * k * k
     return {
@@ -96,9 +96,8 @@ def ring_translation_error(n=256, t_final=0.5) -> dict:
     return {
         "displacement": disp.tolist(),
         "expected": expected.tolist(),
-        "relative_error": float(
-            np.linalg.norm(disp - expected) / np.linalg.norm(expected)
-        ),
+        # in units of the expected shift t_final / r: a tiny one would square to a subnormal
+        "relative_error": float(np.linalg.norm(disp / (t_final / r) - E3)),
     }
 
 
@@ -121,7 +120,7 @@ def oracle_error(name: str, **kw) -> dict:
     try:
         fn = _ORACLES[name]
     except KeyError:
-        raise UnknownOracle(
+        raise ValueError(
             f"unknown oracle {name!r}; choose from {sorted(_ORACLES)}"
         ) from None
     return fn(**kw)
@@ -180,7 +179,7 @@ def convergence_study(case: str, levels) -> ConvergenceResult:
         runs = (solve_whole_line(HelixFamily().sample(g), nls_config(g, 0.5)) for g in grids)
         errors = [series_nls_residual(run) for run in runs]
     else:
-        raise UnknownOracle(f"unknown convergence case {case!r}")
+        raise ValueError(f"unknown convergence case {case!r}")
     return ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))
 
 
@@ -227,12 +226,12 @@ class RunSummary:
     """
 
     config: dict
-    maxima: dict = dc_field(default_factory=dict)  # name -> {max, step}
-    tolerances: dict = dc_field(default_factory=dict)
-    verdicts: dict = dc_field(default_factory=dict)
-    compat: dict = dc_field(default_factory=dict)
-    root_cause: str = ""
-    solver: dict = dc_field(default_factory=dict)  # TimeSeries.solver
+    maxima: dict  # name -> {max, step}
+    tolerances: dict
+    verdicts: dict
+    compat: dict
+    root_cause: str
+    solver: dict  # TimeSeries.solver
 
     @property
     def passed(self) -> bool:

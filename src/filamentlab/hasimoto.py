@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InsufficientSnapshots, MaskFragmented
+from .errors import GridMismatch
 from .evolve import TimeSeries
 from .geometry import PERIODIC, Grid, VectorField, cross, cumtrapz, deriv, row_norms, second_difference
 
@@ -65,7 +65,7 @@ class HasimotoField:
     grid: Grid
     psi: np.ndarray
     mask: np.ndarray
-    wrap_phase: float = 0.0
+    wrap_phase: float
 
 
 def _frenet(values: np.ndarray, grid: Grid) -> tuple:
@@ -94,7 +94,7 @@ def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tu
     """psi and wrap phase of (n, ...) Frenet samples, one per trailing column.
 
     A column whose mask is not one block (circularly, on a periodic grid)
-    raises MaskFragmented; a column with an empty mask gets the zero
+    raises ValueError; a column with an empty mask gets the zero
     field and wrap phase 0.
     """
     periodic = grid.kind == PERIODIC
@@ -102,7 +102,7 @@ def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tu
     # on a periodic grid and from outside the grid otherwise
     first = mask[0] > mask[-1] if periodic else mask[0]
     if np.any(np.count_nonzero(mask[1:] > mask[:-1], axis=0) + first > 1):
-        raise MaskFragmented("curvature mask is not contiguous")
+        raise ValueError("curvature mask is not contiguous")
     h = grid.h
     phase = cumtrapz(tau, h)
     wrap = phase[-1] + 0.5 * h * (tau[-1] + tau[0]) if periodic else np.zeros(phase.shape[1:])
@@ -195,7 +195,7 @@ def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates
 def series_nls_residual(series: TimeSeries) -> float:
     """Frenet + transform + residual for a trajectory, all snapshots at once."""
     if len(series.snapshots) < 3:
-        raise InsufficientSnapshots("need >= 3 snapshots for a centered psi_t")
+        raise ValueError("need >= 3 snapshots for a centered psi_t")
     grid = series.snapshots[0].grid
     if any(snap.grid != grid for snap in series.snapshots):
         raise GridMismatch("snapshots live on different grids")

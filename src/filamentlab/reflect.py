@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridNotSymmetric
+from .errors import GridMismatch
 from .geometry import HALF, WHOLE, Grid, VectorField, one_sided_deriv_at_zero, row_norms
 
 #: The sign pattern of -bar: w * _NEGBAR is -bar(w), row by row.
@@ -25,7 +25,7 @@ _NEGBAR = np.array([-1.0, -1.0, 1.0])
 def apply_T(field: VectorField) -> VectorField:
     """(T w)(s) = -bar(w(-s)) on a symmetric whole-line grid."""
     if field.grid.kind != WHOLE:
-        raise GridNotSymmetric("T needs a symmetric whole-line grid")
+        raise GridMismatch("T needs a symmetric whole-line grid")
     return VectorField(field.grid, field.values[::-1] * _NEGBAR)
 
 
@@ -33,7 +33,7 @@ def extend(v0: VectorField) -> VectorField:
     """Mirror half-line data onto [-L, L]; restriction to s >= 0 is exact."""
     g = v0.grid
     if g.kind != HALF:
-        raise GridNotSymmetric("extend needs half-line input")
+        raise GridMismatch("extend needs half-line input")
     whole = Grid.whole_line(g.length, 2 * g.n - 1)
     neg = (v0.values[1:] * _NEGBAR)[::-1]
     return VectorField(whole, np.concatenate([neg, v0.values], axis=0))
@@ -43,7 +43,7 @@ def restrict(whole: VectorField) -> VectorField:
     """Copy the s >= 0 nodes of a whole-line field onto a half-line grid."""
     g = whole.grid
     if g.kind != WHOLE:
-        raise GridNotSymmetric("restrict needs whole-line input")
+        raise GridMismatch("restrict needs whole-line input")
     c = g.center
     half = Grid.half_line(g.length, g.n - c)
     return VectorField(half, np.array(whole.values[c:], copy=True))

@@ -732,6 +732,24 @@ class TestOtherCommands:
         assert main(["oracle", "stationary_line", flag, "0"]) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, t_final",
+        [("ring_translation", "1e-300"), ("helix_dispersion", "1e-200")],
+    )
+    def test_oracle_at_a_tiny_t_final(self, capsys, name, t_final):
+        # the ring's norm once squared a subnormal shift and printed NaN; the
+        # helix fit underflowed polyfit's column scale, and LAPACK failed
+        def refuse(constant):
+            raise ValueError(f"non-finite JSON value {constant}")
+
+        def run(t):
+            assert main(["oracle", name, "--n", "16", "--t-final", t]) == EXIT_OK
+            return json.loads(capsys.readouterr().out, parse_constant=refuse)["relative_error"]
+
+        error = run(t_final)
+        assert math.isfinite(error)
+        assert error == pytest.approx(run("1e-3"), rel=1e-9)
+
     def test_non_finite_value_in_an_oracle_run_names_no_option(self, capsys, monkeypatch):
         # --n and --t-final are checked before the run; a NonFiniteState is a
         # ValueError, so a run inside the --t-final check would have named it
@@ -1051,7 +1069,7 @@ def test_readme_names_every_summary_key():
     lines = _readme_block("- `summary.json`")
     bullets = [re.match(r"  - ((`\w+`( and )?)+)", line) for line in lines]
     named = [key for m in bullets if m for key in re.findall(r"`(\w+)`", m.group(1))]
-    assert sorted(named) == sorted(RunSummary(config={}).to_dict())
+    assert sorted(named) == sorted(RunSummary({}, {}, {}, {}, {}, "", {}).to_dict())
 
 
 def test_readme_library_example_runs():

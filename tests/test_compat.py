@@ -24,12 +24,10 @@ from filamentlab.compat import (
 from filamentlab.errors import (
     GridMismatch,
     GridTooSmall,
-    NotUnitField,
-    OrderTooHigh,
     UnknownFamily,
 )
-from filamentlab.evolve import SimConfig
-from filamentlab.geometry import Grid, VectorField
+from filamentlab.evolve import SimConfig, solve_half_space
+from filamentlab.geometry import Grid, VectorField, row_norms, second_difference
 from filamentlab.reflect import extend, restrict
 
 #: The gate's tolerance: the default of simulate's tolerances.compat and check's --tol.
@@ -335,13 +333,13 @@ class TestCheckCompat:
 
     def test_order_too_high(self):
         g = Grid.half_line(10.0, 65)
-        with pytest.raises(OrderTooHigh):
+        with pytest.raises(ValueError, match="order must be at least 0 and at most 2, got 3"):
             check_compat(get_family("straight").sample(g), 3, TOL)
 
     def test_non_unit_field_rejected(self):
         g = Grid.half_line(10.0, 65)
         vals = np.tile([0.0, 0.0, 1.3], (65, 1))
-        with pytest.raises(NotUnitField):
+        with pytest.raises(ValueError, match="not a tangent field"):
             check_compat(VectorField(g, vals), 1, TOL)
 
     def test_report_dict_round_trips_through_json(self):
@@ -388,3 +386,53 @@ def test_cold_start_does_not_import_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class _AnglePlanar:
+    """v0 = (sin alpha, 0, cos alpha) with alpha = p(s) exp(-s^2): any p, not only the builtins'."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def sample(self, grid):
+        s = grid.nodes()
+        alpha = self.p(s) * np.exp(-s * s)
+        return VectorField(grid, np.column_stack((np.sin(alpha), np.zeros_like(s), np.cos(alpha))))
+
+
+def _ghost_closed_vss(v, h):
+    """v_ss at every node but the clamped far one, closed at s = 0 by the ghost -bar(v(h))."""
+    return second_difference(np.concatenate((v[1:2] * [-1.0, -1.0, 1.0], v))) / (h * h)
+
+
+def _successive_ratios(finals):
+    """Ratios of max |fine - coarse| on the coarse nodes, each level against the next."""
+    gaps = [np.max(row_norms(fine[::2] - coarse)) for coarse, fine in zip(finals, finals[1:])]
+    return [a / b for a, b in zip(gaps, gaps[1:])]
+
+
+@pytest.mark.parametrize(
+    "p, verdicts, second_order",
+    [
+        (lambda s: 0.5 * s, [True, True, True], True),
+        (lambda s: 0.5 * s + s**2, [True, False, False], False),
+        (lambda s: 0.5 * s + s**4, [True, True, False], True),
+    ],
+    ids=["odd", "order-1-broken", "order-2-broken"],
+)
+def test_what_each_compatibility_order_buys(p, verdicts, second_order):
+    # half line, L = 20, t = 0.25, RK4 at its default step.  Compatible data and
+    # data that break only order 2 converge at second order in v and in v_ss;
+    # breaking order 1 costs v its rate and v_ss nearly all of its convergence.
+    fam = _AnglePlanar(p)
+    cfg = SimConfig(t_final=0.25, strict=False, check_order=2)
+    runs = [solve_half_space(fam, Grid.half_line(20.0, n), cfg) for n in (129, 257, 513, 1025)]
+    assert runs[-1].report.a_pass == verdicts
+    v = [run.final().values for run in runs]
+    vss = [_ghost_closed_vss(values, run.grid.h) for values, run in zip(v, runs)]
+    v_ratios, vss_ratios = _successive_ratios(v), _successive_ratios(vss)
+    if second_order:
+        assert all(3.5 <= r <= 4.5 for r in v_ratios + vss_ratios), (v_ratios, vss_ratios)
+    else:
+        assert all(r < 2.0 for r in vss_ratios), vss_ratios
+        assert v_ratios[-1] < 3.5, v_ratios

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from filamentlab.compat import get_family
-from filamentlab.errors import GridNotSymmetric
+from filamentlab.errors import GridMismatch
 from filamentlab.geometry import E3, Grid, VectorField, row_norms
 from filamentlab.reflect import (
     _NEGBAR,
@@ -60,7 +60,7 @@ class TestApplyT:
     def test_rejects_half_grid(self):
         g = Grid.half_line(3.0, 16)
         u = VectorField(g, np.tile(E3, (16, 1)))
-        with pytest.raises(GridNotSymmetric):
+        with pytest.raises(GridMismatch, match="T needs a symmetric whole-line grid"):
             apply_T(u)
 
 
@@ -103,7 +103,7 @@ class TestExtend:
     def test_rejects_whole_grid(self):
         g = Grid.whole_line(3.0, 21)
         u = VectorField(g, np.tile(E3, (21, 1)))
-        with pytest.raises(GridNotSymmetric):
+        with pytest.raises(GridMismatch, match="extend needs half-line input"):
             extend(u)
 
 
