@@ -18,7 +18,7 @@ from .geometry import (
     normalize_field,
     one_sided_deriv_at_zero,
 )
-from .hasimoto import frenet, hasimoto_psi
+from .hasimoto import frenet
 from .reconstruct import FilamentCurve, integrate_tangent, reconstruct_positions
 from .reflect import apply_T, derivative_jump_residual, extend, restrict, symmetry_residual
 
@@ -40,7 +40,6 @@ __all__ = [
     "extend",
     "frenet",
     "get_family",
-    "hasimoto_psi",
     "integrate_tangent",
     "normalize_field",
     "one_sided_deriv_at_zero",

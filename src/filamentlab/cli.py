@@ -35,7 +35,7 @@ from .errors import (
 )
 from .evolve import TELEMETRY_KEYS, SimConfig, solve_half_space, solve_whole_line
 from .geometry import HALF, MIN_NODES, PERIODIC, Grid, VectorField
-from .hasimoto import frenet, gauge_rate, hasimoto_psi, series_nls_residual
+from .hasimoto import series_diagnostics
 from .reconstruct import integrate_tangent, reconstruct_positions
 from .reflect import derivative_jump_residual, extend
 
@@ -354,18 +354,7 @@ def cmd_diagnose(args) -> int:
         v0 = fam.sample(grid)
     with _naming({"--t-final": ValueError}):
         cfg = harness.nls_config(grid, args.t_final)
-    series = solve_whole_line(v0, cfg)
-    f = frenet(series.final())
-    psi = hasimoto_psi(f)
-    masked = f.mask
-    out = {
-        "kappa_mean": float(np.mean(f.kappa[masked])) if masked.any() else 0.0,
-        "tau_mean": float(np.mean(f.tau[masked])) if masked.any() else 0.0,
-        "psi_abs_max": float(np.max(np.abs(psi.psi))),
-        "gauge_rate": gauge_rate(f),
-        "nls_residual": series_nls_residual(series),
-    }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json.dumps(series_diagnostics(solve_whole_line(v0, cfg)), indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -58,6 +58,7 @@ from .errors import (
     DegenerateVector,
     FarFieldViolation,
     FixedPointDiverged,
+    GridMismatch,
     NonFiniteState,
     StabilityViolated,
 )
@@ -173,6 +174,7 @@ class SimConfig:
 class TimeSeries:
     """Recorded trajectory: snapshots plus per-monitor telemetry rows.
 
+    Every snapshot lives on ``grid``: ``record`` refuses one that does not.
     ``cfg`` is the SimConfig that produced it and ``report`` the
     CompatibilityReport that gated it (None for a run with no gate).  A
     half-line run's telemetry rows are measured on the extension of each
@@ -191,6 +193,8 @@ class TimeSeries:
     def record(self, t: float, u: VectorField):
         if self.times and t <= self.times[-1]:
             raise ValueError("snapshot times must increase strictly")
+        if u.grid != self.grid:
+            raise GridMismatch(f"snapshot on {u.grid}, the series is on {self.grid}")
         self.times.append(t)
         self.snapshots.append(u)
 

@@ -23,9 +23,9 @@ over interior masked nodes.  It is a diagnostic, never a solver.
 
 A series is evaluated in one pass: its m snapshots stacked as (n, m, 3),
 grid axis first, give (n, m) curvature, torsion, mask and psi, and the
-residual runs on all m - 2 interior triples at once.  The per-snapshot
-``frenet``, ``hasimoto_psi`` and ``gauge_rate`` are the m = 1 case of the
-same helpers.
+residual runs on all m - 2 interior triples at once.  ``diagnose`` reads
+the final snapshot's numbers off the last column of that pass
+(``series_diagnostics``); ``frenet`` is the m = 1 case of its helper.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
 from .evolve import TimeSeries
 from .geometry import PERIODIC, Grid, VectorField, cross, cumtrapz, deriv, row_norms, second_difference
 
@@ -50,22 +49,6 @@ class FrenetData:
     kappa: np.ndarray
     tau: np.ndarray
     mask: np.ndarray
-
-
-@dataclass
-class HasimotoField:
-    """Complex field psi on the grid; zero (and meaningless) off the mask.
-
-    On periodic grids psi is only quasi-periodic: going once around the
-    filament multiplies it by exp(i * wrap_phase), wrap_phase being the
-    total torsion over one period.  Stencils that wrap must twist by
-    that factor.
-    """
-
-    grid: Grid
-    psi: np.ndarray
-    mask: np.ndarray
-    wrap_phase: float
 
 
 def _frenet(values: np.ndarray, grid: Grid) -> tuple:
@@ -93,9 +76,11 @@ def frenet(v: VectorField) -> FrenetData:
 def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tuple:
     """psi and wrap phase of (n, ...) Frenet samples, one per trailing column.
 
-    A column whose mask is not one block (circularly, on a periodic grid)
-    raises ValueError; a column with an empty mask gets the zero
-    field and wrap phase 0.
+    The phase starts at 0 and is never wrapped mod 2*pi; on a periodic grid
+    the wrap phase is the total torsion over one period.  A column whose
+    mask is not one block (circularly, on a periodic grid) raises
+    ValueError; a column with an empty mask gets the zero field and wrap
+    phase 0, with a warning.
     """
     periodic = grid.kind == PERIODIC
     # one block is at most one rising edge per column; node 0 rises from node n - 1
@@ -121,18 +106,6 @@ def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tu
     return psi, wrap
 
 
-def hasimoto_psi(f: FrenetData) -> HasimotoField:
-    """kappa * exp(i * cumulative trapezoid of tau), phase zero at the start.
-
-    The phase is accumulated, never wrapped mod 2*pi.  An empty mask
-    (straight filament) yields the zero field with a warning; a
-    fragmented mask is an error, the phase integral being undefined
-    across curvature zeros.
-    """
-    psi, wrap = _psi(f.kappa, f.tau, f.mask, f.grid)
-    return HasimotoField(f.grid, psi, f.mask.copy(), float(wrap))
-
-
 def _gauge_rates(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> list:
     """R(t) of each column of (n, m) Frenet samples, 0 where the mask is empty."""
     kss = deriv(kappa, grid, 2)
@@ -145,11 +118,6 @@ def _gauge_rates(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Gri
         # tau0 ** 2 squares a numpy scalar, which may round unlike an array's x * x
         rates.append(float(-((kss[i0, j] - k0 * tau[i0, j] ** 2) / k0 + 0.5 * k0 * k0)))
     return rates
-
-
-def gauge_rate(f: FrenetData) -> float:
-    """Free phase rate R(t) fixed by the transform's phase origin."""
-    return _gauge_rates(f.kappa[:, None], f.tau[:, None], f.mask[:, None], f.grid)[0]
 
 
 def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates) -> float:
@@ -192,15 +160,35 @@ def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates
     return float(np.max(np.abs(res), where=keep, initial=0.0))
 
 
-def series_nls_residual(series: TimeSeries) -> float:
-    """Frenet + transform + residual for a trajectory, all snapshots at once."""
+def _series_pass(series: TimeSeries) -> tuple:
+    """(n, m) kappa, tau, mask and psi of a series' m snapshots, and their m wraps and rates."""
     if len(series.snapshots) < 3:
         raise ValueError("need >= 3 snapshots for a centered psi_t")
-    grid = series.snapshots[0].grid
-    if any(snap.grid != grid for snap in series.snapshots):
-        raise GridMismatch("snapshots live on different grids")
-    kappa, tau, mask = _frenet(np.stack([s.values for s in series.snapshots], axis=1), grid)
-    psi, wraps = _psi(kappa, tau, mask, grid)
-    rates = _gauge_rates(kappa, tau, mask, grid)
+    kappa, tau, mask = _frenet(np.stack([s.values for s in series.snapshots], axis=1), series.grid)
+    psi, wraps = _psi(kappa, tau, mask, series.grid)
+    return kappa, tau, mask, psi, wraps, _gauge_rates(kappa, tau, mask, series.grid)
+
+
+def series_nls_residual(series: TimeSeries) -> float:
+    """Frenet + transform + residual for a trajectory, all snapshots at once."""
+    kappa, tau, mask, psi, wraps, rates = _series_pass(series)
     del kappa, tau
-    return _residual(grid, psi, mask, wraps, series.times, rates)
+    return _residual(series.grid, psi, mask, wraps, series.times, rates)
+
+
+def series_diagnostics(series: TimeSeries) -> dict:
+    """The numbers ``filamentlab diagnose`` prints, from one pass over the series.
+
+    nls_residual is ``series_nls_residual``; the rest are the final snapshot's,
+    the last column of the pass: masked kappa and tau means (0 for an empty
+    mask), max |psi| and R(t).
+    """
+    kappa, tau, mask, psi, wraps, rates = _series_pass(series)
+    last = mask[:, -1]
+    return {
+        "kappa_mean": float(np.mean(kappa[last, -1])) if last.any() else 0.0,
+        "tau_mean": float(np.mean(tau[last, -1])) if last.any() else 0.0,
+        "psi_abs_max": float(np.max(np.abs(psi[:, -1]))),
+        "gauge_rate": rates[-1],
+        "nls_residual": _residual(series.grid, psi, mask, wraps, series.times, rates),
+    }

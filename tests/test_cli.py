@@ -22,6 +22,7 @@ from filamentlab.cli import (
     write_field_csv,
 )
 from filamentlab.compat import get_family, parse_family_spec
+from filamentlab.errors import GridMismatch
 from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, solve_half_space
 from filamentlab.geometry import E3, Grid, VectorField
 from filamentlab.reconstruct import FilamentCurve, integrate_tangent, reconstruct_positions
@@ -690,6 +691,25 @@ class TestSnapshotWriter:
         assert os.listdir(tmp_path) == []  # the first block, written, is removed too
 
 
+    def test_snapshot_on_another_grid_is_refused(self, tmp_path):
+        # record once took a snapshot on any grid, and the writer put the
+        # series' s column next to the values of a shorter grid
+        grid = Grid.half_line(20.0, 33)
+        fam = get_family("planar_odd", a=0.5)
+        series = TimeSeries(grid)
+        series.record(0.0, fam.sample(grid))
+        with pytest.raises(GridMismatch, match="snapshot on .*length=10.0"):
+            series.record(0.5, fam.sample(Grid.half_line(10.0, 33)))
+        assert series.times == [0.0] and len(series.snapshots) == 1
+        series.record(1.0, fam.sample(grid))
+        cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), series)
+        rows = np.loadtxt(tmp_path / "snapshots.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2 * grid.n, 5)
+        assert np.array_equal(rows[:, 0], np.repeat([0.0, 1.0], grid.n))
+        want = np.vstack([snap.values for snap in series.snapshots])
+        assert np.array_equal(rows[:, 2:], want)
+
+
 class TestOtherCommands:
     def test_oracle_stationary(self, capsys):
         rc = main(["oracle", "stationary_line", "--n", "64", "--t-final", "0.05"])
@@ -821,6 +841,15 @@ class TestOtherCommands:
         rc, _, snapshots = self._diagnose(monkeypatch, capsys, ["--family", "helix"])
         assert rc == EXIT_OK
         assert snapshots == 33
+
+    def test_diagnose_logs_each_warning_once(self, caplog):
+        # the final snapshot's psi was once computed twice, and its warning logged twice
+        with caplog.at_level("WARNING", logger="filamentlab.hasimoto"):
+            assert main(["diagnose", "--family", "straight", "--n", "32"]) == EXIT_OK
+        assert [r.message for r in caplog.records] == [
+            "curvature below floor everywhere; psi is the zero field",
+            "empty mask throughout; residual reported as 0",
+        ]
 
     def test_diagnose_half_line_family_exit_one(self, capsys):
         assert main(["diagnose", "--family", "planar_odd", "--n", "64"]) == EXIT_USAGE

@@ -1,12 +1,13 @@
 """Curvature/torsion extraction and the complex-field diagnostics.
 
 The diagnostic runs over all snapshots of a series at once; the property
-tests at the end hold it to the per-snapshot path (a copy kept here) float
-for float.
+tests at the end hold that pass, and ``series_diagnostics``, to a
+per-snapshot reference kept here, float for float.
 """
 
 import functools
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -18,25 +19,19 @@ from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, Time
 from filamentlab.geometry import Grid, VectorField, cumtrapz, deriv, second_difference
 from filamentlab.hasimoto import (
     EPS_KAPPA,
-    FrenetData,
-    HasimotoField,
+    _frenet,
+    _gauge_rates,
+    _psi,
     _residual,
     frenet,
-    gauge_rate,
-    hasimoto_psi,
+    series_diagnostics,
     series_nls_residual,
 )
 
 
-def stacked_residual(psis, times, rates):
-    """``_residual`` of per-snapshot fields, stacked (n, m) as ``series_nls_residual`` stacks them.
-
-    It takes psi, mask and rate as given, so a test can plant values the series path
-    would compute from the tangents.
-    """
-    psi = np.stack([p.psi for p in psis], axis=1)
-    mask = np.stack([p.mask for p in psis], axis=1)
-    return _residual(psis[0].grid, psi, mask, [p.wrap_phase for p in psis], times, rates)
+def stacked(*snapshots):
+    """(n, m) kappa, tau and mask of snapshots on one grid, stacked as the series pass stacks them."""
+    return _frenet(np.stack([s.values for s in snapshots], axis=1), snapshots[0].grid)
 
 
 class TestFrenet:
@@ -76,15 +71,15 @@ class TestPsi:
     def test_modulus_equals_curvature(self):
         fam = HelixFamily()
         g = Grid.periodic(2.0 * np.pi, 128)
-        f = frenet(fam.sample(g))
-        hf = hasimoto_psi(f)
-        assert np.allclose(np.abs(hf.psi[hf.mask]), f.kappa[hf.mask], atol=1e-14)
+        kappa, tau, mask = stacked(fam.sample(g))
+        psi, _ = _psi(kappa, tau, mask, g)
+        assert np.allclose(np.abs(psi[mask]), kappa[mask], atol=1e-14)
 
     def test_phase_slope_is_torsion(self):
         fam = HelixFamily(0.6, 0.8, 2.0)
         g = Grid.periodic(2.0 * np.pi, 256)
-        hf = hasimoto_psi(frenet(fam.sample(g)))
-        phase = np.unwrap(np.angle(hf.psi))
+        psi, _ = _psi(*stacked(fam.sample(g)), g)
+        phase = np.unwrap(np.angle(psi[:, 0]))
         slope = np.polyfit(g.nodes(), phase, 1)[0]
         assert slope == pytest.approx(1.6, abs=5e-3)
 
@@ -92,32 +87,31 @@ class TestPsi:
         # one period of the helix carries total torsion 2 pi tau
         fam = HelixFamily(0.6, 0.8, 2.0)
         g = Grid.periodic(2.0 * np.pi, 256)
-        hf = hasimoto_psi(frenet(fam.sample(g)))
-        assert hf.wrap_phase == pytest.approx(2.0 * np.pi * 1.6, rel=1e-3)
+        _, wraps = _psi(*stacked(fam.sample(g)), g)
+        assert wraps[0] == pytest.approx(2.0 * np.pi * 1.6, rel=1e-3)
 
     def test_straight_gives_zero_field_with_warning(self, caplog):
         fam = get_family("straight")
         g = Grid.periodic(2.0 * np.pi, 64)
         with caplog.at_level("WARNING", logger="filamentlab.hasimoto"):
-            hf = hasimoto_psi(frenet(fam.sample(g)))
-        assert np.array_equal(hf.psi, np.zeros(64, dtype=complex))
+            psi, wraps = _psi(*stacked(fam.sample(g)), g)
+        assert np.array_equal(psi, np.zeros((64, 1), dtype=complex))
+        assert np.array_equal(wraps, [0.0])
         assert any("zero field" in r.message for r in caplog.records)
 
     def test_fragmented_mask_raises(self):
         g = Grid.whole_line(5.0, 21)
-        mask = np.zeros(21, dtype=bool)
+        mask = np.zeros((21, 1), dtype=bool)
         mask[2:5] = True
         mask[10:15] = True
-        f = FrenetData(g, np.ones(21), np.zeros(21), mask)
         with pytest.raises(ValueError, match="curvature mask is not contiguous"):
-            hasimoto_psi(f)
+            _psi(np.ones((21, 1)), np.zeros((21, 1)), mask, g)
 
     def test_periodic_wraparound_mask_allowed(self):
         g = Grid.periodic(2.0 * np.pi, 20)
-        mask = np.ones(20, dtype=bool)
+        mask = np.ones((20, 1), dtype=bool)
         mask[8:12] = False  # one gap -> one wrap-around block
-        f = FrenetData(g, np.ones(20), np.zeros(20), mask)
-        hasimoto_psi(f)  # must not raise
+        _psi(np.ones((20, 1)), np.zeros((20, 1)), mask, g)  # must not raise
 
 
 class TestGaugeRate:
@@ -125,20 +119,20 @@ class TestGaugeRate:
         # kappa, tau constant: R = -(-tau^2 + kappa^2 / 2) = c^2 k^2 - a^2 k^2 / 2
         fam = HelixFamily(0.6, 0.8, 2.0)
         g = Grid.periodic(2.0 * np.pi, 256)
-        rate = gauge_rate(frenet(fam.sample(g)))
+        (rate,) = _gauge_rates(*stacked(fam.sample(g)), g)
         assert rate == pytest.approx(0.64 * 4.0 - 0.5 * 0.36 * 4.0, abs=5e-2)
 
     def test_ring_closed_form(self):
         # tau = 0: R = -kappa^2 / 2
         fam = RingFamily(0.5)
         g = Grid.periodic(fam.period(), 256)
-        rate = gauge_rate(frenet(fam.sample(g)))
+        (rate,) = _gauge_rates(*stacked(fam.sample(g)), g)
         assert rate == pytest.approx(-2.0, abs=5e-2)
 
     def test_empty_mask_rate_zero(self):
         fam = get_family("straight")
         g = Grid.periodic(2.0 * np.pi, 64)
-        assert gauge_rate(frenet(fam.sample(g))) == 0.0
+        assert _gauge_rates(*stacked(fam.sample(g)), g) == [0.0]
 
 
 class TestNlsResidual:
@@ -155,17 +149,13 @@ class TestNlsResidual:
         fam = HelixFamily()
         g = Grid.periodic(2.0 * np.pi, 96)
         series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.05))
-        psis, rates = [], []
-        for snap in series.snapshots:
-            f = frenet(snap)
-            psis.append(hasimoto_psi(f))
-            rates.append(gauge_rate(f))
-        base = stacked_residual(psis, series.times, rates)
+        kappa, tau, mask = stacked(*series.snapshots)
+        psi, wraps = _psi(kappa, tau, mask, g)
+        rates = _gauge_rates(kappa, tau, mask, g)
+        base = _residual(g, psi, mask, wraps, series.times, rates)
         assert base == series_nls_residual(series)
-        from dataclasses import replace
-
-        rot = [replace(p, psi=p.psi * np.exp(0.37j)) for p in psis]
-        assert stacked_residual(rot, series.times, rates) == pytest.approx(base, rel=1e-10)
+        rot = _residual(g, psi * np.exp(0.37j), mask, wraps, series.times, rates)
+        assert rot == pytest.approx(base, rel=1e-10)
 
     def test_helix_residual_small_and_shrinking(self):
         vals = []
@@ -186,13 +176,10 @@ class TestNlsResidual:
         mask[15] = False
 
         def residual(planted):
-            psis = []
-            for t in times:
-                psi = np.exp(1j * (g.nodes() - t))
-                if t == times[-1]:
-                    psi[planted] = 1e6
-                psis.append(HasimotoField(g, psi, mask, 0.0))
-            return stacked_residual(psis, times, [0.0] * len(times))
+            psi = np.exp(1j * (g.nodes()[:, None] - times))
+            psi[planted, -1] = 1e6
+            stack = np.repeat(mask[:, None], len(times), axis=1)
+            return _residual(g, psi, stack, [0.0] * len(times), times, [0.0] * len(times))
 
         base = residual([])
         assert residual([0, 1, 14, 16, 30, 31]) == base
@@ -203,19 +190,21 @@ class TestNlsResidual:
         # fold away behind the finite residuals of the other snapshots
         g = Grid.periodic(np.pi, 64)
         series = solve_whole_line(HelixFamily().sample(g), SimConfig(t_final=0.05))
-        frames = [frenet(s) for s in series.snapshots]
-        psis, rates = [hasimoto_psi(f) for f in frames], [gauge_rate(f) for f in frames]
-        assert np.isfinite(stacked_residual(psis, series.times, rates))
+        kappa, tau, mask = stacked(*series.snapshots)
+        psi, wraps = _psi(kappa, tau, mask, g)
+        rates = _gauge_rates(kappa, tau, mask, g)
+        assert np.isfinite(_residual(g, psi, mask, wraps, series.times, rates))
         rates[1] = np.nan
-        assert np.isnan(stacked_residual(psis, series.times, rates))
+        assert np.isnan(_residual(g, psi, mask, wraps, series.times, rates))
 
     def test_gauge_term_is_essential(self):
         # dropping the rates leaves an O(1) remainder on the helix
         fam = HelixFamily()
         g = Grid.periodic(2.0 * np.pi, 128)
         series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.05))
-        psis = [hasimoto_psi(frenet(s)) for s in series.snapshots]
-        without = stacked_residual(psis, series.times, [0.0] * len(psis))
+        kappa, tau, mask = stacked(*series.snapshots)
+        psi, wraps = _psi(kappa, tau, mask, g)
+        without = _residual(g, psi, mask, wraps, series.times, [0.0] * len(wraps))
         assert without > 1.0 > 100.0 * series_nls_residual(series)
 
     def test_straight_run_residual_zero(self, caplog):
@@ -280,24 +269,27 @@ def _ref_rate(kappa, tau, mask, grid):
     return float(-((kss[i0] - k0 * tau[i0] ** 2) / k0 + 0.5 * k0 * k0))
 
 
-def _ref_residual(psis, times, rates):
-    """One triple at a time, over HasimotoFields."""
-    if len(psis) < 3:
+#: One snapshot's psi, mask and wrap phase, as the reference residual takes them.
+Field = namedtuple("Field", "psi mask wrap_phase")
+
+
+def _ref_residual(grid, fields, times, rates):
+    """One triple at a time, over per-snapshot Fields."""
+    if len(fields) < 3:
         raise ValueError("need >= 3 snapshots for a centered psi_t")
-    grid = psis[0].grid
     worst = 0.0
-    for m in range(1, len(psis) - 1):
-        mask = psis[m - 1].mask & psis[m].mask & psis[m + 1].mask
+    for m in range(1, len(fields) - 1):
+        mask = fields[m - 1].mask & fields[m].mask & fields[m + 1].mask
         mask = mask & np.roll(mask, 1) & np.roll(mask, -1)
         if grid.kind != "periodic":
             mask[:2] = False
             mask[-2:] = False
         if not np.any(mask):
             continue
-        psi = psis[m].psi
-        psi_t = (psis[m + 1].psi - psis[m - 1].psi) / (times[m + 1] - times[m - 1])
+        psi = fields[m].psi
+        psi_t = (fields[m + 1].psi - fields[m - 1].psi) / (times[m + 1] - times[m - 1])
         if grid.kind == "periodic":
-            twist = np.exp(1j * psis[m].wrap_phase)
+            twist = np.exp(1j * fields[m].wrap_phase)
             padded = np.concatenate((psi[-1:] / twist, psi, psi[:1] * twist))
             psi_ss = second_difference(padded) / (grid.h * grid.h)
         else:
@@ -308,21 +300,36 @@ def _ref_residual(psis, times, rates):
 
 
 def _ref_series(series):
-    psis, rates = [], []
+    fields, rates = [], []
     for snap in series.snapshots:
-        kappa, tau, mask = _ref_frenet(snap.values, snap.grid)
-        psi, wrap = _ref_psi(kappa, tau, mask, snap.grid)
-        psis.append(HasimotoField(snap.grid, psi, mask.copy(), wrap))
-        rates.append(_ref_rate(kappa, tau, mask, snap.grid))
-    return _ref_residual(psis, series.times, rates)
+        kappa, tau, mask = _ref_frenet(snap.values, series.grid)
+        psi, wrap = _ref_psi(kappa, tau, mask, series.grid)
+        fields.append(Field(psi, mask.copy(), wrap))
+        rates.append(_ref_rate(kappa, tau, mask, series.grid))
+    return _ref_residual(series.grid, fields, series.times, rates)
+
+
+def _ref_diagnostics(series):
+    """What ``diagnose`` prints: the reference residual, then the final snapshot's numbers alone."""
+    residual = _ref_series(series)
+    kappa, tau, mask = _ref_frenet(series.final().values, series.grid)
+    psi, _ = _ref_psi(kappa, tau, mask, series.grid)
+    return {
+        "kappa_mean": float(np.mean(kappa[mask])) if mask.any() else 0.0,
+        "tau_mean": float(np.mean(tau[mask])) if mask.any() else 0.0,
+        "psi_abs_max": float(np.max(np.abs(psi))),
+        "gauge_rate": _ref_rate(kappa, tau, mask, series.grid),
+        "nls_residual": residual,
+    }
 
 
 def _outcome(fn, *args):
-    """repr of the returned float (exact, NaN and -0.0 included), or the error's message."""
+    """repr of the returned float or dict (exact, NaN and -0.0 included), or the error's message."""
     try:
-        return repr(float(fn(*args)))
+        result = fn(*args)
     except ValueError as exc:
         return f"ValueError: {exc}"
+    return repr(result if isinstance(result, dict) else float(result))
 
 
 def _same_bits(a, b):
@@ -365,40 +372,50 @@ def synthetic_series(draw, kind, count=st.integers(3, 6)):
 
 
 def _check_against_reference(series, nan_at=None):
-    """Per-snapshot fields, the series residual and the stacked residual, float for float.
+    """The stacked pass, the series residual and diagnostics, and the stacked residual, float for float.
 
+    Each snapshot's column of the stacked Frenet samples, psi, wrap and rate
+    is held to the reference run on that snapshot alone, as is ``frenet``.
     ``nan_at`` picks a rate (modulo the count) that the stacked residual gets as NaN.
     """
     grid = series.grid
-    psis, rates = [], []
-    for snap in series.snapshots:
+    kappa, tau, mask = stacked(*series.snapshots)
+    rates = _gauge_rates(kappa, tau, mask, grid)
+    fields, mapped = [], []
+    for j, snap in enumerate(series.snapshots):
         f = frenet(snap)
-        kappa, tau, mask = _ref_frenet(snap.values, grid)
-        assert _same_bits(f.kappa, kappa) and _same_bits(f.tau, tau) and _same_bits(f.mask, mask)
-        assert repr(gauge_rate(f)) == repr(_ref_rate(kappa, tau, mask, grid))
+        want = _ref_frenet(snap.values, grid)
+        for got in ((f.kappa, f.tau, f.mask), (kappa[:, j], tau[:, j], mask[:, j])):
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
+        assert repr(rates[j]) == repr(_ref_rate(*want, grid))
         try:
-            want = _ref_psi(kappa, tau, mask, grid)
+            psi, wrap = _ref_psi(*want, grid)
         except ValueError:
-            with pytest.raises(ValueError, match="curvature mask is not contiguous"):
-                hasimoto_psi(f)
             continue
-        hf = hasimoto_psi(f)
-        assert _same_bits(hf.psi, want[0]) and repr(hf.wrap_phase) == repr(want[1])
-        assert _same_bits(hf.mask, mask) and hf.mask is not f.mask
-        psis.append(hf)
-        rates.append(gauge_rate(f))
-    want = _outcome(_ref_series, series)
+        fields.append(Field(psi, want[2], wrap))
+        mapped.append(j)
+    if len(mapped) < len(series.snapshots):
+        with pytest.raises(ValueError, match="curvature mask is not contiguous"):
+            _psi(kappa, tau, mask, grid)
+    if mapped:
+        # the columns whose mask is one block, all of them unless the check above raised
+        psi, wraps = _psi(kappa[:, mapped], tau[:, mapped], mask[:, mapped], grid)
+        for j, field in enumerate(fields):
+            assert _same_bits(psi[:, j], field.psi) and repr(float(wraps[j])) == repr(field.wrap_phase)
     if len(series.snapshots) < 3:
         # the count is checked before the masks
-        assert _outcome(series_nls_residual, series) == "ValueError: need >= 3 snapshots for a centered psi_t"
+        want = "ValueError: need >= 3 snapshots for a centered psi_t"
+        assert _outcome(series_nls_residual, series) == _outcome(series_diagnostics, series) == want
     else:
-        assert _outcome(series_nls_residual, series) == want
+        assert _outcome(series_nls_residual, series) == _outcome(_ref_series, series)
+        assert _outcome(series_diagnostics, series) == _outcome(_ref_diagnostics, series)
     # the stacked residual takes no count check of its own: fewer than 3 is the series' case
-    if len(psis) == len(series.snapshots) >= 3:
+    if len(fields) == len(series.snapshots) >= 3:
         if nan_at is not None and len(rates) > 2:
             rates[nan_at % len(rates)] = np.nan
         times = series.times
-        assert _outcome(stacked_residual, psis, times, rates) == _outcome(_ref_residual, psis, times, rates)
+        got = _outcome(_residual, grid, psi, mask, wraps, times, rates)
+        assert got == _outcome(_ref_residual, grid, fields, times, rates)
 
 
 class TestStackedIsPerSnapshot:
@@ -425,7 +442,7 @@ class TestStackedIsPerSnapshot:
         mask = np.ones(grid.n, dtype=bool)
         phase = cumtrapz(tau, grid.h)
         assert np.all(phase[1:] < 0.0) and np.all(np.abs(phase) < 1e-320)
-        got = hasimoto_psi(FrenetData(grid, kappa, tau, mask)).psi
+        got = _psi(kappa[:, None], tau[:, None], mask[:, None], grid)[0][:, 0]
         want = _ref_psi(kappa, tau, mask, grid)[0]
         assert np.all(np.signbit(want[1:].imag)) and np.all(want[1:].imag == 0.0)
         assert _same_bits(got, want)
@@ -458,18 +475,17 @@ class TestStackedIsPerSnapshot:
         # a gap in every mask that may wrap past the last node, plus
         # single-node holes of each snapshot's own: masked neighbours drop out
         series = self._run(family, scheme, 48)
-        gap = (start + np.arange(width)) % 48
-        psis, rates = [], []
-        for j, snap in enumerate(series.snapshots):
-            f = frenet(snap)
-            f.mask[gap] = False
-            hf = hasimoto_psi(f)
-            hf.mask[holes[j]] = False
-            psis.append(hf)
-            rates.append(gauge_rate(f))
+        grid = series.grid
+        kappa, tau, mask = stacked(*series.snapshots)
+        mask[(start + np.arange(width)) % 48] = False
+        psi, wraps = _psi(kappa, tau, mask, grid)
+        rates = _gauge_rates(kappa, tau, mask, grid)
+        for j in range(len(series.snapshots)):
+            mask[holes[j], j] = False
+        fields = [Field(psi[:, j], mask[:, j], float(wraps[j])) for j in range(len(series.snapshots))]
         times = series.times
-        got = _outcome(stacked_residual, psis, times, rates)
-        assert got == _outcome(_ref_residual, psis, times, rates)
+        got = _outcome(_residual, grid, psi, mask, wraps, times, rates)
+        assert got == _outcome(_ref_residual, grid, fields, times, rates)
 
     def test_straight_run_warns_once(self, caplog):
         g = Grid.periodic(2.0 * np.pi, 64)
