@@ -127,7 +127,7 @@ def write_snapshots_csv(path: str, series, curves=None) -> None:
     s = series.grid.nodes()[:, None]
 
     def block(m):
-        parts = [s, series.snapshots[m].values] + ([] if curves is None else [curves[m].positions])
+        parts = [s, series.snapshots[m]] + ([] if curves is None else [curves[m].positions])
         return _rows_text(np.hstack(parts), str(float(series.times[m])) + ",")
 
     _write_csv(path, header, map(block, range(len(series.times))))
@@ -286,7 +286,8 @@ def cmd_simulate(args) -> int:
     wall = time.perf_counter() - start
     curves = None
     if args.reconstruct:
-        curves = reconstruct_positions(integrate_tangent(series.snapshots[0]), series)
+        x0 = integrate_tangent(VectorField(series.grid, series.snapshots[0]))
+        curves = reconstruct_positions(x0, series)
     summary = harness.invariant_suite(series, curves)
 
     # only now: a run rejected above (exit 1 or 2) leaves no directory behind

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compat import CompatibilityReport, check_compat, check_order_range, decimated
+from .compat import check_compat, check_order_range, decimated
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
@@ -170,11 +170,13 @@ class SimConfig:
         return nsteps - 1 if (nsteps - 1) * dt >= self.t_final else nsteps
 
 
-@dataclass
 class TimeSeries:
-    """Recorded trajectory: snapshots plus per-monitor telemetry rows.
+    """Recorded trajectory: up to ``capacity`` snapshots in one block, plus telemetry rows.
 
-    Every snapshot lives on ``grid``: ``record`` refuses one that does not.
+    The block, (capacity,) times and (capacity, n, 3) values on ``grid``, is
+    filled only by ``record``, which refuses a snapshot on another grid, a
+    time that does not increase strictly and one past the capacity; it sets
+    ``times`` and ``snapshots`` to read-only views of the m rows recorded.
     ``cfg`` is the SimConfig that produced it and ``report`` the
     CompatibilityReport that gated it (None for a run with no gate).  A
     half-line run's telemetry rows are measured on the extension of each
@@ -182,24 +184,25 @@ class TimeSeries:
     residuals.
     """
 
-    grid: Grid
-    times: list = dc_field(default_factory=list)
-    snapshots: list = dc_field(default_factory=list)
-    telemetry: list = dc_field(default_factory=list)  # dict rows
-    solver: dict = dc_field(default_factory=dict)  # counts of the steps' work
-    cfg: SimConfig | None = None
-    report: CompatibilityReport | None = None
+    def __init__(self, grid: Grid, capacity: int, cfg: SimConfig):
+        self.grid, self.cfg, self.report = grid, cfg, None
+        self.telemetry, self.solver = [], {}  # dict rows; counts of the steps' work
+        self._block = np.empty(capacity), np.empty((capacity, grid.n, 3))
+        self.times, self.snapshots = (a[:0] for a in self._block)
 
     def record(self, t: float, u: VectorField):
-        if self.times and t <= self.times[-1]:
+        m = len(self.times)
+        if m and t <= self.times[-1]:
             raise ValueError("snapshot times must increase strictly")
         if u.grid != self.grid:
             raise GridMismatch(f"snapshot on {u.grid}, the series is on {self.grid}")
-        self.times.append(t)
-        self.snapshots.append(u)
+        times, values = self._block
+        times[m], values[m] = t, u.values  # an IndexError past the capacity
+        self.times, self.snapshots = times[: m + 1], values[: m + 1]
+        self.times.flags.writeable = self.snapshots.flags.writeable = False
 
     def final(self) -> VectorField:
-        return self.snapshots[-1]
+        return VectorField(self.grid, self.snapshots[-1])
 
 
 def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
@@ -302,9 +305,9 @@ def _cubic_start(slopes: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarr
 def _step_midpoint(
     u: VectorField, v: np.ndarray, lam: float, tol: float, log: StepLog
 ) -> np.ndarray:
-    # Every array written here is one this step allocated: never v, which a
-    # snapshot may hold, an array held in log.slopes, or the rhs(u, v) start,
-    # which is read only.
+    # Every array written here is one this step allocated: never v, which may
+    # be the caller's u0.values, an array held in log.slopes, or the rhs(u, v)
+    # start, which is read only.
     half = 0.5 * lam
     extrapolate = len(log.slopes) >= 2 and lam <= SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
@@ -426,7 +429,7 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     dt = cfg.resolve_dt(grid.h)
     snapshot_every, monitor_every = cfg.resolve_every(grid.h)
     nsteps = cfg.resolve_steps(grid.h)
-    series = TimeSeries(grid=grid, cfg=cfg)
+    series = TimeSeries(grid, 1 + math.ceil(nsteps / snapshot_every), cfg)
     log = StepLog()
     v = u0.values
     series.record(0.0, u0)

@@ -21,10 +21,10 @@ residual monitor therefore measures
 
 over interior masked nodes.  It is a diagnostic, never a solver.
 
-A series is evaluated in one pass: its m snapshots stacked as (n, m, 3),
-grid axis first, give (n, m) curvature, torsion, mask and psi, and the
-residual runs on all m - 2 interior triples at once.  ``diagnose`` reads
-the final snapshot's numbers off the last column of that pass
+A series is evaluated in one pass: its (m, n, 3) snapshots, viewed as
+(n, m, 3), grid axis first, give (n, m) curvature, torsion, mask and psi,
+and the residual runs on all m - 2 interior triples at once.  ``diagnose``
+reads the final snapshot's numbers off the last column of that pass
 (``series_diagnostics``); ``frenet`` is the m = 1 case of its helper.
 """
 
@@ -54,8 +54,8 @@ class FrenetData:
 def _frenet(values: np.ndarray, grid: Grid) -> tuple:
     """kappa, tau and mask of unit tangents ``values`` of shape (n, ..., 3).
 
-    Derivatives run along the grid axis 0, so a stack of m snapshots as
-    (n, m, 3) gives (n, m) samples, each column those of its snapshot.
+    Derivatives run along the grid axis 0, so m snapshots viewed as
+    (n, m, 3) give (n, m) samples, each column those of its snapshot.
     """
     vs = deriv(values, grid, 1)
     vss = deriv(values, grid, 2)
@@ -164,7 +164,7 @@ def _series_pass(series: TimeSeries) -> tuple:
     """(n, m) kappa, tau, mask and psi of a series' m snapshots, and their m wraps and rates."""
     if len(series.snapshots) < 3:
         raise ValueError("need >= 3 snapshots for a centered psi_t")
-    kappa, tau, mask = _frenet(np.stack([s.values for s in series.snapshots], axis=1), series.grid)
+    kappa, tau, mask = _frenet(series.snapshots.transpose(1, 0, 2), series.grid)
     psi, wraps = _psi(kappa, tau, mask, series.grid)
     return kappa, tau, mask, psi, wraps, _gauge_rates(kappa, tau, mask, series.grid)
 

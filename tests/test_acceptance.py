@@ -13,7 +13,7 @@ import pytest
 from filamentlab.cli import EXIT_COMPAT, EXIT_OK, main as cli_main
 from filamentlab.compat import HelixFamily, get_family
 from filamentlab.evolve import SimConfig, solve_half_space, solve_whole_line
-from filamentlab.geometry import Grid
+from filamentlab.geometry import Grid, VectorField
 from filamentlab.harness import (
     extension_jump_study,
     fit_order,
@@ -35,7 +35,7 @@ def _planar_run(scheme: str):
     start = time.perf_counter()
     run = solve_half_space(fam, Grid.half_line(20.0, 512), cfg)
     wall = time.perf_counter() - start
-    curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
+    curves = reconstruct_positions(integrate_tangent(VectorField(run.grid, run.snapshots[0])), run)
     summary = invariant_suite(run, curves)
     return run, curves, summary, wall
 
@@ -78,9 +78,9 @@ def test_criterion_1_unit_norm(rk4_run):
 
 def test_criterion_2_boundary_condition(rk4_run):
     run, _, _, _ = rk4_run
-    w1 = max(abs(float(s.values[0, 0])) for s in run.snapshots)
-    w2 = max(abs(float(s.values[0, 1])) for s in run.snapshots)
-    w3 = max(abs(float(s.values[0, 2]) - 1.0) for s in run.snapshots)
+    w1 = max(abs(float(s[0, 0])) for s in run.snapshots)
+    w2 = max(abs(float(s[0, 1])) for s in run.snapshots)
+    w3 = max(abs(float(s[0, 2]) - 1.0) for s in run.snapshots)
     ok = max(w1, w2, w3) <= 1e-10
     _report(2, ok, f"|v1|,|v2|,|v3-1| at wall = {w1:.1e},{w2:.1e},{w3:.1e}")
     assert w1 <= 1e-10 and w2 <= 1e-10 and w3 <= 1e-10
@@ -203,9 +203,9 @@ def test_criterion_11_scheme_independence(midpoint_run):
     run, curves, summary, _ = midpoint_run
     norm = max(row["norm_dev"] for row in run.telemetry)
     sym = max(row["symmetry"] for row in run.telemetry)
-    bnd1 = max(abs(float(s.values[0, 0])) for s in run.snapshots)
-    bnd2 = max(abs(float(s.values[0, 1])) for s in run.snapshots)
-    bnd3 = max(abs(float(s.values[0, 2]) - 1.0) for s in run.snapshots)
+    bnd1 = max(abs(float(s[0, 0])) for s in run.snapshots)
+    bnd2 = max(abs(float(s[0, 1])) for s in run.snapshots)
+    bnd3 = max(abs(float(s[0, 2]) - 1.0) for s in run.snapshots)
     endpoint = max(abs(endpoint_height(c)) for c in curves)
     ok = (
         norm <= 1e-10

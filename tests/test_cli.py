@@ -287,8 +287,8 @@ class TestSimulate:
         fam = get_family("planar_odd", a=0.5)
         grid = Grid.half_line(20.0, 129)
         run = solve_half_space(fam, grid, SimConfig(t_final=0.05, check_order=1))
-        curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
-        tangents = np.concatenate([u.values for u in run.snapshots])
+        curves = reconstruct_positions(integrate_tangent(VectorField(grid, run.snapshots[0])), run)
+        tangents = run.snapshots.reshape(-1, 3)
         positions = np.concatenate([c.positions for c in curves])
         assert data[:, 0].tobytes() == np.repeat(run.times, 129).tobytes()
         assert data[:, 1].tobytes() == np.tile(grid.nodes(), len(run.times)).tobytes()
@@ -682,7 +682,9 @@ class TestSnapshotWriter:
         # orjson writes NaN as null; the writer once wrote the cell nan
         grid = Grid.half_line(20.0, 17)
         tangent = VectorField(grid, np.tile(E3, (grid.n, 1)))
-        series = TimeSeries(grid, [0.0, 0.5], [tangent, tangent])
+        series = TimeSeries(grid, 2, SimConfig())
+        for t in (0.0, 0.5):
+            series.record(t, tangent)
         bad = np.zeros((grid.n, 3))
         bad[5, 2] = np.nan
         curves = [FilamentCurve(grid, np.zeros((grid.n, 3))), FilamentCurve(grid, bad)]
@@ -696,17 +698,17 @@ class TestSnapshotWriter:
         # series' s column next to the values of a shorter grid
         grid = Grid.half_line(20.0, 33)
         fam = get_family("planar_odd", a=0.5)
-        series = TimeSeries(grid)
+        series = TimeSeries(grid, 2, SimConfig())
         series.record(0.0, fam.sample(grid))
         with pytest.raises(GridMismatch, match="snapshot on .*length=10.0"):
             series.record(0.5, fam.sample(Grid.half_line(10.0, 33)))
-        assert series.times == [0.0] and len(series.snapshots) == 1
+        assert np.array_equal(series.times, [0.0]) and len(series.snapshots) == 1
         series.record(1.0, fam.sample(grid))
         cli.write_snapshots_csv(str(tmp_path / "snapshots.csv"), series)
         rows = np.loadtxt(tmp_path / "snapshots.csv", delimiter=",", skiprows=1)
         assert rows.shape == (2 * grid.n, 5)
         assert np.array_equal(rows[:, 0], np.repeat([0.0, 1.0], grid.n))
-        want = np.vstack([snap.values for snap in series.snapshots])
+        want = series.snapshots.reshape(-1, 3)
         assert np.array_equal(rows[:, 2:], want)
 
 

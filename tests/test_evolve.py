@@ -25,6 +25,7 @@ from filamentlab.evolve import (
     TELEMETRY_KEYS,
     SimConfig,
     StepLog,
+    TimeSeries,
     _step_rk4,
     bending_energy,
     farfield_deviation,
@@ -501,6 +502,30 @@ class TestWholeLine:
             solve_whole_line(u, SimConfig(t_final=0.01))
 
 
+class TestTimeSeries:
+    def test_constructor_takes_no_snapshots(self):
+        # the constructor once took times and snapshots unchecked, and the
+        # writer put the L = 20 s column next to these L = 10 values
+        samples = [get_family("planar_odd", a=0.5).sample(Grid.half_line(10.0, 33))] * 2
+        with pytest.raises(TypeError):
+            TimeSeries(Grid.half_line(20.0, 33), [0.0, 1.0], samples)
+
+    def test_only_record_writes_the_block(self):
+        grid = Grid.periodic(2.0 * np.pi, 16)
+        series = TimeSeries(grid, 2, SimConfig())
+        series.record(0.0, HelixFamily().sample(grid))
+        for view in (series.times, series.snapshots):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+        with pytest.raises(ValueError, match="increase strictly"):
+            series.record(0.0, HelixFamily().sample(grid))
+        series.record(0.5, HelixFamily().sample(grid))
+        with pytest.raises(IndexError):  # past the capacity
+            series.record(1.0, HelixFamily().sample(grid))
+        assert series.times.tolist() == [0.0, 0.5]
+        assert series.snapshots[1].tobytes() == HelixFamily().sample(grid).values.tobytes()
+
+
 class TestHalfSpace:
     def test_planar_odd_symmetry_and_boundary_exact(self):
         fam = get_family("planar_odd", a=0.5)
@@ -521,7 +546,7 @@ class TestHalfSpace:
         fam = get_family("planar_odd", a=0.5)
         run = solve_half_space(fam, Grid.half_line(20.0, 129), SimConfig(t_final=0.05))
         for snap in run.snapshots:
-            assert np.array_equal(snap.values[0], E3)
+            assert np.array_equal(snap[0], E3)
 
     def test_snapshot_grids_and_times_match(self):
         # the ghost-node solve is the whole-line solve of the extension,
@@ -540,14 +565,13 @@ class TestHalfSpace:
                 monitor_every=7,
             )
             run = solve_half_space(fam, grid, cfg)
-            whole = solve_whole_line(extend(run.snapshots[0]), cfg)
+            whole = solve_whole_line(extend(VectorField(grid, run.snapshots[0])), cfg)
             assert run.grid == grid
-            assert run.times == whole.times
+            assert np.array_equal(run.times, whole.times)
             assert run.telemetry == whole.telemetry
             assert len(run.telemetry) > 3
             for half_snap, whole_snap in zip(run.snapshots, whole.snapshots, strict=True):
-                assert half_snap.grid == grid
-                assert np.array_equal(half_snap.values, restrict(whole_snap).values)
+                assert np.array_equal(half_snap, restrict(VectorField(whole.grid, whole_snap)).values)
 
     @pytest.mark.parametrize("name", ["planar_odd", "planar_bad"])
     @pytest.mark.parametrize("length, n", itertools.product((20.0, 10.0), (65, 512, 513)))
@@ -557,7 +581,7 @@ class TestHalfSpace:
         fam = get_family(name, a=0.5)
         grid = Grid.half_line(length, n)
         run = solve_half_space(fam, grid, SimConfig(t_final=1e-6, check_order=2, strict=False))
-        assert run.snapshots[0].values.tobytes() == fam.sample(grid).values.tobytes()
+        assert run.snapshots[0].tobytes() == fam.sample(grid).values.tobytes()
         coarse = check_compat(fam.sample(grid), 2, SimConfig.compat_tol).a_residuals
         assert run.report.a_residuals_coarse == coarse
 

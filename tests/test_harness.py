@@ -123,11 +123,11 @@ class TestHalfLineClosedForm:
         for run in runs:
             assert run.times[-1] == 1.0
             for snap in run.snapshots:
-                assert snap.values[0].tobytes() == E3.tobytes()
+                assert snap[0].tobytes() == E3.tobytes()
 
     def test_foot_point_on_the_wall(self, runs):
         run = runs[-1]
-        curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
+        curves = reconstruct_positions(integrate_tangent(VectorField(run.grid, run.snapshots[0])), run)
         exact = self.A / 2.0 * (1.0 - (1.0 + 4.0j) ** -0.5)
         x1, x2, _ = curves[-1].positions[0]
         assert abs(complex(x1, x2) - exact) <= 5e-3 * abs(exact)  # measured 0.19 %
@@ -147,7 +147,7 @@ class TestInvariantSuite:
         fam = get_family("planar_odd", a=0.5)
         cfg = SimConfig(t_final=0.05, scheme=scheme)
         run = solve_half_space(fam, Grid.half_line(20.0, 129), cfg)
-        curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
+        curves = reconstruct_positions(integrate_tangent(VectorField(run.grid, run.snapshots[0])), run)
         return invariant_suite(run, curves), run
 
     def test_all_verdicts_pass(self):
@@ -287,7 +287,8 @@ class TestRunRecord:
             series = solve_half_space(fam, Grid.half_line(20.0, 65), cfg)
         curves = None
         if case == "half-curves":
-            curves = reconstruct_positions(integrate_tangent(series.snapshots[0]), series)
+            x0 = integrate_tangent(VectorField(series.grid, series.snapshots[0]))
+            curves = reconstruct_positions(x0, series)
         summary = invariant_suite(series, curves)
         gating = {"norm_dev"}
         if case != "periodic":

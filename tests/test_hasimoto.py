@@ -29,9 +29,9 @@ from filamentlab.hasimoto import (
 )
 
 
-def stacked(*snapshots):
-    """(n, m) kappa, tau and mask of snapshots on one grid, stacked as the series pass stacks them."""
-    return _frenet(np.stack([s.values for s in snapshots], axis=1), snapshots[0].grid)
+def stacked(snapshots, grid):
+    """(n, m) kappa, tau and mask of (m, n, 3) snapshots on ``grid``, read as the series pass reads them."""
+    return _frenet(np.asarray(snapshots).transpose(1, 0, 2), grid)
 
 
 class TestFrenet:
@@ -71,14 +71,14 @@ class TestPsi:
     def test_modulus_equals_curvature(self):
         fam = HelixFamily()
         g = Grid.periodic(2.0 * np.pi, 128)
-        kappa, tau, mask = stacked(fam.sample(g))
+        kappa, tau, mask = stacked([fam.sample(g).values], g)
         psi, _ = _psi(kappa, tau, mask, g)
         assert np.allclose(np.abs(psi[mask]), kappa[mask], atol=1e-14)
 
     def test_phase_slope_is_torsion(self):
         fam = HelixFamily(0.6, 0.8, 2.0)
         g = Grid.periodic(2.0 * np.pi, 256)
-        psi, _ = _psi(*stacked(fam.sample(g)), g)
+        psi, _ = _psi(*stacked([fam.sample(g).values], g), g)
         phase = np.unwrap(np.angle(psi[:, 0]))
         slope = np.polyfit(g.nodes(), phase, 1)[0]
         assert slope == pytest.approx(1.6, abs=5e-3)
@@ -87,14 +87,14 @@ class TestPsi:
         # one period of the helix carries total torsion 2 pi tau
         fam = HelixFamily(0.6, 0.8, 2.0)
         g = Grid.periodic(2.0 * np.pi, 256)
-        _, wraps = _psi(*stacked(fam.sample(g)), g)
+        _, wraps = _psi(*stacked([fam.sample(g).values], g), g)
         assert wraps[0] == pytest.approx(2.0 * np.pi * 1.6, rel=1e-3)
 
     def test_straight_gives_zero_field_with_warning(self, caplog):
         fam = get_family("straight")
         g = Grid.periodic(2.0 * np.pi, 64)
         with caplog.at_level("WARNING", logger="filamentlab.hasimoto"):
-            psi, wraps = _psi(*stacked(fam.sample(g)), g)
+            psi, wraps = _psi(*stacked([fam.sample(g).values], g), g)
         assert np.array_equal(psi, np.zeros((64, 1), dtype=complex))
         assert np.array_equal(wraps, [0.0])
         assert any("zero field" in r.message for r in caplog.records)
@@ -119,26 +119,26 @@ class TestGaugeRate:
         # kappa, tau constant: R = -(-tau^2 + kappa^2 / 2) = c^2 k^2 - a^2 k^2 / 2
         fam = HelixFamily(0.6, 0.8, 2.0)
         g = Grid.periodic(2.0 * np.pi, 256)
-        (rate,) = _gauge_rates(*stacked(fam.sample(g)), g)
+        (rate,) = _gauge_rates(*stacked([fam.sample(g).values], g), g)
         assert rate == pytest.approx(0.64 * 4.0 - 0.5 * 0.36 * 4.0, abs=5e-2)
 
     def test_ring_closed_form(self):
         # tau = 0: R = -kappa^2 / 2
         fam = RingFamily(0.5)
         g = Grid.periodic(fam.period(), 256)
-        (rate,) = _gauge_rates(*stacked(fam.sample(g)), g)
+        (rate,) = _gauge_rates(*stacked([fam.sample(g).values], g), g)
         assert rate == pytest.approx(-2.0, abs=5e-2)
 
     def test_empty_mask_rate_zero(self):
         fam = get_family("straight")
         g = Grid.periodic(2.0 * np.pi, 64)
-        assert _gauge_rates(*stacked(fam.sample(g)), g) == [0.0]
+        assert _gauge_rates(*stacked([fam.sample(g).values], g), g) == [0.0]
 
 
 class TestNlsResidual:
     def test_needs_three_snapshots(self):
         g = Grid.periodic(2.0 * np.pi, 64)
-        series = TimeSeries(g)
+        series = TimeSeries(g, 2, SimConfig())
         for t in (0.0, 0.1):
             series.record(t, HelixFamily().sample(g))
         with pytest.raises(ValueError, match="need >= 3 snapshots"):
@@ -149,7 +149,7 @@ class TestNlsResidual:
         fam = HelixFamily()
         g = Grid.periodic(2.0 * np.pi, 96)
         series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.05))
-        kappa, tau, mask = stacked(*series.snapshots)
+        kappa, tau, mask = stacked(series.snapshots, series.grid)
         psi, wraps = _psi(kappa, tau, mask, g)
         rates = _gauge_rates(kappa, tau, mask, g)
         base = _residual(g, psi, mask, wraps, series.times, rates)
@@ -190,7 +190,7 @@ class TestNlsResidual:
         # fold away behind the finite residuals of the other snapshots
         g = Grid.periodic(np.pi, 64)
         series = solve_whole_line(HelixFamily().sample(g), SimConfig(t_final=0.05))
-        kappa, tau, mask = stacked(*series.snapshots)
+        kappa, tau, mask = stacked(series.snapshots, series.grid)
         psi, wraps = _psi(kappa, tau, mask, g)
         rates = _gauge_rates(kappa, tau, mask, g)
         assert np.isfinite(_residual(g, psi, mask, wraps, series.times, rates))
@@ -202,7 +202,7 @@ class TestNlsResidual:
         fam = HelixFamily()
         g = Grid.periodic(2.0 * np.pi, 128)
         series = solve_whole_line(fam.sample(g), SimConfig(t_final=0.05))
-        kappa, tau, mask = stacked(*series.snapshots)
+        kappa, tau, mask = stacked(series.snapshots, series.grid)
         psi, wraps = _psi(kappa, tau, mask, g)
         without = _residual(g, psi, mask, wraps, series.times, [0.0] * len(wraps))
         assert without > 1.0 > 100.0 * series_nls_residual(series)
@@ -302,7 +302,7 @@ def _ref_residual(grid, fields, times, rates):
 def _ref_series(series):
     fields, rates = [], []
     for snap in series.snapshots:
-        kappa, tau, mask = _ref_frenet(snap.values, series.grid)
+        kappa, tau, mask = _ref_frenet(snap, series.grid)
         psi, wrap = _ref_psi(kappa, tau, mask, series.grid)
         fields.append(Field(psi, mask.copy(), wrap))
         rates.append(_ref_rate(kappa, tau, mask, series.grid))
@@ -357,9 +357,10 @@ def synthetic_series(draw, kind, count=st.integers(3, 6)):
     lobes = draw(st.sampled_from([1, 1, 1, 1, 2]))
     # off a periodic grid a bump across the ends would be two blocks
     u0 = draw(st.floats(0.0, (2.0 if kind == "periodic" else 1.0) * np.pi))
-    series = TimeSeries(grid)
+    m = draw(count)
+    series = TimeSeries(grid, m, SimConfig())
     t = 0.0
-    for _ in range(draw(count)):
+    for _ in range(m):
         a = draw(st.floats(0.2, 1.2))
         b, c = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
         shift = draw(st.sampled_from([0.0, 0.0, 0.4]))  # a mask that moves between snapshots
@@ -379,12 +380,12 @@ def _check_against_reference(series, nan_at=None):
     ``nan_at`` picks a rate (modulo the count) that the stacked residual gets as NaN.
     """
     grid = series.grid
-    kappa, tau, mask = stacked(*series.snapshots)
+    kappa, tau, mask = stacked(series.snapshots, series.grid)
     rates = _gauge_rates(kappa, tau, mask, grid)
     fields, mapped = [], []
     for j, snap in enumerate(series.snapshots):
-        f = frenet(snap)
-        want = _ref_frenet(snap.values, grid)
+        f = frenet(VectorField(grid, snap))
+        want = _ref_frenet(snap, grid)
         for got in ((f.kappa, f.tau, f.mask), (kappa[:, j], tau[:, j], mask[:, j])):
             assert all(_same_bits(a, b) for a, b in zip(got, want))
         assert repr(rates[j]) == repr(_ref_rate(*want, grid))
@@ -476,7 +477,7 @@ class TestStackedIsPerSnapshot:
         # single-node holes of each snapshot's own: masked neighbours drop out
         series = self._run(family, scheme, 48)
         grid = series.grid
-        kappa, tau, mask = stacked(*series.snapshots)
+        kappa, tau, mask = stacked(series.snapshots, series.grid)
         mask[(start + np.arange(width)) % 48] = False
         psi, wraps = _psi(kappa, tau, mask, grid)
         rates = _gauge_rates(kappa, tau, mask, grid)

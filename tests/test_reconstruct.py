@@ -41,7 +41,7 @@ def test_flow_velocity_ring_is_wall_parallel_translation():
     # circle of radius r: v x v_s = e3 / r pointwise
     fam = RingFamily(0.5)
     g = Grid.periodic(fam.period(), 512)
-    w = flow_velocity(fam.sample(g))
+    w = flow_velocity(fam.sample(g).values, g)
     assert np.allclose(w, [0.0, 0.0, 2.0], atol=1e-3)
 
 
@@ -49,7 +49,7 @@ def test_straight_run_curve_is_static():
     fam = get_family("straight")
     g = Grid.half_line(10.0, 65)
     run = solve_half_space(fam, g, SimConfig(t_final=0.05))
-    curves = reconstruct_positions(integrate_tangent(run.snapshots[0]), run)
+    curves = reconstruct_positions(integrate_tangent(VectorField(g, run.snapshots[0])), run)
     assert len(curves) == len(run.times)
     for c in curves:
         assert np.array_equal(c.positions, curves[0].positions)
@@ -85,11 +85,9 @@ def test_truncated_series_prefix_is_bitwise_identical():
 
     from filamentlab.evolve import TimeSeries
 
-    short = TimeSeries(
-        grid=series.grid,
-        times=series.times[:3],
-        snapshots=series.snapshots[:3],
-    )
+    short = TimeSeries(series.grid, 3, series.cfg)
+    for t, values in zip(series.times[:3], series.snapshots[:3]):
+        short.record(t, VectorField(g, values))
     part = reconstruct_positions(integrate_tangent(v0), short)
     for a, b in zip(part, full[:3]):
         assert np.array_equal(a.positions, b.positions)
