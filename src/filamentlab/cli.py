@@ -30,6 +30,7 @@ from .errors import (
     GridMismatch,
     GridTooSmall,
     NonFiniteState,
+    SpacingOutOfRange,
     StabilityViolated,
     UnknownFamily,
 )
@@ -188,7 +189,8 @@ def _input_field(args, refined: bool):
 
 def cmd_check(args) -> int:
     check_order_range("--order", args.order)
-    report = check_compat(_input_field(args, refined=True), args.order, args.tol)
+    with _naming({"--length" if args.family else args.input: SpacingOutOfRange}):
+        report = check_compat(_input_field(args, refined=True), args.order, args.tol)
     for k, (res, ok) in enumerate(zip(report.a_residuals, report.a_pass)):
         print(f"order {k}: residual {res:.6e}  {'pass' if ok else 'FAIL'}")
     print(f"norm residual: {report.norm_residual:.3e}")
@@ -204,8 +206,9 @@ def cmd_check(args) -> int:
 
 def cmd_extend(args) -> int:
     ext = extend(_input_field(args, refined=False))
-    for k in range(0, 4):
-        print(f"jump residual k={k}: {derivative_jump_residual(ext, k):.6e}")
+    with _naming({"--length" if args.family else args.input: SpacingOutOfRange}):
+        for k in range(0, 4):
+            print(f"jump residual k={k}: {derivative_jump_residual(ext, k):.6e}")
     if args.out:
         write_field_csv(args.out, ext)
         print(f"wrote {args.out}")
@@ -282,7 +285,8 @@ def cmd_simulate(args) -> int:
         v0 = fam.sample(grid) if kind == PERIODIC else None
 
     start = time.perf_counter()
-    series = solve_half_space(fam, grid, cfg) if kind == HALF else solve_whole_line(v0, cfg)
+    with _naming({"config key grid.L": SpacingOutOfRange}):
+        series = solve_half_space(fam, grid, cfg) if kind == HALF else solve_whole_line(v0, cfg)
     wall = time.perf_counter() - start
     curves = None
     if args.reconstruct:
@@ -353,7 +357,7 @@ def cmd_diagnose(args) -> int:
     with _naming({"--family": GridMismatch, "--n": GridTooSmall, flag: ValueError}):
         grid = Grid.periodic(length, args.n)
         v0 = fam.sample(grid)
-    with _naming({"--t-final": ValueError}):
+    with _naming({flag: SpacingOutOfRange, "--t-final": ValueError}):
         cfg = harness.nls_config(grid, args.t_final)
     print(json.dumps(series_diagnostics(solve_whole_line(v0, cfg)), indent=2, sort_keys=True))
     return EXIT_OK

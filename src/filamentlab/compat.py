@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import GridMismatch, GridTooSmall, UnknownFamily
-from .geometry import E3, HALF, K_MAX, KINDS, MIN_NODES, PERIODIC, WHOLE, Grid, VectorField, cross, one_sided_deriv_at_zero
+from .geometry import E3, HALF, K_MAX, KINDS, MIN_NODES, PERIODIC, WHOLE, Grid, VectorField, cross, finite_at_spacing, one_sided_deriv_at_zero
 
 #: Residual contraction required by the two-grid cross-check (order-2
 #: stencils contract by ~4; incompatible data contracts by ~1).
@@ -257,11 +257,13 @@ class CompatibilityReport:
         return {**asdict(self), "refined": self.refined, "passed": self.passed}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual raises instead
 def _residuals(v0: VectorField, n: int) -> list:
     """|v0(0) - e3| and |v0(0) x d^{2k}v0(0)| for k = 1..n, of one sampling."""
     v = one_sided_deriv_at_zero(v0, 0)
     crossed = [cross(v, one_sided_deriv_at_zero(v0, 2 * k)) for k in range(1, n + 1)]
-    return [float(np.linalg.norm(r)) for r in (v - E3, *crossed)]
+    norms = [float(np.linalg.norm(r)) for r in (v - E3, *crossed)]
+    return finite_at_spacing(norms, v0.grid.h, "a compatibility residual")
 
 
 def _passes(residual: float, tol: float, coarse: float | None) -> bool:

@@ -9,6 +9,10 @@ class GridTooSmall(FilamentError):
     """A finite-difference stencil does not fit on the grid."""
 
 
+class SpacingOutOfRange(FilamentError, ValueError):
+    """A grid spacing at which a boundary estimate, a residual or the time step leaves the float range."""
+
+
 class DegenerateVector(FilamentError):
     """A sample with norm too small to renormalize safely."""
 

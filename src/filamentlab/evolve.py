@@ -71,6 +71,7 @@ from .geometry import (
     VectorField,
     cross,
     deriv,  # noqa: F401 -- unused here; perfbench/layers.py wraps evolve.deriv
+    finite_at_spacing,
     normalize_field,
     row_norms,
 )
@@ -149,6 +150,12 @@ class SimConfig:
         if dt > cap:
             raise StabilityViolated(f"dt={dt:g} above cap {cap:g} (h={h:g})")
         return dt
+
+    @np.errstate(all="ignore")  # a step of 0 or infinity raises instead
+    def check_spacing(self, h: float) -> None:
+        """Raise SpacingOutOfRange unless t_final and a default sample are finite step counts."""
+        steps = np.array([self.t_final, SAMPLE_EVERY_FACTOR * h * h]) / self.resolve_dt(h)
+        finite_at_spacing(steps, h, "the step count to t_final or to a sample")
 
     def resolve_every(self, h: float) -> tuple[int, int]:
         """(snapshot_every, monitor_every) in steps.
@@ -426,6 +433,7 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     if u0.unit_deviation() > 1e-6:
         raise ValueError("initial data must be unit length (within 1e-6)")
     grid = u0.grid
+    cfg.check_spacing(grid.h)
     dt = cfg.resolve_dt(grid.h)
     snapshot_every, monitor_every = cfg.resolve_every(grid.h)
     nsteps = cfg.resolve_steps(grid.h)

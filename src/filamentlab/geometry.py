@@ -3,7 +3,7 @@
 Everything else in the package is built on the pieces here: uniform 1-D
 grids (half-line, symmetric whole-line, periodic), sampled vector
 fields, second-order difference operators, and one-sided boundary
-stencils generated with the Fornberg recursion.
+stencils from ``STENCILS``, exact weights on the integer offsets 0..p-1.
 
 The interior second-difference is deliberately evaluated as
 ``(left + right) - 2*center`` (``second_difference``, shared by
@@ -23,13 +23,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, GridMismatch, GridTooSmall, NonFiniteState
+from .errors import DegenerateVector, GridMismatch, GridTooSmall, NonFiniteState, SpacingOutOfRange
 
 #: Unit vector normal to the wall; the boundary value of the tangent field.
 E3 = np.array([0.0, 0.0, 1.0])
 
-#: Highest boundary-trace derivative order supported by the stencil table.
-K_MAX = 4
+#: Weights of the k-th derivative at s = 0 on the p nodes s = 0, 1, ..., keyed by
+#: (k, p): each is its rational, correctly rounded (Python's int / int is).  k + 2
+#: nodes give accuracy 2; k + 4 are the s <= 0 side of ``derivative_jump_residual``.
+STENCILS = {
+    (1, 3): (-3 / 2, 2, -1 / 2),
+    (1, 5): (-25 / 12, 4, -3, 4 / 3, -1 / 4),
+    (2, 4): (2, -5, 4, -1),
+    (2, 6): (15 / 4, -77 / 6, 107 / 6, -13, 61 / 12, -5 / 6),
+    (3, 5): (-5 / 2, 9, -12, 7, -3 / 2),
+    (3, 7): (-49 / 8, 29, -461 / 8, 62, -307 / 8, 13, -15 / 8),
+    (4, 6): (3, -14, 26, -24, 11, -2),
+}
+
+#: Highest boundary-trace derivative order of the stencil table.
+K_MAX = max(k for k, _ in STENCILS)
 
 #: Fewest nodes a grid may have.
 MIN_NODES = 8
@@ -204,50 +217,13 @@ def cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def fd_weights(x: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at 0 on nodes x.
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite estimate raises instead
+def one_sided_deriv_at_zero(field, k: int, points: int | None = None) -> np.ndarray:
+    """One-sided estimate from s >= 0 of the k-th s-derivative trace at s = 0.
 
-    Fornberg's recursion (Math. Comp. 51, 1988).  Returns w with
-    sum_j w[j] f(x[j]) ~ f^(m)(0).
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < m + 1:
-        raise GridTooSmall(f"{n} nodes cannot resolve derivative order {m}")
-    w = np.zeros((m + 1, n))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0]
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = (c4 * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = c4 * w[0, j] / c3
-        c1 = c2
-    return w[m]
-
-
-def one_sided_deriv_at_zero(
-    field,
-    k: int,
-    side: str = "+",
-    points: int | None = None,
-) -> np.ndarray:
-    """One-sided estimate of the k-th s-derivative trace at s = 0.
-
-    Uses ``points`` stencil nodes on the requested side (default k + 2,
-    formal accuracy 2).  ``side`` is "+" (s >= 0) or "-" (s <= 0); the
-    latter needs a whole-line grid.  k = 0 returns the node value itself.
+    The ``STENCILS`` weights of ``points`` nodes (default k + 2), then one
+    division by h per order (h**k alone can underflow); a non-finite estimate
+    raises SpacingOutOfRange.  k = 0 returns the node value itself.
     """
     if k < 0 or k > K_MAX:
         raise ValueError(f"derivative order {k} exceeds k_max={K_MAX}")
@@ -256,18 +232,20 @@ def one_sided_deriv_at_zero(
     if k == 0:
         return np.array(field.values[i0], copy=True)
     p = points if points is not None else k + 2
-    if side == "+":
-        offsets = np.arange(p)
-        if i0 + p > grid.n:
-            raise GridTooSmall(f"stencil of {p} nodes does not fit right of 0")
-    elif side == "-":
-        offsets = -np.arange(p)
-        if i0 - (p - 1) < 0:
-            raise GridTooSmall(f"stencil of {p} nodes does not fit left of 0")
-    else:
-        raise ValueError("side must be '+' or '-'")
-    w = fd_weights(offsets * grid.h, k)
-    return w @ field.values[i0 + offsets]
+    if i0 + p > grid.n:
+        raise GridTooSmall(f"stencil of {p} nodes does not fit right of 0")
+    # a fancy index gathers a contiguous copy: on a strided view the product rounds otherwise
+    est = np.array(STENCILS[k, p]) @ field.values[i0 + np.arange(p)]
+    for _ in range(k):
+        est /= grid.h
+    return finite_at_spacing(est, grid.h, f"derivative {k} at s = 0")
+
+
+def finite_at_spacing(x, h: float, what: str):
+    """``x``; SpacingOutOfRange if an entry is not finite, as h far from 1 can make it."""
+    if not np.isfinite(x).all():
+        raise SpacingOutOfRange(f"{what} is not a finite number at grid spacing h={h:g}")
+    return x
 
 
 def normalize_field(values: np.ndarray) -> np.ndarray:

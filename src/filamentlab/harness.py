@@ -149,8 +149,10 @@ def nls_config(grid: Grid, t_final: float) -> SimConfig:
 
     It steps at most t_final / 2 and keeps a snapshot at least every half of its steps.
     """
-    dt = min(SimConfig(t_final=t_final).resolve_dt(grid.h), t_final / 2.0)
-    cfg = SimConfig(t_final=t_final, dt=dt)
+    base = SimConfig(t_final=t_final)
+    base.check_spacing(grid.h)  # before a step of 0 reaches SimConfig(dt=...) below
+    cfg = SimConfig(t_final=t_final, dt=min(base.resolve_dt(grid.h), t_final / 2.0))
+    cfg.check_spacing(grid.h)  # a capped step can still take a sample interval out of range
     every = min(cfg.resolve_every(grid.h)[0], cfg.resolve_steps(grid.h) // 2)
     return replace(cfg, snapshot_every=every)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridMismatch
-from .geometry import HALF, WHOLE, Grid, VectorField, one_sided_deriv_at_zero, row_norms
+from .geometry import HALF, WHOLE, Grid, VectorField, finite_at_spacing, one_sided_deriv_at_zero, row_norms
 
 #: The sign pattern of -bar: w * _NEGBAR is -bar(w), row by row.
 _NEGBAR = np.array([-1.0, -1.0, 1.0])
@@ -56,17 +56,18 @@ def symmetry_residual(u: VectorField) -> float:
     return float(row_norms(diff).max())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite residual raises instead
 def derivative_jump_residual(ext: VectorField, k: int) -> float:
-    """|d^k ext(0+) - d^k ext(0-)| from one-sided stencils.
+    """|d^k ext(0+) - d^k ext(0-)| from one-sided stencils of a whole-line field.
 
-    The two sides use stencils of accuracy >= 2 but different lengths
-    (k+2 nodes right, k+4 left).  Mirror-identical stencils would cancel
-    the truncation error exactly for odd/even-symmetric extensions and
-    report roundoff instead of the O(h^2) signal a smooth extension
-    should show; the length asymmetry keeps the signal alive while a
-    genuine jump still dominates at O(1).  At k = 0 both sides are the
-    node value at s = 0, so the residual is 0.
+    The left side is (-1)^k -bar of the s >= 0 rule on T ext, whose node j is
+    -bar(ext(-j h)): the rule on the mirrored nodes, up to exact sign flips,
+    with k+4 nodes to the right's k+2.  Mirror-identical stencils would cancel
+    the truncation error exactly for odd/even-symmetric extensions and report
+    roundoff instead of the O(h^2) signal a smooth extension should show; the
+    length asymmetry keeps the signal alive while a genuine jump still
+    dominates at O(1).  At k = 0 both sides are the node value at s = 0.
     """
-    right = one_sided_deriv_at_zero(ext, k, "+", points=k + 2)
-    left = one_sided_deriv_at_zero(ext, k, "-", points=k + 4)
-    return float(np.linalg.norm(right - left))
+    right = one_sided_deriv_at_zero(ext, k, points=k + 2)
+    left = (-1) ** k * _NEGBAR * one_sided_deriv_at_zero(apply_T(ext), k, points=k + 4)
+    return finite_at_spacing(float(np.linalg.norm(right - left)), ext.grid.h, f"jump residual k={k}")

@@ -139,6 +139,16 @@ class TestCheck:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert json.loads(report.read_text()) == summary["compat"]
 
+    @pytest.mark.parametrize(
+        "family, length", [("planar_odd:a=0.5", "1e-300"), ("straight", "1e300")]
+    )
+    def test_compatible_data_pass_at_any_grid_length(self, capsys, family, length):
+        # the h-scaled stencil weights once overflowed here: "order 1: residual nan  FAIL"
+        assert main(["check", "--family", family, "--length", length, "--strict"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "order 1: residual 0.000000e+00  pass" in out
+        assert out.endswith("compatibility passed\n")
+
     def test_report_json_written(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(
@@ -978,6 +988,24 @@ EXIT_ONE_INPUTS = {
     "diagnose-family-off-its-grid-kind": ["diagnose", "--family", "planar_odd"],
     "check-family-off-its-grid-kind": ["check", "--family", "helix"],
     "diagnose-t-final-zero": ["diagnose", "--family", "helix", "--t-final", "0"],
+    # a boundary estimate out of the float range once printed "nan  FAIL" and exited 0
+    "check-length-tiny-order-2": [
+        "check", "--family", "planar_odd:a=0.5", "--length", "1e-300", "--order", "2"
+    ],
+    "extend-length-tiny": ["extend", "--family", "planar_odd:a=0.5", "--length", "1e-300"],
+    "extend-input-tiny-spacing": ["extend", "--input", "{tinyspacing}"],
+    # a time step of 0 or infinity once died in a traceback or in "cannot convert float NaN"
+    "grid-L-tiny": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = 1e-300"),
+    "grid-L-tiny-not-strict": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = 1e-300")
+    + "check.strict = false\n",
+    "grid-L-huge": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = 1e300").replace(
+        "planar_odd:a=0.5", "straight"
+    ),
+    "ring-length-tiny": PERIODIC_CONFIG.replace(HELIX, "ring:r=1e-300").replace(
+        "grid.L = 6.283185307179586", "grid.L = 6.283185307179586e-300"
+    ),
+    # this once named --t-final, which the user never passed
+    "diagnose-ring-tiny": ["diagnose", "--family", "ring:r=1e-300", "--n", "16"],
 }
 
 RING_PERIOD = "family 'ring' has period 3.141592653589793"
@@ -990,8 +1018,24 @@ ALIASED_HELIX = (
     "must hold fewer than 32 periods, got length 6.283185307179586"
 )
 
+NO_STEP = "the step count to t_final or to a sample is not a finite number at grid spacing"
+
 #: The start of the error line of the rows whose message is checked.
 EXIT_ONE_MESSAGES = {
+    "check-length-tiny-order-2": (
+        "--length: derivative 4 at s = 0 is not a finite number at grid spacing h=9.78474e-304"
+    ),
+    "extend-length-tiny": (
+        "--length: jump residual k=1 is not a finite number at grid spacing h=1.95695e-303"
+    ),
+    "extend-input-tiny-spacing": (
+        "{tinyspacing}: jump residual k=1 is not a finite number at grid spacing h=1e-300"
+    ),
+    "grid-L-tiny": f"config key grid.L: {NO_STEP} h=7.8125e-303",
+    "grid-L-tiny-not-strict": f"config key grid.L: {NO_STEP} h=7.8125e-303",
+    "grid-L-huge": f"config key grid.L: {NO_STEP} h=7.8125e+297",
+    "ring-length-tiny": f"config key grid.L: {NO_STEP} h=9.81748e-302",
+    "diagnose-ring-tiny": f"{DIAGNOSE_DEFAULT_LENGTH}: {NO_STEP} h=3.92699e-301",
     "grid-L-inf": f"config key grid.L: {POSITIVE_LENGTH} inf",
     "grid-L-nan": f"config key grid.L: {POSITIVE_LENGTH} nan",
     "grid-L-inf-periodic": f"config key grid.L: {POSITIVE_LENGTH} inf",
@@ -1070,6 +1114,7 @@ def test_every_documented_exit_one_input(tmp_path, capsys, case):
         "ragged": "s,v1,v2,v3\n0.0,0,0,1\n1.0,0,1\n" + "".join(f"{s}.0,0,0,1\n" for s in range(2, 8)),
         "headeronly": "s,v1,v2,v3\n",
         "fivecolumns": "t,s,v1,v2,v3\n" + "".join(f"0.0,{s}.0,0,0,1\n" for s in range(8)),
+        "tinyspacing": "s,v1,v2,v3\n" + "".join(f"{s}e-300,0.{s},0,1\n" for s in range(8)),
         "config": given if isinstance(given, str) else "",
     }
     paths = {name: tmp_path / f"{name}.txt" for name in files}

@@ -6,11 +6,12 @@ import pytest
 from filamentlab.errors import DegenerateVector, GridTooSmall
 from filamentlab.geometry import (
     E3,
+    K_MAX,
+    STENCILS,
     Grid,
     VectorField,
     cross,
     deriv,
-    fd_weights,
     normalize_field,
     one_sided_deriv_at_zero,
 )
@@ -114,11 +115,16 @@ def test_deriv_edges_second_order():
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
-def test_fd_weights_central_stencil():
-    w = fd_weights(np.array([-1.0, 0.0, 1.0]), 2)
-    assert np.allclose(w, [1.0, -2.0, 1.0])
-    w = fd_weights(np.array([-1.0, 0.0, 1.0]), 1)
-    assert np.allclose(w, [-0.5, 0.0, 0.5])
+def test_stencil_table_holds_the_correctly_rounded_weights():
+    import sympy
+
+    # k + 2 nodes for compat (k = 1..4), k + 4 for the s <= 0 side of the jump residual
+    assert set(STENCILS) == {(k, k + 2) for k in range(1, 5)} | {(k, k + 4) for k in range(1, 4)}
+    assert K_MAX == max(k for k, _ in STENCILS) == 4
+    for (k, p), weights in STENCILS.items():
+        exact = sympy.finite_diff_weights(k, list(range(p)), 0)[k][-1]
+        # Python's int / int is the correctly rounded quotient
+        assert list(weights) == [int(w.p) / int(w.q) for w in exact], (k, p)
 
 
 class TestOneSidedDeriv:

@@ -65,12 +65,14 @@ from filamentlab.geometry import (
     HALF,
     MIN_NORM,
     PERIODIC,
+    STENCILS,
     WHOLE,
     Grid,
     VectorField,
     cross,
     deriv,
     normalize_field,
+    one_sided_deriv_at_zero,
     row_norms,
     second_difference,
 )
@@ -532,6 +534,24 @@ def test_last_step_is_positive(dt, t_final):
 def test_rk4_default_dt_is_its_cap(h):
     # the default never trips the one stability guard, whatever the grid
     assert SimConfig().resolve_dt(h) == STABILITY_FACTOR[RK4_PROJECT] * h * h
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(sorted(STENCILS)),
+    st.floats(1e-3, 1e3),
+    st.integers(-200, 200),
+    arrays(np.float64, (9, 3), elements=st.integers(-(2**20), 2**20).map(lambda m: m / 2**20)),
+)
+def test_boundary_estimate_is_scale_free(stencil, length, j, values):
+    # a length 2^j times as long scales h and each division by it exactly:
+    # samples on a 2^-20 lattice keep every intermediate a normal float
+    k, p = stencil
+    est, scaled = (
+        one_sided_deriv_at_zero(VectorField(Grid.half_line(L, 9), values), k, points=p)
+        for L in (length, math.ldexp(length, j))
+    )
+    assert scaled.tobytes() == (est * 2.0 ** (-j * k)).tobytes()
 
 
 @PROPERTY_SETTINGS
