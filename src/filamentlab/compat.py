@@ -120,8 +120,13 @@ class _PlanarFamily(TangentFamily):
         span; ``tangent`` calls it so that the span times every planar sample.
         """
         c1, c2 = self.c1, self.c2
-        # no "+ 0 s^2" term: it would turn a -0.0 angle into +0.0
-        alpha = (c1 * s + c2 * s**2 if c2 else c1 * s) * np.exp(-s**2)
+        with np.errstate(over="ignore", invalid="ignore"):  # s^2 past the float range
+            sq = s**2
+            # no "+ 0 s^2" term: it would turn a -0.0 angle into +0.0
+            poly = c1 * s + c2 * sq if c2 else c1 * s
+            decay = np.exp(-sq)
+            # where exp(-s^2) is 0, poly * 0 is the 0 of poly's sign, and not NaN for poly = inf
+            alpha = np.where(decay == 0.0, np.copysign(0.0, poly), poly * decay)
         return np.stack([np.sin(alpha), np.zeros_like(s), np.cos(alpha)], axis=-1)
 
     def tangent(self, s):

@@ -60,6 +60,7 @@ from .errors import (
     FixedPointDiverged,
     GridMismatch,
     NonFiniteState,
+    SpacingOutOfRange,
     StabilityViolated,
 )
 from .geometry import (
@@ -112,6 +113,11 @@ FP_MAX_ITER = 50
 #: units of h^2: 50 steps of the earlier default dt of 0.1 h^2.
 SAMPLE_EVERY_FACTOR = 5.0
 
+#: Most steps a run may take, fixed so that a hopeless run is refused before
+#: anything is allocated, whatever memory is free: about two days of RK4 at
+#: 90 us a step (half n = 512), 2000x the steps of half n = 8193, L = 20 to t = 4.
+MAX_STEPS = 2**31
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -120,8 +126,8 @@ class SimConfig:
     t_final: float = 1.0
     dt: float | None = None  # None -> DEFAULT_DT_FACTOR[scheme] * h^2
     scheme: str = RK4_PROJECT
-    snapshot_every: int | None = None  # steps; None -> resolve_every
-    monitor_every: int | None = None  # steps; None -> resolve_every
+    snapshot_every: int | None = None  # steps; None -> schedule
+    monitor_every: int | None = None  # steps; None -> schedule
     tol_boundary: float = 1e-10
     fp_tol: float = 1e-14
     check_order: int = 1
@@ -152,29 +158,29 @@ class SimConfig:
         return dt
 
     @np.errstate(all="ignore")  # a step of 0 or infinity raises instead
-    def check_spacing(self, h: float) -> None:
-        """Raise SpacingOutOfRange unless t_final and a default sample are finite step counts."""
-        steps = np.array([self.t_final, SAMPLE_EVERY_FACTOR * h * h]) / self.resolve_dt(h)
-        finite_at_spacing(steps, h, "the step count to t_final or to a sample")
+    def schedule(self, h: float) -> tuple[float, int, int, int]:
+        """(dt, steps, snapshot_every, monitor_every) at grid spacing h.
 
-    def resolve_every(self, h: float) -> tuple[int, int]:
-        """(snapshot_every, monitor_every) in steps.
-
-        An unset one samples every SAMPLE_EVERY_FACTOR * h^2 of simulated time.
-        """
-        every = max(1, round(SAMPLE_EVERY_FACTOR * h * h / self.resolve_dt(h)))
-        return self.snapshot_every or every, self.monitor_every or every
-
-    def resolve_steps(self, h: float) -> int:
-        """Steps to t_final: each of length dt but the last, t_final - (nsteps - 1) dt > 0.
-
-        The rounding error of t_final / dt grows with the count and can pass
-        the 1e-12 slack; (nsteps - 1) dt then rounds to t_final, and that empty
-        last step is dropped.
+        Each step is dt long but the last, t_final - (steps - 1) dt > 0: the
+        rounding error of t_final / dt can pass the 1e-12 slack, and the empty
+        last step it leaves is dropped.  An unset cadence samples every
+        SAMPLE_EVERY_FACTOR * h^2.  SpacingOutOfRange unless t_final and a
+        default sample are finite step counts and steps is at most MAX_STEPS.
         """
         dt = self.resolve_dt(h)
-        nsteps = max(1, math.ceil(self.t_final / dt - 1e-12))
-        return nsteps - 1 if (nsteps - 1) * dt >= self.t_final else nsteps
+        counts = np.array([self.t_final, SAMPLE_EVERY_FACTOR * h * h]) / dt
+        finite_at_spacing(counts, h, "the step count to t_final or to a sample")
+        to_end, to_sample = counts.tolist()
+        steps = max(1, math.ceil(to_end - 1e-12))
+        if (steps - 1) * dt >= self.t_final:
+            steps -= 1
+        if steps > MAX_STEPS:
+            raise SpacingOutOfRange(
+                f"{steps:.3g} steps of dt={dt:g} to t_final={self.t_final:g} "
+                f"exceed the cap of {MAX_STEPS} at grid spacing h={h:g}"
+            )
+        every = max(1, round(to_sample))
+        return dt, steps, self.snapshot_every or every, self.monitor_every or every
 
 
 class TimeSeries:
@@ -433,10 +439,7 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     if u0.unit_deviation() > 1e-6:
         raise ValueError("initial data must be unit length (within 1e-6)")
     grid = u0.grid
-    cfg.check_spacing(grid.h)
-    dt = cfg.resolve_dt(grid.h)
-    snapshot_every, monitor_every = cfg.resolve_every(grid.h)
-    nsteps = cfg.resolve_steps(grid.h)
+    dt, nsteps, snapshot_every, monitor_every = cfg.schedule(grid.h)
     series = TimeSeries(grid, 1 + math.ceil(nsteps / snapshot_every), cfg)
     log = StepLog()
     v = u0.values

@@ -149,12 +149,11 @@ def nls_config(grid: Grid, t_final: float) -> SimConfig:
 
     It steps at most t_final / 2 and keeps a snapshot at least every half of its steps.
     """
-    base = SimConfig(t_final=t_final)
-    base.check_spacing(grid.h)  # before a step of 0 reaches SimConfig(dt=...) below
-    cfg = SimConfig(t_final=t_final, dt=min(base.resolve_dt(grid.h), t_final / 2.0))
-    cfg.check_spacing(grid.h)  # a capped step can still take a sample interval out of range
-    every = min(cfg.resolve_every(grid.h)[0], cfg.resolve_steps(grid.h) // 2)
-    return replace(cfg, snapshot_every=every)
+    # before a step of 0 reaches SimConfig(dt=...) below
+    dt = SimConfig(t_final=t_final).schedule(grid.h)[0]
+    cfg = SimConfig(t_final=t_final, dt=min(dt, t_final / 2.0))
+    _, steps, every, _ = cfg.schedule(grid.h)  # a capped step can still take a sample out of range
+    return replace(cfg, snapshot_every=min(every, steps // 2))
 
 
 def check_levels(levels) -> None:
@@ -303,7 +302,7 @@ def invariant_suite(series: TimeSeries, curves=None) -> RunSummary:
     if midpoint:
         tolerances["energy_drift"] = ENERGY_DRIFT_TOL + fp_slack
     verdicts = {name: maxima[name]["max"] <= tol for name, tol in tolerances.items()}
-    snapshot_every, monitor_every = cfg.resolve_every(g.h)
+    dt, _, snapshot_every, monitor_every = cfg.schedule(g.h)
     root_cause = ""
     if not verdicts.get("boundary", True) and not report.passed:
         root_cause = (
@@ -314,7 +313,7 @@ def invariant_suite(series: TimeSeries, curves=None) -> RunSummary:
         config={
             "grid": asdict(g),
             "t_final": cfg.t_final,
-            "dt": cfg.resolve_dt(g.h),
+            "dt": dt,
             "scheme": cfg.scheme,
             "snapshot_every": snapshot_every,
             "monitor_every": monitor_every,

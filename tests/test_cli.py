@@ -140,7 +140,16 @@ class TestCheck:
         assert json.loads(report.read_text()) == summary["compat"]
 
     @pytest.mark.parametrize(
-        "family, length", [("planar_odd:a=0.5", "1e-300"), ("straight", "1e300")]
+        "family, length",
+        [
+            ("planar_odd:a=0.5", "1e-300"),
+            ("straight", "1e300"),
+            # s^2 past the float range once warned of an overflow, and planar_bad's
+            # inf * exp(-inf) made a NaN sample where the tangent is e3
+            ("planar_odd:a=0.5", "1e300"),
+            ("planar_bad:a=0.5", "1e160"),
+            ("planar_bad:a=0.5", "1e300"),
+        ],
     )
     def test_compatible_data_pass_at_any_grid_length(self, capsys, family, length):
         # the h-scaled stencil weights once overflowed here: "order 1: residual nan  FAIL"
@@ -1006,6 +1015,16 @@ EXIT_ONE_INPUTS = {
     ),
     # this once named --t-final, which the user never passed
     "diagnose-ring-tiny": ["diagnose", "--family", "ring:r=1e-300", "--n", "16"],
+    # a finite but hopeless step count once died in numpy's allocator, in a
+    # traceback or in "Maximum allowed dimension exceeded", naming no key
+    "grid-L-tiny-finite-step": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = 1e-100").replace(
+        "planar_odd:a=0.5", "straight"
+    ),
+    "grid-L-small": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = 1e-5"),
+    "t_final-hopeless": _with_key(SIM_CONFIG, "time.t_final", "1e12"),
+    "oracle-t_final-hopeless": ["oracle", "ring_translation", "--n", "16", "--t-final", "1e12"],
+    "diagnose-t_final-hopeless": ["diagnose", "--family", "helix", "--n", "16", "--t-final", "1e9"],
+    "diagnose-ring-tiny-finite-step": ["diagnose", "--family", "ring:r=1e-150", "--n", "16"],
 }
 
 RING_PERIOD = "family 'ring' has period 3.141592653589793"
@@ -1019,6 +1038,7 @@ ALIASED_HELIX = (
 )
 
 NO_STEP = "the step count to t_final or to a sample is not a finite number at grid spacing"
+OVER_CAP = "exceed the cap of 2147483648 at grid spacing"
 
 #: The start of the error line of the rows whose message is checked.
 EXIT_ONE_MESSAGES = {
@@ -1036,6 +1056,28 @@ EXIT_ONE_MESSAGES = {
     "grid-L-huge": f"config key grid.L: {NO_STEP} h=7.8125e+297",
     "ring-length-tiny": f"config key grid.L: {NO_STEP} h=9.81748e-302",
     "diagnose-ring-tiny": f"{DIAGNOSE_DEFAULT_LENGTH}: {NO_STEP} h=3.92699e-301",
+    "grid-L-tiny-finite-step": (
+        f"config key grid.L: 1.26e+203 steps of dt=3.96729e-205 to t_final=0.05 {OVER_CAP} "
+        "h=7.8125e-103"
+    ),
+    "grid-L-small": (
+        f"config key grid.L: 1.26e+13 steps of dt=3.96729e-15 to t_final=0.05 {OVER_CAP} "
+        "h=7.8125e-08"
+    ),
+    "t_final-hopeless": (
+        f"config key grid.L: 6.3e+13 steps of dt=0.0158691 to t_final=1e+12 {OVER_CAP} h=0.15625"
+    ),
+    "oracle-t_final-hopeless": (
+        f"3.99e+13 steps of dt=0.0250595 to t_final=1e+12 {OVER_CAP} h=0.19635"
+    ),
+    "diagnose-t_final-hopeless": (
+        f"{DIAGNOSE_DEFAULT_LENGTH}: 9.98e+09 steps of dt=0.100238 to t_final=1e+09 "
+        f"{OVER_CAP} h=0.392699"
+    ),
+    "diagnose-ring-tiny-finite-step": (
+        f"{DIAGNOSE_DEFAULT_LENGTH}: 9.98e+299 steps of dt=1.00238e-301 to t_final=0.1 "
+        f"{OVER_CAP} h=3.92699e-151"
+    ),
     "grid-L-inf": f"config key grid.L: {POSITIVE_LENGTH} inf",
     "grid-L-nan": f"config key grid.L: {POSITIVE_LENGTH} nan",
     "grid-L-inf-periodic": f"config key grid.L: {POSITIVE_LENGTH} inf",

@@ -14,10 +14,12 @@ from filamentlab.errors import (
     FarFieldViolation,
     FixedPointDiverged,
     NonFiniteState,
+    SpacingOutOfRange,
     StabilityViolated,
 )
 from filamentlab import evolve
 from filamentlab.evolve import (
+    MAX_STEPS,
     MIDPOINT_FIXEDPOINT,
     RK4_PROJECT,
     SLOPE_START_FACTOR,
@@ -105,7 +107,7 @@ class TestConfig:
         # t_final / dt rounds above the count by more than the 1e-12 slack, so
         # the count once came out one higher, with a last step of length 0.0
         cfg = SimConfig(dt=dt, t_final=t_final)
-        assert cfg.resolve_steps(1.0) == nsteps
+        assert cfg.schedule(1.0)[1] == nsteps
         assert t_final - (nsteps - 1) * dt > 0.0
 
     def test_default_dt(self):
@@ -124,10 +126,10 @@ class TestConfig:
 
     def test_sampling_resolves_as_simulated_time(self):
         # unset: every 5 h^2 of simulated time; set: a count of steps
-        assert SimConfig().resolve_every(0.1) == (8, 8)
-        assert SimConfig(scheme=MIDPOINT_FIXEDPOINT).resolve_every(0.1) == (20, 20)
-        assert SimConfig(dt=0.002).resolve_every(0.1) == (25, 25)
-        assert SimConfig(snapshot_every=7).resolve_every(0.1) == (7, 8)
+        assert SimConfig().schedule(0.1)[2:] == (8, 8)
+        assert SimConfig(scheme=MIDPOINT_FIXEDPOINT).schedule(0.1)[2:] == (20, 20)
+        assert SimConfig(dt=0.002).schedule(0.1)[2:] == (25, 25)
+        assert SimConfig(snapshot_every=7).schedule(0.1)[2:] == (7, 8)
         # RK4 pinned at 0.5 h^2 (its default 0.65 h^2 makes 5 h^2 no whole
         # number of steps): two step lengths, one sampling time
         g = Grid.periodic(2.0 * np.pi, 64)
@@ -139,6 +141,14 @@ class TestConfig:
         ]
         assert len(times[0]) > 3
         assert times[0] == pytest.approx(times[1], rel=1e-12)
+
+    def test_step_count_cap(self):
+        # 0.5 is a power of two: t_final / dt is 2^31 exactly, the most a run takes
+        cap = SimConfig(dt=0.5, t_final=MAX_STEPS * 0.5)
+        assert cap.schedule(1.0)[:2] == (0.5, MAX_STEPS)
+        over = SimConfig(dt=0.5, t_final=math.nextafter(MAX_STEPS * 0.5, math.inf))
+        with pytest.raises(SpacingOutOfRange, match=r"2\.15e\+09 steps of dt=0\.5 .* 2147483648"):
+            over.schedule(1.0)
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):

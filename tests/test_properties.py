@@ -286,7 +286,7 @@ def test_the_solve_fills_exactly_the_series_it_allocates(kind, steps, last, data
     fam = get_family("planar_odd", a=0.5) if kind == HALF else get_family("helix")
     grid = Grid.half_line(20.0, 17) if kind == HALF else Grid.periodic(2.0 * np.pi, 16)
     dt = SimConfig().resolve_dt(grid.h)
-    nsteps = SimConfig(t_final=(steps - 1 + last) * dt).resolve_steps(grid.h)
+    nsteps = SimConfig(t_final=(steps - 1 + last) * dt).schedule(grid.h)[1]
     every = data.draw(st.integers(1, nsteps + 2))
     cfg = SimConfig(t_final=(steps - 1 + last) * dt, snapshot_every=every)
     series = evolve.solve_whole_line(fam.sample(grid), cfg)
@@ -294,6 +294,31 @@ def test_the_solve_fills_exactly_the_series_it_allocates(kind, steps, last, data
     assert series.times[-1] == cfg.t_final
     with pytest.raises(IndexError):  # the block is full
         series.record(2.0 * cfg.t_final, fam.sample(grid))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from([HALF, PERIODIC]),
+    st.sampled_from([RK4_PROJECT, MIDPOINT_FIXEDPOINT]),
+    st.floats(0.5, 30.0),
+    st.none() | st.integers(1, 32),
+    st.none() | st.integers(1, 32),
+)
+def test_the_run_keeps_its_schedule(kind, scheme, default_steps, snapshot, monitor):
+    # what schedule(h) returns is what the solve did and what its summary echoes,
+    # at the default cadence (8 RK4 or 20 midpoint steps here) or a set one
+    fam = get_family("planar_odd", a=0.5) if kind == HALF else get_family("helix")
+    grid = Grid.half_line(20.0, 17) if kind == HALF else Grid.periodic(2.0 * np.pi, 16)
+    t_final = default_steps * SimConfig(scheme=scheme).resolve_dt(grid.h)
+    cfg = SimConfig(t_final=t_final, scheme=scheme, snapshot_every=snapshot, monitor_every=monitor)
+    dt, steps, snap, mon = cfg.schedule(grid.h)
+    series = evolve.solve_whole_line(fam.sample(grid), cfg)
+    assert series.solver["steps"] == steps
+    assert len(series.times) == 1 + math.ceil(steps / snap)
+    assert len(series.telemetry) == 1 + math.ceil(steps / mon)
+    echo = invariant_suite(series).config
+    assert (echo["dt"], echo["snapshot_every"], echo["monitor_every"]) == (dt, snap, mon)
+
 
 def _fresh_linear_start(slopes):
     return 2.0 * slopes[-1] - slopes[-2]
@@ -518,7 +543,7 @@ _plain_t_final = st.integers(1, 1000).map(lambda k: k / 100)
 @example(dt=0.0009, t_final=16.065)
 @example(dt=0.00025, t_final=8.05)
 def test_last_step_is_positive(dt, t_final):
-    nsteps = SimConfig(dt=dt, t_final=t_final).resolve_steps(1.0)
+    nsteps = SimConfig(dt=dt, t_final=t_final).schedule(1.0)[1]
     last = t_final - (nsteps - 1) * dt
     assert 0.0 < last <= dt + 1e-12 * (dt + t_final)
     # the earlier count, kept wherever its last step was not empty
