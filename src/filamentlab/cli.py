@@ -181,15 +181,21 @@ def _input_field(args, refined: bool):
     """The half-line field of --input, or of --family at spacing h (at h/2 when ``refined``)."""
     if args.family is not None:
         fam = parse_family_spec(args.family)
-        with _naming({"--family": GridMismatch, "--n": GridTooSmall, "--length": ValueError}):
-            grid = Grid.half_line(args.length, args.n)
-            return fam.sample(grid.refined() if refined else grid)
+        grid = Grid.half_line(args.length, args.n)
+        return fam.sample(grid.refined() if refined else grid)
     return read_field_csv(args.input)
+
+
+def _input_names(args) -> dict:
+    """The ``_naming`` map of check and extend: the option of their input that answers."""
+    if args.family is not None:
+        return {"--family": GridMismatch, "--n": GridTooSmall, "--length": SpacingOutOfRange}
+    return {args.input: SpacingOutOfRange}
 
 
 def cmd_check(args) -> int:
     check_order_range("--order", args.order)
-    with _naming({"--length" if args.family else args.input: SpacingOutOfRange}):
+    with _naming(_input_names(args)):
         report = check_compat(_input_field(args, refined=True), args.order, args.tol)
     for k, (res, ok) in enumerate(zip(report.a_residuals, report.a_pass)):
         print(f"order {k}: residual {res:.6e}  {'pass' if ok else 'FAIL'}")
@@ -205,8 +211,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    ext = extend(_input_field(args, refined=False))
-    with _naming({"--length" if args.family else args.input: SpacingOutOfRange}):
+    with _naming(_input_names(args)):
+        ext = extend(_input_field(args, refined=False))
         for k in range(0, 4):
             print(f"jump residual k={k}: {derivative_jump_residual(ext, k):.6e}")
     if args.out:
@@ -247,10 +253,8 @@ def _read_key(conf: dict, key: str, parse, default=None):
     """``parse(conf[key])``, or ``default`` when the key is absent; an error names the key."""
     if key not in conf:
         return default
-    try:
+    with _naming({f"config key {key}": ValueError}):
         return parse(conf[key])
-    except ValueError as exc:
-        raise ValueError(f"config key {key}: {exc}") from None
 
 
 def _build_cfg(conf: dict) -> SimConfig:
@@ -278,16 +282,16 @@ def cmd_simulate(args) -> int:
     n = _read_key(conf, "grid.n", int, DEFAULT_N)
     if "data.family" not in conf:
         raise ValueError("config key data.family is missing; it names the initial data")
-    with _naming({"config key data.family": UnknownFamily}):
+    with _naming({"config key data.family": (UnknownFamily, GridMismatch),
+                  "config key grid.n": GridTooSmall, "config key grid.L": SpacingOutOfRange}):
         fam = parse_family_spec(conf["data.family"])
-    with _naming({"config key grid.n": GridTooSmall, "config key grid.L": ValueError}):
         grid = Grid(kind, length, n)
-        v0 = fam.sample(grid) if kind == PERIODIC else None
-
-    start = time.perf_counter()
-    with _naming({"config key grid.L": SpacingOutOfRange}):
-        series = solve_half_space(fam, grid, cfg) if kind == HALF else solve_whole_line(v0, cfg)
-    wall = time.perf_counter() - start
+        start = time.perf_counter()
+        if kind == HALF:
+            series = solve_half_space(fam, grid, cfg)
+        else:
+            series = solve_whole_line(fam.sample(grid), cfg)
+        wall = time.perf_counter() - start
     curves = None
     if args.reconstruct:
         x0 = integrate_tangent(VectorField(series.grid, series.snapshots[0]))
@@ -311,17 +315,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # checked before the run, so that no error of the run names an option
-    kw = {}
-    if args.n is not None:
-        with _naming({"--n": GridTooSmall}):
-            Grid.periodic(2.0 * np.pi, args.n)
-        kw["n"] = args.n
+    # --t-final is checked before the run, whose own bare ValueErrors must name no
+    # option; a GridTooSmall can only come from the run's grid, so the run names --n
+    kw = {k: v for k, v in vars(args).items() if k in ("n", "t_final") and v is not None}
     if args.t_final is not None:
         with _naming({"--t-final": ValueError}):
             SimConfig(t_final=args.t_final)
-        kw["t_final"] = args.t_final
-    result = harness.oracle_error(args.name, **kw)
+    with _naming({"--n": GridTooSmall}):
+        result = harness.oracle_error(args.name, **kw)
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -354,10 +355,11 @@ def cmd_diagnose(args) -> int:
     if length is None:
         length = fam.period() if fam.name == "ring" else 2.0 * np.pi
     flag = "--length" if args.length is not None else f"--length ({_DIAGNOSE_LENGTH})"
-    with _naming({"--family": GridMismatch, "--n": GridTooSmall, flag: ValueError}):
+    # the first match names, and SpacingOutOfRange is a ValueError: typed entries first
+    with _naming({"--family": GridMismatch, "--n": GridTooSmall, flag: SpacingOutOfRange,
+                  "--t-final": ValueError}):
         grid = Grid.periodic(length, args.n)
         v0 = fam.sample(grid)
-    with _naming({flag: SpacingOutOfRange, "--t-final": ValueError}):
         cfg = harness.nls_config(grid, args.t_final)
     print(json.dumps(series_diagnostics(solve_whole_line(v0, cfg)), indent=2, sort_keys=True))
     return EXIT_OK
@@ -438,7 +440,7 @@ def main(argv=None) -> int:
     except (StabilityViolated, FixedPointDiverged, DegenerateVector, NonFiniteState) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FilamentError, OSError, ValueError, KeyError) as exc:
+    except (FilamentError, OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, GridTooSmall, UnknownFamily
+from .errors import GridMismatch, GridTooSmall, SpacingOutOfRange, UnknownFamily
 from .geometry import E3, HALF, K_MAX, KINDS, MIN_NODES, PERIODIC, WHOLE, Grid, VectorField, cross, finite_at_spacing, one_sided_deriv_at_zero
 
 #: Residual contraction required by the two-grid cross-check (order-2
@@ -81,7 +81,7 @@ class TangentFamily:
                     f"got length {grid.length!r}"
                 )
             if abs(turns - round(turns)) > 1e-9 * turns:  # a rounded 0 fails too
-                raise ValueError(
+                raise SpacingOutOfRange(
                     f"family {self.name!r} has period {period!r}; a periodic grid "
                     f"must hold a whole number of periods, got length {grid.length!r}"
                 )

@@ -10,7 +10,7 @@ class GridTooSmall(FilamentError):
 
 
 class SpacingOutOfRange(FilamentError, ValueError):
-    """A grid spacing at which a boundary estimate, a residual or the time step leaves the float range."""
+    """A grid length, or the spacing it gives, that no run can use."""
 
 
 class DegenerateVector(FilamentError):

@@ -77,7 +77,7 @@ class Grid:
         if self.n < MIN_NODES:
             raise GridTooSmall(f"need at least {MIN_NODES} nodes, got {self.n}")
         if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError(f"grid length must be a finite number above 0, got {self.length!r}")
+            raise SpacingOutOfRange(f"grid length must be a finite number above 0, got {self.length!r}")
         if self.kind == WHOLE and self.n % 2 == 0:
             raise ValueError("whole-line grids need an odd node count")
 
@@ -199,14 +199,11 @@ def deriv(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
             return (padded[2:] - padded[:-2]) / (2.0 * h)
         return second_difference(padded) / (h * h)
     out = np.empty_like(v)
-    if order == 1:
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    else:
-        out[1:-1] = second_difference(v) / (h * h)
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / (h * h)
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h) if order == 1 else second_difference(v) / (h * h)
+    # the STENCILS row term by term (a matmul rounds otherwise), mirrored at the right end
+    for end, sign, nodes in ((0, 1, v), (-1, (-1) ** order, v[::-1])):
+        terms = [sign * w * nodes[i] for i, w in enumerate(STENCILS[order, order + 2])]
+        out[end] = sum(terms[1:], terms[0]) / (h if order == 1 else h * h)
     return out
 
 

@@ -507,6 +507,40 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_non_finite_stage_of_a_periodic_run_names_no_key(self, tmp_path, capsys, monkeypatch):
+        # simulate's one naming map spans the periodic sample and the solve; it
+        # lists no bare ValueError, so the run's NonFiniteState names no key
+        calls = [0]
+
+        def nan_rhs(u, values, _rhs=evolve.rhs):
+            calls[0] += 1
+            out = _rhs(u, values)
+            if calls[0] == 10:
+                out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(evolve, "rhs", nan_rhs)
+        cfg, out = self._write_config(tmp_path, PERIODIC_CONFIG), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: field values must be finite at step 3 of 8, t = 0.0125298\n"
+        )
+        assert not out.exists()
+
+    def test_unallocatable_series_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a snapshot block too large to allocate once ended in numpy's traceback
+        class Unallocatable:
+            def __init__(self, *args):
+                raise MemoryError("Unable to allocate 14.8 GiB for an array with shape "
+                                  "(330000001, 64, 3) and data type float64")
+
+        monkeypatch.setattr(evolve, "TimeSeries", Unallocatable)
+        cfg, out = self._write_config(tmp_path, NAN_RUN_CONFIG), tmp_path / "out"
+        assert main(["simulate", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 14.8 GiB") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "scheme, bad_call, message",
@@ -917,6 +951,8 @@ EXIT_ONE_INPUTS = {
     # the last copy once won silently: this ran at n = 65 and exited 0
     "repeated-key": SIM_CONFIG + "grid.n = 65\n",
     "family-off-its-grid-kind": PERIODIC_CONFIG.replace(HELIX, "planar_odd:a=0.5"),
+    # these two once named no key
+    "ring-on-a-half-grid": "data.family = ring:r=0.5\n",
     "diagnose-half-line-family": ["diagnose", "--family", "planar_odd", "--n", "64"],
     "csv-not-uniform": ["check", "--input", "{nonuniform}"],
     "csv-not-at-zero": ["check", "--input", "{shifted}"],
@@ -1103,6 +1139,13 @@ EXIT_ONE_MESSAGES = {
     ),
     "check-family-off-its-grid-kind": (
         "--family: family 'helix' is defined on periodic/whole grids, not on a half grid"
+    ),
+    "family-off-its-grid-kind": (
+        "config key data.family: family 'planar_odd' is defined on half/whole grids, "
+        "not on a periodic grid"
+    ),
+    "ring-on-a-half-grid": (
+        "config key data.family: family 'ring' is defined on periodic grids, not on a half grid"
     ),
     "diagnose-t-final-zero": "--t-final: t_final must be a finite number above 0, got 0.0",
     "oracle-n-zero": "--n: need at least 8 nodes, got 0",

@@ -24,6 +24,7 @@ from filamentlab.compat import (
 from filamentlab.errors import (
     GridMismatch,
     GridTooSmall,
+    SpacingOutOfRange,
     UnknownFamily,
 )
 from filamentlab.evolve import SimConfig, solve_half_space
@@ -204,9 +205,20 @@ class TestFamilies:
         if fits is True:
             assert fam.sample(grid).grid == grid
         else:
-            # False: not a whole number of periods
-            with pytest.raises(fits or ValueError, match=f"has period .* got length {length!r}$"):
+            # False: not a whole number of periods, a length error
+            match = f"has period .* got length {length!r}$"
+            with pytest.raises(fits or SpacingOutOfRange, match=match):
                 fam.sample(grid)
+
+    def test_off_period_length_is_a_spacing_error(self):
+        # its own type, so a command names its length option; still a ValueError
+        with pytest.raises(SpacingOutOfRange) as info:
+            parse_family_spec("helix:k=1.5").sample(Grid.periodic(2.0 * np.pi, 32))
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == (
+            "family 'helix' has period 4.1887902047863905; a periodic grid must hold "
+            "a whole number of periods, got length 6.283185307179586"
+        )
 
     @pytest.mark.parametrize("name, c2", [("planar_odd", 0.0), ("planar_bad", 1.0)])
     def test_planar_parameter_used_exactly(self, name, c2):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from filamentlab.errors import DegenerateVector, GridTooSmall
+from filamentlab.errors import DegenerateVector, GridTooSmall, SpacingOutOfRange
 from filamentlab.geometry import (
     E3,
     K_MAX,
@@ -61,6 +61,13 @@ class TestGrid:
     def test_too_small(self):
         with pytest.raises(GridTooSmall):
             Grid.half_line(1.0, 4)
+
+    def test_length_error_is_a_spacing_error(self):
+        # its own type, so a command names its length option; still a ValueError
+        with pytest.raises(SpacingOutOfRange) as info:
+            Grid("half", np.inf, 8)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "grid length must be a finite number above 0, got inf"
 
     def test_whole_needs_odd(self):
         with pytest.raises(ValueError):
