@@ -15,15 +15,17 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import orjson
 
 from . import harness
-from .compat import check_compat, check_order_range, parse_family_spec
+from .compat import check_compat, check_order_range, check_positive, parse_family_spec
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
+    DurationOutOfRange,
     FarFieldViolation,
     FilamentError,
     FixedPointDiverged,
@@ -32,6 +34,7 @@ from .errors import (
     NonFiniteState,
     SpacingOutOfRange,
     StabilityViolated,
+    StepOutOfRange,
     UnknownFamily,
 )
 from .evolve import TELEMETRY_KEYS, SimConfig, solve_half_space, solve_whole_line
@@ -177,10 +180,13 @@ def _naming(options: dict):
         raise
 
 
-def _input_field(args, refined: bool):
-    """The half-line field of --input, or of --family at spacing h (at h/2 when ``refined``)."""
-    if args.family is not None:
-        fam = parse_family_spec(args.family)
+def _input_field(args, fam, refined: bool):
+    """The half-line field of --input, or of ``fam`` at spacing h (at h/2 when ``refined``).
+
+    ``fam`` is --family, which the caller parses before its ``_naming`` block,
+    so that a spec error names no option.
+    """
+    if fam is not None:
         grid = Grid.half_line(args.length, args.n)
         return fam.sample(grid.refined() if refined else grid)
     return read_field_csv(args.input)
@@ -189,14 +195,18 @@ def _input_field(args, refined: bool):
 def _input_names(args) -> dict:
     """The ``_naming`` map of check and extend: the option of their input that answers."""
     if args.family is not None:
-        return {"--family": GridMismatch, "--n": GridTooSmall, "--length": SpacingOutOfRange}
+        return {"--family": (GridMismatch, UnknownFamily), "--n": GridTooSmall,
+                "--length": SpacingOutOfRange}
     return {args.input: SpacingOutOfRange}
 
 
 def cmd_check(args) -> int:
     check_order_range("--order", args.order)
+    with _naming({"--tol": ValueError}):
+        check_positive("compatibility tolerance", args.tol)
+    fam = parse_family_spec(args.family) if args.family is not None else None
     with _naming(_input_names(args)):
-        report = check_compat(_input_field(args, refined=True), args.order, args.tol)
+        report = check_compat(_input_field(args, fam, refined=True), args.order, args.tol)
     for k, (res, ok) in enumerate(zip(report.a_residuals, report.a_pass)):
         print(f"order {k}: residual {res:.6e}  {'pass' if ok else 'FAIL'}")
     print(f"norm residual: {report.norm_residual:.3e}")
@@ -211,8 +221,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    fam = parse_family_spec(args.family) if args.family is not None else None
     with _naming(_input_names(args)):
-        ext = extend(_input_field(args, refined=False))
+        ext = extend(_input_field(args, fam, refined=False))
         for k in range(0, 4):
             print(f"jump residual k={k}: {derivative_jump_residual(ext, k):.6e}")
     if args.out:
@@ -249,7 +260,7 @@ _SIM_KEYS = {
 _RUN_KEYS = ("grid.kind", "grid.L", "grid.n", "data.family", "output.dir")
 
 
-def _read_key(conf: dict, key: str, parse, default=None):
+def _read_key(conf: dict, key: str, parse, default):
     """``parse(conf[key])``, or ``default`` when the key is absent; an error names the key."""
     if key not in conf:
         return default
@@ -258,18 +269,19 @@ def _read_key(conf: dict, key: str, parse, default=None):
 
 
 def _build_cfg(conf: dict) -> SimConfig:
+    """The SimConfig of the ``_SIM_KEYS`` in ``conf``, set one key at a time so an error names it."""
     unknown = sorted(set(conf) - set(_SIM_KEYS) - set(_RUN_KEYS))
     if unknown:
         raise ValueError(
             f"unknown config key(s) {', '.join(unknown)}; "
             f"accepted: {', '.join(sorted([*_SIM_KEYS, *_RUN_KEYS]))}"
         )
-    fields = {
-        field: _read_key(conf, key, parse)
-        for key, (field, parse) in _SIM_KEYS.items()
-        if key in conf
-    }
-    return SimConfig(**fields)
+    cfg = SimConfig()
+    for key, (field, parse) in _SIM_KEYS.items():
+        if key in conf:
+            with _naming({f"config key {key}": ValueError}):
+                cfg = replace(cfg, **{field: parse(conf[key])})
+    return cfg
 
 
 def cmd_simulate(args) -> int:
@@ -283,7 +295,9 @@ def cmd_simulate(args) -> int:
     if "data.family" not in conf:
         raise ValueError("config key data.family is missing; it names the initial data")
     with _naming({"config key data.family": (UnknownFamily, GridMismatch),
-                  "config key grid.n": GridTooSmall, "config key grid.L": SpacingOutOfRange}):
+                  "config key grid.n": GridTooSmall, "config key grid.L": SpacingOutOfRange,
+                  "config key time.t_final": DurationOutOfRange,
+                  "config key time.dt": StepOutOfRange}):
         fam = parse_family_spec(conf["data.family"])
         grid = Grid(kind, length, n)
         start = time.perf_counter()
@@ -304,24 +318,25 @@ def cmd_simulate(args) -> int:
     write_snapshots_csv(os.path.join(outdir, "snapshots.csv"), series, curves)
     write_telemetry_csv(os.path.join(outdir, "telemetry.csv"), series.telemetry)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        fh.write(summary.to_json())
+        fh.write(json.dumps(summary, indent=2, sort_keys=True))
     print(f"run finished in {wall:.2f} s; outputs in {outdir}")
-    for name, ok in summary.verdicts.items():
+    for name, ok in summary["verdicts"].items():
         print(f"invariant {name}: {'pass' if ok else 'FAIL'}")
-    for name, worst in summary.maxima.items():
-        if name not in summary.verdicts:
+    for name, worst in summary["maxima"].items():
+        if name not in summary["verdicts"]:
             print(f"{name} {worst['max']:.3e} (reported, not gating)")
-    return EXIT_OK if summary.passed else EXIT_NUMERICAL
+    return EXIT_OK if summary["passed"] else EXIT_NUMERICAL
 
 
 def cmd_oracle(args) -> int:
     # --t-final is checked before the run, whose own bare ValueErrors must name no
-    # option; a GridTooSmall can only come from the run's grid, so the run names --n
+    # option; a GridTooSmall can only come from the run's grid, so the run names --n,
+    # and a DurationOutOfRange from its t_final, so the run names --t-final
     kw = {k: v for k, v in vars(args).items() if k in ("n", "t_final") and v is not None}
     if args.t_final is not None:
         with _naming({"--t-final": ValueError}):
             SimConfig(t_final=args.t_final)
-    with _naming({"--n": GridTooSmall}):
+    with _naming({"--n": GridTooSmall, "--t-final": DurationOutOfRange}):
         result = harness.oracle_error(args.name, **kw)
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
@@ -342,9 +357,9 @@ def cmd_convergence(args) -> int:
         harness.check_levels(args.levels)
     result = harness.convergence_study(args.case, args.levels)
     print(f"{'n':>6} {'h':>12} {'error':>14}")
-    for n, h, e in zip(result.levels, result.hs, result.errors):
+    for n, h, e in zip(result["levels"], result["hs"], result["errors"]):
         print(f"{n:>6} {h:>12.6f} {e:>14.6e}")
-    order = result.order
+    order = result["order"]
     print(f"fitted order: {'exact' if order == float('inf') else f'{order:.3f}'}")
     return EXIT_OK
 
@@ -356,8 +371,8 @@ def cmd_diagnose(args) -> int:
         length = fam.period() if fam.name == "ring" else 2.0 * np.pi
     flag = "--length" if args.length is not None else f"--length ({_DIAGNOSE_LENGTH})"
     # the first match names, and SpacingOutOfRange is a ValueError: typed entries first
-    with _naming({"--family": GridMismatch, "--n": GridTooSmall, flag: SpacingOutOfRange,
-                  "--t-final": ValueError}):
+    with _naming({"--family": (GridMismatch, UnknownFamily), "--n": GridTooSmall,
+                  flag: SpacingOutOfRange, "--t-final": ValueError}):
         grid = Grid.periodic(length, args.n)
         v0 = fam.sample(grid)
         cfg = harness.nls_config(grid, args.t_final)

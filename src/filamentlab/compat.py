@@ -85,7 +85,14 @@ class TangentFamily:
                     f"family {self.name!r} has period {period!r}; a periodic grid "
                     f"must hold a whole number of periods, got length {grid.length!r}"
                 )
-        return VectorField(grid, self.tangent(grid.nodes()))
+        with np.errstate(all="ignore"):  # a closed form out of the float range raises instead
+            values = self.tangent(grid.nodes())
+        if not np.isfinite(values).all():
+            params = ", ".join(f"{key}={value!r}" for key, value in self.params.items())
+            raise UnknownFamily(
+                f"family {self.name!r} with {params} is not finite at the grid's nodes"
+            )
+        return VectorField(grid, values)
 
 
 class StraightFamily(TangentFamily):
@@ -285,6 +292,12 @@ def check_order_range(name: str, order: int) -> None:
         raise ValueError(f"{name} must be at least 0 and at most {K_MAX // 2}, got {order!r}")
 
 
+def check_positive(name: str, value: float) -> None:
+    """Reject a value that is not a finite number above 0, naming the setting ``name``."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
+
+
 def decimated(v0: VectorField) -> VectorField:
     """Every other node of half-line samples from s = 0: the same data at spacing 2h.
 
@@ -305,8 +318,7 @@ def check_compat(v0: VectorField, n: int, tol: float) -> CompatibilityReport:
     nodes); below that the absolute tolerance alone decides.
     """
     check_order_range("order", n)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"compatibility tolerance must be a finite number above 0, got {tol!r}")
+    check_positive("compatibility tolerance", tol)
     if v0.grid.kind != HALF:
         raise GridMismatch(
             f"compatibility is checked on half-line data, not on a {v0.grid.kind} grid"

@@ -13,6 +13,14 @@ class SpacingOutOfRange(FilamentError, ValueError):
     """A grid length, or the spacing it gives, that no run can use."""
 
 
+class DurationOutOfRange(FilamentError, ValueError):
+    """A t_final that takes more time steps than a run may take."""
+
+
+class StepOutOfRange(FilamentError, ValueError):
+    """A set time step so short that a run would take more steps than it may."""
+
+
 class DegenerateVector(FilamentError):
     """A sample with norm too small to renormalize safely."""
 

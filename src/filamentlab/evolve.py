@@ -52,16 +52,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compat import check_compat, check_order_range, decimated
+from .compat import check_compat, check_order_range, check_positive, decimated
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
+    DurationOutOfRange,
     FarFieldViolation,
     FixedPointDiverged,
     GridMismatch,
     NonFiniteState,
     SpacingOutOfRange,
     StabilityViolated,
+    StepOutOfRange,
 )
 from .geometry import (
     E3,
@@ -138,10 +140,8 @@ class SimConfig:
     def __post_init__(self):
         for name in ("t_final", "dt", "tol_boundary", "fp_tol", "compat_tol", "farfield_tol"):
             value = getattr(self, name)
-            if value is None and name == "dt":
-                continue  # resolve_dt derives it from h
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
+            if value is not None or name != "dt":  # resolve_dt derives an unset dt from h
+                check_positive(name, value)
         for name in ("snapshot_every", "monitor_every"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -165,17 +165,27 @@ class SimConfig:
         rounding error of t_final / dt can pass the 1e-12 slack, and the empty
         last step it leaves is dropped.  An unset cadence samples every
         SAMPLE_EVERY_FACTOR * h^2.  SpacingOutOfRange unless t_final and a
-        default sample are finite step counts and steps is at most MAX_STEPS.
+        default sample are finite step counts.  More than MAX_STEPS steps,
+        finite or not, are the fault of t_final (DurationOutOfRange) if one
+        time unit fits the cap, else of a set dt (StepOutOfRange), else of
+        the spacing behind the default dt (SpacingOutOfRange).
         """
         dt = self.resolve_dt(h)
         counts = np.array([self.t_final, SAMPLE_EVERY_FACTOR * h * h]) / dt
-        finite_at_spacing(counts, h, "the step count to t_final or to a sample")
         to_end, to_sample = counts.tolist()
-        steps = max(1, math.ceil(to_end - 1e-12))
-        if (steps - 1) * dt >= self.t_final:
-            steps -= 1
+        if dt * MAX_STEPS >= 1.0:
+            fault = DurationOutOfRange
+        else:
+            fault = SpacingOutOfRange if self.dt is None else StepOutOfRange
+        steps = math.inf
+        if math.isfinite(to_end):
+            steps = max(1, math.ceil(to_end - 1e-12))
+            if (steps - 1) * dt >= self.t_final:
+                steps -= 1
+        if steps <= MAX_STEPS or fault is SpacingOutOfRange:
+            finite_at_spacing(counts, h, "the step count to t_final or to a sample")
         if steps > MAX_STEPS:
-            raise SpacingOutOfRange(
+            raise fault(
                 f"{steps:.3g} steps of dt={dt:g} to t_final={self.t_final:g} "
                 f"exceed the cap of {MAX_STEPS} at grid spacing h={h:g}"
             )

@@ -13,9 +13,8 @@ symbolically/numerically):
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -129,14 +128,6 @@ def oracle_error(name: str, **kw) -> dict:
 # convergence studies
 
 
-@dataclass
-class ConvergenceResult:
-    levels: list
-    hs: list
-    errors: list
-    order: float
-
-
 def helix_solution_error(n: int) -> float:
     """max-norm error at t = 0.5 against the exact rotating wave."""
     fam, grid, series = _helix_run(n, 0.5)
@@ -164,8 +155,8 @@ def check_levels(levels) -> None:
         raise ValueError(f"need at least 3 distinct levels for an order fit, got {list(levels)}")
 
 
-def convergence_study(case: str, levels) -> ConvergenceResult:
-    """Run ``case`` at each node count in ``levels`` (dt follows h^2)."""
+def convergence_study(case: str, levels) -> dict:
+    """{levels, hs, errors, order} of ``case`` at each node count in ``levels`` (dt follows h^2)."""
     check_levels(levels)
     if case == "helix":
         hs = [Grid.periodic(2.0 * np.pi, n).h for n in levels]
@@ -180,14 +171,14 @@ def convergence_study(case: str, levels) -> ConvergenceResult:
         errors = [series_nls_residual(run) for run in runs]
     else:
         raise ValueError(f"unknown convergence case {case!r}")
-    return ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))
+    return {"levels": list(levels), "hs": hs, "errors": errors, "order": fit_order(hs, errors)}
 
 
 def extension_jump_study(family, levels) -> dict:
     """Jump residuals of the reflection extension across resolutions.
 
-    Returns {k: ConvergenceResult} for k = 1, 2, 3.  Compatible data shows
-    order ~2; incompatible data converges to the true jump (order ~0).
+    Returns {k: {levels, hs, errors, order}} for k = 1, 2, 3.  Compatible
+    data shows order ~2; incompatible data converges to the true jump (order ~0).
     """
     out = {}
     grids = [Grid.half_line(HALF_LENGTH, n) for n in levels]
@@ -195,7 +186,7 @@ def extension_jump_study(family, levels) -> dict:
     exts = [extend(family.sample(g)) for g in grids]
     for k in (1, 2, 3):
         errors = [derivative_jump_residual(ext, k) for ext in exts]
-        out[k] = ConvergenceResult(list(levels), hs, errors, fit_order(hs, errors))
+        out[k] = {"levels": list(levels), "hs": hs, "errors": errors, "order": fit_order(hs, errors)}
     return out
 
 
@@ -214,34 +205,6 @@ def extension_jump_study(family, levels) -> dict:
 #: sweep of fp_tol from 1e-14 to 1e-6 (n = 129 and 512, 0.25 and 0.4 h^2, t = 1)
 #: drifted at most 0.02 * steps * fp_tol.
 ENERGY_DRIFT_TOL = 1e-9
-
-
-@dataclass
-class RunSummary:
-    """Per-run invariant maxima, tolerances and verdicts, and config echo.
-
-    Every tolerance has a verdict and every verdict a maximum; a maximum
-    without a tolerance is reported but does not gate.  It holds no wall-clock
-    time, so identical runs serialize to identical bytes.
-    """
-
-    config: dict
-    maxima: dict  # name -> {max, step}
-    tolerances: dict
-    verdicts: dict
-    compat: dict
-    root_cause: str
-    solver: dict  # TimeSeries.solver
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _track(pairs):
@@ -266,14 +229,17 @@ def energy_drift(rows) -> dict:
     return _track((row["step"], abs(row["energy"] - e0) / scale) for row in rows)
 
 
-def invariant_suite(series: TimeSeries, curves=None) -> RunSummary:
-    """Stamp the invariants of a run, read against the config that produced it.
+def invariant_suite(series: TimeSeries, curves=None) -> dict:
+    """The run's summary, the dict ``summary.json`` holds, read against the config that produced it.
 
     Every run gets the norm check and the energy drift maximum, which is a
     verdict under midpoint only (see ENERGY_DRIFT_TOL); a gated (half-space)
     run, one whose ``report`` is set, also gets the wall checks (symmetry,
     boundary trace and, given curves, the endpoint height and arclength) and
-    its compatibility report.  The verdicts are those of the tolerances.
+    its compatibility report (``compat``, else {}).  ``maxima`` maps a name
+    to {max, step}; ``verdicts`` are those of ``tolerances``, and ``passed``
+    is all of them.  No wall-clock time is held, so identical runs
+    serialize to identical bytes.
     """
     cfg, report, g = series.cfg, series.report, series.grid
     # midpoint keeps |v| = 1 only up to its fixed-point tolerance, once per step,
@@ -309,8 +275,8 @@ def invariant_suite(series: TimeSeries, curves=None) -> RunSummary:
             f"compatibility orders {report.failed_orders()} violated; "
             "boundary trace cannot converge"
         )
-    return RunSummary(
-        config={
+    return {
+        "config": {
             "grid": asdict(g),
             "t_final": cfg.t_final,
             "dt": dt,
@@ -318,10 +284,11 @@ def invariant_suite(series: TimeSeries, curves=None) -> RunSummary:
             "snapshot_every": snapshot_every,
             "monitor_every": monitor_every,
         },
-        maxima=maxima,
-        tolerances=tolerances,
-        verdicts=verdicts,
-        compat=report.to_dict() if report is not None else {},
-        root_cause=root_cause,
-        solver=series.solver,
-    )
+        "maxima": maxima,
+        "tolerances": tolerances,
+        "verdicts": verdicts,
+        "compat": report.to_dict() if report is not None else {},
+        "root_cause": root_cause,
+        "solver": series.solver,
+        "passed": all(verdicts.values()),
+    }

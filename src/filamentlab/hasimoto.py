@@ -25,37 +25,27 @@ A series is evaluated in one pass: its (m, n, 3) snapshots, viewed as
 (n, m, 3), grid axis first, give (n, m) curvature, torsion, mask and psi,
 and the residual runs on all m - 2 interior triples at once.  ``diagnose``
 reads the final snapshot's numbers off the last column of that pass
-(``series_diagnostics``); ``frenet`` is the m = 1 case of its helper.
+(``series_diagnostics``).  The pass starts with ``frenet(values, grid)``,
+whose (kappa, tau, mask) of one field's (n, 3) values is its m = 1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evolve import TimeSeries
-from .geometry import PERIODIC, Grid, VectorField, cross, cumtrapz, deriv, row_norms, second_difference
+from .geometry import PERIODIC, Grid, cross, cumtrapz, deriv, row_norms, second_difference
 
 #: Curvature floor; below it torsion and psi are masked out, not computed.
 EPS_KAPPA = 1e-6
 
 
-@dataclass
-class FrenetData:
-    """Curvature/torsion samples with a validity mask (kappa >= floor)."""
+def frenet(values: np.ndarray, grid: Grid) -> tuple:
+    """(kappa, tau, mask) of unit tangents ``values`` of shape (n, ..., 3) on ``grid``.
 
-    grid: Grid
-    kappa: np.ndarray
-    tau: np.ndarray
-    mask: np.ndarray
-
-
-def _frenet(values: np.ndarray, grid: Grid) -> tuple:
-    """kappa, tau and mask of unit tangents ``values`` of shape (n, ..., 3).
-
-    Derivatives run along the grid axis 0, so m snapshots viewed as
-    (n, m, 3) give (n, m) samples, each column those of its snapshot.
+    The mask is kappa >= EPS_KAPPA; tau is 0 off it.  Derivatives run along
+    the grid axis 0, so one field's (n, 3) values give (n,) samples, and m
+    snapshots viewed as (n, m, 3) give (n, m), each column its snapshot's.
     """
     vs = deriv(values, grid, 1)
     vss = deriv(values, grid, 2)
@@ -66,11 +56,6 @@ def _frenet(values: np.ndarray, grid: Grid) -> tuple:
     tau = np.zeros_like(kappa)
     np.divide(num.sum(axis=-1), kappa**2, out=tau, where=mask)
     return kappa, tau, mask
-
-
-def frenet(v: VectorField) -> FrenetData:
-    """Curvature and torsion of the curve whose unit tangent is v."""
-    return FrenetData(v.grid, *_frenet(v.values, v.grid))
 
 
 def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tuple:
@@ -164,7 +149,7 @@ def _series_pass(series: TimeSeries) -> tuple:
     """(n, m) kappa, tau, mask and psi of a series' m snapshots, and their m wraps and rates."""
     if len(series.snapshots) < 3:
         raise ValueError("need >= 3 snapshots for a centered psi_t")
-    kappa, tau, mask = _frenet(series.snapshots.transpose(1, 0, 2), series.grid)
+    kappa, tau, mask = frenet(series.snapshots.transpose(1, 0, 2), series.grid)
     psi, wraps = _psi(kappa, tau, mask, series.grid)
     return kappa, tau, mask, psi, wraps, _gauge_rates(kappa, tau, mask, series.grid)
 

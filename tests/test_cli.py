@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filamentlab import cli, evolve
+from filamentlab import cli, evolve, harness
 from filamentlab.cli import (
     EXIT_COMPAT,
     EXIT_NUMERICAL,
@@ -21,12 +21,18 @@ from filamentlab.cli import (
     read_field_csv,
     write_field_csv,
 )
-from filamentlab.compat import get_family, parse_family_spec
+from filamentlab.compat import HelixFamily, get_family, parse_family_spec
 from filamentlab.errors import GridMismatch
-from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, TimeSeries, solve_half_space
+from filamentlab.evolve import (
+    MIDPOINT_FIXEDPOINT,
+    RK4_PROJECT,
+    SimConfig,
+    TimeSeries,
+    solve_half_space,
+    solve_whole_line,
+)
 from filamentlab.geometry import E3, Grid, VectorField
 from filamentlab.reconstruct import FilamentCurve, integrate_tangent, reconstruct_positions
-from filamentlab.harness import RunSummary
 
 
 SIM_CONFIG = """\
@@ -283,6 +289,26 @@ class TestSimulate:
         assert set(summary["maxima"]) == gating | {"energy_drift"}
         drift = summary["maxima"]["energy_drift"]["max"]
         assert f"energy_drift {drift:.3e} (reported, not gating)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "config",
+        [SIM_CONFIG, _with_key(SIM_CONFIG, "scheme", MIDPOINT_FIXEDPOINT),
+         PERIODIC_CONFIG.replace("helix:a=0.6,c=0.8,k=2.0", "ring:r=1.0")],
+        ids=["half-rk4", "half-midpoint", "periodic-ring"],
+    )
+    def test_summary_json_is_the_invariant_suite_dict(self, tmp_path, monkeypatch, config):
+        # the dict that simulate's invariant_suite call returned, not a second run's
+        made, suite = [], harness.invariant_suite
+
+        def spy(*args):
+            made.append(suite(*args))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "invariant_suite", spy)
+        out = tmp_path / "out"
+        assert main(["simulate", str(self._write_config(tmp_path, config)), "--reconstruct",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text()) == made[0]
 
     def test_summary_bit_identical_across_runs(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -1057,10 +1083,26 @@ EXIT_ONE_INPUTS = {
         "planar_odd:a=0.5", "straight"
     ),
     "grid-L-small": SIM_CONFIG.replace("grid.L = 20.0", "grid.L = 1e-5"),
+    # these three once named grid.L or --length, or no option, for a t_final at fault
     "t_final-hopeless": _with_key(SIM_CONFIG, "time.t_final", "1e12"),
     "oracle-t_final-hopeless": ["oracle", "ring_translation", "--n", "16", "--t-final", "1e12"],
     "diagnose-t_final-hopeless": ["diagnose", "--family", "helix", "--n", "16", "--t-final", "1e9"],
     "diagnose-ring-tiny-finite-step": ["diagnose", "--family", "ring:r=1e-150", "--n", "16"],
+    # a set dt too short for the cap once named grid.L
+    "dt-hopeless": SIM_CONFIG + "time.dt = 1e-30\n",
+    # a t_final whose step count overflows once named grid.L
+    "t_final-huge": _with_key(SIM_CONFIG, "time.t_final", "1e308"),
+    # a closed form that is not finite at the nodes once named --t-final, or no
+    # option after numpy warnings
+    "diagnose-ring-radius-tiny": ["diagnose", "--family", "ring:r=1e-310"],
+    "check-family-not-finite": ["check", "--family", "planar_odd:a=1e308"],
+    "ring-radius-tiny": PERIODIC_CONFIG.replace(HELIX, "ring:r=1e-310").replace(
+        "grid.L = 6.283185307179586", "grid.L = 6.283185307179586e-310"
+    ),
+    # these once named the SimConfig field and not the config key
+    "t_final-negative": _with_key(SIM_CONFIG, "time.t_final", "-1"),
+    "config-order-9": SIM_CONFIG.replace("check.order = 1", "check.order = 9"),
+    "scheme-unknown": _with_key(SIM_CONFIG, "scheme", "foo"),
 }
 
 RING_PERIOD = "family 'ring' has period 3.141592653589793"
@@ -1101,15 +1143,33 @@ EXIT_ONE_MESSAGES = {
         "h=7.8125e-08"
     ),
     "t_final-hopeless": (
-        f"config key grid.L: 6.3e+13 steps of dt=0.0158691 to t_final=1e+12 {OVER_CAP} h=0.15625"
+        f"config key time.t_final: 6.3e+13 steps of dt=0.0158691 to t_final=1e+12 {OVER_CAP} "
+        "h=0.15625"
     ),
     "oracle-t_final-hopeless": (
-        f"3.99e+13 steps of dt=0.0250595 to t_final=1e+12 {OVER_CAP} h=0.19635"
+        f"--t-final: 3.99e+13 steps of dt=0.0250595 to t_final=1e+12 {OVER_CAP} h=0.19635"
     ),
     "diagnose-t_final-hopeless": (
-        f"{DIAGNOSE_DEFAULT_LENGTH}: 9.98e+09 steps of dt=0.100238 to t_final=1e+09 "
-        f"{OVER_CAP} h=0.392699"
+        f"--t-final: 9.98e+09 steps of dt=0.100238 to t_final=1e+09 {OVER_CAP} h=0.392699"
     ),
+    "dt-hopeless": f"config key time.dt: 5e+28 steps of dt=1e-30 to t_final=0.05 {OVER_CAP} h=0.15625",
+    "t_final-huge": (
+        f"config key time.t_final: inf steps of dt=0.0158691 to t_final=1e+308 {OVER_CAP} h=0.15625"
+    ),
+    "diagnose-ring-radius-tiny": (
+        "--family: family 'ring' with r=1e-310 is not finite at the grid's nodes"
+    ),
+    "check-family-not-finite": (
+        "--family: family 'planar_odd' with a=1e+308 is not finite at the grid's nodes"
+    ),
+    "ring-radius-tiny": (
+        "config key data.family: family 'ring' with r=1e-310 is not finite at the grid's nodes"
+    ),
+    "t_final-negative": "config key time.t_final: t_final must be a finite number above 0, got -1.0",
+    "config-order-9": "config key check.order: check_order must be at least 0 and at most 2, got 9",
+    "scheme-unknown": "config key scheme: unknown scheme 'foo'",
+    "check-tol-inf": "--tol: compatibility tolerance must be a finite number above 0, got inf",
+    "check-tol-nan": "--tol: compatibility tolerance must be a finite number above 0, got nan",
     "diagnose-ring-tiny-finite-step": (
         f"{DIAGNOSE_DEFAULT_LENGTH}: 9.98e+299 steps of dt=1.00238e-301 to t_final=0.1 "
         f"{OVER_CAP} h=3.92699e-151"
@@ -1167,12 +1227,14 @@ EXIT_ONE_MESSAGES = {
     # numpy's own message follows, naming the line
     "csv-ragged": "{ragged}: ",
     "check-order-3": "--order must be at least 0 and at most 2, got 3",
-    "config-order-3-half": "check_order must be at least 0 and at most 2, got 3",
-    "config-order-3-periodic": "check_order must be at least 0 and at most 2, got 3",
+    "config-order-3-half": "config key check.order: check_order must be at least 0 and at most 2, got 3",
+    "config-order-3-periodic": (
+        "config key check.order: check_order must be at least 0 and at most 2, got 3"
+    ),
     "grid-n-too-small": "config key grid.n: need at least 8 nodes, got 4",
-    "t_final-inf": "t_final must be a finite number above 0, got inf",
-    "snapshot_every-zero": "snapshot_every must be at least 1, got 0",
-    "monitor_every-zero": "monitor_every must be at least 1, got 0",
+    "t_final-inf": "config key time.t_final: t_final must be a finite number above 0, got inf",
+    "snapshot_every-zero": "config key output.snapshot_every: snapshot_every must be at least 1, got 0",
+    "monitor_every-zero": "config key output.monitor_every: monitor_every must be at least 1, got 0",
     "repeated-key": "config key grid.n is set twice",
     "family-param-repeated": "family 'planar_odd' parameter a is set twice",
     "data-family-param-repeated": (
@@ -1230,7 +1292,9 @@ def test_readme_names_every_summary_key():
     lines = _readme_block("- `summary.json`")
     bullets = [re.match(r"  - ((`\w+`( and )?)+)", line) for line in lines]
     named = [key for m in bullets if m for key in re.findall(r"`(\w+)`", m.group(1))]
-    assert sorted(named) == sorted(RunSummary({}, {}, {}, {}, {}, "", {}).to_dict())
+    v0 = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 16))
+    summary = harness.invariant_suite(solve_whole_line(v0, SimConfig(t_final=0.01)))
+    assert sorted(named) == sorted(summary)
 
 
 def test_readme_library_example_runs():
@@ -1239,7 +1303,7 @@ def test_readme_library_example_runs():
     code = library.split("```python\n", 1)[1].split("```", 1)[0]
     scope = {}
     exec(code, scope)
-    assert scope["summary"].passed
+    assert scope["summary"]["passed"]
 
 
 def _readme_commands() -> list:

@@ -220,6 +220,20 @@ class TestFamilies:
             "a whole number of periods, got length 6.283185307179586"
         )
 
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            # 1 / r overflows, and the phase at s = 0 is inf * 0
+            ("ring:r=1e-310", Grid.periodic(2.0 * np.pi * 1e-310, 16)),
+            # a s overflows where exp(-s^2) is not yet 0
+            ("planar_odd:a=1e308", Grid.half_line(20.0, 65)),
+        ],
+    )
+    def test_sample_that_is_not_finite_is_a_family_error(self, spec, grid):
+        # computed without a numpy warning, and named as the family, not as a field
+        with pytest.raises(UnknownFamily, match=r"with (r|a)=1e.*is not finite at the grid's nodes$"):
+            parse_family_spec(spec).sample(grid)
+
     @pytest.mark.parametrize("name, c2", [("planar_odd", 0.0), ("planar_bad", 1.0)])
     def test_planar_parameter_used_exactly(self, name, c2):
         # a has 16 significant digits; a 15-digit rounding of it changes the samples

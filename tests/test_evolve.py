@@ -11,11 +11,13 @@ from filamentlab.compat import HelixFamily, check_compat, get_family
 from filamentlab.errors import (
     CompatibilityRejected,
     DegenerateVector,
+    DurationOutOfRange,
     FarFieldViolation,
     FixedPointDiverged,
     NonFiniteState,
     SpacingOutOfRange,
     StabilityViolated,
+    StepOutOfRange,
 )
 from filamentlab import evolve
 from filamentlab.evolve import (
@@ -147,8 +149,24 @@ class TestConfig:
         cap = SimConfig(dt=0.5, t_final=MAX_STEPS * 0.5)
         assert cap.schedule(1.0)[:2] == (0.5, MAX_STEPS)
         over = SimConfig(dt=0.5, t_final=math.nextafter(MAX_STEPS * 0.5, math.inf))
-        with pytest.raises(SpacingOutOfRange, match=r"2\.15e\+09 steps of dt=0\.5 .* 2147483648"):
+        with pytest.raises(DurationOutOfRange, match=r"2\.15e\+09 steps of dt=0\.5 .* 2147483648"):
             over.schedule(1.0)
+
+    @pytest.mark.parametrize(
+        "cfg, h, error",
+        [
+            # one time unit fits the cap: t_final is at fault, even at a count that overflows
+            (SimConfig(t_final=1e12), 0.15625, DurationOutOfRange),
+            (SimConfig(t_final=1e308), 0.15625, DurationOutOfRange),
+            (SimConfig(t_final=1e12, dt=1e-3), 1.0, DurationOutOfRange),
+            # else a set dt is, and else the spacing behind the default dt
+            (SimConfig(t_final=1.0, dt=1e-10), 1.0, StepOutOfRange),
+            (SimConfig(t_final=1.0), 1e-6, SpacingOutOfRange),
+        ],
+    )
+    def test_step_cap_names_the_input_at_fault(self, cfg, h, error):
+        with pytest.raises(error, match=" steps of dt=.* exceed the cap of 2147483648"):
+            cfg.schedule(h)
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from filamentlab.evolve import MIDPOINT_FIXEDPOINT, RK4_PROJECT, SimConfig, Time
 from filamentlab.geometry import Grid, VectorField, cumtrapz, deriv, second_difference
 from filamentlab.hasimoto import (
     EPS_KAPPA,
-    _frenet,
     _gauge_rates,
     _psi,
     _residual,
@@ -31,7 +30,7 @@ from filamentlab.hasimoto import (
 
 def stacked(snapshots, grid):
     """(n, m) kappa, tau and mask of (m, n, 3) snapshots on ``grid``, read as the series pass reads them."""
-    return _frenet(np.asarray(snapshots).transpose(1, 0, 2), grid)
+    return frenet(np.asarray(snapshots).transpose(1, 0, 2), grid)
 
 
 class TestFrenet:
@@ -39,32 +38,32 @@ class TestFrenet:
         # (a cos ks, a sin ks, c): kappa = a k = 1.2, tau = c k = 1.6
         fam = HelixFamily(0.6, 0.8, 2.0)
         g = Grid.periodic(2.0 * np.pi, 256)
-        f = frenet(fam.sample(g))
-        assert f.mask.all()
-        assert np.max(np.abs(f.kappa - 1.2)) < 5e-3
-        assert np.max(np.abs(f.tau - 1.6)) < 5e-3
+        kappa, tau, mask = frenet(fam.sample(g).values, g)
+        assert mask.all()
+        assert np.max(np.abs(kappa - 1.2)) < 5e-3
+        assert np.max(np.abs(tau - 1.6)) < 5e-3
 
     def test_helix_frenet_second_order(self):
         fam = HelixFamily(0.6, 0.8, 2.0)
         errs = []
         for n in (128, 256):
             g = Grid.periodic(2.0 * np.pi, n)
-            f = frenet(fam.sample(g))
-            errs.append(np.max(np.abs(f.kappa - 1.2)) + np.max(np.abs(f.tau - 1.6)))
+            kappa, tau, _ = frenet(fam.sample(g).values, g)
+            errs.append(np.max(np.abs(kappa - 1.2)) + np.max(np.abs(tau - 1.6)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_ring_is_planar(self):
         fam = RingFamily(0.5)
         g = Grid.periodic(fam.period(), 256)
-        f = frenet(fam.sample(g))
-        assert np.max(np.abs(f.kappa - 2.0)) < 1e-2
-        assert np.max(np.abs(f.tau)) < 1e-8
+        kappa, tau, _ = frenet(fam.sample(g).values, g)
+        assert np.max(np.abs(kappa - 2.0)) < 1e-2
+        assert np.max(np.abs(tau)) < 1e-8
 
     def test_straight_masks_everything(self):
         fam = get_family("straight")
         g = Grid.periodic(2.0 * np.pi, 64)
-        f = frenet(fam.sample(g))
-        assert not f.mask.any()
+        _, _, mask = frenet(fam.sample(g).values, g)
+        assert not mask.any()
 
 
 class TestPsi:
@@ -384,9 +383,8 @@ def _check_against_reference(series, nan_at=None):
     rates = _gauge_rates(kappa, tau, mask, grid)
     fields, mapped = [], []
     for j, snap in enumerate(series.snapshots):
-        f = frenet(VectorField(grid, snap))
         want = _ref_frenet(snap, grid)
-        for got in ((f.kappa, f.tau, f.mask), (kappa[:, j], tau[:, j], mask[:, j])):
+        for got in (frenet(snap, grid), (kappa[:, j], tau[:, j], mask[:, j])):
             assert all(_same_bits(a, b) for a, b in zip(got, want))
         assert repr(rates[j]) == repr(_ref_rate(*want, grid))
         try:
