@@ -208,9 +208,11 @@ def deriv(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
 
 
 def cumtrapz(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, starting at zero."""
+    """Cumulative trapezoid along axis 0, starting at zero; ``dx`` may be an array of steps."""
     out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * dx * (y[1:] + y[:-1]), axis=0)
+    steps = np.add(y[1:], y[:-1], out=out[1:])  # in place: y may be a whole snapshot block
+    steps *= 0.5 * dx
+    np.cumsum(steps, axis=0, out=steps)
     return out
 
 

@@ -235,11 +235,11 @@ def invariant_suite(series: TimeSeries, curves=None) -> dict:
     Every run gets the norm check and the energy drift maximum, which is a
     verdict under midpoint only (see ENERGY_DRIFT_TOL); a gated (half-space)
     run, one whose ``report`` is set, also gets the wall checks (symmetry,
-    boundary trace and, given curves, the endpoint height and arclength) and
-    its compatibility report (``compat``, else {}).  ``maxima`` maps a name
-    to {max, step}; ``verdicts`` are those of ``tolerances``, and ``passed``
-    is all of them.  No wall-clock time is held, so identical runs
-    serialize to identical bytes.
+    boundary trace and, given curves, the endpoint height, x0's by
+    construction, and arclength) and its compatibility report (``compat``,
+    else {}).  ``maxima`` maps a name to {max, step}; ``verdicts`` are those
+    of ``tolerances``, and ``passed`` is all of them.  No wall-clock time is
+    held, so identical runs serialize to identical bytes.
     """
     cfg, report, g = series.cfg, series.report, series.grid
     # midpoint keeps |v| = 1 only up to its fixed-point tolerance, once per step,

@@ -1,9 +1,11 @@
 """Rebuild the filament position curve from the tangent trajectory.
 
-The curve is recovered from x(s, t) = x0(s) + integral_0^t (v x v_s) dtau,
-with the time integral taken by the trapezoid rule over recorded
-snapshots.  x0 itself comes from cumulative trapezoid integration of v0
-anchored at the wall, x0(0) = (0, 0, 0), which satisfies x0_3(0) = 0.
+On the half line each curve is read off its own snapshot, whatever the
+cadence: the cumulative trapezoid of v(t) in s, shifted so that the far
+end, which is at rest, keeps x1 and x2 of x0, and the foot keeps x3 of x0
+on the wall.  (Anchored at the far end, x3 would move with the integral of
+v3, which RK4's projection does not keep: 2.6e-7 in one step at n = 65.)
+A periodic curve has no resting end: x0 plus the trapezoid in t of v x v_s.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .evolve import TimeSeries
-from .geometry import Grid, VectorField, cross, cumtrapz, deriv, row_norms
+from .geometry import PERIODIC, Grid, VectorField, cross, cumtrapz, deriv, row_norms
 
 
 @dataclass
@@ -38,30 +40,26 @@ def integrate_tangent(v0: VectorField) -> FilamentCurve:
     return FilamentCurve(v0.grid, cumtrapz(v0.values, v0.grid.h) + 0.0)
 
 
-def flow_velocity(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Pointwise v x v_s of (n, 3) tangents on ``grid``, the curve velocity they induce."""
-    return cross(values, deriv(values, grid, 1))
-
-
 def reconstruct_positions(x0: FilamentCurve, series: TimeSeries) -> list:
-    """The curve at each recorded time ``series.times[m]``, by trapezoid in t."""
+    """The curve at each recorded time ``series.times[m]``; ``curves[0]`` is a copy of ``x0``."""
     if series.grid != x0.grid:
         raise GridMismatch("curve and series grids differ")
-    curves = [FilamentCurve(x0.grid, np.array(x0.positions, copy=True))]
-    accum = np.zeros_like(x0.positions)
-    # row by row: a velocity of the whole block at once was slower on the half line
-    w_prev = flow_velocity(series.snapshots[0], x0.grid)
-    for m in range(1, len(series.times)):
-        w = flow_velocity(series.snapshots[m], x0.grid)
-        dt = series.times[m] - series.times[m - 1]
-        accum = accum + 0.5 * dt * (w_prev + w)
-        curves.append(FilamentCurve(x0.grid, x0.positions + accum))
-        w_prev = w
-    return curves
+    v = series.snapshots.transpose(1, 0, 2)  # (n, m, 3): cumtrapz and deriv run along s
+    if x0.grid.kind == PERIODIC:
+        w = cross(v, deriv(v, x0.grid, 1)).transpose(1, 0, 2)  # (m, n, 3): cumtrapz runs along t
+        x = cumtrapz(w, np.diff(series.times)[:, None, None]).transpose(1, 0, 2)
+        x += x0.positions[:, None]
+    else:
+        x = cumtrapz(v, x0.grid.h)  # laid out as the view, so each curve x[:, m] is one block
+        shift = x[-1] - x0.positions[-1]  # I(t) - I(0): the far end is at rest
+        shift[:, 2] = -x0.positions[0, 2]  # and the foot is on the wall
+        x -= shift
+    x[:, 0] = x0.positions
+    return [FilamentCurve(x0.grid, x[:, m]) for m in range(len(series.times))]
 
 
 def endpoint_height(curve: FilamentCurve) -> float:
-    """Wall-normal coordinate of the first node; stays ~0 on valid runs."""
+    """Wall-normal coordinate of the first node; on the half line, x0's at every time."""
     return float(curve.positions[0, 2])
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from filamentlab import evolve
+from filamentlab import evolve, reconstruct
 from filamentlab.cli import EXIT_OK, main
 from filamentlab.compat import get_family
 from filamentlab.evolve import SimConfig
@@ -92,7 +92,6 @@ def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
         "evolve.rhs",
         "evolve.normalize",
         "evolve.telemetry",
-        "geometry.deriv",
         "geometry.cross",
         "geometry.field_init",
         "reflect.restrict",
@@ -103,6 +102,24 @@ def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
     ):
         assert calls.get(span, 0) > 0, f"{span} never called through its wrapped name"
     assert calls["reflect.restrict"] == calls["evolve.telemetry"]
+    # the half-line curve is read off each state with no derivative; deriv is reached
+    # on the ring (test_traced_ring_reconstruct_reaches_deriv_and_cross)
+    assert "geometry.deriv" not in calls
+
+
+def test_traced_ring_reconstruct_reaches_deriv_and_cross():
+    # the ring workload's curve takes one deriv and one cross of its whole snapshot block
+    fam = get_family("ring", r=0.5)
+    v0 = fam.sample(Grid.periodic(fam.period(), 64))
+    series = evolve.solve_whole_line(v0, SimConfig(t_final=0.01))
+    tracer = tracing.Tracer()
+    layers.instrument(tracer)
+    try:
+        reconstruct.reconstruct_positions(reconstruct.integrate_tangent(v0), series)
+    finally:
+        tracer.restore()
+    calls = tracer.totals()[0]
+    assert calls["reconstruct.positions"] == calls["geometry.deriv"] == calls["geometry.cross"] == 1
 
 
 @pytest.mark.parametrize("scheme", ["rk4_project", "midpoint_fixedpoint"])
