@@ -2,15 +2,22 @@
 
 Both schemes work in grid units: ``rhs`` is h^2 v x v_ss, and a step of
 length dt advances by lambda = dt/h^2 in those units, its one parameter.
-The solve carries the state from step to step as a plain (n, 3) array:
-a step takes and returns one, and the solve builds a ``VectorField`` only
-for a snapshot, a telemetry row or the final state.  Each scheme checks
+The solve carries the state from step to step as one plain, C-contiguous
+(3, n + 2) block (``pack``): row j holds component j + 1, columns 1 ... n
+the nodes, and the two pad columns the end nodes' values.  RK4's stage
+inputs, the midpoint iterates and slopes, and every ``rhs`` result share
+that layout, so each ufunc of ``rhs`` and of the steps is one call on a
+flat, contiguous run of numbers; ``rhs`` writes 0 to its pad slots, so a
+stage input v + c k keeps the state's pads, which ``rhs`` never reads.
+The solve builds a ``VectorField`` of a C-ordered (n, 3) copy of the nodes
+(``unpack``) only for a snapshot or a telemetry row.  Each scheme checks
 its own values for finiteness, and raises ``NonFiniteState``.  Two schemes:
 
 ``rk4_project``
     Classical four-stage explicit step followed by pointwise projection
     back to the unit sphere.  Default; norm exact to roundoff.  The
-    projection, ``normalize_field``, checks the row norms for finiteness.
+    projection, ``normalize_field`` of the block's transpose (pads
+    included), checks the row norms for finiteness.
 
 ``midpoint_fixedpoint``
     Implicit midpoint solved by fixed-point iteration on the midpoint
@@ -72,7 +79,7 @@ from .geometry import (
     WHOLE,
     Grid,
     VectorField,
-    cross,
+    cross,  # noqa: F401 -- unused here; perfbench/layers.py wraps evolve.cross
     deriv,  # noqa: F401 -- unused here; perfbench/layers.py wraps evolve.deriv
     finite_at_spacing,
     normalize_field,
@@ -228,8 +235,35 @@ class TimeSeries:
         return VectorField(self.grid, self.snapshots[-1])
 
 
-def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
-    """h^2 v x v_ss of the (n, 3) ``values`` on ``u``'s grid, an (n, 3) array.
+def pack(values: np.ndarray) -> np.ndarray:
+    """The (3, n + 2) state block of the (n, 3) ``values``, a new C-contiguous array.
+
+    Row j holds component j + 1, columns 1 ... n the nodes, and the two pad
+    columns the end nodes' values, unit vectors that the projection accepts.
+    """
+    n = len(values)
+    y = np.empty((3, n + 2))
+    y[:, 1:-1] = values.T
+    y[:, :: n + 1] = values[:: n - 1].T
+    return y
+
+
+def unpack(y: np.ndarray) -> np.ndarray:
+    """The nodes of the state block ``y`` as a new C-ordered (n, 3) array.
+
+    C-ordered because ``np.sum`` adds in memory order: the bits of a
+    telemetry row's ``energy`` depend on the layout of the field it reads.
+    """
+    return y[:, 1:-1].T.copy()
+
+
+#: The rows of rhs's scratch, v1 v2 v3 v1 v2, and the sign pattern of -bar on them.
+_ROWS = np.array([0, 1, 2, 0, 1])
+_NEGBAR_ROWS = _NEGBAR[_ROWS]
+
+
+def rhs(u: VectorField, y: np.ndarray) -> np.ndarray:
+    """h^2 v x v_ss of the (3, n + 2) state block ``y`` on ``u``'s grid, a new block.
 
     Evaluated as v_i x (v_{i-1} + v_{i+1}): the -2 v_i of the second
     difference drops out because v_i x v_i = 0, and the steps take the
@@ -237,29 +271,47 @@ def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
     neighbour sum is symmetric and a cross product of two vectors both
     mapped to -bar is -bar of their cross product, sign for sign.
 
-    ``values`` is unchecked: the state, RK4's stage inputs and the midpoint
-    iterates all reach it as plain arrays, and only the midpoint iteration
-    and RK4's projection check values for finiteness.  ``u`` supplies only
-    the grid: the steps pass the run's initial field.  It stays the first
-    argument because perfbench counts a call's nodes from ``args[0].grid.n``.
+    ``y`` is unchecked and its pad columns are never read: the state, RK4's
+    stage inputs and the midpoint iterates all reach it as plain blocks, and
+    only the midpoint iteration and RK4's projection check values for
+    finiteness.  ``u`` supplies only the grid: the steps pass the run's
+    initial field.  It stays the first argument because perfbench counts a
+    call's nodes from ``args[0].grid.n``.
 
-    One padded stencil for every grid kind: a periodic grid pads with the
-    wrapped rows; a half-line grid pads s = 0 with the mirror ghost
-    v(-h) = -bar(v(h)); a truncation edge pads with its own row and is
-    clamped (zero update) afterwards.
+    ``y`` is copied into a (5, n + 2) scratch with rows v1 v2 v3 v1 v2, whose
+    pad slots are filled for the grid kind: the wrapped nodes on a periodic
+    grid, the mirror ghost v(-h) = -bar(v(h)) at s = 0 on a half line, and
+    the edge's own node at a truncation edge.  On the flattened scratch the
+    neighbour sum is one call, and each component of the cross product is
+    a2 b3 - a3 b2 on the rows one and two below it, so all three are two
+    products and one difference of slices n + 2 apart: the roundings of
+    ``geometry.cross``.  The result's pad slots and clamped edges (zero
+    update) are 0, so a stage input v + c k keeps the state's pads.
     """
-    grid, v = u.grid, values
-    if grid.kind == PERIODIC:
-        left, right = v[-1:], v[:1]
+    kind = u.grid.kind
+    w = y.shape[1]
+    p = y.take(_ROWS, axis=0).ravel()
+    if kind == PERIODIC:
+        p[::w] = p[w - 2 :: w]
+        p[w - 1 :: w] = p[1::w]
     else:
-        left = v[1:2] * _NEGBAR if grid.kind == HALF else v[:1]
-        right = v[-1:]
-    pad = np.concatenate((left, v, right))
-    out = cross(v, np.add(pad[:-2], pad[2:]))
-    if grid.kind != PERIODIC:
-        out[-1] = 0.0
-    if grid.kind == WHOLE:
-        out[0] = 0.0
+        if kind == HALF:
+            np.multiply(p[2::w], _NEGBAR_ROWS, out=p[::w])
+        else:
+            p[::w] = p[1::w]
+        p[w - 1 :: w] = p[w - 2 :: w]
+    b = np.add(p[:-2], p[2:])  # b[i] is the neighbour sum about p[i + 1]
+    # component j is a_{j+1} b_{j+2} - a_{j+2} b_{j+1}, a the scratch rows j + 1
+    # and j + 2: rows 1-3 and 2-4 of the scratch for all three components at once
+    out = np.empty((3, w))
+    inner = out.ravel()[1:-1]  # all but the first and the last slot, both pads
+    np.multiply(p[w + 1 : 4 * w - 1], b[2 * w : 5 * w - 2], out=inner)
+    inner -= p[2 * w + 1 : 5 * w - 1] * b[w : 4 * w - 2]
+    out[:, :: w - 1] = 0.0
+    if kind != PERIODIC:
+        out[:, -2] = 0.0
+    if kind == WHOLE:
+        out[:, 1] = 0.0
     return out
 
 
@@ -267,13 +319,13 @@ def rhs(u: VectorField, values: np.ndarray) -> np.ndarray:
 class StepLog:
     """What the steps of one solve carry from step to step, and the work they did.
 
-    The state is not in it: a step takes the (n, 3) state array and returns
-    the next one.  ``slopes``: the converged midpoint slopes f(m) of the
-    last four steps, oldest first; a fresh log has none.  ``cubic``: whether
-    the next step with four slopes starts from their cubic extrapolation
-    (else the linear one); the step before sets it to the start that
-    predicted its slope better.  Slopes are ``rhs`` values, in the grid units that a step's
-    lambda = dt/h^2 scales.  ``rhs_calls`` counts either scheme's ``rhs``
+    The state is not in it: a step takes the (3, n + 2) state block and
+    returns the next one.  ``slopes``: the converged midpoint slopes f(m)
+    of the last four steps, oldest first, in the same layout; a fresh log
+    has none.  ``cubic``: whether the next step with four slopes starts
+    from their cubic extrapolation (else the linear one); the step before
+    sets it to the start that predicted its slope better.  Slopes are
+    ``rhs`` values, in the grid units that a step's lambda = dt/h^2 scales.  ``rhs_calls`` counts either scheme's ``rhs``
     calls, ``iters`` the fixed-point iterations of each midpoint step.
     """
 
@@ -328,9 +380,9 @@ def _cubic_start(slopes: list, out: np.ndarray, scratch: np.ndarray) -> np.ndarr
 def _step_midpoint(
     u: VectorField, v: np.ndarray, lam: float, tol: float, log: StepLog
 ) -> np.ndarray:
-    # Every array written here is one this step allocated: never v, which may
-    # be the caller's u0.values, an array held in log.slopes, or the rhs(u, v)
-    # start, which is read only.
+    # Every array written here is one this step allocated: never v, which is
+    # the caller's state, an array held in log.slopes, or the rhs(u, v) start,
+    # which is read only.
     half = 0.5 * lam
     extrapolate = len(log.slopes) >= 2 and lam <= SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
@@ -373,13 +425,13 @@ def _step_midpoint(
 
 
 def step(u: VectorField, v: np.ndarray, dt: float, cfg: SimConfig, log: StepLog) -> np.ndarray:
-    """One step of the (n, 3) state ``v`` on ``u``'s grid under the configured scheme.
+    """One step of the (3, n + 2) state block ``v`` on ``u``'s grid under the configured scheme.
 
-    Returns the step's (n, 3) result, a new array, unprojected.  A midpoint
-    step raises ``NonFiniteState`` on a non-finite iterate or candidate, so
-    what it returns is finite; an RK4 result is checked by the solve's
-    projection, ``normalize_field``, which raises ``NonFiniteState`` on a
-    non-finite row norm.  The step is logged in ``log``; the schemes take lambda = dt/h^2.
+    Returns the step's result, a new block with ``v``'s pads, unprojected.
+    A midpoint step raises ``NonFiniteState`` on a non-finite iterate or
+    candidate, so what it returns is finite; an RK4 result is checked by the
+    solve's projection, ``normalize_field``, which raises ``NonFiniteState``
+    on a non-finite row norm.  The step is logged in ``log``; the schemes take lambda = dt/h^2.
     """
     lam = dt / (u.grid.h * u.grid.h)
     if cfg.scheme == RK4_PROJECT:
@@ -404,13 +456,14 @@ def bending_energy(u: VectorField) -> float:
 TELEMETRY_KEYS = ("step", "time", "norm_dev", "energy", "symmetry", "boundary")
 
 
-def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
-    """One monitor row; a half-line state is measured on its extension.
+def _telemetry_row(step_idx: int, t: float, u: VectorField, y: np.ndarray) -> dict:
+    """One monitor row of the state ``u``; a half-line state is measured on its extension.
 
     On a half-line state ``symmetry`` also takes in the gap between the
-    ghost-closed ``rhs`` and the whole-line ``rhs`` restricted to s >= 0,
-    divided by h^2 into the units of v x v_ss, so a wrong ghost shows on
-    the row even though the extension is exact.
+    ghost-closed ``rhs`` of ``y``, the solve's block of ``u``, and the
+    whole-line ``rhs`` restricted to s >= 0, divided by h^2 into the units
+    of v x v_ss, so a wrong ghost shows on the row even though the
+    extension is exact.
     """
     half = u.grid.kind == HALF
     w = extend(u) if half else u
@@ -423,7 +476,9 @@ def _telemetry_row(step_idx: int, t: float, u: VectorField) -> dict:
     if w.grid.kind == WHOLE:
         row["symmetry"] = symmetry_residual(w)
         if half:
-            gap = rhs(u, u.values) - restrict(VectorField(w.grid, rhs(w, w.values))).values
+            ghost = rhs(u, y)[:, 1:-1].T
+            whole = unpack(rhs(w, pack(w.values)))
+            gap = ghost - restrict(VectorField(w.grid, whole)).values
             # np.maximum, not max: a NaN gap must win, or a broken rhs reads 0.0
             h = u.grid.h
             row["symmetry"] = float(np.maximum(row["symmetry"], row_norms(gap).max() / (h * h)))
@@ -438,10 +493,12 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     ``rhs``); its result is the s >= 0 part of the whole-line solve of the
     extended data, bit for bit.
 
-    The state between steps is a plain (n, 3) array, and a ``VectorField``
-    is built only where the state is kept or measured: at a snapshot or a
-    telemetry row, one field for both on the same step, the last step
-    among them.  A ``DegenerateVector``, ``FixedPointDiverged`` or
+    The state between steps is a plain (3, n + 2) block (``pack``), and a
+    ``VectorField`` of its C-ordered (n, 3) nodes (``unpack``) is built only
+    where the state is kept or measured: at a snapshot or a telemetry row,
+    one field for both on the same step, the last step among them.  RK4's
+    projection is ``normalize_field`` of the block's transpose, pads
+    included.  A ``DegenerateVector``, ``FixedPointDiverged`` or
     ``NonFiniteState`` raised by a step or by RK4's projection is raised
     again, as the same type, with the step and the time it started from
     in its message.
@@ -452,24 +509,24 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     dt, nsteps, snapshot_every, monitor_every = cfg.schedule(grid.h)
     series = TimeSeries(grid, 1 + math.ceil(nsteps / snapshot_every), cfg)
     log = StepLog()
-    v = u0.values
+    v = pack(u0.values)
     series.record(0.0, u0)
-    series.telemetry.append(_telemetry_row(0, 0.0, u0))
+    series.telemetry.append(_telemetry_row(0, 0.0, u0, v))
     for k in range(1, nsteps + 1):
         dt_k = dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt
         try:
             v = step(u0, v, dt_k, cfg, log)
             if cfg.scheme == RK4_PROJECT:
-                v = normalize_field(v)
+                v = normalize_field(v.T).T
         except (DegenerateVector, FixedPointDiverged, NonFiniteState) as exc:
             raise type(exc)(f"{exc} at step {k} of {nsteps}, t = {(k - 1) * dt:.6g}") from exc
         t = k * dt if k < nsteps else cfg.t_final
         monitor = k % monitor_every == 0 or k == nsteps
         snapshot = k % snapshot_every == 0 or k == nsteps
         if monitor or snapshot:
-            u = VectorField(grid, v)
+            u = VectorField(grid, unpack(v))
             if monitor:
-                series.telemetry.append(_telemetry_row(k, t, u))
+                series.telemetry.append(_telemetry_row(k, t, u, v))
             if snapshot:
                 series.record(t, u)
     series.solver = {"steps": nsteps, "rhs_calls": log.rhs_calls}

@@ -34,7 +34,6 @@ from .reconstruct import (
     integrate_tangent,
     reconstruct_positions,
 )
-from .reflect import derivative_jump_residual, extend
 
 
 def fit_order(hs, errors) -> float:
@@ -52,7 +51,7 @@ def fit_order(hs, errors) -> float:
 # ---------------------------------------------------------------------------
 # oracles
 
-#: Length of the half-line grids of the stationary line and the jump study.
+#: Length of the half-line grids of the stationary line and of the tests' jump study.
 HALF_LENGTH = 10.0
 
 
@@ -172,22 +171,6 @@ def convergence_study(case: str, levels) -> dict:
     else:
         raise ValueError(f"unknown convergence case {case!r}")
     return {"levels": list(levels), "hs": hs, "errors": errors, "order": fit_order(hs, errors)}
-
-
-def extension_jump_study(family, levels) -> dict:
-    """Jump residuals of the reflection extension across resolutions.
-
-    Returns {k: {levels, hs, errors, order}} for k = 1, 2, 3.  Compatible
-    data shows order ~2; incompatible data converges to the true jump (order ~0).
-    """
-    out = {}
-    grids = [Grid.half_line(HALF_LENGTH, n) for n in levels]
-    hs = [g.h for g in grids]
-    exts = [extend(family.sample(g)) for g in grids]
-    for k in (1, 2, 3):
-        errors = [derivative_jump_residual(ext, k) for ext in exts]
-        out[k] = {"levels": list(levels), "hs": hs, "errors": errors, "order": fit_order(hs, errors)}
-    return out
 
 
 # ---------------------------------------------------------------------------

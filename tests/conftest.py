@@ -1,9 +1,13 @@
-"""Checks that hold after every test of the suite, and the planar families' symbolic reference."""
+"""Checks that hold after every test of the suite, the planar families' symbolic reference, and the jump study."""
 
 import functools
 import os
 
 import pytest
+
+from filamentlab.geometry import Grid
+from filamentlab.harness import HALF_LENGTH, fit_order
+from filamentlab.reflect import derivative_jump_residual, extend
 
 
 @pytest.fixture(autouse=True)
@@ -44,3 +48,26 @@ def _sympy_derivative(name: str, k: int):
 def sympy_derivative():
     """``sympy_derivative(name, k)``: the [sin, cos] columns of d^k v/ds^k of a planar family."""
     return _sympy_derivative
+
+
+def _extension_jump_study(family, levels) -> dict:
+    """Jump residuals of the reflection extension across resolutions.
+
+    Returns {k: {levels, hs, errors, order}} for k = 1, 2, 3 on half lines of
+    length ``harness.HALF_LENGTH``.  Compatible data shows order ~2;
+    incompatible data converges to the true jump (order ~0).
+    """
+    out = {}
+    grids = [Grid.half_line(HALF_LENGTH, n) for n in levels]
+    hs = [g.h for g in grids]
+    exts = [extend(family.sample(g)) for g in grids]
+    for k in (1, 2, 3):
+        errors = [derivative_jump_residual(ext, k) for ext in exts]
+        out[k] = {"levels": list(levels), "hs": hs, "errors": errors, "order": fit_order(hs, errors)}
+    return out
+
+
+@pytest.fixture(scope="session")
+def extension_jump_study():
+    """``extension_jump_study(family, levels)``: {k: {levels, hs, errors, order}} for k = 1, 2, 3."""
+    return _extension_jump_study

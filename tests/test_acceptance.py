@@ -16,7 +16,6 @@ from filamentlab.compat import HelixFamily, get_family
 from filamentlab.evolve import SimConfig, solve_half_space, solve_whole_line
 from filamentlab.geometry import Grid, VectorField
 from filamentlab.harness import (
-    extension_jump_study,
     fit_order,
     helix_dispersion_error,
     invariant_suite,
@@ -105,7 +104,7 @@ def test_criterion_4_endpoint_on_wall(rk4_run):
     assert len(wall_track) == len(curves)
 
 
-def test_criterion_5_extension_smoothness():
+def test_criterion_5_extension_smoothness(extension_jump_study):
     levels = [128, 256, 512]
     good = extension_jump_study(get_family("planar_odd", a=0.5), levels)
     bad = extension_jump_study(get_family("planar_bad", a=0.5), levels)

@@ -522,7 +522,7 @@ class TestSimulate:
             calls[0] += 1
             out = _rhs(u, values)
             if calls[0] == 10:
-                out[3, 1] = np.nan
+                out[1, 4] = np.nan  # node 3, component 2
             return out
 
         monkeypatch.setattr(evolve, "rhs", nan_rhs)
@@ -542,7 +542,7 @@ class TestSimulate:
             calls[0] += 1
             out = _rhs(u, values)
             if calls[0] == 10:
-                out[3, 1] = np.nan
+                out[1, 4] = np.nan  # node 3, component 2
             return out
 
         monkeypatch.setattr(evolve, "rhs", nan_rhs)
@@ -593,7 +593,7 @@ class TestSimulate:
             calls[0] += 1
             out = _rhs(u, values)
             if steps[0] == 3 and calls[0] == bad_call:
-                out[3, 1] = bad
+                out[1, 4] = bad  # node 3, component 2
             return out
 
         monkeypatch.setattr(evolve, "step", counted_step)
@@ -626,14 +626,14 @@ class TestSimulate:
         # max once dropped it, and the run exited 0 with symmetry 0.0 on every row
         rows = []
 
-        def row(step_idx, t, u, _row=evolve._telemetry_row):
+        def row(step_idx, t, u, y, _row=evolve._telemetry_row):
             rows.append(step_idx)
-            return _row(step_idx, t, u)
+            return _row(step_idx, t, u, y)
 
         def nan_rhs(u, values, _rhs=evolve.rhs):
             out = _rhs(u, values)
             if len(rows) == 2 and u.grid.kind == "half":  # no step follows the last row
-                out[3, 1] = np.nan
+                out[1, 4] = np.nan  # node 3, component 2
             return out
 
         monkeypatch.setattr(evolve, "_telemetry_row", row)
@@ -860,7 +860,7 @@ class TestOtherCommands:
             calls[0] += 1
             out = _rhs(u, values)
             if calls[0] == 6:
-                out[3, 1] = np.nan
+                out[1, 4] = np.nan  # node 3, component 2
             return out
 
         monkeypatch.setattr(evolve, "rhs", bad_rhs)

@@ -33,10 +33,12 @@ from filamentlab.evolve import (
     _step_rk4,
     bending_energy,
     farfield_deviation,
+    pack,
     rhs,
     solve_half_space,
     solve_whole_line,
     step,
+    unpack,
 )
 from filamentlab.geometry import (
     E3,
@@ -55,10 +57,15 @@ def _constant_e3(grid):
     return VectorField(grid, np.tile(E3, (grid.n, 1)))
 
 
+def _rhs(u, values):
+    """``rhs`` of the (n, 3) ``values`` on ``u``'s grid, as an (n, 3) array."""
+    return unpack(rhs(u, pack(values)))
+
+
 class TestRhs:
     def test_straight_is_fixed_point(self):
         u = _constant_e3(Grid.periodic(2.0 * np.pi, 64))
-        assert np.array_equal(rhs(u, u.values), np.zeros((64, 3)))
+        assert np.array_equal(_rhs(u, u.values), np.zeros((64, 3)))
 
     def test_helix_closed_form(self):
         # v x v_ss for (a cos ks, a sin ks, c) is c k^2 a (sin ks, -cos ks, 0)
@@ -67,7 +74,7 @@ class TestRhs:
         s = g.nodes()
         fam = HelixFamily(a, c, k)
         u = fam.sample(g)
-        got = rhs(u, u.values) / (g.h * g.h)
+        got = _rhs(u, u.values) / (g.h * g.h)
         expect = np.stack(
             [c * k * k * a * np.sin(k * s), -c * k * k * a * np.cos(k * s), 0.0 * s],
             axis=1,
@@ -90,13 +97,13 @@ class TestRhs:
                 axis=1,
             )
             u = fam.sample(g)
-            errs.append(np.max(np.abs(rhs(u, u.values) / (g.h * g.h) - expect)))
+            errs.append(np.max(np.abs(_rhs(u, u.values) / (g.h * g.h) - expect)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_edges_clamped_on_whole_grid(self):
         fam = get_family("planar_odd", a=0.5)
         ext = extend(fam.sample(Grid.half_line(10.0, 65)))
-        out = rhs(ext, ext.values)
+        out = _rhs(ext, ext.values)
         assert np.array_equal(out[0], [0.0, 0.0, 0.0])
         assert np.array_equal(out[-1], [0.0, 0.0, 0.0])
 
@@ -242,8 +249,8 @@ class TestStep:
     def test_straight_is_stationary(self):
         g = Grid.periodic(2.0 * np.pi, 64)
         u = _constant_e3(g)
-        out = step(u, u.values, 1e-4, SimConfig(), StepLog())
-        assert np.array_equal(out, u.values)
+        out = step(u, pack(u.values), 1e-4, SimConfig(), StepLog())
+        assert np.array_equal(unpack(out), u.values)
 
     @staticmethod
     def _count_fields(monkeypatch):
@@ -260,15 +267,17 @@ class TestStep:
     def test_rk4_step_builds_no_field(self, monkeypatch):
         # the stage inputs and the result are plain arrays
         u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
+        v = pack(u.values)
         built = self._count_fields(monkeypatch)
-        step(u, u.values, 1e-4, SimConfig(), StepLog())
+        step(u, v, 1e-4, SimConfig(), StepLog())
         assert len(built) == 0
 
     def test_midpoint_step_builds_no_field_whatever_its_iterations(self, monkeypatch):
         u = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
         cfg, log = SimConfig(scheme=MIDPOINT_FIXEDPOINT), StepLog()
+        v = pack(u.values)
         built = self._count_fields(monkeypatch)
-        step(u, u.values, 1e-4, cfg, log)
+        step(u, v, 1e-4, cfg, log)
         assert log.iters[-1] > 1 and len(built) == 0
 
     @pytest.mark.parametrize(
@@ -308,7 +317,7 @@ class TestStep:
             calls[0] += 1
             out = _rhs(u, values)
             if calls[0] == bad_call:
-                out[3, 1] = np.nan
+                out[1, 4] = np.nan  # node 3, component 2
             return out
 
         monkeypatch.setattr(evolve, "rhs", nan_rhs)
@@ -340,7 +349,7 @@ class TestStep:
         cfg = SimConfig(scheme="midpoint_fixedpoint", fp_tol=1e-16)
         u = fam.sample(g)
         with pytest.raises(FixedPointDiverged):
-            step(u, u.values, 1e-4, cfg, StepLog())
+            step(u, pack(u.values), 1e-4, cfg, StepLog())
 
     def test_failure_names_its_step_and_time(self, monkeypatch):
         calls = [0]
@@ -367,8 +376,8 @@ class TestStep:
         fam = HelixFamily()
         u = fam.sample(g)
         cfg = SimConfig(scheme="midpoint_fixedpoint")
-        out = step(u, u.values, 1e-4, cfg, StepLog())
-        assert VectorField(g, out).unit_deviation() < 1e-13
+        out = step(u, pack(u.values), 1e-4, cfg, StepLog())
+        assert VectorField(g, unpack(out)).unit_deviation() < 1e-13
 
 
 class TestMidpointStart:
@@ -383,7 +392,7 @@ class TestMidpointStart:
         dt = factor * u.grid.h**2
         cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT, dt=dt)
         history = StepLog()
-        v = u.values
+        v = pack(u.values)
         for _ in range(2):
             v = step(u, v, dt, cfg, history)
         assert history.rhs_calls == sum(history.iters) + 2  # both started from rhs(u, v)
@@ -473,11 +482,11 @@ def test_extrapolated_start_keeps_the_solve(acceptance_u0):
     dt = cfg.resolve_dt(acceptance_u0.grid.h)
     nsteps = math.ceil(cfg.t_final / dt - 1e-12)
     u = acceptance_u0
-    v = u.values
+    v = pack(u.values)
     for k in range(1, nsteps + 1):
         v = step(u, v, dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt, cfg, StepLog())
     final = solve_whole_line(acceptance_u0, cfg).final()
-    assert np.max(np.abs(final.values - v)) <= 1e-12
+    assert np.max(np.abs(final.values - unpack(v))) <= 1e-12
 
 
 class TestWholeLine:
@@ -651,10 +660,10 @@ def test_rk4_energy_holds_below_its_stability_limit_only(factor, stable):
     u = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, 512))
     dt = factor * u.grid.h**2
     e0 = bending_energy(u)
-    v = u.values
+    v = pack(u.values)
     for _ in range(math.ceil(1.0 / dt)):
-        v = normalize_field(_step_rk4(u, v, dt / (u.grid.h * u.grid.h), StepLog()))
-    drift = abs(bending_energy(VectorField(u.grid, v)) - e0) / e0
+        v = normalize_field(_step_rk4(u, v, dt / (u.grid.h * u.grid.h), StepLog()).T).T
+    drift = abs(bending_energy(VectorField(u.grid, unpack(v))) - e0) / e0
     if stable:
         assert drift < ENERGY_DRIFT_TOL
     else:

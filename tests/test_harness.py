@@ -6,14 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from filamentlab import evolve, reflect
+from filamentlab import evolve
 from filamentlab.compat import HelixFamily, get_family
 from filamentlab.evolve import SimConfig, solve_half_space, solve_whole_line
 from filamentlab.geometry import E3, Grid, VectorField
 from filamentlab.harness import (
     ENERGY_DRIFT_TOL,
     convergence_study,
-    extension_jump_study,
     fit_order,
     helix_dispersion_error,
     helix_solution_error,
@@ -144,7 +143,7 @@ class TestHalfLineClosedForm:
         assert all(curve.positions[0, 2] == 0.0 for curve in curves(run))
 
 
-def test_extension_jump_study_separates_families():
+def test_extension_jump_study_separates_families(extension_jump_study):
     good = extension_jump_study(get_family("planar_odd", a=0.5), [129, 257, 513])
     bad = extension_jump_study(get_family("planar_bad", a=0.5), [129, 257, 513])
     for k in (1, 2, 3):
@@ -196,7 +195,7 @@ class TestInvariantSuite:
     )
     def test_energy_drift_gates_midpoint_only(self, monkeypatch, scheme, gated):
         # mutation: close s = 0 with bar(v(h)); E drifts about 0.8 under either scheme
-        monkeypatch.setattr(evolve, "_NEGBAR", -reflect._NEGBAR)
+        monkeypatch.setattr(evolve, "_NEGBAR_ROWS", -evolve._NEGBAR_ROWS)
         fam = get_family("planar_odd", a=0.5)
         cfg = SimConfig(t_final=0.05, scheme=scheme, monitor_every=5)
         run = solve_half_space(fam, Grid.half_line(20.0, 65), cfg)

@@ -92,7 +92,6 @@ def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
         "evolve.rhs",
         "evolve.normalize",
         "evolve.telemetry",
-        "geometry.cross",
         "geometry.field_init",
         "reflect.restrict",
         "reconstruct.positions",
@@ -102,9 +101,11 @@ def test_traced_simulate_reaches_every_half_line_layer(tmp_path):
     ):
         assert calls.get(span, 0) > 0, f"{span} never called through its wrapped name"
     assert calls["reflect.restrict"] == calls["evolve.telemetry"]
-    # the half-line curve is read off each state with no derivative; deriv is reached
-    # on the ring (test_traced_ring_reconstruct_reaches_deriv_and_cross)
+    # the half-line curve is read off each state with no derivative, and rhs takes
+    # its cross products on the flat state block; deriv and cross are reached on
+    # the ring (test_traced_ring_reconstruct_reaches_deriv_and_cross)
     assert "geometry.deriv" not in calls
+    assert "geometry.cross" not in calls
 
 
 def test_traced_ring_reconstruct_reaches_deriv_and_cross():

@@ -38,7 +38,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from filamentlab import cli, evolve, reflect
+from filamentlab import cli, evolve
 from filamentlab.cli import (
     EXIT_NUMERICAL,
     _SIM_KEYS,
@@ -57,8 +57,10 @@ from filamentlab.evolve import (
     STABILITY_FACTOR,
     SimConfig,
     TimeSeries,
+    pack,
     rhs,
     step,
+    unpack,
 )
 from filamentlab.geometry import (
     E3,
@@ -87,7 +89,12 @@ _unit_interval = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 def _stepped(u, dt, cfg, log):
     """The field one ``step`` from ``u``, on ``u``'s grid."""
-    return VectorField(u.grid, step(u, u.values, dt, cfg, log))
+    return VectorField(u.grid, unpack(step(u, pack(u.values), dt, cfg, log)))
+
+
+def _rhs(u, values):
+    """``rhs`` of the (n, 3) ``values`` on ``u``'s grid, as an (n, 3) array."""
+    return unpack(rhs(u, pack(values)))
 
 
 @st.composite
@@ -103,8 +110,8 @@ def whole_line_fields(draw):
 @given(whole_line_fields())
 def test_rhs_commutes_with_T(u):
     mirrored = apply_T(u)
-    got = rhs(mirrored, mirrored.values)
-    assert np.array_equal(got, apply_T(VectorField(u.grid, rhs(u, u.values))).values)
+    got = _rhs(mirrored, mirrored.values)
+    assert np.array_equal(got, apply_T(VectorField(u.grid, _rhs(u, u.values))).values)
 
 
 def _scaled_norms(a):
@@ -129,7 +136,7 @@ def _assert_rhs_is_v_cross_the_second_difference(grid, v):
         want[-1] = 0.0
     if grid.kind == WHOLE:
         want[0] = 0.0
-    got = rhs(VectorField(grid, v), v)
+    got = _rhs(VectorField(grid, v), v)
     near = pad[:-2] + pad[2:]
     size = _scaled_norms(v) * (_scaled_norms(near) + _scaled_norms(near - 2.0 * v))
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
@@ -173,13 +180,13 @@ def test_slope_started_midpoint_step_commutes_with_T(nslopes, u, data):
     # four; T maps a slope as it maps a state, and leaves the choice alone
     shape = (u.grid.n, 3)
     slopes = [
-        rhs(u, data.draw(arrays(np.float64, shape, elements=_unit_interval)))
+        rhs(u, pack(data.draw(arrays(np.float64, shape, elements=_unit_interval))))
         for _ in range(nslopes)
     ]
     cubic = data.draw(st.booleans())
     plain = evolve.StepLog(slopes, cubic=cubic)
     mirrored = evolve.StepLog(
-        [apply_T(VectorField(u.grid, f)).values for f in slopes], cubic=cubic
+        [pack(apply_T(VectorField(u.grid, unpack(f))).values) for f in slopes], cubic=cubic
     )
     dt = 0.02 * u.grid.h**2
     cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT)
@@ -190,7 +197,7 @@ def test_slope_started_midpoint_step_commutes_with_T(nslopes, u, data):
     assert plain.cubic == mirrored.cubic
     assert len(plain.slopes) == min(nslopes + 1, 4)
     for f, g in zip(plain.slopes, mirrored.slopes, strict=True):
-        assert np.array_equal(g, apply_T(VectorField(u.grid, f)).values)
+        assert np.array_equal(unpack(g), apply_T(VectorField(u.grid, unpack(f))).values)
 
 
 @PROPERTY_SETTINGS
@@ -255,8 +262,8 @@ def unit_half_line_fields(draw):
 @given(unit_half_line_fields())
 def test_ghost_rhs_is_restricted_whole_line_rhs(u):
     ext = extend(u)
-    whole = rhs(ext, ext.values)
-    assert rhs(u, u.values).tobytes() == whole[u.grid.n - 1 :].tobytes()
+    whole = _rhs(ext, ext.values)
+    assert _rhs(u, u.values).tobytes() == whole[u.grid.n - 1 :].tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -331,9 +338,9 @@ def _fresh_cubic_start(slopes):
 
 def _fresh_array_midpoint_step(u, dt, tol, log):
     """The midpoint step with a fresh array for every value: the reference for
-    the in-place one, which must round every value the same way."""
+    the in-place one, which must round every value the same way; a block."""
     lam = dt / (u.grid.h * u.grid.h)
-    v, half = u.values, 0.5 * lam
+    v, half = pack(u.values), 0.5 * lam
     linear, cubic = _fresh_linear_start, _fresh_cubic_start
     extrapolate = len(log.slopes) >= 2 and lam <= evolve.SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
@@ -373,7 +380,7 @@ def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
         held = [(a, a.tobytes()) for a in (u.values, *log.slopes)]
         # the starts alone, as the step's result hides a start's rounding
         # wherever the iteration converges to the same bits
-        buf, scratch = np.empty_like(u.values), np.empty_like(u.values)
+        buf, scratch = np.empty((3, u.grid.n + 2)), np.empty((3, u.grid.n + 2))
         if len(log.slopes) >= 2:
             got = evolve._linear_start(log.slopes, buf)
             assert got.tobytes() == _fresh_linear_start(log.slopes).tobytes()
@@ -383,7 +390,7 @@ def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
         want = _fresh_array_midpoint_step(u, dt, cfg.fp_tol, ref)
         u = _stepped(u, dt, cfg, log)
         assert all(a.tobytes() == before for a, before in held)  # nothing held was written
-        assert u.values.tobytes() == want.tobytes()
+        assert u.values.tobytes() == unpack(want).tobytes()
         assert [f.tobytes() for f in log.slopes] == [f.tobytes() for f in ref.slopes]
         assert (log.cubic, log.iters, log.rhs_calls) == (ref.cubic, ref.iters, ref.rhs_calls)
     assert log.rhs_calls == sum(log.iters) + 2  # only the two Euler starts called rhs(u)
@@ -391,7 +398,7 @@ def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
 
 def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
     # mutation: close s = 0 with bar(v(h)) instead of -bar(v(h))
-    monkeypatch.setattr(evolve, "_NEGBAR", -reflect._NEGBAR)
+    monkeypatch.setattr(evolve, "_NEGBAR_ROWS", -evolve._NEGBAR_ROWS)
     fam = get_family("planar_odd", a=0.5)
     cfg = SimConfig(t_final=0.05, monitor_every=5)
     run = evolve.solve_half_space(fam, Grid.half_line(20.0, 65), cfg)
@@ -402,7 +409,7 @@ def test_wrong_ghost_shows_in_symmetry_telemetry(monkeypatch):
 
 def test_wrong_ghost_under_midpoint_exits_three(monkeypatch, tmp_path, capsys):
     # the same mutation under midpoint, where the energy verdict gates the exit code
-    monkeypatch.setattr(evolve, "_NEGBAR", -reflect._NEGBAR)
+    monkeypatch.setattr(evolve, "_NEGBAR_ROWS", -evolve._NEGBAR_ROWS)
     config = tmp_path / "run.cfg"
     config.write_text(
         "grid.kind = half\ngrid.L = 20.0\ngrid.n = 65\n"
