@@ -1,10 +1,11 @@
-"""Checks that hold after every test of the suite, the planar families' symbolic reference, and the jump study."""
+"""Checks that hold after every test of the suite, the planar families' symbolic reference, the jump study, and ``rhs`` on (n, 3) arrays."""
 
 import functools
 import os
 
 import pytest
 
+from filamentlab.evolve import pack, rhs, unpack
 from filamentlab.geometry import Grid
 from filamentlab.harness import HALF_LENGTH, fit_order
 from filamentlab.reflect import derivative_jump_residual, extend
@@ -71,3 +72,14 @@ def _extension_jump_study(family, levels) -> dict:
 def extension_jump_study():
     """``extension_jump_study(family, levels)``: {k: {levels, hs, errors, order}} for k = 1, 2, 3."""
     return _extension_jump_study
+
+
+def _node_rhs(u, values):
+    """``rhs`` of the (n, 3) ``values`` on ``u``'s grid, as an (n, 3) array."""
+    return unpack(rhs(u, pack(values)))
+
+
+@pytest.fixture(scope="session")
+def node_rhs():
+    """``node_rhs(u, values)``: ``evolve.rhs`` through the state block, on (n, 3) arrays."""
+    return _node_rhs

@@ -57,31 +57,26 @@ def _constant_e3(grid):
     return VectorField(grid, np.tile(E3, (grid.n, 1)))
 
 
-def _rhs(u, values):
-    """``rhs`` of the (n, 3) ``values`` on ``u``'s grid, as an (n, 3) array."""
-    return unpack(rhs(u, pack(values)))
-
-
 class TestRhs:
-    def test_straight_is_fixed_point(self):
+    def test_straight_is_fixed_point(self, node_rhs):
         u = _constant_e3(Grid.periodic(2.0 * np.pi, 64))
-        assert np.array_equal(_rhs(u, u.values), np.zeros((64, 3)))
+        assert np.array_equal(node_rhs(u, u.values), np.zeros((64, 3)))
 
-    def test_helix_closed_form(self):
+    def test_helix_closed_form(self, node_rhs):
         # v x v_ss for (a cos ks, a sin ks, c) is c k^2 a (sin ks, -cos ks, 0)
         a, c, k = 0.6, 0.8, 2.0
         g = Grid.periodic(2.0 * np.pi, 256)
         s = g.nodes()
         fam = HelixFamily(a, c, k)
         u = fam.sample(g)
-        got = _rhs(u, u.values) / (g.h * g.h)
+        got = node_rhs(u, u.values) / (g.h * g.h)
         expect = np.stack(
             [c * k * k * a * np.sin(k * s), -c * k * k * a * np.cos(k * s), 0.0 * s],
             axis=1,
         )
         assert np.max(np.abs(got - expect)) < 1e-2  # O(h^2), h ~ 0.0245
 
-    def test_helix_rhs_converges(self):
+    def test_helix_rhs_converges(self, node_rhs):
         a, c, k = 0.6, 0.8, 2.0
         fam = HelixFamily(a, c, k)
         errs = []
@@ -97,13 +92,13 @@ class TestRhs:
                 axis=1,
             )
             u = fam.sample(g)
-            errs.append(np.max(np.abs(_rhs(u, u.values) / (g.h * g.h) - expect)))
+            errs.append(np.max(np.abs(node_rhs(u, u.values) / (g.h * g.h) - expect)))
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
-    def test_edges_clamped_on_whole_grid(self):
+    def test_edges_clamped_on_whole_grid(self, node_rhs):
         fam = get_family("planar_odd", a=0.5)
         ext = extend(fam.sample(Grid.half_line(10.0, 65)))
-        out = _rhs(ext, ext.values)
+        out = node_rhs(ext, ext.values)
         assert np.array_equal(out[0], [0.0, 0.0, 0.0])
         assert np.array_equal(out[-1], [0.0, 0.0, 0.0])
 

@@ -83,22 +83,8 @@ def _ref_rk4(grid, v, lam, log):
     return k1
 
 
-def _ref_linear_start(slopes, out):
-    np.multiply(slopes[-1], 2.0, out=out)
-    out -= slopes[-2]
-    return out
-
-
-def _ref_cubic_start(slopes, out, scratch):
-    f1, f2, f3, f4 = slopes
-    np.multiply(f4, 4.0, out=out)
-    out -= np.multiply(f3, 6.0, out=scratch)
-    out += np.multiply(f2, 4.0, out=scratch)
-    out -= f1
-    return out
-
-
 def _ref_midpoint(grid, v, lam, tol, log):
+    # the slope starts are elementwise, so evolve's own serve either layout
     half = 0.5 * lam
     extrapolate = len(log.slopes) >= 2 and lam <= evolve.SLOPE_START_FACTOR
     four = extrapolate and len(log.slopes) == 4
@@ -106,9 +92,9 @@ def _ref_midpoint(grid, v, lam, tol, log):
     if not extrapolate:
         start = _ref_rhs(grid, v)
     elif four and log.cubic:
-        start = _ref_cubic_start(log.slopes, np.empty_like(v), m)
+        start = evolve._cubic_start(log.slopes, np.empty_like(v), m)
     else:
-        start = _ref_linear_start(log.slopes, np.empty_like(v))
+        start = evolve._linear_start(log.slopes, np.empty_like(v))
     np.multiply(start, half, out=m)
     m += v
     for it in range(1, evolve.FP_MAX_ITER + 1):
@@ -123,9 +109,9 @@ def _ref_midpoint(grid, v, lam, tol, log):
         if inc <= tol:
             if four:
                 if log.cubic:
-                    cubic, linear = start, _ref_linear_start(log.slopes, cand)
+                    cubic, linear = start, evolve._linear_start(log.slopes, cand)
                 else:
-                    cubic, linear = _ref_cubic_start(log.slopes, cand, m), start
+                    cubic, linear = evolve._cubic_start(log.slopes, cand, m), start
                 cubic -= f
                 linear -= f
                 log.cubic = np.abs(cubic, out=cubic).max() <= np.abs(linear, out=linear).max()

@@ -92,11 +92,6 @@ def _stepped(u, dt, cfg, log):
     return VectorField(u.grid, unpack(step(u, pack(u.values), dt, cfg, log)))
 
 
-def _rhs(u, values):
-    """``rhs`` of the (n, 3) ``values`` on ``u``'s grid, as an (n, 3) array."""
-    return unpack(rhs(u, pack(values)))
-
-
 @st.composite
 def whole_line_fields(draw):
     """A whole-line grid of 9..41 nodes and a field with components in [-1, 1]."""
@@ -108,10 +103,10 @@ def whole_line_fields(draw):
 
 @PROPERTY_SETTINGS
 @given(whole_line_fields())
-def test_rhs_commutes_with_T(u):
+def test_rhs_commutes_with_T(node_rhs, u):
     mirrored = apply_T(u)
-    got = _rhs(mirrored, mirrored.values)
-    assert np.array_equal(got, apply_T(VectorField(u.grid, _rhs(u, u.values))).values)
+    got = node_rhs(mirrored, mirrored.values)
+    assert np.array_equal(got, apply_T(VectorField(u.grid, node_rhs(u, u.values))).values)
 
 
 def _scaled_norms(a):
@@ -119,7 +114,7 @@ def _scaled_norms(a):
     return np.hypot(np.hypot(a[:, 0], a[:, 1]), a[:, 2])
 
 
-def _assert_rhs_is_v_cross_the_second_difference(grid, v):
+def _assert_rhs_is_v_cross_the_second_difference(node_rhs, grid, v):
     # rhs is h^2 v x v_ss in the form v x (v_- + v_+), which drops the -2v of
     # the second difference because v x v = 0; it must agree with the cross
     # product with the full second difference up to the rounding of either.
@@ -136,7 +131,7 @@ def _assert_rhs_is_v_cross_the_second_difference(grid, v):
         want[-1] = 0.0
     if grid.kind == WHOLE:
         want[0] = 0.0
-    got = _rhs(VectorField(grid, v), v)
+    got = node_rhs(VectorField(grid, v), v)
     near = pad[:-2] + pad[2:]
     size = _scaled_norms(v) * (_scaled_norms(near) + _scaled_norms(near - 2.0 * v))
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
@@ -148,17 +143,18 @@ def _assert_rhs_is_v_cross_the_second_difference(grid, v):
 @pytest.mark.parametrize("kind", [HALF, WHOLE, PERIODIC])
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_rhs_is_v_cross_the_second_difference(kind, data):
+def test_rhs_is_v_cross_the_second_difference(node_rhs, kind, data):
     u = data.draw(whole_line_fields())
-    _assert_rhs_is_v_cross_the_second_difference(Grid(kind, u.grid.length, u.grid.n), u.values)
+    grid = Grid(kind, u.grid.length, u.grid.n)
+    _assert_rhs_is_v_cross_the_second_difference(node_rhs, grid, u.values)
 
 
-def test_rhs_bounds_hold_beside_neighbours_whose_squares_underflow():
+def test_rhs_bounds_hold_beside_neighbours_whose_squares_underflow(node_rhs):
     # a draw that once failed: |v_-| and |v_+| by sqrt(sum of squares) read 0
     # next to the one row of norm 0.28, so the orthogonality bound read 0
     v = np.full((9, 3), 1.18007461e-170)
     v[5] = [-0.19338894578858837, 0.12530809568010898, 0.1651022309110887]
-    _assert_rhs_is_v_cross_the_second_difference(Grid.whole_line(1.0, 9), v)
+    _assert_rhs_is_v_cross_the_second_difference(node_rhs, Grid.whole_line(1.0, 9), v)
 
 
 @PROPERTY_SETTINGS
@@ -260,10 +256,10 @@ def unit_half_line_fields(draw):
 
 @PROPERTY_SETTINGS
 @given(unit_half_line_fields())
-def test_ghost_rhs_is_restricted_whole_line_rhs(u):
+def test_ghost_rhs_is_restricted_whole_line_rhs(node_rhs, u):
     ext = extend(u)
-    whole = _rhs(ext, ext.values)
-    assert _rhs(u, u.values).tobytes() == whole[u.grid.n - 1 :].tobytes()
+    whole = node_rhs(ext, ext.values)
+    assert node_rhs(u, u.values).tobytes() == whole[u.grid.n - 1 :].tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -377,7 +373,8 @@ def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
     cfg = SimConfig(scheme=MIDPOINT_FIXEDPOINT)
     log, ref = evolve.StepLog(cubic=cubic), evolve.StepLog(cubic=cubic)
     for _ in range(8):
-        held = [(a, a.tobytes()) for a in (u.values, *log.slopes)]
+        v = pack(u.values)
+        held = [(a, a.tobytes()) for a in (v, *log.slopes)]
         # the starts alone, as the step's result hides a start's rounding
         # wherever the iteration converges to the same bits
         buf, scratch = np.empty((3, u.grid.n + 2)), np.empty((3, u.grid.n + 2))
@@ -388,7 +385,7 @@ def test_in_place_midpoint_steps_are_the_fresh_array_ones_bitwise(u, cubic):
             got = evolve._cubic_start(log.slopes, buf, scratch)
             assert got.tobytes() == _fresh_cubic_start(log.slopes).tobytes()
         want = _fresh_array_midpoint_step(u, dt, cfg.fp_tol, ref)
-        u = _stepped(u, dt, cfg, log)
+        u = VectorField(u.grid, unpack(step(u, v, dt, cfg, log)))
         assert all(a.tobytes() == before for a, before in held)  # nothing held was written
         assert u.values.tobytes() == unpack(want).tobytes()
         assert [f.tobytes() for f in log.slopes] == [f.tobytes() for f in ref.slopes]
