@@ -9,9 +9,10 @@ inputs, the midpoint iterates and slopes, and every ``rhs`` result share
 that layout, so each ufunc of ``rhs`` and of the steps is one call on a
 flat, contiguous run of numbers; ``rhs`` writes 0 to its pad slots, so a
 stage input v + c k keeps the state's pads, which ``rhs`` never reads.
-The solve builds a ``VectorField`` of a C-ordered (n, 3) copy of the nodes
-(``unpack``) only for a snapshot or a telemetry row.  Each scheme checks
-its own values for finiteness, and raises ``NonFiniteState``.  Two schemes:
+The solve builds a ``VectorField`` only for a snapshot or a telemetry
+row, of the (n, 3) view ``y[:, 1:-1].T`` of the block's nodes.  Each
+scheme checks its own values for finiteness, and raises
+``NonFiniteState``.  Two schemes:
 
 ``rk4_project``
     Classical four-stage explicit step followed by pointwise projection
@@ -248,15 +249,6 @@ def pack(values: np.ndarray) -> np.ndarray:
     return y
 
 
-def unpack(y: np.ndarray) -> np.ndarray:
-    """The nodes of the state block ``y`` as a new C-ordered (n, 3) array.
-
-    C-ordered because ``np.sum`` adds in memory order: the bits of a
-    telemetry row's ``energy`` depend on the layout of the field it reads.
-    """
-    return y[:, 1:-1].T.copy()
-
-
 #: The rows of rhs's scratch, v1 v2 v3 v1 v2, and the sign pattern of -bar on them.
 _ROWS = np.array([0, 1, 2, 0, 1])
 _NEGBAR_ROWS = _NEGBAR[_ROWS]
@@ -445,8 +437,13 @@ def bending_energy(u: VectorField) -> float:
     The discrete bending energy that the semi-discrete flow v_i' = v_i x
     (D v)_i conserves exactly: summation by parts gives dE/dt =
     -2h sum (v_i x D v_i) . D v_i = 0, and clamped ends contribute nothing.
+
+    The differences are taken of a C-ordered copy of the values (none if
+    they are C-ordered already), because ``np.sum`` adds in memory order:
+    a Fortran-ordered array or a view of a state block gives the bits of
+    a C-ordered one.
     """
-    v = u.values
+    v = np.ascontiguousarray(u.values)
     d = np.diff(v, axis=0, append=v[:1]) if u.grid.kind == PERIODIC else np.diff(v, axis=0)
     d *= d
     return float(d.sum() / u.grid.h)
@@ -477,7 +474,7 @@ def _telemetry_row(step_idx: int, t: float, u: VectorField, y: np.ndarray) -> di
         row["symmetry"] = symmetry_residual(w)
         if half:
             ghost = rhs(u, y)[:, 1:-1].T
-            whole = unpack(rhs(w, pack(w.values)))
+            whole = rhs(w, pack(w.values))[:, 1:-1].T
             gap = ghost - restrict(VectorField(w.grid, whole)).values
             # np.maximum, not max: a NaN gap must win, or a broken rhs reads 0.0
             h = u.grid.h
@@ -494,14 +491,14 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
     extended data, bit for bit.
 
     The state between steps is a plain (3, n + 2) block (``pack``), and a
-    ``VectorField`` of its C-ordered (n, 3) nodes (``unpack``) is built only
+    ``VectorField`` of the view ``v[:, 1:-1].T`` of its nodes is built only
     where the state is kept or measured: at a snapshot or a telemetry row,
-    one field for both on the same step, the last step among them.  RK4's
-    projection is ``normalize_field`` of the block's transpose, pads
-    included.  A ``DegenerateVector``, ``FixedPointDiverged`` or
-    ``NonFiniteState`` raised by a step or by RK4's projection is raised
-    again, as the same type, with the step and the time it started from
-    in its message.
+    one field for both on the same step, the last step among them, which
+    ``record`` copies into the series.  RK4's projection is
+    ``normalize_field`` of the block's transpose, pads included.  A
+    ``DegenerateVector``, ``FixedPointDiverged`` or ``NonFiniteState``
+    raised by a step or by RK4's projection is raised again, as the same
+    type, with the step and the time it started from in its message.
     """
     if u0.unit_deviation() > 1e-6:
         raise ValueError("initial data must be unit length (within 1e-6)")
@@ -524,7 +521,7 @@ def solve_whole_line(u0: VectorField, cfg: SimConfig) -> TimeSeries:
         monitor = k % monitor_every == 0 or k == nsteps
         snapshot = k % snapshot_every == 0 or k == nsteps
         if monitor or snapshot:
-            u = VectorField(grid, unpack(v))
+            u = VectorField(grid, v[:, 1:-1].T)
             if monitor:
                 series.telemetry.append(_telemetry_row(k, t, u, v))
             if snapshot:

@@ -9,11 +9,10 @@ The interior second-difference is deliberately evaluated as
 ``(left + right) - 2*center`` (``second_difference``, shared by
 ``deriv`` and the twisted psi_ss of ``hasimoto``) so that
 reflecting a field through s = 0 commutes with the operator *bitwise*
-(negation commutes exactly with IEEE rounding).  ``evolve.rhs`` no longer
-shares it: it needs only the neighbour sum ``left + right``, since the
--2*center term drops out of v x v_ss, and T commutes with it because
-that sum is symmetric.  The reflection-symmetry invariants downstream
-depend on this.
+(negation commutes exactly with IEEE rounding).  ``evolve.rhs`` needs
+only the neighbour sum ``left + right``, since the -2*center term drops
+out of v x v_ss, and T commutes with it because that sum is symmetric.
+The reflection-symmetry invariants downstream depend on this.
 """
 
 from __future__ import annotations

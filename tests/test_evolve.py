@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from filamentlab.cli import EXIT_OK, main
 from filamentlab.compat import HelixFamily, check_compat, get_family
@@ -38,11 +41,11 @@ from filamentlab.evolve import (
     solve_half_space,
     solve_whole_line,
     step,
-    unpack,
 )
 from filamentlab.geometry import (
     E3,
     HALF,
+    KINDS,
     PERIODIC,
     Grid,
     VectorField,
@@ -245,7 +248,7 @@ class TestStep:
         g = Grid.periodic(2.0 * np.pi, 64)
         u = _constant_e3(g)
         out = step(u, pack(u.values), 1e-4, SimConfig(), StepLog())
-        assert np.array_equal(unpack(out), u.values)
+        assert np.array_equal(out[:, 1:-1].T, u.values)
 
     @staticmethod
     def _count_fields(monkeypatch):
@@ -253,8 +256,8 @@ class TestStep:
         built, init = [], VectorField.__init__
 
         def counting_init(self, grid, values):
-            built.append(grid)
             init(self, grid, values)
+            built.append(self)
 
         monkeypatch.setattr(VectorField, "__init__", counting_init)
         return built
@@ -282,7 +285,8 @@ class TestStep:
     def test_solve_builds_a_field_only_at_its_samples(self, monkeypatch, kind, scheme):
         # one field per distinct snapshot or telemetry step, shared where both
         # fall on one step, and none on the steps between; a half-line
-        # telemetry row builds its extension and restriction on other grids
+        # telemetry row builds its extension and restriction on other grids.
+        # Each sample is a view of the state block, copied only by record.
         if kind == PERIODIC:
             u0, t_final = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64)), 0.1
         else:
@@ -291,10 +295,12 @@ class TestStep:
         built = self._count_fields(monkeypatch)
         nsteps = solve_whole_line(u0, cfg).solver["steps"]
         samples = {k for k in range(1, nsteps + 1) if k % 3 == 0 or k % 2 == 0 or k == nsteps}
+        sampled = [u for u in built if u.grid is u0.grid]
         assert nsteps >= 10
-        assert sum(grid is u0.grid for grid in built) == len(samples)
+        assert len(sampled) == len(samples)
         if kind == PERIODIC:
             assert len(built) == len(samples)
+        assert not any(u.values.flags.owndata for u in sampled)
 
     @pytest.mark.parametrize(
         "scheme, bad_call",
@@ -372,7 +378,7 @@ class TestStep:
         u = fam.sample(g)
         cfg = SimConfig(scheme="midpoint_fixedpoint")
         out = step(u, pack(u.values), 1e-4, cfg, StepLog())
-        assert VectorField(g, unpack(out)).unit_deviation() < 1e-13
+        assert VectorField(g, out[:, 1:-1].T).unit_deviation() < 1e-13
 
 
 class TestMidpointStart:
@@ -481,7 +487,7 @@ def test_extrapolated_start_keeps_the_solve(acceptance_u0):
     for k in range(1, nsteps + 1):
         v = step(u, v, dt if k < nsteps else cfg.t_final - (nsteps - 1) * dt, cfg, StepLog())
     final = solve_whole_line(acceptance_u0, cfg).final()
-    assert np.max(np.abs(final.values - unpack(v))) <= 1e-12
+    assert np.max(np.abs(final.values - v[:, 1:-1].T)) <= 1e-12
 
 
 class TestWholeLine:
@@ -647,6 +653,19 @@ def test_bending_energy_helix_value():
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(4, 40), data=st.data())
+def test_bending_energy_does_not_depend_on_the_layout(kind, n, data):
+    # np.sum adds in memory order; a Fortran-ordered copy and a view of the
+    # state block, the layout of a solve's samples, give the C-ordered bits
+    grid = Grid(kind, 20.0, 2 * n + 1)
+    elements = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    values = data.draw(arrays(np.float64, (grid.n, 3), elements=elements))
+    layouts = [values, np.asfortranarray(values), pack(values)[:, 1:-1].T]
+    energies = [bending_energy(VectorField(grid, a)).hex() for a in layouts]
+    assert energies == energies[:1] * 3
+
+
 @pytest.mark.parametrize("factor, stable", [(0.70, True), (0.72, False)])
 def test_rk4_energy_holds_below_its_stability_limit_only(factor, stable):
     # linearised about e3 the spectrum reaches 4/h^2 i and RK4 holds to
@@ -658,7 +677,7 @@ def test_rk4_energy_holds_below_its_stability_limit_only(factor, stable):
     v = pack(u.values)
     for _ in range(math.ceil(1.0 / dt)):
         v = normalize_field(_step_rk4(u, v, dt / (u.grid.h * u.grid.h), StepLog()).T).T
-    drift = abs(bending_energy(VectorField(u.grid, unpack(v))) - e0) / e0
+    drift = abs(bending_energy(VectorField(u.grid, v[:, 1:-1].T)) - e0) / e0
     if stable:
         assert drift < ENERGY_DRIFT_TOL
     else:

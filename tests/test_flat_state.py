@@ -28,7 +28,6 @@ from filamentlab.evolve import (
     pack,
     solve_whole_line,
     step,
-    unpack,
 )
 from filamentlab.geometry import (
     E3,
@@ -275,7 +274,7 @@ def test_a_step_never_reads_the_pads(u, scheme, nslopes, data):
     if isinstance(got, type):
         assert got_other is got
         return
-    assert unpack(got).tobytes() == unpack(got_other).tobytes()
+    assert got[:, 1:-1].T.tobytes() == got_other[:, 1:-1].T.tobytes()
     # as numbers: 0.0 + (-0.0) is 0.0, so a pad's -0.0 may come back as 0.0
     assert np.array_equal(got[:, [0, -1]], v[:, [0, -1]])
     assert np.array_equal(got_other[:, [0, -1]], other[:, [0, -1]])
