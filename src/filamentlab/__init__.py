@@ -7,7 +7,7 @@ filament curve -- with every provable property of the construction,
 measured on the whole-line extension, monitored as a runtime invariant.
 """
 
-from .compat import CompatibilityReport, check_compat, get_family
+from .compat import check_compat, get_family
 from .evolve import SimConfig, TimeSeries, solve_half_space, solve_whole_line
 from .geometry import (
     E3,
@@ -25,7 +25,6 @@ from .reflect import apply_T, derivative_jump_residual, extend, restrict, symmet
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompatibilityReport",
     "E3",
     "FilamentCurve",
     "Grid",

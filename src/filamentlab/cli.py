@@ -21,7 +21,7 @@ import numpy as np
 import orjson
 
 from . import harness
-from .compat import check_compat, check_order_range, check_positive, parse_family_spec
+from .compat import check_compat, check_order_range, check_positive, failed_orders, parse_family_spec
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
@@ -85,6 +85,11 @@ def _rows_text(values: np.ndarray, prefix: str) -> str:
         raise ValueError("CSV cells must be finite numbers; a block holds a NaN or infinity")
     rows = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
     return prefix + ("\n" + prefix).join(rows) + "\n"
+
+
+def _json_text(obj) -> str:
+    """The JSON text of every file and printout of the CLI: keys sorted, two-space indent."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def write_field_csv(path: str, field: VectorField) -> None:
@@ -207,14 +212,14 @@ def cmd_check(args) -> int:
     fam = parse_family_spec(args.family) if args.family is not None else None
     with _naming(_input_names(args)):
         report = check_compat(_input_field(args, fam, refined=True), args.order, args.tol)
-    for k, (res, ok) in enumerate(zip(report.a_residuals, report.a_pass)):
+    for k, (res, ok) in enumerate(zip(report["a_residuals"], report["a_pass"])):
         print(f"order {k}: residual {res:.6e}  {'pass' if ok else 'FAIL'}")
-    print(f"norm residual: {report.norm_residual:.3e}")
+    print(f"norm residual: {report['norm_residual']:.3e}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-    if not report.passed:
-        print(f"compatibility FAILED at orders {report.failed_orders()}")
+            fh.write(_json_text(report))
+    if not report["passed"]:
+        print(f"compatibility FAILED at orders {failed_orders(report)}")
         return EXIT_COMPAT if args.strict else EXIT_OK
     print("compatibility passed")
     return EXIT_OK
@@ -239,6 +244,12 @@ def _flag(text: str) -> bool:
     if word in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+
+
+def _grid_kind(text: str) -> str:
+    if text not in (HALF, PERIODIC):
+        raise ValueError(f"expected {HALF} or {PERIODIC}, got {text!r}")
+    return text
 
 
 #: simulate config keys read into SimConfig: key -> (field, parser)
@@ -287,9 +298,7 @@ def _build_cfg(conf: dict) -> SimConfig:
 def cmd_simulate(args) -> int:
     conf = parse_config(args.config)
     cfg = _build_cfg(conf)
-    kind = conf.get("grid.kind", HALF)
-    if kind not in (HALF, PERIODIC):
-        raise ValueError(f"grid.kind must be {HALF} or {PERIODIC}, got {kind!r}")
+    kind = _read_key(conf, "grid.kind", _grid_kind, HALF)
     length = _read_key(conf, "grid.L", float, DEFAULT_LENGTH)
     n = _read_key(conf, "grid.n", int, DEFAULT_N)
     if "data.family" not in conf:
@@ -318,7 +327,7 @@ def cmd_simulate(args) -> int:
     write_snapshots_csv(os.path.join(outdir, "snapshots.csv"), series, curves)
     write_telemetry_csv(os.path.join(outdir, "telemetry.csv"), series.telemetry)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=True))
+        fh.write(_json_text(summary))
     print(f"run finished in {wall:.2f} s; outputs in {outdir}")
     for name, ok in summary["verdicts"].items():
         print(f"invariant {name}: {'pass' if ok else 'FAIL'}")
@@ -338,7 +347,7 @@ def cmd_oracle(args) -> int:
             SimConfig(t_final=args.t_final)
     with _naming({"--n": GridTooSmall, "--t-final": DurationOutOfRange}):
         result = harness.oracle_error(args.name, **kw)
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(_json_text(result))
     return EXIT_OK
 
 
@@ -376,7 +385,7 @@ def cmd_diagnose(args) -> int:
         grid = Grid.periodic(length, args.n)
         v0 = fam.sample(grid)
         cfg = harness.nls_config(grid, args.t_final)
-    print(json.dumps(series_diagnostics(solve_whole_line(v0, cfg)), indent=2, sort_keys=True))
+    print(_json_text(series_diagnostics(solve_whole_line(v0, cfg))))
     return EXIT_OK
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -238,35 +237,9 @@ def parse_family_spec(spec: str) -> TangentFamily:
 # compatibility report
 
 
-@dataclass
-class CompatibilityReport:
-    """Per-order boundary residuals with verdicts.
-
-    ``a_residuals[k]`` is |v0(0) - e3| for k = 0 and |v0(0) x d^{2k}v0(0)|
-    for k >= 1.  When the two-grid cross-check ran, ``a_residuals_coarse``
-    carries them at spacing 2h and ``refined`` is True.
-    """
-
-    max_order: int
-    tol: float
-    a_residuals: list
-    a_pass: list
-    norm_residual: float
-    a_residuals_coarse: list
-
-    @property
-    def passed(self) -> bool:
-        return all(self.a_pass)
-
-    @property
-    def refined(self) -> bool:
-        return bool(self.a_residuals_coarse)
-
-    def failed_orders(self) -> list:
-        return [k for k, ok in enumerate(self.a_pass) if not ok]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "refined": self.refined, "passed": self.passed}
+def failed_orders(report: dict) -> list:
+    """The orders that failed in a ``check_compat`` report."""
+    return [k for k, ok in enumerate(report["a_pass"]) if not ok]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite residual raises instead
@@ -309,13 +282,18 @@ def decimated(v0: VectorField) -> VectorField:
     return VectorField(Grid.half_line(length, (grid.n + 1) // 2), v0.values[::2])
 
 
-def check_compat(v0: VectorField, n: int, tol: float) -> CompatibilityReport:
-    """Compatibility report of the conditions up to order n.
+def check_compat(v0: VectorField, n: int, tol: float) -> dict:
+    """Compatibility report of the conditions up to order n, the dict ``check --out`` writes.
 
     ``v0`` is half-line data.  Its residuals are cross-checked against those
     of ``decimated(v0)``, which separates stencil truncation error from
     genuine incompatibility, whenever the decimation is a grid (n >= 15
-    nodes); below that the absolute tolerance alone decides.
+    nodes); below that the absolute tolerance alone decides.  The report
+    holds ``max_order`` (n) and ``tol``; ``a_residuals[k]``, |v0(0) - e3|
+    for k = 0 and |v0(0) x d^{2k}v0(0)| for k >= 1, and each one's verdict
+    ``a_pass[k]``; ``norm_residual``, max | |v0| - 1 |; the residuals at
+    spacing 2h, ``a_residuals_coarse`` (empty without the cross-check, and
+    ``refined`` says whether it ran); and ``passed``, all of ``a_pass``.
     """
     check_order_range("order", n)
     check_positive("compatibility tolerance", tol)
@@ -330,11 +308,14 @@ def check_compat(v0: VectorField, n: int, tol: float) -> CompatibilityReport:
         )
     a = _residuals(v0, n)
     a_coarse = _residuals(decimated(v0), n) if (v0.grid.n + 1) // 2 >= MIN_NODES else []
-    return CompatibilityReport(
-        max_order=n,
-        tol=tol,
-        a_residuals=a,
-        a_pass=[_passes(r, tol, a_coarse[k] if a_coarse else None) for k, r in enumerate(a)],
-        norm_residual=norm_residual,
-        a_residuals_coarse=a_coarse,
-    )
+    a_pass = [_passes(r, tol, a_coarse[k] if a_coarse else None) for k, r in enumerate(a)]
+    return {
+        "max_order": n,
+        "tol": tol,
+        "a_residuals": a,
+        "a_pass": a_pass,
+        "norm_residual": norm_residual,
+        "a_residuals_coarse": a_coarse,
+        "refined": bool(a_coarse),
+        "passed": all(a_pass),
+    }

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compat import check_compat, check_order_range, check_positive, decimated
+from .compat import check_compat, check_order_range, check_positive, decimated, failed_orders
 from .errors import (
     CompatibilityRejected,
     DegenerateVector,
@@ -209,7 +209,7 @@ class TimeSeries:
     time that does not increase strictly and one past the capacity; it sets
     ``times`` and ``snapshots`` to read-only views of the m rows recorded.
     ``cfg`` is the SimConfig that produced it and ``report`` the
-    CompatibilityReport that gated it (None for a run with no gate).  A
+    ``check_compat`` dict that gated it (None for a run with no gate).  A
     half-line run's telemetry rows are measured on the extension of each
     monitored state, so they carry the whole-line symmetry and boundary
     residuals.
@@ -549,9 +549,9 @@ def solve_half_space(family, grid: Grid, cfg: SimConfig) -> TimeSeries:
     """
     fine = family.sample(grid.refined())
     report = check_compat(fine, cfg.check_order, cfg.compat_tol)
-    if cfg.strict and not report.passed:
+    if cfg.strict and not report["passed"]:
         raise CompatibilityRejected(
-            f"orders {report.failed_orders()} failed at tol={cfg.compat_tol:g}"
+            f"orders {failed_orders(report)} failed at tol={cfg.compat_tol:g}"
         )
     v0 = decimated(fine)
     far = farfield_deviation(v0)

@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .compat import HelixFamily, RingFamily, get_family
+from .compat import HelixFamily, RingFamily, failed_orders, get_family
 from .evolve import (
     MIDPOINT_FIXEDPOINT,
     SimConfig,
@@ -219,10 +219,11 @@ def invariant_suite(series: TimeSeries, curves=None) -> dict:
     verdict under midpoint only (see ENERGY_DRIFT_TOL); a gated (half-space)
     run, one whose ``report`` is set, also gets the wall checks (symmetry,
     boundary trace and, given curves, the endpoint height, x0's by
-    construction, and arclength) and its compatibility report (``compat``,
-    else {}).  ``maxima`` maps a name to {max, step}; ``verdicts`` are those
-    of ``tolerances``, and ``passed`` is all of them.  No wall-clock time is
-    held, so identical runs serialize to identical bytes.
+    construction, and arclength) and holds its ``check_compat`` report
+    itself, not a copy, as ``compat`` (else {}).  ``maxima`` maps a name to
+    {max, step}; ``verdicts`` are those of ``tolerances``, and ``passed`` is
+    all of them.  No wall-clock time is held, so identical runs serialize to
+    identical bytes.
     """
     cfg, report, g = series.cfg, series.report, series.grid
     # midpoint keeps |v| = 1 only up to its fixed-point tolerance, once per step,
@@ -253,9 +254,9 @@ def invariant_suite(series: TimeSeries, curves=None) -> dict:
     verdicts = {name: maxima[name]["max"] <= tol for name, tol in tolerances.items()}
     dt, _, snapshot_every, monitor_every = cfg.schedule(g.h)
     root_cause = ""
-    if not verdicts.get("boundary", True) and not report.passed:
+    if not verdicts.get("boundary", True) and not report["passed"]:
         root_cause = (
-            f"compatibility orders {report.failed_orders()} violated; "
+            f"compatibility orders {failed_orders(report)} violated; "
             "boundary trace cannot converge"
         )
     return {
@@ -270,7 +271,7 @@ def invariant_suite(series: TimeSeries, curves=None) -> dict:
         "maxima": maxima,
         "tolerances": tolerances,
         "verdicts": verdicts,
-        "compat": report.to_dict() if report is not None else {},
+        "compat": report or {},
         "root_cause": root_cause,
         "solver": series.solver,
         "passed": all(verdicts.values()),

@@ -40,6 +40,13 @@ from .geometry import PERIODIC, Grid, cross, cumtrapz, deriv, row_norms, second_
 EPS_KAPPA = 1e-6
 
 
+def _warn(message: str) -> None:
+    """Log a warning; its two paths are rare, so ``import filamentlab`` leaves ``logging`` out."""
+    import logging
+
+    logging.getLogger(__name__).warning(message)
+
+
 def frenet(values: np.ndarray, grid: Grid) -> tuple:
     """(kappa, tau, mask) of unit tangents ``values`` of shape (n, ..., 3) on ``grid``.
 
@@ -84,9 +91,7 @@ def _psi(kappa: np.ndarray, tau: np.ndarray, mask: np.ndarray, grid: Grid) -> tu
     psi[~mask] = 0.0
     curved = mask.any(axis=0)
     if not np.all(curved):
-        import logging
-
-        logging.getLogger(__name__).warning("curvature below floor everywhere; psi is the zero field")
+        _warn("curvature below floor everywhere; psi is the zero field")
         wrap = np.where(curved, wrap, 0.0)
     return psi, wrap
 
@@ -120,9 +125,7 @@ def _residual(grid: Grid, psi: np.ndarray, mask: np.ndarray, wraps, times, rates
         keep[:2] = False
         keep[-2:] = False
     if not keep.any():
-        import logging
-
-        logging.getLogger(__name__).warning("empty mask throughout; residual reported as 0")
+        _warn("empty mask throughout; residual reported as 0")
         return 0.0
     times = np.asarray(times, dtype=float)
     mid = psi[:, 1:-1]

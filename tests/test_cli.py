@@ -1240,7 +1240,7 @@ EXIT_ONE_MESSAGES = {
     "data-family-param-repeated": (
         "config key data.family: family 'planar_odd' parameter a is set twice"
     ),
-    "grid-kind-whole": "grid.kind must be half or periodic, got 'whole'",
+    "grid-kind-whole": "config key grid.kind: expected half or periodic, got 'whole'",
     "csv-five-columns": "{fivecolumns}: expected columns s,v1,v2,v3",
 }
 

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import filamentlab
+from filamentlab.cli import EXIT_OK, main
 from filamentlab.compat import (
     HelixFamily,
     RingFamily,
     check_compat,
     decimated,
+    failed_orders,
     get_family,
     parse_family_spec,
 )
@@ -29,6 +31,7 @@ from filamentlab.errors import (
 )
 from filamentlab.evolve import SimConfig, solve_half_space
 from filamentlab.geometry import Grid, VectorField, row_norms, second_difference
+from filamentlab.harness import invariant_suite
 from filamentlab.reflect import extend, restrict
 
 #: The gate's tolerance: the default of simulate's tolerances.compat and check's --tol.
@@ -251,9 +254,9 @@ class TestCheckCompat:
         g = Grid.half_line(10.0, 65)
         fam = get_family("straight")
         report = check_compat(fam.sample(g.refined()), 2, TOL)
-        assert report.passed
-        assert all(r == 0.0 for r in report.a_residuals)
-        assert report.norm_residual == 0.0
+        assert report["passed"]
+        assert all(r == 0.0 for r in report["a_residuals"])
+        assert report["norm_residual"] == 0.0
 
     def test_constant_tilt_order_zero_residual(self):
         # v0 = (sin 0.1, 0, cos 0.1): |v0(0) - e3| = 2 sin(0.05)
@@ -261,42 +264,42 @@ class TestCheckCompat:
         th = 0.1
         vals = np.tile([np.sin(th), 0.0, np.cos(th)], (65, 1))
         report = check_compat(VectorField(g, vals), 0, TOL)
-        assert report.a_residuals[0] == pytest.approx(2.0 * math.sin(0.05), rel=1e-12)
-        assert not report.passed
-        assert report.failed_orders() == [0]
+        assert report["a_residuals"][0] == pytest.approx(2.0 * math.sin(0.05), rel=1e-12)
+        assert not report["passed"]
+        assert failed_orders(report) == [0]
 
     def test_planar_odd_passes_to_order_two(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
         report = check_compat(fam.sample(g.refined()), 2, TOL)
-        assert report.refined
-        assert report.passed
-        assert report.failed_orders() == []
+        assert report["refined"]
+        assert report["passed"]
+        assert failed_orders(report) == []
 
     def test_planar_bad_fails_order_one(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
         report = check_compat(fam.sample(g.refined()), 1, TOL)
-        assert not report.passed
-        assert 1 in report.failed_orders()
-        assert 0 not in report.failed_orders()
+        assert not report["passed"]
+        assert 1 in failed_orders(report)
+        assert 0 not in failed_orders(report)
         # residual |v0 x v0''|(0) = alpha''(0) = 2 plus the a-term cross part
-        assert report.a_residuals[1] > 1.0
+        assert report["a_residuals"][1] > 1.0
 
     def test_planar_bad_residual_does_not_contract(self):
         fam = get_family("planar_bad", a=0.5)
         g = Grid.half_line(20.0, 257)
         report = check_compat(fam.sample(g.refined()), 1, TOL)
-        coarse = report.a_residuals_coarse[1]
-        fine = report.a_residuals[1]
+        coarse = report["a_residuals_coarse"][1]
+        fine = report["a_residuals"][1]
         assert fine > 0.8 * coarse  # converging to a nonzero constant
 
     def test_planar_odd_residual_contracts(self):
         fam = get_family("planar_odd", a=0.5)
         g = Grid.half_line(20.0, 257)
         report = check_compat(fam.sample(g.refined()), 2, TOL)
-        for rc, rf in zip(report.a_residuals_coarse[1:], report.a_residuals[1:]):
-            assert rf <= 0.35 * rc or rf <= report.tol
+        for rc, rf in zip(report["a_residuals_coarse"][1:], report["a_residuals"][1:]):
+            assert rf <= 0.35 * rc or rf <= report["tol"]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -311,7 +314,7 @@ class TestCheckCompat:
         report = check_compat(
             get_family("planar_odd", a=a).sample(Grid.half_line(length, n).refined()), order, TOL
         )
-        assert ("false" in json.dumps(report.to_dict())) == (not report.passed)
+        assert ("false" in json.dumps(report)) == (not report["passed"])
 
     def test_rotation_about_wall_normal_invariance(self):
         # conditions are covariant under rotations fixing e3
@@ -329,7 +332,7 @@ class TestCheckCompat:
         v_rot = VectorField(g, v0.values @ rot.T)
         r0 = check_compat(v0, 2, TOL)
         r1 = check_compat(v_rot, 2, TOL)
-        assert np.allclose(r0.a_residuals, r1.a_residuals, atol=1e-12)
+        assert np.allclose(r0["a_residuals"], r1["a_residuals"], atol=1e-12)
 
     def test_extension_round_trip_preserves_report(self):
         fam = get_family("planar_odd", a=0.5)
@@ -338,13 +341,13 @@ class TestCheckCompat:
         back = restrict(extend(v0))
         r0 = check_compat(v0, 2, TOL)
         r1 = check_compat(back, 2, TOL)
-        assert r0.a_residuals == r1.a_residuals
+        assert r0["a_residuals"] == r1["a_residuals"]
 
     @pytest.mark.parametrize("n", [14, 15, 16, 17])
     def test_cross_check_against_decimation_from_15_nodes(self, n):
         # every other node from s = 0, an even count losing its last: a grid from n = 15
         v0 = get_family("planar_odd", a=0.5).sample(Grid.half_line(20.0, n))
-        assert check_compat(v0, 1, TOL).refined == (n >= 15)
+        assert check_compat(v0, 1, TOL)["refined"] == (n >= 15)
         if n >= 15:
             coarse = decimated(v0)
             assert coarse.grid.n == (n + 1) // 2
@@ -368,12 +371,21 @@ class TestCheckCompat:
         with pytest.raises(ValueError, match="not a tangent field"):
             check_compat(VectorField(g, vals), 1, TOL)
 
-    def test_report_dict_round_trips_through_json(self):
-        fam = get_family("planar_odd", a=0.5)
-        g = Grid.half_line(20.0, 129)
-        report = check_compat(fam.sample(g.refined()), 1, TOL)
-        blob = json.dumps(report.to_dict(), sort_keys=True)
-        assert json.loads(blob)["passed"] is True
+    @pytest.mark.parametrize(
+        "spec, failed", [("planar_odd:a=0.5", []), ("planar_bad:a=0.5", [1])]
+    )
+    def test_report_is_the_dict_check_writes_and_the_summary_holds(self, tmp_path, spec, failed):
+        # one dict from the gate to check --out and to summary.json's compat block
+        fam, grid = parse_family_spec(spec), Grid.half_line(20.0, 65)
+        report = check_compat(fam.sample(grid.refined()), 1, 1e-6)
+        assert type(report) is dict
+        out = tmp_path / "report.json"
+        argv = ["check", "--family", spec, "--length", "20", "--n", "65", "--order", "1"]
+        assert main([*argv, "--tol", "1e-6", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text()) == report
+        cfg = SimConfig(t_final=0.01, check_order=1, compat_tol=1e-6, strict=False)
+        assert invariant_suite(solve_half_space(fam, grid, cfg))["compat"] == report
+        assert failed_orders(report) == failed
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +465,7 @@ def test_what_each_compatibility_order_buys(p, verdicts, second_order):
     fam = _AnglePlanar(p)
     cfg = SimConfig(t_final=0.25, strict=False, check_order=2)
     runs = [solve_half_space(fam, Grid.half_line(20.0, n), cfg) for n in (129, 257, 513, 1025)]
-    assert runs[-1].report.a_pass == verdicts
+    assert runs[-1].report["a_pass"] == verdicts
     v = [run.final().values for run in runs]
     vss = [_ghost_closed_vss(values, run.grid.h) for values, run in zip(v, runs)]
     v_ratios, vss_ratios = _successive_ratios(v), _successive_ratios(vss)

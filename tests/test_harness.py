@@ -270,7 +270,7 @@ class TestRunRecord:
         assert summary["verdicts"]["boundary"]  # the boundary trace is exactly e3
         assert summary["solver"] == run.solver
         assert summary["solver"]["fp_iters_total"] > 0
-        assert summary["compat"] == run.report.to_dict()
+        assert summary["compat"] is run.report  # the report itself, not a copy
 
     def test_periodic_series_gets_no_wall_checks(self):
         v0 = HelixFamily().sample(Grid.periodic(2.0 * np.pi, 64))
