@@ -385,7 +385,8 @@ class TestMidpointStart:
     """A midpoint step starts from extrapolated slopes only at dt <= (pi/12) h^2.
 
     From two slopes the start is linear; from four it is cubic, or linear
-    where the cubic one predicted the step before worse.
+    where the cubic one predicted worse at the last comparison of the two,
+    made on every START_CHECK_EVERYth four-slope step from the first.
     """
 
     def _after_two_steps(self, factor):
@@ -419,6 +420,22 @@ class TestMidpointStart:
         cubic = 4.0 * slopes[3] - 6.0 * slopes[2] + 4.0 * slopes[1] - slopes[0]
         linear = 2.0 * slopes[3] - slopes[2]
         assert history.cubic == (np.max(np.abs(f - cubic)) <= np.max(np.abs(f - linear)))
+
+    def test_four_slope_steps_compare_the_starts_every_eighth(self, monkeypatch):
+        u, v, dt, cfg, history = self._after_two_steps(0.25)
+        for _ in range(2):
+            v = step(u, v, dt, cfg, history)
+        calls = [0]
+
+        def counting_linear_start(slopes, out, _linear=evolve._linear_start):
+            calls[0] += 1
+            return _linear(slopes, out)
+
+        monkeypatch.setattr(evolve, "_linear_start", counting_linear_start)
+        for _ in range(20):
+            v = step(u, v, dt, cfg, history)
+            assert history.cubic  # held, so only a comparison builds the linear start
+        assert calls[0] == 3  # four-slope steps 1, 9 and 17, not all 20
 
     def test_above_the_bound_a_step_is_the_rhs_started_one(self):
         u, v, dt, cfg, history = self._after_two_steps(0.3)
